@@ -29,7 +29,10 @@ class UsageError(Exception):
 
 def _system(args) -> RootSystem:
     if getattr(args, "cartan_file", None):
-        return build_root_system(CartanMatrix.from_file(args.cartan_file))
+        try:
+            return build_root_system(CartanMatrix.from_file(args.cartan_file))
+        except ValueError as exc:
+            raise UsageError(f"{args.cartan_file}: {exc}") from None
     if not args.type:
         raise UsageError("one of --type or --cartan-file is required")
     try:
@@ -84,13 +87,25 @@ def _ring(args):
 def _parse_chow(ring, text):
     """Either a class label like h1^4 or a reduced word in brackets."""
     text = text.strip()
-    if text.startswith("[") and text.endswith("]"):
-        w = weylmod.parse_element(ring.system, text[1:-1])
-        return ring.element(ring.class_of(w))
     try:
+        if text.startswith("[") and text.endswith("]"):
+            w = weylmod.parse_element(ring.system, text[1:-1])
+            return ring.element(ring.class_of(w))
         return ring.element(ring.class_by_label(text))
     except ValueError as exc:
-        raise UsageError(str(exc)) from None
+        raise UsageError(f"{text}: {exc}") from None
+
+
+def _node(args, ring, what: str) -> int:
+    """The hyperplane node: --node, or the complement of theta when unique."""
+    nodes = [i for i in range(1, ring.system.rank + 1) if i not in ring.theta]
+    if args.node is None:
+        if len(nodes) != 1:
+            raise UsageError(f"--node is required for {what} of this theta")
+        return nodes[0]
+    if args.node not in nodes:
+        raise UsageError(f"--node {args.node} is not one of {nodes}")
+    return args.node
 
 
 # -- commands -----------------------------------------------------------------
@@ -131,11 +146,7 @@ def cmd_hasse(args) -> int:
     theta = _theta(args, system)
     if args.pieri:
         ring = _ring(args)
-        nodes = [i for i in range(1, system.rank + 1) if i not in ring.theta]
-        node = args.node or (nodes[0] if len(nodes) == 1 else None)
-        if node is None:
-            raise UsageError("--node is required for a Pieri diagram of this theta")
-        diagram = hasse.build_pieri_diagram(ring, node)
+        diagram = hasse.build_pieri_diagram(ring, _node(args, ring, "a Pieri diagram"))
     else:
         diagram = hasse.build_hasse(group, theta)
     if args.format == "json":
@@ -148,6 +159,8 @@ def cmd_hasse(args) -> int:
 def cmd_chow(args) -> int:
     ring = _ring(args)
     if args.query == "basis":
+        if args.codim is not None and not 0 <= args.codim <= ring.dim:
+            raise UsageError(f"--codim {args.codim} is out of range 0..{ring.dim}")
         codims = [args.codim] if args.codim is not None else range(ring.dim + 1)
         lines = []
         for s in codims:
@@ -162,11 +175,7 @@ def cmd_chow(args) -> int:
         y = _parse_chow(ring, args.rhs)
         _emit(repr(ring.multiply(x, y)) + "\n", args.output)
     elif args.query == "table":
-        nodes = [i for i in range(1, ring.system.rank + 1) if i not in ring.theta]
-        node = args.node or (nodes[0] if len(nodes) == 1 else None)
-        if node is None:
-            raise UsageError("--node is required for a table of this theta")
-        rows = hyperplane_table(ring, node)
+        rows = hyperplane_table(ring, _node(args, ring, "a table"))
         if args.format == "json":
             _emit(json.dumps(rows, indent=2) + "\n", args.output)
         else:
@@ -193,9 +202,14 @@ def _f4_variety(tag: str):
 def _load_corr(path: str):
     with open(path) as fh:
         payload = json.load(fh)
-    source = _f4_variety(payload["source"])
-    target = _f4_variety(payload["target"])
-    return corr.from_jsonable(source, target, payload["terms"])
+    try:
+        source = _f4_variety(payload["source"])
+        target = _f4_variety(payload["target"])
+        return corr.from_jsonable(source, target, payload["terms"])
+    except KeyError as exc:
+        raise UsageError(f"{path}: missing key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"{path}: {exc}") from None
 
 
 def _dump_corr(alpha) -> str:
@@ -226,9 +240,6 @@ def cmd_corr(args) -> int:
 def cmd_verify(args) -> int:
     if args.what != "f4":
         raise UsageError(f"unknown verification target {args.what!r}")
-    if args.jobs and args.jobs > 1:
-        print("note: checks run sequentially; --jobs is accepted for "
-              "compatibility", file=sys.stderr)
     report = f4pipeline.run_f4_verification(args.eps)
     text = (report.to_json(timings=args.timings) if args.format == "json"
             else report.to_text(timings=args.timings))
@@ -307,7 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--report", help="also write a JSON report to this path")
     p.add_argument("--timings", action="store_true")
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(fn=cmd_verify)
 
     return parser

@@ -6,14 +6,15 @@ product formula
 
     (f_b x g_b) o (f_a x g_a) = deg(g_a * f_b) (f_a x g_b),
 
-where the inner product is evaluated in CH(Y) by the Giambelli route and
-collapsed by the degree map; off-degree inner products vanish because the
-degree map only sees the point class.  Squares of morphism degree, that
-is total codimension dim X inside X x X, form a ring whose unit is the
-diagonal.
+where deg(g_a * f_b) is 1 when f_b is the Poincare dual of g_a and 0
+otherwise, read from the duality table of CH(Y); off-degree inner products
+vanish because the degree map only sees the point class.  Squares of
+morphism degree, that is total codimension dim X inside X x X, form a ring
+whose unit is the diagonal.
 
 ``realize`` is the pullback action of a square correspondence: for
-p = sum c (f x g) it maps x to sum c deg(x*g) f, so the image of an
+p = sum c (f x g) it maps x to sum c deg(x*g) f, where deg(x*g) is the
+coefficient of the dual of g in x, so the image of an
 idempotent is spanned by its first factors.  (This is the realization of
 the motive (X, p); twisting shows up as a shift of the supported
 codimensions.)
@@ -142,19 +143,14 @@ def compose(beta: Correspondence, alpha: Correspondence) -> Correspondence:
     if alpha.target is not beta.source:
         raise ValueError("middle varieties do not match")
     mid = alpha.target
+    beta_by_first: dict = {}
+    for (f_b, g_b), vb in beta.terms.items():
+        beta_by_first.setdefault(f_b, []).append((g_b, vb))
     acc: dict = {}
     for (f_a, g_a), va in alpha.terms.items():
-        for (f_b, g_b), vb in beta.terms.items():
-            if g_a.codim + f_b.codim != mid.dim:
-                continue
-            d = mid.pair_degree(g_a, f_b)
-            if d:
-                key = (f_a, g_b)
-                v = acc.get(key, 0) + va * vb * d
-                if v:
-                    acc[key] = v
-                elif key in acc:
-                    del acc[key]
+        for g_b, vb in beta_by_first.get(mid.dual_class(g_a), ()):
+            key = (f_a, g_b)
+            acc[key] = acc.get(key, 0) + va * vb
     return Correspondence(alpha.source, beta.target, acc)
 
 
@@ -238,12 +234,9 @@ def realize(p: Correspondence, x: ChowElement) -> ChowElement:
         raise ValueError("cycle lives on the wrong variety")
     acc: dict = {}
     for (f, g), v in p.terms.items():
-        for cls, vx in x.terms.items():
-            if cls.codim + g.codim != ring.dim:
-                continue
-            d = ring.pair_degree(cls, g)
-            if d:
-                acc[f] = acc.get(f, 0) + v * vx * d
+        vx = x.terms.get(ring.dual_class(g))
+        if vx:
+            acc[f] = acc.get(f, 0) + v * vx
     return ChowElement(ring, acc)
 
 

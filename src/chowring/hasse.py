@@ -25,24 +25,18 @@ from .weyl import WeylElement, WeylGroup
 
 @dataclass(frozen=True)
 class HasseDiagram:
-    """Edges increase length by one; label i means target = s_i * source."""
+    """Graded diagram on the minimal coset representatives.
+
+    ``edge_tag`` names the third entry of each edge.  With "label", edges
+    increase length by one and label i means target = s_i * source.  With
+    "weight" (the Pieri diagram), edges follow increasing codimension of
+    the basis classes, i.e. decreasing vertex length.
+    """
 
     theta: tuple[int, ...]
     vertices: tuple[WeylElement, ...]
-    edges: tuple[tuple[int, int, int], ...]   # (source idx, target idx, label)
-
-    def lengths(self) -> tuple[int, ...]:
-        return tuple(v.length for v in self.vertices)
-
-
-@dataclass(frozen=True)
-class PieriDiagram:
-    """Weighted edges follow increasing codimension of the basis classes,
-    i.e. decreasing vertex length."""
-
-    theta: tuple[int, ...]
-    vertices: tuple[WeylElement, ...]
-    edges: tuple[tuple[int, int, int], ...]   # (source idx, target idx, weight)
+    edges: tuple[tuple[int, int, int], ...]   # (source idx, target idx, tag)
+    edge_tag: str
 
     def lengths(self) -> tuple[int, ...]:
         return tuple(v.length for v in self.vertices)
@@ -61,7 +55,7 @@ def build_hasse(group: WeylGroup, theta) -> HasseDiagram:
                 if j is not None:
                     edges.append((k, j, i))
     edges.sort()
-    return HasseDiagram(theta, vertices, tuple(edges))
+    return HasseDiagram(theta, vertices, tuple(edges), "label")
 
 
 def embed_diagram(group: WeylGroup, theta_big, theta_small) -> dict[WeylElement, WeylElement]:
@@ -88,7 +82,7 @@ def embed_diagram(group: WeylGroup, theta_big, theta_small) -> dict[WeylElement,
     return mapping
 
 
-def build_pieri_diagram(ring: ChowRing, node: int) -> PieriDiagram:
+def build_pieri_diagram(ring: ChowRing, node: int) -> HasseDiagram:
     """Hyperplane-multiplication graph of CH(G/P_theta) for one node."""
     group = ring.group
     vertices = group.minimal_coset_reps(ring.theta)
@@ -104,7 +98,7 @@ def build_pieri_diagram(ring: ChowRing, node: int) -> PieriDiagram:
             tv = _weyl.multiply(target.rep, ring.w_theta)
             edges.append((k, index[tv.images], weight))
     edges.sort()
-    return PieriDiagram(ring.theta, vertices, tuple(edges))
+    return HasseDiagram(ring.theta, vertices, tuple(edges), "weight")
 
 
 # ---------------------------------------------------------------------------
@@ -119,13 +113,12 @@ def export_dot(diagram, by_codim: bool = False) -> str:
     """Deterministic DOT text; ``by_codim`` flips the drawing direction so
     codimension increases left to right."""
     names = _vertex_names(diagram)
-    weighted = isinstance(diagram, PieriDiagram)
+    key = diagram.edge_tag
     lines = ["digraph hasse {", "  rankdir=LR;"]
     for k, v in enumerate(diagram.vertices):
         lines.append(f'  n{k} [label="{names[k]} (l={v.length})"];')
     for src, dst, tag in diagram.edges:
-        a, b = (dst, src) if by_codim and not weighted else (src, dst)
-        key = "weight" if weighted else "label"
+        a, b = (dst, src) if by_codim and key == "label" else (src, dst)
         lines.append(f'  n{a} -> n{b} [{key}="{tag}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -138,8 +131,7 @@ def export_json(diagram) -> str:
         "vertices": [{"word": names[k], "length": v.length}
                      for k, v in enumerate(diagram.vertices)],
         "edges": [
-            {"source": s, "target": t,
-             ("weight" if isinstance(diagram, PieriDiagram) else "label"): tag}
+            {"source": s, "target": t, diagram.edge_tag: tag}
             for s, t, tag in diagram.edges],
     }
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"

@@ -4,8 +4,10 @@ The basis of CH(G/P_theta) is indexed by the maximal-length coset
 representatives; the class indexed by w has codimension l(w0) - l(w).
 Three multiplication routes are implemented:
 
-* ``duality_pair`` evaluates products in complementary codimensions from
-  the closed formula  [X_w]*[X_w'] = delta_{w, w0*w'*w_theta} * [pt];
+* ``duality_pair`` and ``pair_degree`` evaluate products in complementary
+  codimensions from the closed formula
+  [X_w]*[X_w'] = delta_{w, w0*w'*w_theta} * [pt], read from a duality
+  table built once per ring;
 * ``chevalley_mult`` multiplies by the codimension-1 class through the
   sum over positive roots beta with l(w*s_beta) = l(w) - 1, weighted by
   the coroot pairing <beta^vee, omega_alpha>;
@@ -128,14 +130,13 @@ class _GiambelliEngine:
     """Per-group lift/c-map machinery over the full flag variety.
 
     Works on raw integer polynomials; the product of positive roots d is
-    kept unscaled and all divisions by |W| happen at the very end of the
-    c map, with exactness asserted.
+    kept unscaled, built on the first lift, and all divisions by |W|
+    happen at the very end of the c map, with exactness asserted.
     """
 
     def __init__(self, group: WeylGroup):
         self.group = group
         self.system = group.system
-        self._d_raw = dict(_raw_root_product(group.system))
         self._delta_d: dict[int, dict] = {}    # idx -> delta_{w_idx}(d)
         self._w0_left: list[int] | None = None
         self._products: dict[tuple[int, int], dict[int, int]] = {}
@@ -153,7 +154,7 @@ class _GiambelliEngine:
                 stack.pop()
                 continue
             if group.element_at(top).length == 0:
-                self._delta_d[top] = self._d_raw
+                self._delta_d[top] = _raw_root_product(self.system)
                 stack.pop()
                 continue
             i = group.left_min_descent(top)
@@ -276,8 +277,14 @@ class ChowRing:
         self.labels: dict[str, SchubertClass] | None = None
         self._label_of: dict[SchubertClass, str] = {}
         self._pair_products: dict[tuple[WeylElement, WeylElement], ChowElement] = {}
-        self._pair_degrees: dict[tuple[WeylElement, WeylElement], int] = {}
-        self.self_check = True
+        self._dual: dict[SchubertClass, SchubertClass] = {}
+        for c in self.classes:
+            w = _weyl.multiply(_weyl.multiply(self.w0, c.rep), self.w_theta)
+            self._dual[c] = self.class_of(w)
+        for c, d in self._dual.items():
+            if d.codim != self.dim - c.codim or self._dual[d] != c:
+                raise AssertionError("duality map is not an involution reversing "
+                                     "codimension")
 
     # -- basis bookkeeping ---------------------------------------------------
 
@@ -345,8 +352,11 @@ class ChowRing:
     # -- duality ---------------------------------------------------------------
 
     def dual_class(self, cls: SchubertClass) -> SchubertClass:
-        w = _weyl.multiply(_weyl.multiply(self.w0, cls.rep), self.w_theta)
-        return self.class_of(w)
+        """The class [X_{w0 w w_theta}] pairing to 1 with [X_w]."""
+        try:
+            return self._dual[cls]
+        except KeyError:
+            raise ValueError("class does not belong to this ring") from None
 
     def duality_pair(self, x: ChowElement, y: ChowElement) -> int:
         """Coefficient of the point class in x*y for complementary degrees."""
@@ -465,8 +475,7 @@ class ChowRing:
                         f"product left the subring at {_weyl.serialize(w)}")
                 acc[self.classes[pos]] = v
             result = ChowElement(self, acc)
-            if self.self_check:
-                self._cross_check(a, b, result)
+            self._cross_check(a, b, result)
         self._pair_products[key] = result
         return result
 
@@ -500,13 +509,8 @@ class ChowRing:
         return acc
 
     def pair_degree(self, a: SchubertClass, b: SchubertClass) -> int:
-        """degree([X_a]*[X_b]); memoized, used heavily by correspondences."""
-        key = (a.rep, b.rep) if a.rep.images <= b.rep.images else (b.rep, a.rep)
-        got = self._pair_degrees.get(key)
-        if got is None:
-            got = self.degree(self.pair_product(a, b))
-            self._pair_degrees[key] = got
-        return got
+        """degree([X_a]*[X_b]), read from the duality table."""
+        return 1 if self.dual_class(a) == b else 0
 
     def degree(self, x: ChowElement) -> int:
         """Coefficient of the point class (other components contribute 0)."""

@@ -165,9 +165,11 @@ def parse_element(system: RootSystem, text: str) -> WeylElement:
         return identity(system)
     word = []
     for tok in text.split():
-        if not tok.startswith("s"):
-            raise ValueError(f"bad reflection token {tok!r}")
-        word.append(int(tok[1:]))
+        node = int(tok[1:]) if tok[:1] == "s" and tok[1:].isdecimal() else 0
+        if not 1 <= node <= system.rank:
+            raise ValueError(f"bad reflection token {tok!r}; expected s1.."
+                             f"s{system.rank}")
+        word.append(node)
     return word_to_element(system, word)
 
 

@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from chowring.cli import main
 
 
@@ -43,6 +45,33 @@ def test_bad_theta_is_usage_error(capsys):
     code, _, err = run_cli("weyl", "longest", "--type", "F4",
                            "--theta", "1,9", capsys=capsys)
     assert code == 2
+
+
+@pytest.mark.parametrize("argv, file_text", [
+    (["chow", "mult", "--type", "F4", "--theta", "2,3,4",
+      "--lhs", "[s9]", "--rhs", "h1^1"], None),
+    (["chow", "mult", "--type", "F4", "--theta", "2,3,4",
+      "--lhs", "[s1]", "--rhs", "h1^1"], None),
+    (["chow", "giambelli-lift", "--type", "F4", "--theta", "2,3,4",
+      "--class", "[x1]"], None),
+    (["corr", "transpose", "{file}"],
+     '{"source": "x1", "terms": []}'),
+    (["roots", "--cartan-file", "{file}"], "2 -1\n-1\n"),
+    (["chow", "basis", "--type", "F4", "--theta", "2,3,4", "--codim", "99"], None),
+    (["chow", "table", "--type", "F4", "--theta", "2,3,4", "--node", "2"], None),
+    (["hasse", "--type", "F4", "--theta", "2,3,4", "--pieri", "--node", "9"], None),
+], ids=["node-out-of-range", "not-a-basis-class", "bad-token",
+        "corr-missing-target", "ragged-cartan", "codim-out-of-range",
+        "table-node-in-theta", "pieri-node-out-of-range"])
+def test_malformed_input_is_usage_error(argv, file_text, tmp_path, capsys):
+    path = tmp_path / "input"
+    if file_text is not None:
+        path.write_text(file_text)
+    argv = [str(path) if a == "{file}" else a for a in argv]
+    code, out, err = run_cli(*argv, capsys=capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_weyl_order_and_longest(capsys):

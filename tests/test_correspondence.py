@@ -5,6 +5,7 @@ import pytest
 from chowring import correspondence as corr
 from chowring import f4pipeline
 from chowring.correspondence import Correspondence
+from chowring.schubert import ChowRing
 
 
 def _label(ring, text):
@@ -170,6 +171,26 @@ def test_realize_diagonal_is_identity(x1):
     delta = corr.diagonal(x1)
     for cls in x1.classes:
         x = x1.element(cls)
+        assert corr.realize(delta, x) == x
+
+
+def test_compose_and_realize_never_multiply(f4, monkeypatch):
+    """Composition degrees come from the duality table, not from products."""
+    def refuse(*args):
+        raise AssertionError("pair_product called")
+
+    monkeypatch.setattr(ChowRing, "pair_product", refuse)
+    ring = ChowRing(f4, (2, 3, 4))   # uncached, so no product is memoized
+    delta = corr.diagonal(ring)
+    assert corr.compose(delta, delta) == delta
+    rng = random.Random(5)
+    pairs = [(f, g) for f in ring.classes for g in ring.classes
+             if f.codim + g.codim == ring.dim]
+    alpha = Correspondence(ring, ring,
+                           {fg: rng.randint(-3, 3) for fg in rng.sample(pairs, 8)})
+    assert corr.compose(delta, alpha) == alpha == corr.compose(alpha, delta)
+    for cls in ring.classes:
+        x = ring.element(cls)
         assert corr.realize(delta, x) == x
 
 

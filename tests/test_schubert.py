@@ -5,6 +5,7 @@ import pytest
 
 from chowring import poly, weyl
 from chowring.poly import RationalPolynomial as RP
+from chowring.rootsystem import root_system
 from chowring.schubert import ChowElement, get_chow_ring
 
 
@@ -64,9 +65,20 @@ def test_duality_delta_in_labels(x1, x4):
                     assert ring.multiply(a, b) == want
 
 
-def test_duality_rejects_non_complementary(x1):
+def test_duality_rejects_non_complementary(x1, x4):
     with pytest.raises(ValueError):
         x1.duality_pair(x1.unit, x1.unit)
+    with pytest.raises(ValueError):
+        x4.dual_class(x1.point_class)
+
+
+def test_pair_degree_matches_giambelli_degree(x1, x4, a2_flag, b2_flag):
+    """The duality table and the Giambelli engine agree on every degree."""
+    g2_flag = get_chow_ring(root_system("G2"), ())
+    for ring in (x1, x4, a2_flag, b2_flag, g2_flag):
+        for a in ring.classes:
+            for b in ring.basis(ring.dim - a.codim):
+                assert ring.pair_degree(a, b) == ring.degree(ring.pair_product(a, b))
 
 
 def test_chevalley_of_unit_is_hyperplane(x1, x4):
