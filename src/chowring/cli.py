@@ -6,7 +6,8 @@ and product queries, ``corr`` for correspondence arithmetic, and
 ``verify f4`` for the full verification pipeline.  Every command is
 deterministic: repeated invocations print identical bytes.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error.
+Exit codes: 0 success, 1 verification failure, 2 usage error, 3 a
+verification check raised an internal error (reported as ERROR).
 """
 
 from __future__ import annotations
@@ -247,6 +248,8 @@ def cmd_verify(args) -> int:
     if args.report:
         with open(args.report, "w") as fh:
             fh.write(report.to_json(timings=args.timings))
+    if report.errored:
+        return 3
     return 0 if report.passed else 1
 
 

@@ -255,6 +255,12 @@ def to_json(alpha: Correspondence) -> str:
 
 
 def from_jsonable(source: ChowRing, target: ChowRing, data) -> Correspondence:
-    pairs = [(source.class_by_label(item["f"]), target.class_by_label(item["g"]),
-              int(item["coeff"])) for item in data]
+    """Inverse of ``to_jsonable``; a coefficient must be a JSON integer."""
+    pairs = []
+    for item in data:
+        coeff = item["coeff"]
+        if type(coeff) is not int:
+            raise ValueError(f"coefficient {coeff!r} is not an integer")
+        pairs.append((source.class_by_label(item["f"]),
+                      target.class_by_label(item["g"]), coeff))
     return Correspondence.from_pairs(source, target, pairs)

@@ -276,9 +276,12 @@ class CheckResult:
     detail: str
     witness: object | None = None
     elapsed: float = 0.0
+    error: bool = False    # the check raised instead of deciding
 
     @property
     def status(self) -> str:
+        if self.error:
+            return "ERROR"
         return "PASS" if self.passed else "FAIL"
 
 
@@ -290,6 +293,16 @@ class VerificationReport:
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
+    @property
+    def errored(self) -> bool:
+        return any(c.error for c in self.checks)
+
+    @property
+    def status(self) -> str:
+        if self.errored:
+            return "ERROR"
+        return "PASS" if self.passed else "FAIL"
+
     def to_text(self, timings: bool = False) -> str:
         lines = []
         for c in self.checks:
@@ -297,7 +310,7 @@ class VerificationReport:
             lines.append(f"{c.status} {c.name}: {c.detail}{stamp}")
             if not c.passed and c.witness is not None:
                 lines.append(f"     witness: {json.dumps(c.witness, sort_keys=True)}")
-        lines.append(f"{'PASS' if self.passed else 'FAIL'} overall "
+        lines.append(f"{self.status} overall "
                      f"({sum(c.passed for c in self.checks)}/{len(self.checks)} checks)")
         return "\n".join(lines) + "\n"
 
@@ -306,6 +319,7 @@ class VerificationReport:
             "passed": self.passed,
             "checks": [
                 {"name": c.name, "passed": c.passed, "detail": c.detail,
+                 **({"error": True} if c.error else {}),
                  **({"witness": c.witness} if c.witness is not None else {}),
                  **({"elapsed": round(c.elapsed, 3)} if timings else {})}
                 for c in self.checks],
@@ -315,12 +329,14 @@ class VerificationReport:
 
 def _run(report: VerificationReport, name: str, fn) -> CheckResult:
     start = time.perf_counter()
+    error = False
     try:
         passed, detail, witness = fn()
-    except Exception as exc:  # surface as a failing check, not a crash
-        passed, detail, witness = False, f"exception: {exc}", None
+    except Exception as exc:  # an internal error, reported apart from FAIL
+        passed, detail, witness = False, f"{type(exc).__name__}: {exc}", None
+        error = True
     result = CheckResult(name, passed, detail, witness,
-                         time.perf_counter() - start)
+                         time.perf_counter() - start, error)
     report.checks.append(result)
     return result
 
@@ -358,7 +374,7 @@ def _table_products(ring: ChowRing, node: int, table, route: str):
     for lhs, rhs, product in table:
         x = ring.element(ring.class_by_label(rhs))
         got = (ring.chevalley_mult(node, x) if route == "chevalley"
-               else ring.multiply(h, x))
+               else ring.giambelli_multiply(h, x))
         want = ChowElement(ring, {ring.class_by_label(c): v for c, v in product})
         if got != want:
             failures.append({"rhs": rhs, "got": repr(got), "want": repr(want)})
@@ -381,7 +397,7 @@ def check_squares():
             (x1, "h1^4", {"h1^8": 8, "h2^8": 6}),
             (x4, "g1^4", {"g1^8": 4, "g2^8": 3})):
         cls = ring.class_by_label(a)
-        got = ring.multiply(ring.element(cls), ring.element(cls))
+        got = ring.giambelli_multiply(ring.element(cls), ring.element(cls))
         want_elem = ChowElement(ring, {ring.class_by_label(c): v
                                        for c, v in want.items()})
         if got != want_elem:

@@ -2,24 +2,32 @@
 
 The basis of CH(G/P_theta) is indexed by the maximal-length coset
 representatives; the class indexed by w has codimension l(w0) - l(w).
-Three multiplication routes are implemented:
+Four multiplication routes are implemented:
 
-* ``duality_pair`` and ``pair_degree`` evaluate products in complementary
+* ``dual_class`` and ``pair_degree`` evaluate products in complementary
   codimensions from the closed formula
   [X_w]*[X_w'] = delta_{w, w0*w'*w_theta} * [pt], read from a duality
   table built once per ring;
 * ``chevalley_mult`` multiplies by the codimension-1 class through the
   sum over positive roots beta with l(w*s_beta) = l(w) - 1, weighted by
   the coroot pairing <beta^vee, omega_alpha>;
-* ``multiply`` handles arbitrary products by lifting both factors to the
-  weight polynomial ring along  lift([X_w]) = delta_{w^{-1}}(d / |W|),
-  multiplying there and projecting back with the linear map
+* ``pair_product``, ``multiply`` and ``power`` handle arbitrary products by
+  localization on the fixed points W^theta of G/P (orbit of rho_P, Billey's
+  restriction formula, Atiyah-Bott integration; see
+  :class:`_LocalizationEngine`).  No polynomial is built and the Weyl group
+  is never enumerated; each ring builds its engine on the first product;
+* ``giambelli_multiply`` lifts both factors to the weight polynomial ring
+  along  lift([X_w]) = delta_{w^{-1}}(d / |W|),  multiplies there and
+  projects back with the linear map
   c(u) = sum_{l(w) = deg u} delta_w(u) [X_{w0 w}].
+  It works inside the full flag ring and asserts that the product lands
+  back in the subring.  The paper states its hyperplane tables and squares
+  through this route, and the tests use it as an oracle; all parabolic
+  rings over one Weyl group share one cached engine.
 
-Products of parabolic classes are computed inside the full flag ring and
-asserted to land back in the subring, which doubles as a continuous
-convention check.  All parabolic rings over one Weyl group share a cached
-engine, so lifts and pairwise products are computed once per group.
+Every product of two basis classes by either general route is
+cross-checked against the Chevalley formula when a factor has codimension
+1 and against the duality table in complementary codimensions.
 """
 
 from __future__ import annotations
@@ -27,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import lcm, prod
 
 from . import weyl as _weyl
 from .poly import (RationalPolynomial, _raw_delta, _raw_mul,
@@ -255,6 +263,169 @@ def _get_engine(group: WeylGroup) -> _GiambelliEngine:
     return _GiambelliEngine(group)
 
 
+class _LocalizationEngine:
+    """Structure constants of one parabolic ring by localization on W^P.
+
+    The torus-fixed points of G/P are the minimal coset representatives
+    x in W^P, enumerated as the Weyl orbit of rho_P, the sum of the
+    fundamental weights outside theta (Stembridge 2001): s_a sends the
+    orbit weight x rho_P to s_a x rho_P, one step longer, exactly when
+    <x rho_P, alpha_a^vee> > 0.  The search also yields a reduced word
+    a_1 ... a_l of each x, left letter first.  The class of the ring that
+    is indexed by the maximal representative w is sigma^v with
+    v = w0 w in W^P, and sigma^v restricts to x by Billey's formula
+    (Duke 1999),
+
+        sigma^v|_x = sum over reduced subwords of a_1 ... a_l spelling v
+                     of the product of r_j = s_a1 ... s_a(j-1)(alpha_aj),
+
+    run right to left as a dynamic program over orbit weights: every
+    suffix of an element of W^P lies in W^P, so no state leaves the orbit.
+    Degrees of triple products follow from Atiyah-Bott (1984),
+
+        deg(sigma^u sigma^v sigma^w) = sum over x of
+            sigma^u|_x sigma^v|_x sigma^w|_x / e(x),
+        e(x) = product over gamma in Phi+ minus Phi+_theta of (-x gamma),
+
+    with every root evaluated exactly at an integer point alpha_i -> p_i.
+    Both points are positive, so no root vanishes on them and each
+    restriction is positive on the Bruhat interval below x.  When the
+    codimensions add up to dim G/P the sum is the same integer at every
+    such point; it is computed at two points and a product is returned
+    only if both give that integer.
+    """
+
+    def __init__(self, ring: "ChowRing"):
+        system = ring.system
+        n = system.rank
+        self.ring = ring
+        self.points = (tuple(range(1, n + 1)),
+                       tuple(k * k + 1 for k in range(1, n + 1)))
+        rho_p = tuple(0 if i in ring.theta else 1 for i in range(1, n + 1))
+        tangent = [g for g in system.positive_roots
+                   if any(g[i - 1] for i in range(1, n + 1) if i not in ring.theta)]
+        # Breadth-first over the orbit; per point x: its word, the upward
+        # moves a -> index of s_a x, the roots r_j and the images x gamma.
+        index = {rho_p: 0}
+        orbit = [rho_p]
+        words: list[tuple[int, ...]] = [()]
+        factors: list[tuple] = [()]
+        images: list[tuple] = [tuple(tangent)]
+        self.up: list[dict[int, int]] = []
+        for k, lam in enumerate(orbit):
+            moves = {}
+            for a in range(1, n + 1):
+                if lam[a - 1] <= 0:
+                    continue
+                mu = system.reflect_weight(a, lam)
+                if mu not in index:
+                    index[mu] = len(orbit)
+                    orbit.append(mu)
+                    words.append((a,) + words[k])
+                    factors.append((system.simple_root(a),) + tuple(
+                        system.reflect_root(a, r) for r in factors[k]))
+                    images.append(tuple(system.reflect_root(a, g) for g in images[k]))
+                moves[a] = index[mu]
+            self.up.append(moves)
+        if len(orbit) != len(ring.classes):
+            raise AssertionError("the orbit of rho_P and the Schubert basis "
+                                 "have different sizes")
+        self.restrictions = [self._restrictions(word, roots)
+                             for word, roots in zip(words, factors)]
+        # Atiyah-Bott weights: 1/e(x) = scale[x] / lcms, per point.
+        euler = [tuple(prod(-self._value(g, p) for g in imgs) for p in self.points)
+                 for imgs in images]
+        self.lcms = tuple(lcm(*(abs(e[t]) for e in euler))
+                          for t in range(len(self.points)))
+        self.scales = [tuple(m // e_t for m, e_t in zip(self.lcms, e)) for e in euler]
+        w0_weights = [_weyl.act_weight(ring.w0, system.fundamental_weight(i))
+                      for i in range(1, n + 1)]
+        self.position: dict[SchubertClass, int] = {}
+        for cls in ring.classes:
+            lam = _weyl.act_weight(cls.rep, rho_p)
+            v_rho = tuple(sum(lam[i] * w0_weights[i][t] for i in range(n))
+                          for t in range(n))
+            k = index[v_rho]
+            if len(words[k]) != cls.codim:
+                raise AssertionError("w0 * rep is not the minimal representative "
+                                     "of the class")
+            self.position[cls] = k
+
+    @staticmethod
+    def _value(root, point) -> int:
+        return sum(c * p for c, p in zip(root, point))
+
+    def _restrictions(self, word, roots) -> dict[int, tuple[int, ...]]:
+        """sigma^v|_x at each point for every v <= x, keyed by v's index."""
+        values = [tuple(self._value(r, p) for p in self.points) for r in roots]
+        states = {0: (1,) * len(self.points)}
+        for a, r in zip(reversed(word), reversed(values)):
+            # s_a only moves states with <lambda, alpha_a^vee> > 0 to states
+            # with < 0, so no state is both read and written in one step.
+            for k, val in list(states.items()):
+                target = self.up[k].get(a)
+                if target is None:
+                    continue
+                add = tuple(v * f for v, f in zip(val, r))
+                old = states.get(target)
+                states[target] = add if old is None else tuple(
+                    o + x for o, x in zip(old, add))
+        return states
+
+    def _index(self, cls: SchubertClass) -> int:
+        try:
+            return self.position[cls]
+        except KeyError:
+            raise ValueError("class does not belong to this ring") from None
+
+    def _support(self, classes) -> list[tuple[dict, tuple[int, ...]]]:
+        """(restrictions at x, scale(x) * product of the classes at x) for
+        every x where no class vanishes; scale(x)/lcm is 1/e(x) per point."""
+        ks = [self._index(c) for c in classes]
+        out = []
+        for restriction, scale in zip(self.restrictions, self.scales):
+            terms = scale
+            for k in ks:
+                val = restriction.get(k)
+                if val is None:
+                    break
+                terms = tuple(t * v for t, v in zip(terms, val))
+            else:
+                out.append((restriction, terms))
+        return out
+
+    def _integrate(self, terms) -> tuple[Fraction, ...]:
+        sums = [sum(col) for col in zip(*terms)] or [0] * len(self.points)
+        return tuple(Fraction(s, m) for s, m in zip(sums, self.lcms))
+
+    def integrals(self, classes) -> tuple[Fraction, ...]:
+        """deg of the product of ``classes``, one Atiyah-Bott sum per point."""
+        return self._integrate([t for _, t in self._support(classes)])
+
+    def product(self, a: SchubertClass, b: SchubertClass) -> dict[SchubertClass, int]:
+        """[X_a]*[X_b] as class -> coefficient: the coefficient of c is
+        deg(X_a X_b X_dual(c)), which must be one integer at both points."""
+        ring = self.ring
+        if a.codim + b.codim > ring.dim:
+            return {}
+        support = self._support((a, b))
+        out = {}
+        for c in ring.basis(a.codim + b.codim):
+            k = self._index(ring.dual_class(c))
+            values = set(self._integrate(
+                [tuple(t * v for t, v in zip(terms, restriction[k]))
+                 for restriction, terms in support if k in restriction]))
+            if len(values) != 1:
+                raise AssertionError("localization gives different products at "
+                                     "the two evaluation points")
+            value = values.pop()
+            if value.denominator != 1:
+                raise AssertionError("localization product left the integer lattice")
+            if value:
+                out[c] = int(value)
+        return out
+
+
 class ChowRing:
     """CH(G/P_theta) for the Weyl group of ``system``; theta=() is G/B."""
 
@@ -277,6 +448,7 @@ class ChowRing:
         self.labels: dict[str, SchubertClass] | None = None
         self._label_of: dict[SchubertClass, str] = {}
         self._pair_products: dict[tuple[WeylElement, WeylElement], ChowElement] = {}
+        self._localization: _LocalizationEngine | None = None
         self._dual: dict[SchubertClass, SchubertClass] = {}
         for c in self.classes:
             w = _weyl.multiply(_weyl.multiply(self.w0, c.rep), self.w_theta)
@@ -456,7 +628,15 @@ class ChowRing:
 
     # -- general products ----------------------------------------------------------
 
+    @property
+    def localization(self) -> "_LocalizationEngine":
+        """The localization engine, built on first use."""
+        if self._localization is None:
+            self._localization = _LocalizationEngine(self)
+        return self._localization
+
     def pair_product(self, a: SchubertClass, b: SchubertClass) -> ChowElement:
+        """[X_a]*[X_b] by localization, memoized per unordered pair."""
         key = (a.rep, b.rep) if (a.codim, a.rep.images) <= (b.codim, b.rep.images) \
             else (b.rep, a.rep)
         cached = self._pair_products.get(key)
@@ -465,40 +645,60 @@ class ChowRing:
         if a.codim + b.codim > self.dim:
             result = self.zero()
         else:
-            raw = self.engine.product_classes(a.rep, b.rep)
-            acc: dict[SchubertClass, int] = {}
-            for idx, v in raw.items():
-                w = self.group.element_at(idx)
-                pos = self._position.get(w)
-                if pos is None:
-                    raise SubringError(
-                        f"product left the subring at {_weyl.serialize(w)}")
-                acc[self.classes[pos]] = v
-            result = ChowElement(self, acc)
-            self._cross_check(a, b, result)
+            result = ChowElement(self, self.localization.product(a, b))
+            self._cross_check(a, b, result, "localization")
         self._pair_products[key] = result
         return result
 
+    def giambelli_multiply(self, x: ChowElement, y: ChowElement) -> ChowElement:
+        """x*y by the Giambelli route (lift, multiply, project with c).
+
+        Each product of basis classes is computed in the full flag ring,
+        asserted to land back in the subring and cross-checked like
+        ``pair_product``; only the shared engine caches anything.
+        """
+        x._check(y)
+        if x.ring is not self:
+            raise ValueError("elements belong to a different ring")
+        acc: dict[SchubertClass, int] = {}
+        for a, va in x.terms.items():
+            for b, vb in y.terms.items():
+                if a.codim + b.codim > self.dim:
+                    continue
+                terms: dict[SchubertClass, int] = {}
+                for idx, v in self.engine.product_classes(a.rep, b.rep).items():
+                    w = self.group.element_at(idx)
+                    pos = self._position.get(w)
+                    if pos is None:
+                        raise SubringError(
+                            f"product left the subring at {_weyl.serialize(w)}")
+                    terms[self.classes[pos]] = v
+                product = ChowElement(self, terms)
+                self._cross_check(a, b, product, "Giambelli")
+                for c, v in product.terms.items():
+                    acc[c] = acc.get(c, 0) + va * vb * v
+        return ChowElement(self, acc)
+
     def _cross_check(self, a: SchubertClass, b: SchubertClass,
-                     result: ChowElement) -> None:
+                     result: ChowElement, route: str) -> None:
         if b.codim == 1 or a.codim == 1:
             one, other = (b, a) if b.codim == 1 else (a, b)
             node = self.codim1_node(one)
             alt = self.chevalley_mult(node, self.element(other))
             if alt != result:
                 raise AssertionError(
-                    f"Giambelli and Chevalley products disagree on "
+                    f"{route} and Chevalley products disagree on "
                     f"{self.label_of(a)} * {self.label_of(b)}")
         if a.codim + b.codim == self.dim:
             pairing = self.duality_pair(self.element(a), self.element(b))
             if result.terms.get(self.point_class, 0) != pairing or \
                     len(result.terms) > (1 if pairing else 0):
                 raise AssertionError(
-                    f"Giambelli product disagrees with the duality pairing on "
+                    f"{route} product disagrees with the duality pairing on "
                     f"{self.label_of(a)} * {self.label_of(b)}")
 
     def multiply(self, x: ChowElement, y: ChowElement) -> ChowElement:
-        """Bilinear extension of the lift-multiply-project product."""
+        """Bilinear extension of ``pair_product``."""
         x._check(y)
         if x.ring is not self:
             raise ValueError("elements belong to a different ring")

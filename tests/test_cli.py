@@ -47,6 +47,11 @@ def test_bad_theta_is_usage_error(capsys):
     assert code == 2
 
 
+def _corr_with_coeff(coeff: str) -> str:
+    return ('{"source": "x1", "target": "x1", "terms": '
+            '[{"f": "h1^0", "g": "h1^15", "coeff": %s}]}' % coeff)
+
+
 @pytest.mark.parametrize("argv, file_text", [
     (["chow", "mult", "--type", "F4", "--theta", "2,3,4",
       "--lhs", "[s9]", "--rhs", "h1^1"], None),
@@ -60,9 +65,13 @@ def test_bad_theta_is_usage_error(capsys):
     (["chow", "basis", "--type", "F4", "--theta", "2,3,4", "--codim", "99"], None),
     (["chow", "table", "--type", "F4", "--theta", "2,3,4", "--node", "2"], None),
     (["hasse", "--type", "F4", "--theta", "2,3,4", "--pieri", "--node", "9"], None),
+    (["corr", "transpose", "{file}"], _corr_with_coeff("1.5")),
+    (["corr", "transpose", "{file}"], _corr_with_coeff("true")),
+    (["corr", "transpose", "{file}"], _corr_with_coeff('"1"')),
 ], ids=["node-out-of-range", "not-a-basis-class", "bad-token",
         "corr-missing-target", "ragged-cartan", "codim-out-of-range",
-        "table-node-in-theta", "pieri-node-out-of-range"])
+        "table-node-in-theta", "pieri-node-out-of-range",
+        "corr-fractional-coeff", "corr-bool-coeff", "corr-string-coeff"])
 def test_malformed_input_is_usage_error(argv, file_text, tmp_path, capsys):
     path = tmp_path / "input"
     if file_text is not None:
@@ -179,6 +188,28 @@ def test_verify_writes_report(tmp_path, capsys):
     payload = json.loads(path.read_text())
     assert payload["passed"] is True
     assert len(payload["checks"]) == 21
+
+
+def test_verify_reports_internal_error_apart_from_failure(monkeypatch, capsys):
+    """A check that raises is an ERROR with exit code 3, not a FAIL."""
+    from chowring import f4pipeline
+
+    def broken():
+        raise TypeError("unsupported operand")
+
+    monkeypatch.setattr(f4pipeline, "check_structure", broken)
+    code, out, _ = run_cli("verify", "f4", "--eps", "1", "--format", "json",
+                           capsys=capsys)
+    assert code == 3
+    payload = json.loads(out)
+    check = payload["checks"][0]
+    assert check == {"name": "structure", "passed": False, "error": True,
+                     "detail": "TypeError: unsupported operand"}
+    assert all("error" not in c for c in payload["checks"][1:])
+    code, out, _ = run_cli("verify", "f4", "--eps", "1", capsys=capsys)
+    assert code == 3
+    assert out.startswith("ERROR structure: TypeError: unsupported operand\n")
+    assert "ERROR overall (" in out
 
 
 def test_cli_subprocess_deterministic():
