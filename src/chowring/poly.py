@@ -16,13 +16,26 @@ no polynomial division is ever performed; the defining identity
 alpha_i * delta_i(u) == u - s_i(u) is enforced by the test suite instead
 of a remainder check.
 
-Raw term dictionaries (exponent tuple -> coefficient) are the working
-representation; :class:`RationalPolynomial` is the thin public wrapper
-that ties a term dict to its root system.
+Raw term dictionaries (packed monomial -> coefficient) are the working
+representation.  A monomial w1^e1 ... wn^en is one non-negative int: the
+exponent of w_{t+1} sits in the bit field [t*W, (t+1)*W) and the total
+degree e1 + ... + en in the field above them, so a monomial product is one
+integer addition and an exponent is one shift and mask.  The field width W
+follows from the root system: the smallest width that holds degree 2N,
+where N is the number of positive roots (the degree of a product of two
+Giambelli lifts), widened while the whole key still fits one digit of a
+Python int.  A monomial whose total degree exceeds 2^W - 1 raises
+ValueError, both where it is built from exponents and where a product
+would reach it; since every exponent is at most the total degree, no
+field can wrap into the next.  The constant monomial is key 0.
+:class:`RationalPolynomial` is the thin public wrapper that ties a term
+dict to its root system; exponent tuples appear only at its constructors
+and in the text format.
 """
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from weakref import WeakKeyDictionary
@@ -30,7 +43,7 @@ from weakref import WeakKeyDictionary
 from .rootsystem import RootSystem
 from .weyl import WeylElement, reduced_word
 
-RawPoly = dict  # exponent tuple -> int | Fraction, zero coefficients absent
+RawPoly = dict  # packed monomial (int) -> int | Fraction, zero coefficients absent
 
 
 # ---------------------------------------------------------------------------
@@ -46,37 +59,29 @@ def _raw_add_into(acc: RawPoly, other: RawPoly, scale=1) -> None:
             del acc[e]
 
 
-def _raw_mul(a: RawPoly, b: RawPoly) -> RawPoly:
-    if len(a) > len(b):
-        a, b = b, a
-    out: RawPoly = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            e = tuple(x + y for x, y in zip(ea, eb))
-            v = out.get(e, 0) + ca * cb
-            if v:
-                out[e] = v
-            elif e in out:
-                del out[e]
-    return out
-
-
 def _raw_scale(a: RawPoly, scale) -> RawPoly:
     if scale == 0:
         return {}
     return {e: c * scale for e, c in a.items()}
 
 
-def _raw_degree(a: RawPoly) -> int:
-    return max((sum(e) for e in a), default=0)
-
-
 class _Calculus:
-    """Per-root-system caches for the substitution and difference tables."""
+    """Per-root-system packed layout and the substitution and difference
+    tables, all keyed by packed monomials."""
 
     def __init__(self, system: RootSystem):
-        self.system = system
         n = system.rank
+        width = max((2 * len(system.positive_roots)).bit_length(),
+                    sys.int_info.bits_per_digit // (n + 1))
+        self.rank = n
+        self.shifts = tuple(t * width for t in range(n))
+        # all ones in one field: also the largest total degree a monomial may have
+        self.mask = (1 << width) - 1
+        self.degree_shift = n * width
+        # keys at or above limit have a total degree that does not fit
+        self.limit = (self.mask + 1) << self.degree_shift
+        # w_{t+1} itself: exponent 1 in field t and total degree 1
+        self.units = tuple((1 << s) | (1 << self.degree_shift) for s in self.shifts)
         # L_i = w_i - alpha_i as a raw linear form, per node (0-based list).
         self.lin: list[RawPoly] = []
         for i in range(1, n + 1):
@@ -85,34 +90,68 @@ class _Calculus:
             for k in range(n):
                 c = (1 if k == i - 1 else 0) - alpha[k]
                 if c:
-                    form[tuple(1 if t == k else 0 for t in range(n))] = c
+                    form[self.units[k]] = c
             self.lin.append(form)
-        self._lin_pows: list[list[RawPoly]] = [[{tuple([0] * n): 1}] for _ in range(n)]
+        self._lin_pows: list[list[RawPoly]] = [[{0: 1}] for _ in range(n)]
         self._diff_pows: list[list[RawPoly]] = [[{}] for _ in range(n)]
+
+    def pack(self, exponents) -> int:
+        """The key of w1^e1 ... wn^en; ValueError unless it fits."""
+        exponents = tuple(exponents)
+        if len(exponents) != self.rank or any(
+                not isinstance(x, int) or x < 0 for x in exponents):
+            raise ValueError(f"bad exponent vector {exponents} for rank {self.rank}")
+        total = sum(exponents)
+        if total > self.mask:
+            raise ValueError(f"monomial degree {total} exceeds {self.mask}, "
+                             "the largest the packed layout of this root system holds")
+        return sum(x << s for x, s in zip(exponents, self.shifts)) | (
+            total << self.degree_shift)
+
+    def unpack(self, key: int) -> tuple[int, ...]:
+        mask = self.mask
+        return tuple((key >> s) & mask for s in self.shifts)
+
+    def mul(self, a: RawPoly, b: RawPoly) -> RawPoly:
+        """The product of two term dicts; ValueError if its degree does not fit."""
+        if not a or not b:
+            return {}
+        # The largest key carries the largest degree, and the top-degree
+        # parts of a and b never cancel in their product.
+        if max(a) + max(b) >= self.limit:
+            raise ValueError(
+                f"product degree {(max(a) + max(b)) >> self.degree_shift} exceeds "
+                f"{self.mask}, the largest the packed layout of this root "
+                "system holds")
+        if len(a) > len(b):
+            a, b = b, a
+        out: RawPoly = {}
+        get = out.get
+        for ea, ca in a.items():
+            for eb, cb in b.items():
+                e = ea + eb
+                out[e] = get(e, 0) + ca * cb
+        return {e: c for e, c in out.items() if c}
 
     def lin_pow(self, i0: int, e: int) -> RawPoly:
         pows = self._lin_pows[i0]
         while len(pows) <= e:
-            pows.append(_raw_mul(pows[-1], self.lin[i0]))
+            pows.append(self.mul(pows[-1], self.lin[i0]))
         return pows[e]
 
     def diff_pow(self, i0: int, e: int) -> RawPoly:
         """delta_i(w_i^e) = sum_{a+b=e-1} w_i^a L_i^b, cached."""
         pows = self._diff_pows[i0]
-        n = self.system.rank
+        unit = self.units[i0]
         while len(pows) <= e:
             k = len(pows)  # building delta_i(w_i^k)
             acc: RawPoly = {}
             for a in range(k):
-                lp = self.lin_pow(i0, k - 1 - a)
-                for eb, cb in lp.items():
-                    e_full = tuple(eb[t] + (a if t == i0 else 0) for t in range(n))
-                    v = acc.get(e_full, 0) + cb
-                    if v:
-                        acc[e_full] = v
-                    elif e_full in acc:
-                        del acc[e_full]
-            pows.append(acc)
+                w_i_a = a * unit  # the key of w_i^a
+                for eb, cb in self.lin_pow(i0, k - 1 - a).items():
+                    key = eb + w_i_a
+                    acc[key] = acc.get(key, 0) + cb
+            pows.append({e: c for e, c in acc.items() if c})
         return pows[e]
 
 
@@ -131,60 +170,47 @@ def _raw_reflect(system: RootSystem, i: int, a: RawPoly) -> RawPoly:
     """s_i(u): substitute w_i -> L_i, all other variables fixed."""
     calc = _calculus(system)
     i0 = i - 1
-    n = system.rank
+    shift, mask, unit = calc.shifts[i0], calc.mask, calc.units[i0]
     out: RawPoly = {}
+    get = out.get
     for e, c in a.items():
-        k = e[i0]
-        if k == 0:
-            v = out.get(e, 0) + c
-            if v:
-                out[e] = v
-            elif e in out:
-                del out[e]
+        k = (e >> shift) & mask
+        if not k:
+            out[e] = get(e, 0) + c
             continue
-        rest = tuple(0 if t == i0 else e[t] for t in range(n))
+        rest = e - k * unit
         for el, cl in calc.lin_pow(i0, k).items():
-            e_full = tuple(rest[t] + el[t] for t in range(n))
-            v = out.get(e_full, 0) + c * cl
-            if v:
-                out[e_full] = v
-            elif e_full in out:
-                del out[e_full]
-    return out
+            key = rest + el
+            out[key] = get(key, 0) + c * cl
+    return {e: c for e, c in out.items() if c}
 
 
 def _raw_delta(system: RootSystem, i: int, a: RawPoly) -> RawPoly:
     """Divided difference (u - s_i(u)) / alpha_i via the telescoped table."""
     calc = _calculus(system)
     i0 = i - 1
-    n = system.rank
+    shift, mask, unit = calc.shifts[i0], calc.mask, calc.units[i0]
+    diff_pow = calc.diff_pow
     out: RawPoly = {}
+    get = out.get
     for e, c in a.items():
-        k = e[i0]
-        if k == 0:
+        k = (e >> shift) & mask
+        if not k:
             continue
-        rest = tuple(0 if t == i0 else e[t] for t in range(n))
-        for ed, cd in calc.diff_pow(i0, k).items():
-            e_full = tuple(rest[t] + ed[t] for t in range(n))
-            v = out.get(e_full, 0) + c * cd
-            if v:
-                out[e_full] = v
-            elif e_full in out:
-                del out[e_full]
-    return out
+        rest = e - k * unit
+        for ed, cd in diff_pow(i0, k).items():
+            key = rest + ed
+            out[key] = get(key, 0) + c * cd
+    return {e: c for e, c in out.items() if c}
 
 
 @lru_cache(maxsize=None)
 def _raw_root_product(system: RootSystem) -> RawPoly:
-    n = system.rank
-    acc: RawPoly = {tuple([0] * n): 1}
+    calc = _calculus(system)
+    acc: RawPoly = {0: 1}
     for beta in system.positive_roots:
         weight = system.root_to_weight(beta)
-        form: RawPoly = {}
-        for k in range(n):
-            if weight[k]:
-                form[tuple(1 if t == k else 0 for t in range(n))] = weight[k]
-        acc = _raw_mul(acc, form)
+        acc = calc.mul(acc, {calc.units[k]: c for k, c in enumerate(weight) if c})
     return acc
 
 
@@ -193,13 +219,26 @@ def _raw_root_product(system: RootSystem) -> RawPoly:
 
 
 class RationalPolynomial:
-    """Polynomial in w1..wn tied to a root system; immutable by contract."""
+    """Polynomial in w1..wn tied to a root system; immutable by contract.
 
-    __slots__ = ("system", "terms")
+    ``terms`` maps exponent tuples to coefficients; the polynomial keeps
+    them as the packed term dict ``raw``.
+    """
 
-    def __init__(self, system: RootSystem, terms: RawPoly | None = None):
+    __slots__ = ("system", "raw")
+
+    def __init__(self, system: RootSystem, terms: dict | None = None):
+        pack = _calculus(system).pack
         self.system = system
-        self.terms: RawPoly = {e: c for e, c in (terms or {}).items() if c}
+        self.raw: RawPoly = {pack(e): c for e, c in (terms or {}).items() if c}
+
+    @classmethod
+    def _from_raw(cls, system: RootSystem, raw: RawPoly) -> "RationalPolynomial":
+        """Wrap a packed term dict of ``system`` without copying it."""
+        u = cls.__new__(cls)
+        u.system = system
+        u.raw = raw
+        return u
 
     # constructors
 
@@ -209,11 +248,11 @@ class RationalPolynomial:
 
     @classmethod
     def one(cls, system: RootSystem) -> "RationalPolynomial":
-        return cls(system, {tuple([0] * system.rank): 1})
+        return cls.constant(system, 1)
 
     @classmethod
     def constant(cls, system: RootSystem, value) -> "RationalPolynomial":
-        return cls(system, {tuple([0] * system.rank): value})
+        return cls(system, {(0,) * system.rank: value})
 
     @classmethod
     def variable(cls, system: RootSystem, i: int) -> "RationalPolynomial":
@@ -225,22 +264,20 @@ class RationalPolynomial:
     # queries
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.raw
 
     def degree(self) -> int:
-        return _raw_degree(self.terms)
+        return max(self.raw, default=0) >> _calculus(self.system).degree_shift
 
     def is_homogeneous(self) -> bool:
-        degrees = {sum(e) for e in self.terms}
-        return len(degrees) <= 1
+        shift = _calculus(self.system).degree_shift
+        return len({e >> shift for e in self.raw}) <= 1
 
     def constant_value(self):
-        if not self.terms:
+        if not self.raw:
             return 0
-        if len(self.terms) == 1:
-            (e, c), = self.terms.items()
-            if not any(e):
-                return c
+        if len(self.raw) == 1 and 0 in self.raw:
+            return self.raw[0]
         raise ValueError("polynomial is not constant")
 
     # arithmetic
@@ -251,24 +288,25 @@ class RationalPolynomial:
 
     def __add__(self, other: "RationalPolynomial") -> "RationalPolynomial":
         self._check(other)
-        acc = dict(self.terms)
-        _raw_add_into(acc, other.terms)
-        return RationalPolynomial(self.system, acc)
+        acc = dict(self.raw)
+        _raw_add_into(acc, other.raw)
+        return RationalPolynomial._from_raw(self.system, acc)
 
     def __sub__(self, other: "RationalPolynomial") -> "RationalPolynomial":
         self._check(other)
-        acc = dict(self.terms)
-        _raw_add_into(acc, other.terms, -1)
-        return RationalPolynomial(self.system, acc)
+        acc = dict(self.raw)
+        _raw_add_into(acc, other.raw, -1)
+        return RationalPolynomial._from_raw(self.system, acc)
 
     def __neg__(self) -> "RationalPolynomial":
-        return RationalPolynomial(self.system, _raw_scale(self.terms, -1))
+        return RationalPolynomial._from_raw(self.system, _raw_scale(self.raw, -1))
 
     def __mul__(self, other):
         if isinstance(other, RationalPolynomial):
             self._check(other)
-            return RationalPolynomial(self.system, _raw_mul(self.terms, other.terms))
-        return RationalPolynomial(self.system, _raw_scale(self.terms, other))
+            return RationalPolynomial._from_raw(
+                self.system, _calculus(self.system).mul(self.raw, other.raw))
+        return RationalPolynomial._from_raw(self.system, _raw_scale(self.raw, other))
 
     __rmul__ = __mul__
 
@@ -283,10 +321,10 @@ class RationalPolynomial:
     def __eq__(self, other) -> bool:
         return (isinstance(other, RationalPolynomial)
                 and self.system is other.system
-                and self.terms == other.terms)
+                and self.raw == other.raw)
 
     def __hash__(self):
-        return hash(frozenset((e, Fraction(c)) for e, c in self.terms.items()))
+        return hash(frozenset((e, Fraction(c)) for e, c in self.raw.items()))
 
     def __repr__(self) -> str:
         return f"RationalPolynomial({format_polynomial(self)!r})"
@@ -300,16 +338,16 @@ def weyl_act(w: WeylElement, u: RationalPolynomial) -> RationalPolynomial:
     """Ring automorphism induced by w acting on the weight lattice."""
     if w.system is not u.system:
         raise ValueError("element and polynomial live on different systems")
-    raw = u.terms
+    raw = u.raw
     for i in reversed(reduced_word(w)):
         raw = _raw_reflect(u.system, i, raw)
-    return RationalPolynomial(u.system, raw)
+    return RationalPolynomial._from_raw(u.system, raw)
 
 
 def divided_difference(i: int, u: RationalPolynomial) -> RationalPolynomial:
     """delta_i(u) = (u - s_i(u)) / alpha_i, exact."""
     u.system._check_node(i)
-    return RationalPolynomial(u.system, _raw_delta(u.system, i, u.terms))
+    return RationalPolynomial._from_raw(u.system, _raw_delta(u.system, i, u.raw))
 
 
 def divided_difference_word(word, u: RationalPolynomial) -> RationalPolynomial:
@@ -317,16 +355,16 @@ def divided_difference_word(word, u: RationalPolynomial) -> RationalPolynomial:
 
     The word does not need to be reduced; a repeated letter annihilates.
     """
-    raw = u.terms
+    raw = u.raw
     for i in reversed(tuple(word)):
         u.system._check_node(i)
         raw = _raw_delta(u.system, i, raw)
-    return RationalPolynomial(u.system, raw)
+    return RationalPolynomial._from_raw(u.system, raw)
 
 
 def positive_root_product(system: RootSystem) -> RationalPolynomial:
     """Product of all positive roots, expanded in the weight variables."""
-    return RationalPolynomial(system, dict(_raw_root_product(system)))
+    return RationalPolynomial._from_raw(system, dict(_raw_root_product(system)))
 
 
 # ---------------------------------------------------------------------------
@@ -338,11 +376,13 @@ def _term_sort_key(e: tuple) -> tuple:
 
 
 def format_polynomial(u: RationalPolynomial) -> str:
-    if not u.terms:
+    if not u.raw:
         return "0"
+    unpack = _calculus(u.system).unpack
+    terms = {unpack(e): c for e, c in u.raw.items()}
     pieces: list[str] = []
-    for e in sorted(u.terms, key=_term_sort_key):
-        c = Fraction(u.terms[e])
+    for e in sorted(terms, key=_term_sort_key):
+        c = Fraction(terms[e])
         mono = "*".join(
             f"w{k + 1}" + (f"^{e[k]}" if e[k] > 1 else "")
             for k in range(len(e)) if e[k])
@@ -366,6 +406,7 @@ def parse_polynomial(system: RootSystem, text: str) -> RationalPolynomial:
     if not compact or compact == "0":
         return RationalPolynomial.zero(system)
     # split into signed terms
+    pack = _calculus(system).pack
     terms: RawPoly = {}
     chunks: list[str] = []
     start = 0
@@ -394,10 +435,10 @@ def parse_polynomial(system: RootSystem, text: str) -> RationalPolynomial:
                 expo[idx - 1] += int(power) if power else 1
             else:
                 coeff *= Fraction(factor)
-        e = tuple(expo)
+        e = pack(expo)
         v = terms.get(e, 0) + (int(coeff) if coeff.denominator == 1 else coeff)
         if v:
             terms[e] = v
         elif e in terms:
             del terms[e]
-    return RationalPolynomial(system, terms)
+    return RationalPolynomial._from_raw(system, terms)

@@ -38,7 +38,7 @@ from functools import lru_cache
 from math import lcm, prod
 
 from . import weyl as _weyl
-from .poly import (RationalPolynomial, _raw_delta, _raw_mul,
+from .poly import (RationalPolynomial, _calculus, _raw_delta,
                    _raw_root_product, _raw_scale)
 from .rootsystem import RootSystem
 from .weyl import WeylElement, WeylGroup, get_weyl_group
@@ -137,7 +137,8 @@ class ChowElement:
 class _GiambelliEngine:
     """Per-group lift/c-map machinery over the full flag variety.
 
-    Works on raw integer polynomials; the product of positive roots d is
+    Works on raw integer polynomials keyed by packed monomials (see
+    :mod:`chowring.poly`); the product of positive roots d is
     kept unscaled, built on the first lift, and all divisions by |W|
     happen at the very end of the c map, with exactness asserted.
     """
@@ -219,10 +220,10 @@ class _GiambelliEngine:
                 return {}
         out: dict[int, object] = {}
         for idx, raw in level.items():
-            for e, c in raw.items():
-                if any(e):
+            for e in raw:
+                if e:
                     raise AssertionError("c map met a non-constant leaf")
-            const = raw.get(tuple([0] * self.system.rank), 0)
+            const = raw.get(0, 0)
             if const:
                 out[idx] = const
         return out
@@ -245,8 +246,8 @@ class _GiambelliEngine:
         codim = (top - la) + (top - lb)
         result: dict[int, int] = {}
         if codim <= top:
-            u = _raw_mul(self.delta_d(group.inverse_index(key[0])),
-                         self.delta_d(group.inverse_index(key[1])))
+            u = _calculus(self.system).mul(self.delta_d(group.inverse_index(key[0])),
+                                           self.delta_d(group.inverse_index(key[1])))
             order2 = group.order * group.order
             for idx, const in self.c_raw(u, codim).items():
                 q, r = divmod(const, order2)
@@ -566,17 +567,17 @@ class ChowRing:
         """Product with the codimension-1 class of ``node``.
 
         Runs over positive roots beta with l(w s_beta) = l(w) - 1; the
-        coefficient is <beta^vee, omega_node>.  The result is asserted to
-        stay inside the parabolic subring.
+        coefficient is <beta^vee, omega_node>.  Only roots with w(beta) < 0,
+        which l(w s_beta) < l(w) needs, reach the product w s_beta.  The
+        result is asserted to stay inside the parabolic subring.
         """
         if node in self.theta:
             raise ValueError(f"node {node} lies in theta")
-        omega = self.system.fundamental_weight(node)
+        system = self.system
         acc: dict[SchubertClass, int] = {}
         for cls, v in x.terms.items():
-            for beta, s_beta in _root_reflections(self.system):
-                coeff = self.system.coroot_pairing(beta, omega)
-                if coeff == 0:
+            for beta, s_beta, coeff in _chevalley_roots(system, node):
+                if system.is_positive(_weyl.act_root(cls.rep, beta)):
                     continue
                 w2 = _weyl.multiply(cls.rep, s_beta)
                 if w2.length != cls.rep.length - 1:
@@ -596,7 +597,7 @@ class ChowRing:
         """Canonical polynomial lift delta_{w^{-1}}(d / |W|) of [X_w]."""
         raw = self.engine.lift_raw(cls.rep)
         scale = Fraction(1, self.group.order)
-        return RationalPolynomial(self.system, _raw_scale(raw, scale))
+        return RationalPolynomial._from_raw(self.system, _raw_scale(raw, scale))
 
     def c_map(self, u: RationalPolynomial) -> ChowElement:
         """c(u) = sum over w of length deg(u) of delta_w(u) [X_{w0 w}].
@@ -611,8 +612,8 @@ class ChowRing:
             return self.zero()
         if not u.is_homogeneous():
             raise ValueError("c map needs a homogeneous polynomial")
-        den = lcm(*(Fraction(c).denominator for c in u.terms.values()))
-        raw = {e: int(c * den) for e, c in u.terms.items()}
+        den = lcm(*(Fraction(c).denominator for c in u.raw.values()))
+        raw = {e: int(c * den) for e, c in u.raw.items()}
         acc: dict[SchubertClass, int] = {}
         for idx, const in self.engine.c_raw(raw, u.degree()).items():
             q, r = divmod(const, den)
@@ -727,10 +728,16 @@ class ChowRing:
 
 
 @lru_cache(maxsize=None)
-def _root_reflections(system: RootSystem):
-    """(beta, s_beta) for every positive root, in canonical root order."""
-    return tuple((beta, _weyl.reflection(system, beta))
-                 for beta in system.positive_roots)
+def _chevalley_roots(system: RootSystem, node: int):
+    """(beta, s_beta, <beta^vee, omega_node>) for every positive root with a
+    nonzero pairing, in canonical root order."""
+    omega = system.fundamental_weight(node)
+    out = []
+    for beta in system.positive_roots:
+        coeff = system.coroot_pairing(beta, omega)
+        if coeff:
+            out.append((beta, _weyl.reflection(system, beta), coeff))
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)

@@ -222,53 +222,66 @@ class WeylGroup:
     def _ensure(self) -> None:
         if self._elements is not None:
             return
+        nodes = range(1, self.rank + 1)
         e = identity(self.system)
         seen: dict[tuple[Root, ...], WeylElement] = {e.images: e}
+        # w s_1, ..., w s_n per element as the stored elements, kept for the
+        # right table without holding a second copy of their images
+        right_elements: dict[tuple[Root, ...], list[WeylElement]] = {}
         frontier = [e]
         while frontier:
             nxt = []
             for w in frontier:
-                for i in range(1, self.rank + 1):
+                row = right_elements[w.images] = []
+                for i in nodes:
                     u = mult_simple_right(w, i)
-                    if u.length > w.length and u.images not in seen:
-                        seen[u.images] = u
+                    known = seen.get(u.images)
+                    if known is None:
+                        # new, so longer: every shorter element was found on
+                        # an earlier level
+                        known = seen[u.images] = u
                         nxt.append(u)
+                    row.append(known)
             frontier = nxt
         elements = tuple(sorted(seen.values(), key=lambda w: (w.length, w.images)))
         self._elements = elements
         self._index = {w.images: k for k, w in enumerate(elements)}
         n = len(elements)
+        index = self._index
+        reflect = self.system.reflect_root
         right = []
         left = []
         for w in elements:
-            right.append(tuple(self._index[mult_simple_right(w, i).images]
-                               for i in range(1, self.rank + 1)))
-            left.append(tuple(self._index[mult_simple_left(w, i).images]
-                              for i in range(1, self.rank + 1)))
+            right.append(tuple(index[u.images] for u in right_elements[w.images]))
+            # s_i * w maps each simple root to s_i of its image under w; the
+            # index lookup needs no length, so no inversions are counted.
+            left.append(tuple(index[tuple(reflect(i, img) for img in w.images)]
+                              for i in nodes))
         self._right = right
         self._left = left
-        max_len = elements[-1].length
-        by_length: list[list[int]] = [[] for _ in range(max_len + 1)]
-        for k, w in enumerate(elements):
-            by_length[w.length].append(k)
+        lengths = [w.length for w in elements]
+        by_length: list[list[int]] = [[] for _ in range(lengths[-1] + 1)]
+        for k, length in enumerate(lengths):
+            by_length[length].append(k)
         self._by_length = by_length
         left_min = []
         for k, w in enumerate(elements):
             if w.length == 0:
                 left_min.append(-1)
                 continue
-            for i in range(1, self.rank + 1):
-                if elements[left[k][i - 1]].length < w.length:
+            for i in nodes:
+                if lengths[left[k][i - 1]] < w.length:
                     left_min.append(i)
                     break
         self._left_min_descent = left_min
+        # (w s_i)^{-1} = s_i w^{-1}: along a right descent of each element,
+        # in length order, the inverse of the shorter one is already known.
         inv = [0] * n
-        for k, w in enumerate(elements):
-            word = reduced_word(w)
-            cur = 0
-            for i in reversed(word):
-                cur = right[cur][i - 1]
-            inv[k] = cur
+        for k in range(1, n):
+            for i0, j in enumerate(right[k]):
+                if lengths[j] < lengths[k]:
+                    inv[k] = left[inv[j]][i0]
+                    break
         self._inverse_idx = inv
 
     @property

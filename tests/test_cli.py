@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -178,6 +179,15 @@ def test_verify_f4_single_eps(capsys):
     code, out, _ = run_cli("verify", "f4", "--eps", "1", capsys=capsys)
     assert code == 0
     assert "PASS overall" in out
+
+
+def test_verify_f4_report_matches_golden_copy(capsys):
+    """The paper's result, byte for byte: both eps values, JSON report."""
+    golden = Path(__file__).parent / "golden" / "verify_f4.json"
+    code, out, _ = run_cli("verify", "f4", "--eps", "both", "--format", "json",
+                           capsys=capsys)
+    assert code == 0
+    assert out.encode() == golden.read_bytes()
 
 
 def test_verify_writes_report(tmp_path, capsys):

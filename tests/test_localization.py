@@ -105,6 +105,9 @@ def test_products_never_build_a_polynomial(f4, x1, monkeypatch):
     ring = ChowRing(f4, (2, 3, 4))   # uncached, so no product is memoized
     assert ring._localization is None
     monkeypatch.setattr(schubert._GiambelliEngine, "product_classes", refuse)
+    # the polynomial kernels: every raw product is _Calculus.mul and every
+    # divided difference _raw_delta
+    monkeypatch.setattr(poly._Calculus, "mul", refuse)
     monkeypatch.setattr(poly, "_raw_delta", refuse)
     monkeypatch.setattr(schubert, "_raw_delta", refuse)
     for attr in ("index_of", "element_at", "right_index", "left_index"):

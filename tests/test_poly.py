@@ -90,3 +90,81 @@ def test_parse_rejects_out_of_range_variable(f4):
 def test_zero_polynomial(f4):
     assert poly.format_polynomial(RP.zero(f4)) == "0"
     assert poly.parse_polynomial(f4, "0").is_zero()
+
+
+# -- packed monomials: the largest degree a field holds, and overflow
+
+
+PACKED_SYSTEMS = ["A1", "G2", "F4"]
+
+
+def _top(rs) -> int:
+    """The largest total degree, and so exponent, a monomial may have."""
+    return poly._calculus(rs).mask
+
+
+@pytest.mark.parametrize("name", PACKED_SYSTEMS)
+def test_largest_exponent_round_trips(name):
+    rs = root_system(name)
+    top = _top(rs)
+    assert top >= 2 * len(rs.positive_roots)
+    for i in range(1, rs.rank + 1):
+        text = f"w{i}^{top}"
+        u = poly.parse_polynomial(rs, text)
+        assert poly.format_polynomial(u) == text
+        assert u == RP.variable(rs, i) ** top
+        assert u.degree() == top
+    if rs.rank > 1:
+        text = f"-3/2*w1^{top - 1}*w{rs.rank}"
+        assert poly.format_polynomial(poly.parse_polynomial(rs, text)) == text
+
+
+@pytest.mark.parametrize("name", PACKED_SYSTEMS)
+def test_product_reaching_the_top_degree_does_not_wrap(name):
+    rs = root_system(name)
+    top = _top(rs)
+    w1, wn = RP.variable(rs, 1), RP.variable(rs, rs.rank)
+    assert poly.format_polynomial(w1 ** (top - 1) * w1) == f"w1^{top}"
+    if rs.rank > 1:
+        u = w1 ** (top // 2) * wn ** (top - top // 2)
+        assert poly.format_polynomial(u) == f"w1^{top // 2}*w{rs.rank}^{top - top // 2}"
+
+
+def test_top_degree_reflection_fills_the_next_field(f4):
+    """s_1 sends w1 to -w1 + w2, so s_1(w1^top) puts w2^top in the field
+    next to w1's; s_1 twice is the identity and delta_1 drops the degree."""
+    top = _top(f4)
+    s1 = weyl.simple_reflection(f4, 1)
+    v = RP.variable(f4, 1) ** top
+    image = poly.weyl_act(s1, v)
+    assert image == (RP.variable(f4, 2) - RP.variable(f4, 1)) ** top
+    assert poly.weyl_act(s1, image) == v
+    assert poly.divided_difference(1, v).degree() == top - 1
+
+
+@pytest.mark.parametrize("name", PACKED_SYSTEMS)
+def test_overflowing_monomials_raise(name):
+    rs = root_system(name)
+    top = _top(rs)
+    w1, wn = RP.variable(rs, 1), RP.variable(rs, rs.rank)
+    with pytest.raises(ValueError):
+        w1 ** (top + 1)
+    with pytest.raises(ValueError):
+        w1 ** top * wn
+    with pytest.raises(ValueError):
+        (w1 ** top + RP.one(rs)) * (wn + RP.one(rs))
+    with pytest.raises(ValueError):
+        poly.parse_polynomial(rs, f"w1^{top + 1}")
+    with pytest.raises(ValueError):
+        poly.parse_polynomial(rs, f"w1^{top}*w{rs.rank}")
+    with pytest.raises(ValueError):
+        RP(rs, {(top,) + (0,) * (rs.rank - 1): 1}) * w1
+    with pytest.raises(ValueError):
+        RP(rs, {(top + 1,) + (0,) * (rs.rank - 1): 1})
+
+
+def test_negative_exponent_is_rejected(f4):
+    with pytest.raises(ValueError):
+        poly.parse_polynomial(f4, "w1^-1")
+    with pytest.raises(ValueError):
+        RP(f4, {(1, -1, 0, 0): 1})
