@@ -142,15 +142,18 @@ def compose(beta: Correspondence, alpha: Correspondence) -> Correspondence:
     """beta o alpha for alpha: X -> Y and beta: Y -> Z."""
     if alpha.target is not beta.source:
         raise ValueError("middle varieties do not match")
-    mid = alpha.target
+    dual = alpha.target.duality
     beta_by_first: dict = {}
     for (f_b, g_b), vb in beta.terms.items():
         beta_by_first.setdefault(f_b, []).append((g_b, vb))
     acc: dict = {}
-    for (f_a, g_a), va in alpha.terms.items():
-        for g_b, vb in beta_by_first.get(mid.dual_class(g_a), ()):
-            key = (f_a, g_b)
-            acc[key] = acc.get(key, 0) + va * vb
+    try:
+        for (f_a, g_a), va in alpha.terms.items():
+            for g_b, vb in beta_by_first.get(dual[g_a], ()):
+                key = (f_a, g_b)
+                acc[key] = acc.get(key, 0) + va * vb
+    except KeyError:
+        raise ValueError("class does not belong to the middle ring") from None
     return Correspondence(alpha.source, beta.target, acc)
 
 

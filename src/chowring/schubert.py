@@ -28,14 +28,21 @@ Four multiplication routes are implemented:
 Every product of two basis classes by either general route is
 cross-checked against the Chevalley formula when a factor has codimension
 1 and against the duality table in complementary codimensions.
+
+A :class:`SchubertClass` belongs to exactly one ring, the one whose
+constructor built it, and compares and hashes by identity; the rings'
+tables and caches key on the classes themselves, never on their Weyl
+elements.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm, prod
+from types import MappingProxyType
 
 from . import weyl as _weyl
 from .poly import (RationalPolynomial, _calculus, _raw_delta,
@@ -48,12 +55,20 @@ class SubringError(RuntimeError):
     """A product left the span of the parabolic Schubert basis."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SchubertClass:
-    """Basis cycle [X_w]; ``rep`` is the indexing Weyl element."""
+    """Basis cycle [X_w] of one ring; ``rep`` is the indexing Weyl element
+    and ``position`` the class's index in its ring's ``classes``.
+
+    Only ``ChowRing.__init__`` builds classes, and each ring owns its own.
+    A class compares and hashes by identity: the classes of two rings that
+    are indexed by the same Weyl element are different classes, and a ring
+    raises ``ValueError`` when it is handed a class of another ring.
+    """
 
     rep: WeylElement
     codim: int
+    position: int
 
     def __repr__(self) -> str:
         return f"SchubertClass({_weyl.serialize(self.rep)!r}, codim={self.codim})"
@@ -438,26 +453,30 @@ class ChowRing:
         self.w0 = self.group.longest
         self.w_theta = self.group.longest_parabolic(self.theta)
         self.dim = self.w0.length - self.w_theta.length
-        reps = self.group.maximal_coset_reps(self.theta)
-        classes = [SchubertClass(w, self.w0.length - w.length) for w in reps]
-        classes.sort(key=lambda c: (c.codim, c.rep.images))
-        self.classes: tuple[SchubertClass, ...] = tuple(classes)
-        self._position = {c.rep: k for k, c in enumerate(self.classes)}
+        # basis order: by codimension, ties broken on the image tuples
+        reps = sorted(self.group.maximal_coset_reps(self.theta),
+                      key=lambda w: (-w.length, w.images))
+        self.classes: tuple[SchubertClass, ...] = tuple(
+            SchubertClass(w, self.w0.length - w.length, k) for k, w in enumerate(reps))
+        self._position = {c.rep: c.position for c in self.classes}
         self._by_codim: list[list[SchubertClass]] = [[] for _ in range(self.dim + 1)]
         for c in self.classes:
             self._by_codim[c.codim].append(c)
         self.labels: dict[str, SchubertClass] | None = None
         self._label_of: dict[SchubertClass, str] = {}
-        self._pair_products: dict[tuple[WeylElement, WeylElement], ChowElement] = {}
+        self._pair_products: dict[tuple[SchubertClass, SchubertClass], ChowElement] = {}
         self._localization: _LocalizationEngine | None = None
-        self._dual: dict[SchubertClass, SchubertClass] = {}
+        dual = {}
         for c in self.classes:
             w = _weyl.multiply(_weyl.multiply(self.w0, c.rep), self.w_theta)
-            self._dual[c] = self.class_of(w)
-        for c, d in self._dual.items():
-            if d.codim != self.dim - c.codim or self._dual[d] != c:
+            dual[c] = self.class_of(w)
+        for c, d in dual.items():
+            if d.codim != self.dim - c.codim or dual[d] is not c:
                 raise AssertionError("duality map is not an involution reversing "
                                      "codimension")
+        # class -> Poincare dual class, read-only; correspondence composition
+        # reads it directly, once per call
+        self.duality: Mapping[SchubertClass, SchubertClass] = MappingProxyType(dual)
 
     # -- basis bookkeeping ---------------------------------------------------
 
@@ -482,10 +501,10 @@ class ChowRing:
         return self._by_codim[self.dim][0]
 
     def class_position(self, cls: SchubertClass) -> int:
-        try:
-            return self._position[cls.rep]
-        except KeyError:
-            raise ValueError("class does not belong to this ring") from None
+        pos = cls.position
+        if pos < len(self.classes) and self.classes[pos] is cls:
+            return pos
+        raise ValueError("class does not belong to this ring")
 
     def class_of(self, w: WeylElement) -> SchubertClass:
         pos = self._position.get(w)
@@ -527,7 +546,7 @@ class ChowRing:
     def dual_class(self, cls: SchubertClass) -> SchubertClass:
         """The class [X_{w0 w w_theta}] pairing to 1 with [X_w]."""
         try:
-            return self._dual[cls]
+            return self.duality[cls]
         except KeyError:
             raise ValueError("class does not belong to this ring") from None
 
@@ -638,8 +657,7 @@ class ChowRing:
 
     def pair_product(self, a: SchubertClass, b: SchubertClass) -> ChowElement:
         """[X_a]*[X_b] by localization, memoized per unordered pair."""
-        key = (a.rep, b.rep) if (a.codim, a.rep.images) <= (b.codim, b.rep.images) \
-            else (b.rep, a.rep)
+        key = (a, b) if self.class_position(a) <= self.class_position(b) else (b, a)
         cached = self._pair_products.get(key)
         if cached is not None:
             return cached

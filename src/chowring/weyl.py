@@ -22,7 +22,7 @@ from functools import lru_cache
 from .rootsystem import Root, RootSystem
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class WeylElement:
     system: RootSystem
     images: tuple[Root, ...]
@@ -127,8 +127,12 @@ def right_descents(w: WeylElement) -> tuple[int, ...]:
                  if not w.system.is_positive(w.images[i - 1]))
 
 
+@lru_cache(maxsize=None)
 def reduced_word(w: WeylElement) -> tuple[int, ...]:
-    """Deterministic reduced word: strip the smallest right descent first."""
+    """Deterministic reduced word: strip the smallest right descent first.
+
+    Memoized per element: elements are immutable and the word is pure.
+    """
     letters: list[int] = []
     cur = w
     while cur.length > 0:
@@ -216,6 +220,9 @@ class WeylGroup:
         self._by_length: list[list[int]] = []
         self._left_min_descent: list[int] = []
         self._inverse_idx: list[int] = []
+        # normalized theta -> minimal / maximal coset representatives
+        self._min_reps: dict[tuple[int, ...], tuple[WeylElement, ...]] = {}
+        self._max_reps: dict[tuple[int, ...], tuple[WeylElement, ...]] = {}
 
     # -- enumeration -------------------------------------------------------
 
@@ -351,23 +358,28 @@ class WeylGroup:
         root; one minimal-length representative per coset, graded by
         length in the canonical order."""
         theta = normalize_theta(self.system, theta)
-        reps = tuple(w for w in self.elements
-                     if all(self.system.is_positive(w.images[t - 1])
-                            for t in theta))
+        reps = self._min_reps.get(theta)
+        if reps is None:
+            reps = self._min_reps[theta] = tuple(
+                w for w in self.elements
+                if all(self.system.is_positive(w.images[t - 1]) for t in theta))
         return reps
 
     def maximal_coset_reps(self, theta) -> tuple[WeylElement, ...]:
         """Maximal-length coset representatives, the minimal ones times the
         longest element of W_theta; the order mirrors the minimal reps."""
         theta = normalize_theta(self.system, theta)
-        w_theta = self.longest_parabolic(theta)
-        out = []
-        for v in self.minimal_coset_reps(theta):
-            w = multiply(v, w_theta)
-            if w.length != v.length + w_theta.length:
-                raise AssertionError("coset bijection lost length additivity")
-            out.append(w)
-        return tuple(out)
+        reps = self._max_reps.get(theta)
+        if reps is None:
+            w_theta = self.longest_parabolic(theta)
+            out = []
+            for v in self.minimal_coset_reps(theta):
+                w = multiply(v, w_theta)
+                if w.length != v.length + w_theta.length:
+                    raise AssertionError("coset bijection lost length additivity")
+                out.append(w)
+            reps = self._max_reps[theta] = tuple(out)
+        return reps
 
 
 @lru_cache(maxsize=None)

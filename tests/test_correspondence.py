@@ -6,6 +6,7 @@ from chowring import correspondence as corr
 from chowring import f4pipeline
 from chowring.correspondence import Correspondence
 from chowring.schubert import ChowRing
+from chowring.weyl import WeylElement
 
 
 def _label(ring, text):
@@ -192,6 +193,28 @@ def test_compose_and_realize_never_multiply(f4, monkeypatch):
     for cls in ring.classes:
         x = ring.element(cls)
         assert corr.realize(delta, x) == x
+
+
+def test_algebra_on_warm_rings_never_hashes_weyl_elements(x1, x4, p0, monkeypatch):
+    """Terms are keyed by Schubert classes, which hash by identity, so no
+    correspondence operation reaches the hash of a Weyl element."""
+    p1 = f4pipeline.fixture_idempotents()[0][1]
+    J = f4pipeline.build_J(1)
+    delta1, delta4 = corr.diagonal(x1), corr.diagonal(x4)
+
+    def refuse(self):
+        raise AssertionError("a Weyl element was hashed")
+
+    monkeypatch.setattr(WeylElement, "__hash__", refuse)
+    Jt = corr.transpose(J)
+    assert corr.transpose(Jt) == J
+    assert corr.mod_reduce(corr.compose(Jt, J) - delta1, 3).is_zero()
+    assert corr.mod_reduce(corr.compose(J, Jt) - delta4, 3).is_zero()
+    assert corr.realize(p0, x1.unit) == x1.unit
+    assert corr.is_idempotent(p0, 0) and corr.is_idempotent(p0, 3)
+    assert not corr.is_idempotent(2 * p0, 0)
+    assert corr.are_orthogonal(p0, p1, 0) and corr.are_orthogonal(p0, p1, 3)
+    assert not corr.are_orthogonal(p0, p0, 0)
 
 
 def test_realize_p0_fixes_unit_and_kills_point(x1, p0):

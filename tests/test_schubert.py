@@ -6,7 +6,7 @@ import pytest
 from chowring import poly, weyl
 from chowring.poly import RationalPolynomial as RP
 from chowring.rootsystem import root_system
-from chowring.schubert import ChowElement, get_chow_ring
+from chowring.schubert import ChowElement, ChowRing, get_chow_ring
 
 
 def _by_label(ring, text):
@@ -70,6 +70,25 @@ def test_duality_rejects_non_complementary(x1, x4):
         x1.duality_pair(x1.unit, x1.unit)
     with pytest.raises(ValueError):
         x4.dual_class(x1.point_class)
+
+
+def test_ring_rejects_classes_of_another_ring(x1, x4):
+    """A class belongs to the ring that built it: X4's unit class indexes
+    w0 like X1's, and a second build of X1 has classes at the same
+    positions, yet X1 refuses both."""
+    copy = ChowRing(x1.system, x1.theta)
+    assert x4.unit_class.rep == x1.unit_class.rep
+    for foreign in (x4.unit_class, copy.unit_class, copy.classes[5]):
+        with pytest.raises(ValueError):
+            x1.class_position(foreign)
+        with pytest.raises(ValueError):
+            x1.pair_product(foreign, x1.unit_class)
+        with pytest.raises(ValueError):
+            x1.pair_product(x1.unit_class, foreign)
+        with pytest.raises(ValueError):
+            x1.dual_class(foreign)
+    assert x4.unit_class != x1.unit_class
+    assert [x1.class_position(c) for c in x1.classes] == list(range(24))
 
 
 def test_pair_degree_matches_giambelli_degree(x1, x4, a2_flag, b2_flag):
