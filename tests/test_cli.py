@@ -190,6 +190,33 @@ def test_verify_f4_report_matches_golden_copy(capsys):
     assert out.encode() == golden.read_bytes()
 
 
+_P1, _P4 = ["--type", "F4", "--theta", "2,3,4"], ["--type", "F4", "--theta", "1,2,3"]
+
+
+@pytest.mark.parametrize("golden, argv", [
+    ("weyl_cosets_f4_p1.txt", ["weyl", "cosets", *_P1]),
+    ("weyl_cosets_f4_p1_maximal.txt", ["weyl", "cosets", *_P1, "--maximal"]),
+    ("weyl_cosets_b3_theta2.txt", ["weyl", "cosets", "--type", "B3", "--theta", "2"]),
+    ("hasse_f4_p1.dot", ["hasse", *_P1, "--format", "dot"]),
+    ("hasse_f4_p1_by_codim.dot", ["hasse", *_P1, "--format", "dot", "--by-codim"]),
+    ("hasse_f4_p1.json", ["hasse", *_P1, "--format", "json"]),
+    ("hasse_f4_p4.dot", ["hasse", *_P4, "--format", "dot"]),
+    ("hasse_f4_p4_by_codim.dot", ["hasse", *_P4, "--format", "dot", "--by-codim"]),
+    ("hasse_f4_p4.json", ["hasse", *_P4, "--format", "json"]),
+    ("pieri_f4_p1.json", ["hasse", *_P1, "--pieri", "--format", "json"]),
+    ("pieri_f4_p4.json", ["hasse", *_P4, "--pieri", "--format", "json"]),
+    ("chow_basis_f4_p1.txt", ["chow", "basis", *_P1]),
+    ("chow_basis_f4_p4.txt", ["chow", "basis", *_P4]),
+    ("chow_table_f4_p1.txt", ["chow", "table", *_P1]),
+    ("chow_table_f4_p4.txt", ["chow", "table", *_P4]),
+])
+def test_cli_output_matches_golden_copy(golden, argv, capsys):
+    """Coset lists, diagrams, bases and tables of X1 and X4, byte for byte."""
+    code, out, _ = run_cli(*argv, capsys=capsys)
+    assert code == 0
+    assert out.encode() == (Path(__file__).parent / "golden" / golden).read_bytes()
+
+
 def test_verify_writes_report(tmp_path, capsys):
     path = tmp_path / "report.json"
     code, out, _ = run_cli("verify", "f4", "--eps", "both", "--report",
