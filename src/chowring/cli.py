@@ -66,22 +66,13 @@ def _emit(text: str, path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _f4_ring_by_theta(theta):
-    x1, x4 = f4pipeline.get_f4_varieties()
-    if theta == x1.theta:
-        return x1
-    if theta == x4.theta:
-        return x4
-    return None
-
-
 def _ring(args):
     system = _system(args)
     theta = _theta(args, system)
     if system is root_system("F4"):
-        labeled = _f4_ring_by_theta(theta)
-        if labeled is not None:
-            return labeled
+        for labeled in f4pipeline.get_f4_varieties():
+            if labeled.theta == theta:
+                return labeled
     return get_chow_ring(system, theta)
 
 
@@ -129,7 +120,7 @@ def cmd_weyl(args) -> int:
     group = get_weyl_group(system)
     theta = _theta(args, system)
     if args.query == "order":
-        _emit(f"{group.order}\n", args.output)
+        _emit(f"{weylmod.order_from_heights(system)}\n", args.output)
     elif args.query == "longest":
         w = group.longest_parabolic(theta) if theta else group.longest
         _emit(f"{weylmod.serialize(w)}\nlength {w.length}\n", args.output)

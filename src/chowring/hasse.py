@@ -1,16 +1,19 @@
 """Labeled Hasse diagrams of parabolic quotients and their embeddings.
 
-Vertices are the minimal-length coset representatives, graded by length.
-An edge carries label i when the longer endpoint is s_i times the shorter
-one; with that rule the diagram of a rank-2 quotient is the expected path
-and the two F4 quotients reproduce the familiar double-diamond shape.
-(The right-handed variant w' = w*s_i leaves the quotient of the projective
-plane disconnected, so the left-handed rule is the one actually drawn.)
+Vertices are the minimal-length coset representatives, graded by length:
+the points of the quotient's :class:`~chowring.weyl.CosetOrbit`, in its
+order.  An edge carries label i when the longer endpoint is s_i times the
+shorter one, which is exactly the orbit's upward move along i, so the
+edges are read off the orbit and no Weyl element is multiplied.  With that
+rule the diagram of a rank-2 quotient is the expected path and the two F4
+quotients reproduce the familiar double-diamond shape.  (The right-handed
+variant w' = w*s_i leaves the quotient of the projective plane
+disconnected, so the left-handed rule is the one actually drawn.)
 
 The Pieri diagram keeps the same vertices but weights edge (u -> v) by
 the coefficient of v in the hyperplane product H*u, read through the
-correspondence between vertices and basis classes; reading the weighted
-edges back regenerates the hyperplane multiplication table.
+orbit point of each basis class; reading the weighted edges back
+regenerates the hyperplane multiplication table.
 """
 
 from __future__ import annotations
@@ -43,19 +46,10 @@ class HasseDiagram:
 
 
 def build_hasse(group: WeylGroup, theta) -> HasseDiagram:
-    theta = _weyl.normalize_theta(group.system, theta)
-    vertices = group.minimal_coset_reps(theta)
-    index = {v.images: k for k, v in enumerate(vertices)}
-    edges = []
-    for k, v in enumerate(vertices):
-        for i in range(1, group.rank + 1):
-            u = _weyl.mult_simple_left(v, i)
-            if u.length == v.length + 1:
-                j = index.get(u.images)
-                if j is not None:
-                    edges.append((k, j, i))
-    edges.sort()
-    return HasseDiagram(theta, vertices, tuple(edges), "label")
+    orbit = _weyl.coset_orbit(group.system, theta)
+    edges = sorted((k, j, i) for k, moves in enumerate(orbit.up)
+                   for i, j in moves.items())
+    return HasseDiagram(orbit.theta, orbit.minimal, tuple(edges), "label")
 
 
 def embed_diagram(group: WeylGroup, theta_big, theta_small) -> dict[WeylElement, WeylElement]:
@@ -65,18 +59,16 @@ def embed_diagram(group: WeylGroup, theta_big, theta_small) -> dict[WeylElement,
     edges are preserved with their labels since the edge rule multiplies on
     the left and the map is a right translation.
     """
-    theta_big = _weyl.normalize_theta(group.system, theta_big)
-    theta_small = _weyl.normalize_theta(group.system, theta_small)
-    if not set(theta_small) <= set(theta_big):
+    big = _weyl.coset_orbit(group.system, theta_big)
+    small = _weyl.coset_orbit(group.system, theta_small)
+    if not set(small.theta) <= set(big.theta):
         raise ValueError("theta_small must be a subset of theta_big")
-    w_big = group.longest_parabolic(theta_big)
-    w_small = group.longest_parabolic(theta_small)
-    shift = _weyl.multiply(w_big, w_small)
-    small_vertices = {v.images for v in group.minimal_coset_reps(theta_small)}
+    w_small = group.longest_parabolic(small.theta)
+    small_vertices = set(small.minimal)
     mapping = {}
-    for v in group.minimal_coset_reps(theta_big):
-        image = _weyl.multiply(v, shift)
-        if image.images not in small_vertices:
+    for v, v_max in zip(big.minimal, big.maximal):
+        image = _weyl.multiply(v_max, w_small)
+        if image not in small_vertices:
             raise AssertionError("embedding left the target vertex set")
         mapping[v] = image
     return mapping
@@ -84,21 +76,15 @@ def embed_diagram(group: WeylGroup, theta_big, theta_small) -> dict[WeylElement,
 
 def build_pieri_diagram(ring: ChowRing, node: int) -> HasseDiagram:
     """Hyperplane-multiplication graph of CH(G/P_theta) for one node."""
-    group = ring.group
-    vertices = group.minimal_coset_reps(ring.theta)
-    index = {v.images: k for k, v in enumerate(vertices)}
-    # vertex <-> class dictionary: class rep = vertex * w_theta
     edges = []
-    for k, v in enumerate(vertices):
-        cls = ring.class_of(_weyl.multiply(v, ring.w_theta))
+    for cls in ring.classes:
         if cls.codim >= ring.dim:
             continue
         product = ring.chevalley_mult(node, ring.element(cls))
         for target, weight in product.terms.items():
-            tv = _weyl.multiply(target.rep, ring.w_theta)
-            edges.append((k, index[tv.images], weight))
+            edges.append((cls.point, target.point, weight))
     edges.sort()
-    return HasseDiagram(ring.theta, vertices, tuple(edges), "weight")
+    return HasseDiagram(ring.theta, ring.orbit.minimal, tuple(edges), "weight")
 
 
 # ---------------------------------------------------------------------------

@@ -273,13 +273,6 @@ class RationalPolynomial:
         shift = _calculus(self.system).degree_shift
         return len({e >> shift for e in self.raw}) <= 1
 
-    def constant_value(self):
-        if not self.raw:
-            return 0
-        if len(self.raw) == 1 and 0 in self.raw:
-            return self.raw[0]
-        raise ValueError("polynomial is not constant")
-
     # arithmetic
 
     def _check(self, other: "RationalPolynomial") -> None:

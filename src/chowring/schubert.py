@@ -2,12 +2,14 @@
 
 The basis of CH(G/P_theta) is indexed by the maximal-length coset
 representatives; the class indexed by w has codimension l(w0) - l(w).
+They are read from the orbit of rho_P (:class:`chowring.weyl.CosetOrbit`),
+so building a ring never enumerates the Weyl group.
 Four multiplication routes are implemented:
 
 * ``dual_class`` and ``pair_degree`` evaluate products in complementary
   codimensions from the closed formula
   [X_w]*[X_w'] = delta_{w, w0*w'*w_theta} * [pt], read from a duality
-  table built once per ring;
+  table built once per ring from the orbit's ``opposite`` involution;
 * ``chevalley_mult`` multiplies by the codimension-1 class through the
   sum over positive roots beta with l(w*s_beta) = l(w) - 1, weighted by
   the coroot pairing <beta^vee, omega_alpha>;
@@ -57,8 +59,10 @@ class SubringError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class SchubertClass:
-    """Basis cycle [X_w] of one ring; ``rep`` is the indexing Weyl element
-    and ``position`` the class's index in its ring's ``classes``.
+    """Basis cycle [X_w] of one ring; ``rep`` is the indexing Weyl element,
+    ``position`` the class's index in its ring's ``classes`` and ``point``
+    the index of its coset in the ring's :class:`~chowring.weyl.CosetOrbit`
+    (``rep`` is that point's maximal representative).
 
     Only ``ChowRing.__init__`` builds classes, and each ring owns its own.
     A class compares and hashes by identity: the classes of two rings that
@@ -69,6 +73,7 @@ class SchubertClass:
     rep: WeylElement
     codim: int
     position: int
+    point: int
 
     def __repr__(self) -> str:
         return f"SchubertClass({_weyl.serialize(self.rep)!r}, codim={self.codim})"
@@ -127,10 +132,6 @@ class ChowElement:
 
     def is_homogeneous(self) -> bool:
         return len(self.codims()) <= 1
-
-    def graded_part(self, codim: int) -> "ChowElement":
-        return ChowElement(self.ring,
-                           {c: v for c, v in self.terms.items() if c.codim == codim})
 
     def sorted_terms(self) -> list[tuple[SchubertClass, int]]:
         ring = self.ring
@@ -283,20 +284,18 @@ class _LocalizationEngine:
     """Structure constants of one parabolic ring by localization on W^P.
 
     The torus-fixed points of G/P are the minimal coset representatives
-    x in W^P, enumerated as the Weyl orbit of rho_P, the sum of the
-    fundamental weights outside theta (Stembridge 2001): s_a sends the
-    orbit weight x rho_P to s_a x rho_P, one step longer, exactly when
-    <x rho_P, alpha_a^vee> > 0.  The search also yields a reduced word
-    a_1 ... a_l of each x, left letter first.  The class of the ring that
-    is indexed by the maximal representative w is sigma^v with
-    v = w0 w in W^P, and sigma^v restricts to x by Billey's formula
-    (Duke 1999),
+    x in W^P, the points of the ring's :class:`~chowring.weyl.CosetOrbit`,
+    each with a reduced word a_1 ... a_l, left letter first.  The class of
+    the ring at orbit point p, indexed by the maximal representative w, is
+    sigma^v with v = w0 w in W^P, the point ``opposite[p]``, and sigma^v
+    restricts to x by Billey's formula (Duke 1999),
 
         sigma^v|_x = sum over reduced subwords of a_1 ... a_l spelling v
                      of the product of r_j = s_a1 ... s_a(j-1)(alpha_aj),
 
-    run right to left as a dynamic program over orbit weights: every
-    suffix of an element of W^P lies in W^P, so no state leaves the orbit.
+    run right to left as a dynamic program over orbit points along the
+    orbit's upward moves: every suffix of an element of W^P lies in W^P,
+    so no state leaves the orbit.
     Degrees of triple products follow from Atiyah-Bott (1984),
 
         deg(sigma^u sigma^v sigma^w) = sum over x of
@@ -314,58 +313,29 @@ class _LocalizationEngine:
     def __init__(self, ring: "ChowRing"):
         system = ring.system
         n = system.rank
+        orbit = ring.orbit
         self.ring = ring
+        self.up = orbit.up
         self.points = (tuple(range(1, n + 1)),
                        tuple(k * k + 1 for k in range(1, n + 1)))
-        rho_p = tuple(0 if i in ring.theta else 1 for i in range(1, n + 1))
-        tangent = [g for g in system.positive_roots
-                   if any(g[i - 1] for i in range(1, n + 1) if i not in ring.theta)]
-        # Breadth-first over the orbit; per point x: its word, the upward
-        # moves a -> index of s_a x, the roots r_j and the images x gamma.
-        index = {rho_p: 0}
-        orbit = [rho_p]
-        words: list[tuple[int, ...]] = [()]
-        factors: list[tuple] = [()]
-        images: list[tuple] = [tuple(tangent)]
-        self.up: list[dict[int, int]] = []
-        for k, lam in enumerate(orbit):
-            moves = {}
-            for a in range(1, n + 1):
-                if lam[a - 1] <= 0:
-                    continue
-                mu = system.reflect_weight(a, lam)
-                if mu not in index:
-                    index[mu] = len(orbit)
-                    orbit.append(mu)
-                    words.append((a,) + words[k])
-                    factors.append((system.simple_root(a),) + tuple(
-                        system.reflect_root(a, r) for r in factors[k]))
-                    images.append(tuple(system.reflect_root(a, g) for g in images[k]))
-                moves[a] = index[mu]
-            self.up.append(moves)
-        if len(orbit) != len(ring.classes):
-            raise AssertionError("the orbit of rho_P and the Schubert basis "
-                                 "have different sizes")
+        tangent = tuple(g for g in system.positive_roots
+                        if any(g[i - 1] for i in range(1, n + 1) if i not in ring.theta))
+        # The roots r_j of each point, from its parent's: parents are one
+        # step shorter, so they come first in orbit order.
+        factors: list[tuple] = []
+        for word, parent in zip(orbit.words, orbit.parents):
+            factors.append(() if parent < 0 else (system.simple_root(word[0]),) + tuple(
+                system.reflect_root(word[0], r) for r in factors[parent]))
+        images = [tuple(_weyl.act_root(x, g) for g in tangent) for x in orbit.minimal]
         self.restrictions = [self._restrictions(word, roots)
-                             for word, roots in zip(words, factors)]
+                             for word, roots in zip(orbit.words, factors)]
         # Atiyah-Bott weights: 1/e(x) = scale[x] / lcms, per point.
         euler = [tuple(prod(-self._value(g, p) for g in imgs) for p in self.points)
                  for imgs in images]
         self.lcms = tuple(lcm(*(abs(e[t]) for e in euler))
                           for t in range(len(self.points)))
         self.scales = [tuple(m // e_t for m, e_t in zip(self.lcms, e)) for e in euler]
-        w0_weights = [_weyl.act_weight(ring.w0, system.fundamental_weight(i))
-                      for i in range(1, n + 1)]
-        self.position: dict[SchubertClass, int] = {}
-        for cls in ring.classes:
-            lam = _weyl.act_weight(cls.rep, rho_p)
-            v_rho = tuple(sum(lam[i] * w0_weights[i][t] for i in range(n))
-                          for t in range(n))
-            k = index[v_rho]
-            if len(words[k]) != cls.codim:
-                raise AssertionError("w0 * rep is not the minimal representative "
-                                     "of the class")
-            self.position[cls] = k
+        self.opposite = orbit.opposite
 
     @staticmethod
     def _value(root, point) -> int:
@@ -389,10 +359,9 @@ class _LocalizationEngine:
         return states
 
     def _index(self, cls: SchubertClass) -> int:
-        try:
-            return self.position[cls]
-        except KeyError:
-            raise ValueError("class does not belong to this ring") from None
+        """The point sigma^v of ``cls`` lives at; ValueError for a foreign class."""
+        self.ring.class_position(cls)
+        return self.opposite[cls.point]
 
     def _support(self, classes) -> list[tuple[dict, tuple[int, ...]]]:
         """(restrictions at x, scale(x) * product of the classes at x) for
@@ -450,14 +419,17 @@ class ChowRing:
         self.group = get_weyl_group(system)
         self.theta = _weyl.normalize_theta(system, theta)
         self.engine = _get_engine(self.group)
+        self.orbit = _weyl.coset_orbit(system, self.theta)
         self.w0 = self.group.longest
         self.w_theta = self.group.longest_parabolic(self.theta)
         self.dim = self.w0.length - self.w_theta.length
         # basis order: by codimension, ties broken on the image tuples
-        reps = sorted(self.group.maximal_coset_reps(self.theta),
-                      key=lambda w: (-w.length, w.images))
+        maximal = self.orbit.maximal
+        points = sorted(range(len(maximal)),
+                        key=lambda p: (-maximal[p].length, maximal[p].images))
         self.classes: tuple[SchubertClass, ...] = tuple(
-            SchubertClass(w, self.w0.length - w.length, k) for k, w in enumerate(reps))
+            SchubertClass(maximal[p], self.w0.length - maximal[p].length, k, p)
+            for k, p in enumerate(points))
         self._position = {c.rep: c.position for c in self.classes}
         self._by_codim: list[list[SchubertClass]] = [[] for _ in range(self.dim + 1)]
         for c in self.classes:
@@ -466,10 +438,10 @@ class ChowRing:
         self._label_of: dict[SchubertClass, str] = {}
         self._pair_products: dict[tuple[SchubertClass, SchubertClass], ChowElement] = {}
         self._localization: _LocalizationEngine | None = None
-        dual = {}
-        for c in self.classes:
-            w = _weyl.multiply(_weyl.multiply(self.w0, c.rep), self.w_theta)
-            dual[c] = self.class_of(w)
+        # [X_w] pairs with [X_{w0 w w_theta}]; w0 w w_theta is the maximal
+        # representative of the point opposite to w's
+        at_point = sorted(self.classes, key=lambda c: c.point)
+        dual = {c: at_point[self.orbit.opposite[c.point]] for c in self.classes}
         for c, d in dual.items():
             if d.codim != self.dim - c.codim or dual[d] is not c:
                 raise AssertionError("duality map is not an involution reversing "

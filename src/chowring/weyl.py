@@ -4,9 +4,13 @@ An element is stored by the images of the simple roots, which is a
 faithful representation giving canonical equality and hashing; reduced
 words are derived data.  Element-level operations (multiplication,
 reduced words, inverses, actions) are plain functions.  The
-:class:`WeylGroup` wrapper adds the material that needs full enumeration:
-the canonical element list, multiplication tables, longest elements and
-parabolic coset representatives.
+parabolic quotient W^theta is one :class:`CosetOrbit` per (system, theta),
+found as the orbit of rho_P without enumerating W; it fixes the coset
+representatives, their order, reduced words, the Hasse edges and the
+Poincare-duality involution for every module that reads W^theta.  The
+order of W and of its parabolic subgroups follows from the root heights.
+The :class:`WeylGroup` wrapper adds the material that needs full
+enumeration: the canonical element list and multiplication tables.
 
 Composition is functional: ``multiply(u, v)`` acts as u after v, and a
 word ``[a1, ..., ak]`` denotes ``s_a1 * s_a2 * ... * s_ak``.  Elements
@@ -16,8 +20,10 @@ the identity written ``"e"``.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from math import prod
 
 from .rootsystem import Root, RootSystem
 
@@ -35,10 +41,6 @@ class WeylElement:
 
     def __hash__(self) -> int:
         return hash(self.images)
-
-    @property
-    def is_identity(self) -> bool:
-        return self.length == 0
 
     def __repr__(self) -> str:
         return f"WeylElement({serialize(self)!r})"
@@ -77,13 +79,6 @@ def act_root(w: WeylElement, root: Root) -> Root:
             for t in range(n):
                 acc[t] += coeff * img[t]
     return tuple(acc)
-
-
-def act_weight(w: WeylElement, omega) -> tuple:
-    """Apply w to a weight in fundamental-weight coordinates."""
-    for i in reversed(reduced_word(w)):
-        omega = w.system.reflect_weight(i, omega)
-    return tuple(omega)
 
 
 def _element(system: RootSystem, images: tuple[Root, ...]) -> WeylElement:
@@ -202,6 +197,88 @@ def longest_element(system: RootSystem, theta=None) -> WeylElement:
             return w
 
 
+def order_from_heights(system: RootSystem, theta=None) -> int:
+    """|W_theta| (|W| when theta is None) without enumerating the group.
+
+    By Kostant, k is an exponent of the subsystem as often as there are
+    n_k - n_(k+1) positive roots of height k minus of height k + 1, and
+    the order is the product of the exponents plus one.
+    """
+    nodes = (set(range(1, system.rank + 1)) if theta is None
+             else set(normalize_theta(system, theta)))
+    heights = Counter(sum(root) for root in system.positive_roots
+                      if all(i in nodes for i, c in enumerate(root, 1) if c))
+    return prod((k + 1) ** (heights[k] - heights[k + 1]) for k in heights)
+
+
+class CosetOrbit:
+    """W^theta as the orbit of rho_P, the sum of the fundamental weights
+    outside theta (Stembridge 2001).  s_a v is in W^theta and one step
+    longer than v exactly when <v rho_P, alpha_a^vee> > 0, so a breadth-
+    first search along those moves reaches each point once.
+
+    Points are indexed in the canonical (length, images) order of their
+    minimal representatives v.  Per point k: ``weights[k]`` = v rho_P;
+    ``minimal[k]`` = v and ``maximal[k]`` = v w_theta; ``words[k]``, a
+    reduced word of v, left letter first, that puts one letter in front of
+    the word of ``parents[k]`` (-1 for rho_P); ``up[k]``, a -> the point
+    of s_a v for every upward move; ``opposite[k]``, the point of w0 v.
+    """
+
+    def __init__(self, system: RootSystem, theta: tuple[int, ...]):
+        n = system.rank
+        self.system, self.theta = system, theta
+        rho_p = tuple(0 if i in theta else 1 for i in range(1, n + 1))
+        # weight -> (v, word of v), breadth first
+        found = {rho_p: (identity(system), ())}
+        frontier = [rho_p]
+        for lam in frontier:
+            v, word = found[lam]
+            for a in range(1, n + 1):
+                if lam[a - 1] <= 0:
+                    continue
+                mu = system.reflect_weight(a, lam)
+                if mu not in found:
+                    found[mu] = (WeylElement(system, tuple(
+                        system.reflect_root(a, img) for img in v.images), v.length + 1),
+                        (a,) + word)
+                    frontier.append(mu)
+        if len(found) != order_from_heights(system) // order_from_heights(system, theta):
+            raise AssertionError("the orbit of rho_P does not have |W| / |W_theta| points")
+        self.weights = tuple(sorted(found, key=lambda lam: (found[lam][0].length,
+                                                           found[lam][0].images)))
+        index = {lam: k for k, lam in enumerate(self.weights)}
+        self.minimal = tuple(found[lam][0] for lam in self.weights)
+        self.words = tuple(found[lam][1] for lam in self.weights)
+        self.parents = tuple(index[system.reflect_weight(word[0], lam)] if word else -1
+                             for lam, word in zip(self.weights, self.words))
+        self.up = tuple({a: index[system.reflect_weight(a, lam)]
+                         for a in range(1, n + 1) if lam[a - 1] > 0}
+                        for lam in self.weights)
+        w_theta = longest_element(system, theta)
+        self.maximal = tuple(
+            _element(system, tuple(act_root(v, img) for img in w_theta.images))
+            for v in self.minimal)
+        if any(w.length != v.length + w_theta.length
+               for v, w in zip(self.minimal, self.maximal)):
+            raise AssertionError("coset bijection lost length additivity")
+        # w0 v is the maximal representative of the opposite point
+        w0 = longest_element(system)
+        index = {w.images: k for k, w in enumerate(self.maximal)}
+        self.opposite = tuple(index[tuple(act_root(w0, img) for img in v.images)]
+                              for v in self.minimal)
+
+
+@lru_cache(maxsize=None)
+def _coset_orbit(system: RootSystem, theta: tuple[int, ...]) -> CosetOrbit:
+    return CosetOrbit(system, theta)
+
+
+def coset_orbit(system: RootSystem, theta=()) -> CosetOrbit:
+    """The shared :class:`CosetOrbit` of W^theta; theta in any order."""
+    return _coset_orbit(system, normalize_theta(system, theta))
+
+
 class WeylGroup:
     """Fully enumerated Weyl group with canonical order and fast tables.
 
@@ -220,9 +297,6 @@ class WeylGroup:
         self._by_length: list[list[int]] = []
         self._left_min_descent: list[int] = []
         self._inverse_idx: list[int] = []
-        # normalized theta -> minimal / maximal coset representatives
-        self._min_reps: dict[tuple[int, ...], tuple[WeylElement, ...]] = {}
-        self._max_reps: dict[tuple[int, ...], tuple[WeylElement, ...]] = {}
 
     # -- enumeration -------------------------------------------------------
 
@@ -343,9 +417,6 @@ class WeylGroup:
     def identity(self) -> WeylElement:
         return identity(self.system)
 
-    def simple(self, i: int) -> WeylElement:
-        return simple_reflection(self.system, i)
-
     @property
     def longest(self) -> WeylElement:
         return longest_element(self.system)
@@ -356,30 +427,13 @@ class WeylGroup:
     def minimal_coset_reps(self, theta) -> tuple[WeylElement, ...]:
         """W^theta: elements sending every theta-simple root to a positive
         root; one minimal-length representative per coset, graded by
-        length in the canonical order."""
-        theta = normalize_theta(self.system, theta)
-        reps = self._min_reps.get(theta)
-        if reps is None:
-            reps = self._min_reps[theta] = tuple(
-                w for w in self.elements
-                if all(self.system.is_positive(w.images[t - 1]) for t in theta))
-        return reps
+        length in the canonical order.  Read from the orbit of rho_P."""
+        return coset_orbit(self.system, theta).minimal
 
     def maximal_coset_reps(self, theta) -> tuple[WeylElement, ...]:
         """Maximal-length coset representatives, the minimal ones times the
         longest element of W_theta; the order mirrors the minimal reps."""
-        theta = normalize_theta(self.system, theta)
-        reps = self._max_reps.get(theta)
-        if reps is None:
-            w_theta = self.longest_parabolic(theta)
-            out = []
-            for v in self.minimal_coset_reps(theta):
-                w = multiply(v, w_theta)
-                if w.length != v.length + w_theta.length:
-                    raise AssertionError("coset bijection lost length additivity")
-                out.append(w)
-            reps = self._max_reps[theta] = tuple(out)
-        return reps
+        return coset_orbit(self.system, theta).maximal
 
 
 @lru_cache(maxsize=None)

@@ -1,0 +1,60 @@
+"""E6 quotients without the Weyl group: the ring basis, duality,
+localization products and coset lists all come from the orbit of rho_P,
+so none of them may enumerate the 51840 elements of W(E6)."""
+
+import pytest
+
+from chowring.cli import main
+from chowring.rootsystem import CartanMatrix, build_root_system
+from chowring.schubert import ChowRing
+from chowring.weyl import WeylGroup
+
+# Bourbaki numbering: 1-3-4-5-6 is the long chain and 2 hangs off 4.
+E6 = ((2, 0, -1, 0, 0, 0),
+      (0, 2, 0, -1, 0, 0),
+      (-1, 0, 2, -1, 0, 0),
+      (0, -1, -1, 2, -1, 0),
+      (0, 0, 0, -1, 2, -1),
+      (0, 0, 0, 0, -1, 2))
+
+
+@pytest.fixture
+def no_enumeration(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("W(E6) was enumerated")
+
+    monkeypatch.setattr(WeylGroup, "_ensure", refuse)
+
+
+@pytest.fixture
+def e6_file(tmp_path):
+    path = tmp_path / "e6.txt"
+    path.write_text("".join(" ".join(map(str, row)) + "\n" for row in E6))
+    return str(path)
+
+
+@pytest.mark.parametrize("node", [1, 6])
+def test_cayley_plane_degree(no_enumeration, node):
+    """E6/P1 and E6/P6: 27 classes and deg H^16 = 78 (Weyl's formula)."""
+    system = build_root_system(CartanMatrix(E6))
+    ring = ChowRing(system, [i for i in range(1, 7) if i != node])
+    assert (ring.rank_total, ring.dim) == (27, 16)
+    h = ring.hyperplane_class(node)
+    assert ring.degree(ring.power(h, 16)) == 78
+
+
+@pytest.mark.parametrize("argv", [
+    ["weyl", "cosets"], ["weyl", "cosets", "--maximal"], ["chow", "basis"]])
+def test_cli_lists_27_classes(no_enumeration, e6_file, argv, capsys):
+    code = main([*argv, "--cartan-file", e6_file, "--theta", "2,3,4,5,6"])
+    out = capsys.readouterr().out.splitlines()
+    assert code == 0
+    if argv[0] == "weyl":
+        assert out[-1] == "count 27"
+        out = out[:-1]
+    assert len(out) == len(set(out)) == 27
+
+
+def test_weyl_order_from_heights(no_enumeration, e6_file, capsys):
+    assert main(["weyl", "order", "--cartan-file", e6_file]) == 0
+    assert capsys.readouterr().out == "51840\n"

@@ -1,10 +1,11 @@
+import itertools
 import random
 from collections import Counter
 
 import pytest
 
 from chowring import weyl
-from chowring.rootsystem import root_system
+from chowring.rootsystem import BUILTIN_CARTAN, root_system
 from chowring.weyl import get_weyl_group
 
 
@@ -148,3 +149,54 @@ def test_positive_roots_stable_up_to_sign(f4_group):
             image = weyl.act_root(w, beta)
             if image not in pos:
                 assert tuple(-x for x in image) in pos
+
+
+def _thetas(rank):
+    nodes = range(1, rank + 1)
+    return [t for r in range(rank + 1) for t in itertools.combinations(nodes, r)]
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_CARTAN))
+def test_coset_orbit_matches_enumeration(name):
+    """On every quotient, the orbit of rho_P against the Weyl group: the W
+    filter, v * w_theta, the s_i * v Hasse rule, w0 * v and |W^theta|."""
+    system = root_system(name)
+    group = get_weyl_group(system)
+    w0 = group.longest
+    assert weyl.order_from_heights(system) == group.order
+    for theta in _thetas(system.rank):
+        orbit = weyl.coset_orbit(system, theta)
+        minimal = [w for w in group.elements
+                   if all(system.is_positive(w.images[t - 1]) for t in theta)]
+        assert list(orbit.minimal) == minimal
+        w_theta = group.longest_parabolic(theta)
+        maximal = [weyl.multiply(v, w_theta) for v in minimal]
+        assert ([(w.images, w.length) for w in orbit.maximal]
+                == [(w.images, w.length) for w in maximal])
+        assert (weyl.order_from_heights(system)
+                // weyl.order_from_heights(system, theta)) == len(minimal)
+        index = {v: k for k, v in enumerate(minimal)}
+        for k, v in enumerate(minimal):
+            up = {}
+            for i in range(1, system.rank + 1):
+                u = weyl.mult_simple_left(v, i)
+                if u.length == v.length + 1 and u in index:
+                    up[i] = index[u]
+            assert orbit.up[k] == up
+            assert weyl.word_to_element(system, orbit.words[k]) == v
+            if orbit.parents[k] >= 0:
+                assert orbit.words[k][1:] == orbit.words[orbit.parents[k]]
+            assert orbit.maximal[orbit.opposite[k]] == weyl.multiply(w0, v)
+
+
+def test_coset_orbit_is_shared_per_normalized_theta(f4):
+    assert weyl.coset_orbit(f4, [4, 3, 2, 2]) is weyl.coset_orbit(f4, (2, 3, 4))
+    with pytest.raises(ValueError):
+        weyl.coset_orbit(f4, (5,))
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_CARTAN))
+def test_weyl_order_cli_matches_enumeration(name, capsys):
+    from chowring.cli import main
+    assert main(["weyl", "order", "--type", name]) == 0
+    assert capsys.readouterr().out == f"{get_weyl_group(root_system(name)).order}\n"
