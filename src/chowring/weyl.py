@@ -200,9 +200,9 @@ def longest_element(system: RootSystem, theta=None) -> WeylElement:
 def order_from_heights(system: RootSystem, theta=None) -> int:
     """|W_theta| (|W| when theta is None) without enumerating the group.
 
-    By Kostant, k is an exponent of the subsystem as often as there are
-    n_k - n_(k+1) positive roots of height k minus of height k + 1, and
-    the order is the product of the exponents plus one.
+    By Kostant, n_k - n_(k+1) exponents of the subsystem equal k, where
+    n_k counts its positive roots of height k; the order is the product of
+    the exponents plus one.
     """
     nodes = (set(range(1, system.rank + 1)) if theta is None
              else set(normalize_theta(system, theta)))
@@ -264,8 +264,8 @@ class CosetOrbit:
             raise AssertionError("coset bijection lost length additivity")
         # w0 v is the maximal representative of the opposite point
         w0 = longest_element(system)
-        index = {w.images: k for k, w in enumerate(self.maximal)}
-        self.opposite = tuple(index[tuple(act_root(w0, img) for img in v.images)]
+        by_images = {w.images: k for k, w in enumerate(self.maximal)}
+        self.opposite = tuple(by_images[tuple(act_root(w0, img) for img in v.images)]
                               for v in self.minimal)
 
 

@@ -5,6 +5,7 @@ from collections import Counter
 import pytest
 
 from chowring import weyl
+from chowring.cli import main
 from chowring.rootsystem import BUILTIN_CARTAN, root_system
 from chowring.weyl import get_weyl_group
 
@@ -151,11 +152,6 @@ def test_positive_roots_stable_up_to_sign(f4_group):
                 assert tuple(-x for x in image) in pos
 
 
-def _thetas(rank):
-    nodes = range(1, rank + 1)
-    return [t for r in range(rank + 1) for t in itertools.combinations(nodes, r)]
-
-
 @pytest.mark.parametrize("name", sorted(BUILTIN_CARTAN))
 def test_coset_orbit_matches_enumeration(name):
     """On every quotient, the orbit of rho_P against the Weyl group: the W
@@ -164,7 +160,9 @@ def test_coset_orbit_matches_enumeration(name):
     group = get_weyl_group(system)
     w0 = group.longest
     assert weyl.order_from_heights(system) == group.order
-    for theta in _thetas(system.rank):
+    nodes = range(1, system.rank + 1)
+    for theta in itertools.chain.from_iterable(
+            itertools.combinations(nodes, r) for r in range(system.rank + 1)):
         orbit = weyl.coset_orbit(system, theta)
         minimal = [w for w in group.elements
                    if all(system.is_positive(w.images[t - 1]) for t in theta)]
@@ -197,6 +195,5 @@ def test_coset_orbit_is_shared_per_normalized_theta(f4):
 
 @pytest.mark.parametrize("name", sorted(BUILTIN_CARTAN))
 def test_weyl_order_cli_matches_enumeration(name, capsys):
-    from chowring.cli import main
     assert main(["weyl", "order", "--type", name]) == 0
     assert capsys.readouterr().out == f"{get_weyl_group(root_system(name)).order}\n"
