@@ -227,7 +227,7 @@ class CosetOrbit:
 
     def __init__(self, system: RootSystem, theta: tuple[int, ...]):
         n = system.rank
-        self.system, self.theta = system, theta
+        self.theta = theta
         rho_p = tuple(0 if i in theta else 1 for i in range(1, n + 1))
         # weight -> (v, word of v), breadth first
         found = {rho_p: (identity(system), ())}
