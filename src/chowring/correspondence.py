@@ -50,7 +50,12 @@ class Correspondence:
         for f, g, v in pairs:
             key = (f, g)
             terms[key] = terms.get(key, 0) + v
-        return cls(source, target, terms)
+        for key in [key for key, v in terms.items() if not v]:
+            del terms[key]
+        # the sums are fresh and zero-free, so they need no second copy
+        corr = cls(source, target)
+        corr.terms = terms
+        return corr
 
     @classmethod
     def from_product(cls, x: ChowElement, y: ChowElement) -> "Correspondence":

@@ -10,9 +10,15 @@ Four multiplication routes are implemented:
   codimensions from the closed formula
   [X_w]*[X_w'] = delta_{w, w0*w'*w_theta} * [pt], read from a duality
   table built once per ring from the orbit's ``opposite`` involution;
-* ``chevalley_mult`` multiplies by the codimension-1 class through the
-  sum over positive roots beta with l(w*s_beta) = l(w) - 1, weighted by
-  the coroot pairing <beta^vee, omega_alpha>;
+* ``chevalley_mult`` multiplies by the codimension-1 class through
+  Chevalley's rule, the sum over positive roots beta with
+  l(w*s_beta) = l(w) - 1, weighted by the coroot pairing
+  <beta^vee, omega_alpha>.  It is read off the orbit without multiplying
+  Weyl elements: for beta with w(beta) < 0 the coset of w*s_beta is the
+  point of the weight w rho_P - <rho_P, beta^vee> w(beta), and the term is
+  kept when that point lies one step nearer rho_P than w's.  One row is
+  memoized per (node, class); the tests hold the rows to the Weyl-element
+  products w*s_beta;
 * ``pair_product``, ``multiply`` and ``power`` handle arbitrary products by
   localization on the fixed points W^theta of G/P (orbit of rho_P, Billey's
   restriction formula, Atiyah-Bott integration; see
@@ -49,7 +55,7 @@ from types import MappingProxyType
 from . import weyl as _weyl
 from .poly import (RationalPolynomial, _calculus, _raw_delta,
                    _raw_root_product, _raw_scale)
-from .rootsystem import RootSystem
+from .rootsystem import Root, RootSystem
 from .weyl import WeylElement, WeylGroup, get_weyl_group
 
 
@@ -440,8 +446,9 @@ class ChowRing:
         self._localization: _LocalizationEngine | None = None
         # [X_w] pairs with [X_{w0 w w_theta}]; w0 w w_theta is the maximal
         # representative of the point opposite to w's
-        at_point = sorted(self.classes, key=lambda c: c.point)
-        dual = {c: at_point[self.orbit.opposite[c.point]] for c in self.classes}
+        self._at_point = at_point = tuple(sorted(self.classes, key=lambda c: c.point))
+        opposite = self.orbit.opposite
+        dual = {c: at_point[opposite[c.point]] for c in self.classes}
         for c, d in dual.items():
             if d.codim != self.dim - c.codim or dual[d] is not c:
                 raise AssertionError("duality map is not an involution reversing "
@@ -449,6 +456,16 @@ class ChowRing:
         # class -> Poincare dual class, read-only; correspondence composition
         # reads it directly, once per call
         self.duality: Mapping[SchubertClass, SchubertClass] = MappingProxyType(dual)
+        # node -> [X_{w0 s_node}]: s_node is the point one move above rho_P
+        # and w0 s_node the maximal representative of its opposite
+        self._hyperplanes = {a: at_point[opposite[p]]
+                             for a, p in self.orbit.up[0].items()}
+        self._hyperplane_nodes = {c: a for a, c in self._hyperplanes.items()}
+        # node -> (beta, <beta^vee, omega_node>, <rho_P, beta^vee>), and
+        # (node, class) -> Chevalley row, both filled on first use
+        self._chevalley_betas: dict[int, tuple[tuple[Root, int, int], ...]] = {}
+        self._chevalley_rows: dict[tuple[int, SchubertClass],
+                                   dict[SchubertClass, int]] = {}
 
     # -- basis bookkeeping ---------------------------------------------------
 
@@ -542,45 +559,73 @@ class ChowRing:
 
     def codim1_node(self, cls: SchubertClass) -> int:
         """Which node's codimension-1 class this is."""
-        for i in range(1, self.system.rank + 1):
-            if cls.rep == _weyl.mult_simple_right(self.w0, i):
-                return i
-        raise ValueError("not a codimension-1 Schubert class")
+        node = self._hyperplane_nodes.get(cls)
+        if node is None:
+            raise ValueError("not a codimension-1 Schubert class")
+        return node
 
     def hyperplane_class(self, node: int) -> SchubertClass:
         """[X_{w0 s_node}], the codimension-1 class attached to a node."""
         if node in self.theta:
             raise ValueError(f"node {node} lies in theta; its hyperplane class "
                              "is not in this subring")
-        return self.class_of(_weyl.mult_simple_right(self.w0, node))
+        cls = self._hyperplanes.get(node)
+        if cls is None:
+            raise ValueError(f"node index {node} out of range 1..{self.system.rank}")
+        return cls
 
     def chevalley_mult(self, node: int, x: ChowElement) -> ChowElement:
         """Product with the codimension-1 class of ``node``.
 
-        Runs over positive roots beta with l(w s_beta) = l(w) - 1; the
-        coefficient is <beta^vee, omega_node>.  Only roots with w(beta) < 0,
-        which l(w s_beta) < l(w) needs, reach the product w s_beta.  The
-        result is asserted to stay inside the parabolic subring.
+        Chevalley's rule: [X_w] * H_node is the sum of <beta^vee, omega_node>
+        [X_{w s_beta}] over positive roots beta with l(w s_beta) = l(w) - 1.
+        It is read off the orbit of rho_P without multiplying Weyl
+        elements: the class at point p has weight lambda = w rho_P, and for
+        beta with w(beta) < 0 the coset of w s_beta is the point of
+        lambda - <rho_P, beta^vee> w(beta); the term is kept when that point
+        lies one step closer to rho_P than p.  Rows are memoized per (node,
+        class).  The test suite holds this route to the Weyl-element
+        products w s_beta on every quotient of rank <= 3 and on the F4
+        quotients with at least two nodes in theta.
         """
         if node in self.theta:
             raise ValueError(f"node {node} lies in theta")
-        system = self.system
         acc: dict[SchubertClass, int] = {}
         for cls, v in x.terms.items():
-            for beta, s_beta, coeff in _chevalley_roots(system, node):
-                if system.is_positive(_weyl.act_root(cls.rep, beta)):
-                    continue
-                w2 = _weyl.multiply(cls.rep, s_beta)
-                if w2.length != cls.rep.length - 1:
-                    continue
-                pos = self._position.get(w2)
-                if pos is None:
-                    raise SubringError(
-                        f"Chevalley product left the subring at "
-                        f"{_weyl.serialize(w2)} (coefficient {coeff})")
-                target = self.classes[pos]
+            for target, coeff in self._chevalley_row(node, cls).items():
                 acc[target] = acc.get(target, 0) + v * coeff
         return ChowElement(self, acc)
+
+    def _chevalley_row(self, node: int, cls: SchubertClass) -> dict[SchubertClass, int]:
+        """[X_w] * H_node as class -> coefficient, for one basis class."""
+        key = (node, cls)
+        row = self._chevalley_rows.get(key)
+        if row is not None:
+            return row
+        self.class_position(cls)
+        roots = self._chevalley_betas.get(node)
+        if roots is None:
+            # weights[0] is rho_P itself
+            rho_p = self.orbit.weights[0]
+            roots = self._chevalley_betas[node] = tuple(
+                (beta, coeff, self.system.coroot_pairing(beta, rho_p))
+                for beta, coeff in _chevalley_roots(self.system, node))
+        system = self.system
+        orbit = self.orbit
+        lam = orbit.weights[cls.point]
+        depth = len(orbit.words[cls.point]) - 1
+        row = {}
+        for beta, coeff, shift in roots:
+            image = _weyl.act_root(cls.rep, beta)
+            if system.is_positive(image):
+                continue
+            mu = tuple(a - shift * b for a, b in zip(lam, system.root_to_weight(image)))
+            q = orbit.point_of[mu]
+            if len(orbit.words[q]) == depth:
+                target = self._at_point[q]
+                row[target] = row.get(target, 0) + coeff
+        self._chevalley_rows[key] = row
+        return row
 
     # -- Giambelli route ---------------------------------------------------------
 
@@ -718,15 +763,15 @@ class ChowRing:
 
 
 @lru_cache(maxsize=None)
-def _chevalley_roots(system: RootSystem, node: int):
-    """(beta, s_beta, <beta^vee, omega_node>) for every positive root with a
-    nonzero pairing, in canonical root order."""
+def _chevalley_roots(system: RootSystem, node: int) -> tuple[tuple[Root, int], ...]:
+    """(beta, <beta^vee, omega_node>) for every positive root with a nonzero
+    pairing, in canonical root order."""
     omega = system.fundamental_weight(node)
     out = []
     for beta in system.positive_roots:
         coeff = system.coroot_pairing(beta, omega)
         if coeff:
-            out.append((beta, _weyl.reflection(system, beta), coeff))
+            out.append((beta, coeff))
     return tuple(out)
 
 

@@ -218,7 +218,8 @@ class CosetOrbit:
     first search along those moves reaches each point once.
 
     Points are indexed in the canonical (length, images) order of their
-    minimal representatives v.  Per point k: ``weights[k]`` = v rho_P;
+    minimal representatives v.  Per point k: ``weights[k]`` = v rho_P, and
+    ``point_of`` maps each weight back to its point;
     ``minimal[k]`` = v and ``maximal[k]`` = v w_theta; ``words[k]``, a
     reduced word of v, left letter first, that puts one letter in front of
     the word of ``parents[k]`` (-1 for rho_P); ``up[k]``, a -> the point
@@ -247,7 +248,7 @@ class CosetOrbit:
             raise AssertionError("the orbit of rho_P does not have |W| / |W_theta| points")
         self.weights = tuple(sorted(found, key=lambda lam: (found[lam][0].length,
                                                            found[lam][0].images)))
-        index = {lam: k for k, lam in enumerate(self.weights)}
+        self.point_of = index = {lam: k for k, lam in enumerate(self.weights)}
         self.minimal = tuple(found[lam][0] for lam in self.weights)
         self.words = tuple(found[lam][1] for lam in self.weights)
         self.parents = tuple(index[system.reflect_weight(word[0], lam)] if word else -1

@@ -26,6 +26,18 @@ def test_transpose_involution_and_diagonal(x1):
     assert corr.is_idempotent(delta, 0)
 
 
+def test_from_pairs_sums_duplicates_and_drops_zeros(x1, x4):
+    h, pt = x1.unit_class, x1.point_class
+    g = x4.unit_class
+    alpha = Correspondence.from_pairs(x1, x4, [(h, g, 2), (pt, g, 1), (h, g, 3),
+                                               (pt, g, -1), (h, g, 0)])
+    assert alpha.terms == {(h, g): 5}
+    assert alpha == Correspondence(x1, x4, {(h, g): 5})
+    cancelled = Correspondence.from_pairs(x1, x4, [(h, g, 1), (h, g, -1)])
+    assert cancelled.terms == {}
+    assert cancelled == Correspondence(x1, x4)
+
+
 def test_diagonal_matches_delta_formula(x1):
     """Delta = sum over i, s of h_i^s x h_i^(15-s)."""
     delta = corr.diagonal(x1)

@@ -1,6 +1,6 @@
 """E6 quotients without the Weyl group: the ring basis, duality,
-localization products and coset lists all come from the orbit of rho_P,
-so none of them may enumerate the 51840 elements of W(E6)."""
+localization and Chevalley products and coset lists all come from the
+orbit of rho_P, so none of them may enumerate the 51840 elements of W(E6)."""
 
 import pytest
 
@@ -41,6 +41,19 @@ def test_cayley_plane_degree(no_enumeration, node):
     assert (ring.rank_total, ring.dim) == (27, 16)
     h = ring.hyperplane_class(node)
     assert ring.degree(ring.power(h, 16)) == 78
+
+
+@pytest.mark.parametrize("node", [1, 6])
+def test_cayley_plane_degree_by_chevalley(no_enumeration, node):
+    """H^16 = 78 [pt] by the Chevalley rule alone, which reads the orbit
+    and never builds the localization engine."""
+    system = build_root_system(CartanMatrix(E6))
+    ring = ChowRing(system, [i for i in range(1, 7) if i != node])
+    x = ring.unit
+    for _ in range(16):
+        x = ring.chevalley_mult(node, x)
+    assert x == 78 * ring.element(ring.point_class)
+    assert ring._localization is None
 
 
 @pytest.mark.parametrize("argv", [

@@ -113,6 +113,21 @@ def test_chevalley_rejects_theta_nodes(x1):
         x1.hyperplane_class(3)
 
 
+def test_hyperplane_classes_and_nodes(x1, x4):
+    for ring in (x1, x4, get_chow_ring(root_system("B3"), ())):
+        for node in range(1, ring.system.rank + 1):
+            if node in ring.theta:
+                continue
+            h = ring.hyperplane_class(node)
+            assert h.codim == 1 and h.rep == weyl.mult_simple_right(ring.w0, node)
+            assert ring.codim1_node(h) == node
+    with pytest.raises(ValueError, match="lies in theta"):
+        x1.hyperplane_class(2)
+    for cls in (x1.unit_class, x1.class_by_label("h1^2"), x4.hyperplane_class(4)):
+        with pytest.raises(ValueError, match="not a codimension-1 Schubert class"):
+            x1.codim1_node(cls)
+
+
 def test_published_product_examples(x1, x4):
     assert (x1.chevalley_mult(1, _by_label(x1, "h1^3"))
             == _by_label(x1, "h1^4") + 2 * _by_label(x1, "h2^4"))
