@@ -613,7 +613,7 @@ class ChowRing:
         system = self.system
         orbit = self.orbit
         lam = orbit.weights[cls.point]
-        depth = len(orbit.words[cls.point]) - 1
+        target_depth = len(orbit.words[cls.point]) - 1
         row = {}
         for beta, coeff, shift in roots:
             image = _weyl.act_root(cls.rep, beta)
@@ -621,7 +621,7 @@ class ChowRing:
                 continue
             mu = tuple(a - shift * b for a, b in zip(lam, system.root_to_weight(image)))
             q = orbit.point_of[mu]
-            if len(orbit.words[q]) == depth:
+            if len(orbit.words[q]) == target_depth:
                 target = self._at_point[q]
                 row[target] = row.get(target, 0) + coeff
         self._chevalley_rows[key] = row
