@@ -209,9 +209,15 @@ _P1, _P4 = ["--type", "F4", "--theta", "2,3,4"], ["--type", "F4", "--theta", "1,
     ("chow_basis_f4_p4.txt", ["chow", "basis", *_P4]),
     ("chow_table_f4_p1.txt", ["chow", "table", *_P1]),
     ("chow_table_f4_p4.txt", ["chow", "table", *_P4]),
+    ("giambelli_lift_f4_p1_h1_4.txt", ["chow", "giambelli-lift", *_P1, "--class", "h1^4"]),
+    ("giambelli_lift_f4_p1_h2_8.txt", ["chow", "giambelli-lift", *_P1, "--class", "h2^8"]),
+    ("giambelli_lift_f4_p1_h1_15.txt", ["chow", "giambelli-lift", *_P1, "--class", "h1^15"]),
+    ("giambelli_lift_f4_p4_g1_4.txt", ["chow", "giambelli-lift", *_P4, "--class", "g1^4"]),
+    ("giambelli_lift_f4_p4_g2_8.txt", ["chow", "giambelli-lift", *_P4, "--class", "g2^8"]),
 ])
 def test_cli_output_matches_golden_copy(golden, argv, capsys):
-    """Coset lists, diagrams, bases and tables of X1 and X4, byte for byte."""
+    """Coset lists, diagrams, bases, tables and Giambelli lifts of X1 and
+    X4, byte for byte."""
     code, out, _ = run_cli(*argv, capsys=capsys)
     assert code == 0
     assert out.encode() == (Path(__file__).parent / "golden" / golden).read_bytes()
