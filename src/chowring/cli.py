@@ -177,18 +177,25 @@ def cmd_chow(args) -> int:
             raise UsageError("chow giambelli-lift needs --class")
         x = _parse_chow(ring, args.cls)
         (cls, coeff), = x.terms.items()
-        lift = coeff * ring.giambelli_lift(cls)
+        try:
+            lift = coeff * ring.giambelli_lift(cls)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
         _emit(poly.format_polynomial(lift) + "\n", args.output)
     return 0
 
 
-def _f4_variety(tag: str):
+def _f4_tags() -> dict:
+    """Tag -> labeled F4 ring, the only varieties a correspondence file names."""
     x1, x4 = f4pipeline.get_f4_varieties()
-    if tag == "x1":
-        return x1
-    if tag == "x4":
-        return x4
-    raise UsageError(f"unknown variety {tag!r}; use x1 or x4")
+    return {"x1": x1, "x4": x4}
+
+
+def _f4_variety(tag: str):
+    ring = _f4_tags().get(tag)
+    if ring is None:
+        raise UsageError(f"unknown variety {tag!r}; use x1 or x4")
+    return ring
 
 
 def _load_corr(path: str):
@@ -205,9 +212,8 @@ def _load_corr(path: str):
 
 
 def _dump_corr(alpha) -> str:
-    x1, x4 = f4pipeline.get_f4_varieties()
-    tag = {id(x1): "x1", id(x4): "x4"}
-    payload = {"source": tag[id(alpha.source)], "target": tag[id(alpha.target)],
+    tag = {ring: name for name, ring in _f4_tags().items()}
+    payload = {"source": tag[alpha.source], "target": tag[alpha.target],
                "terms": corr.to_jsonable(alpha)}
     return json.dumps(payload, indent=2) + "\n"
 

@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import sys
 from fractions import Fraction
-from functools import lru_cache
 from weakref import WeakKeyDictionary
 
 from .rootsystem import RootSystem
@@ -204,11 +203,16 @@ def _raw_delta(system: RootSystem, i: int, a: RawPoly) -> RawPoly:
     return {e: c for e, c in out.items() if c}
 
 
-@lru_cache(maxsize=None)
-def _raw_root_product(system: RootSystem) -> RawPoly:
+def _raw_root_product(system: RootSystem, theta: tuple[int, ...] = ()) -> RawPoly:
+    """The product of the positive roots outside the subsystem Phi_theta
+    spanned by the simple roots of ``theta``; theta=() gives d, the product
+    of all positive roots.  Not cached: the Giambelli engine builds each
+    product once, as the base of its chains."""
     calc = _calculus(system)
     acc: RawPoly = {0: 1}
     for beta in system.positive_roots:
+        if all(i in theta for i, c in enumerate(beta, 1) if c):
+            continue
         weight = system.root_to_weight(beta)
         acc = calc.mul(acc, {calc.units[k]: c for k, c in enumerate(weight) if c})
     return acc
@@ -357,7 +361,7 @@ def divided_difference_word(word, u: RationalPolynomial) -> RationalPolynomial:
 
 def positive_root_product(system: RootSystem) -> RationalPolynomial:
     """Product of all positive roots, expanded in the weight variables."""
-    return RationalPolynomial._from_raw(system, dict(_raw_root_product(system)))
+    return RationalPolynomial._from_raw(system, _raw_root_product(system))
 
 
 # ---------------------------------------------------------------------------

@@ -25,9 +25,14 @@ Four multiplication routes are implemented:
   :class:`_LocalizationEngine`).  No polynomial is built and the Weyl group
   is never enumerated; each ring builds its engine on the first product;
 * ``giambelli_multiply`` lifts both factors to the weight polynomial ring
-  along  lift([X_w]) = delta_{w^{-1}}(d / |W|),  multiplies there and
+  along  lift([X_w]) = delta_{w^{-1}}(d / |W|)  (Bernstein-Gelfand-Gelfand
+  1973; d is the product of the positive roots), multiplies there and
   projects back with the linear map
   c(u) = sum_{l(w) = deg u} delta_w(u) [X_{w0 w}].
+  Each divided-difference chain starts at a parabolic base instead of at
+  d: for J the right-descent set of w and w_J the longest element of
+  W_J, delta_{w_J}(d) = |W_J| d_{P_J}, where d_{P_J} is the product of
+  the positive roots outside Phi_J (see :class:`_GiambelliEngine`).
   It works inside the full flag ring and asserts that the product lands
   back in the subring.  The paper states its hyperplane tables and squares
   through this route, and the tests use it as an oracle; all parabolic
@@ -160,43 +165,81 @@ class _GiambelliEngine:
     """Per-group lift/c-map machinery over the full flag variety.
 
     Works on raw integer polynomials keyed by packed monomials (see
-    :mod:`chowring.poly`); the product of positive roots d is
-    kept unscaled, built on the first lift, and all divisions by |W|
-    happen at the very end of the c map, with exactness asserted.
+    :mod:`chowring.poly`); the lifts delta_w(d) of the product of positive
+    roots d are kept unscaled, and all divisions by |W| happen at the very
+    end of the c map, with exactness asserted.
+
+    ``delta_d`` never runs the top-degree divided differences from d.  Let
+    J be the right-descent set of w and w_J the longest element of W_J;
+    then w = y w_J with y in W^J and the lengths add.  Split d = d_J d_{P_J},
+    d_J the product of the positive roots of Phi_J and d_{P_J} that of the
+    others.  W_J permutes the positive roots outside Phi_J, so d_{P_J} is
+    W_J-invariant, the delta_j with j in J pass it through, and
+
+        delta_{w_J}(d) = d_{P_J} delta_{w_J}(d_J) = |W_J| d_{P_J},
+
+    a product of linear forms.  That is the base, memoized as the value at
+    w_J.  Above it, delta_w = delta_i delta_{s_i w} for a left descent i
+    of y: s_i y is again in W^J, so s_i w = (s_i y) w_J lies in W^J w_J,
+    the set of elements whose right-descent set contains J, with lengths
+    adding, and its own chain ends at the base of a right-descent set
+    containing J.  Every memoized value is therefore exactly delta_{w'}(d).
+    A descent whose parent is already memoized is preferred, the smallest
+    otherwise.  J empty gives d itself at the identity, and J = all nodes
+    gives |W| at w0.
     """
 
     def __init__(self, group: WeylGroup):
         self.group = group
         self.system = group.system
         self._delta_d: dict[int, dict] = {}    # idx -> delta_{w_idx}(d)
+        # J -> a reduced word of w_J, the longest element of W_J
+        self._longest_words: dict[tuple[int, ...], tuple[int, ...]] = {}
         self._w0_left: list[int] | None = None
         self._products: dict[tuple[int, int], dict[int, int]] = {}
 
-    # delta_{w}(d), memoized along smallest-left-descent chains
     def delta_d(self, idx: int) -> dict:
-        cached = self._delta_d.get(idx)
+        """delta_{w_idx}(d), memoized along chains that start at a
+        parabolic base |W_J| d_{P_J} (see the class docstring)."""
+        memo = self._delta_d
+        cached = memo.get(idx)
         if cached is not None:
             return cached
         group = self.group
+        nodes = range(1, self.system.rank + 1)
         stack = [idx]
         while stack:
             top = stack[-1]
-            if top in self._delta_d:
+            if top in memo:
                 stack.pop()
                 continue
-            if group.element_at(top).length == 0:
-                self._delta_d[top] = _raw_root_product(self.system)
+            length = group.element_at(top).length
+            J = tuple(i for i in nodes
+                      if group.element_at(group.right_index(top, i)).length < length)
+            word = self._longest_words.get(J)
+            if word is None:
+                word = self._longest_words[J] = _weyl.reduced_word(
+                    group.longest_parabolic(J))
+            if len(word) == length:
+                # top is w_J itself
+                memo[top] = _raw_scale(_raw_root_product(self.system, J),
+                                       _weyl.order_from_heights(self.system, J))
                 stack.pop()
                 continue
-            i = group.left_min_descent(top)
-            parent = group.left_index(top, i)
-            got = self._delta_d.get(parent)
+            y = top
+            for i in word:
+                y = group.right_index(y, i)
+            y_length = length - len(word)
+            steps = [(i, group.left_index(top, i)) for i in nodes
+                     if group.element_at(group.left_index(y, i)).length < y_length]
+            i, parent = next(((i, p) for i, p in steps if p in memo), steps[0])
+            got = memo.get(parent)
             if got is None:
                 stack.append(parent)
                 continue
-            self._delta_d[top] = _raw_delta(self.system, i, got)
+            memo[top] = _raw_delta(self.system, i, got)
             stack.pop()
-        return self._delta_d[idx]
+        return memo[idx]
 
     def lift_raw(self, w: WeylElement) -> dict:
         """|W| times the canonical lift of [X_w]."""

@@ -27,6 +27,10 @@ from math import prod
 
 from .rootsystem import Root, RootSystem
 
+# The largest Weyl group :class:`WeylGroup` enumerates: W(E6), 51840
+# elements, still runs; W(E7), 2903040 elements, is refused.
+MAX_ENUMERATION = 100_000
+
 
 @dataclass(frozen=True, eq=False, slots=True)
 class WeylElement:
@@ -285,7 +289,8 @@ class WeylGroup:
 
     Elements are listed by length, ties broken lexicographically on the
     image tuples; this order fixes every downstream basis enumeration.
-    The group is materialized eagerly only when something asks for it.
+    The group is materialized eagerly only when something asks for it,
+    and only up to ``MAX_ENUMERATION`` elements (ValueError beyond).
     """
 
     def __init__(self, system: RootSystem):
@@ -304,6 +309,10 @@ class WeylGroup:
     def _ensure(self) -> None:
         if self._elements is not None:
             return
+        order = order_from_heights(self.system)
+        if order > MAX_ENUMERATION:
+            raise ValueError(f"the Weyl group has {order} elements, more than the "
+                             f"{MAX_ENUMERATION} this program enumerates")
         nodes = range(1, self.rank + 1)
         e = identity(self.system)
         seen: dict[tuple[Root, ...], WeylElement] = {e.images: e}

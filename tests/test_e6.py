@@ -4,10 +4,11 @@ orbit of rho_P, so none of them may enumerate the 51840 elements of W(E6)."""
 
 import pytest
 
+from chowring import weyl
 from chowring.cli import main
 from chowring.rootsystem import CartanMatrix, build_root_system
 from chowring.schubert import ChowRing
-from chowring.weyl import WeylGroup
+from chowring.weyl import WeylGroup, longest_element, serialize
 
 # Bourbaki numbering: 1-3-4-5-6 is the long chain and 2 hangs off 4.
 E6 = ((2, 0, -1, 0, 0, 0),
@@ -71,3 +72,17 @@ def test_cli_lists_27_classes(no_enumeration, e6_file, argv, capsys):
 def test_weyl_order_from_heights(no_enumeration, e6_file, capsys):
     assert main(["weyl", "order", "--cartan-file", e6_file]) == 0
     assert capsys.readouterr().out == "51840\n"
+
+
+def test_giambelli_lift_above_the_bound_is_usage_error(e6_file, monkeypatch, capsys):
+    """The Giambelli route enumerates W; with the bound below |W(E6)| a
+    lift ends with a one-line error and exit code 2 instead."""
+    monkeypatch.setattr(weyl, "MAX_ENUMERATION", 50_000)
+    theta = (2, 3, 4, 5, 6)
+    point = serialize(longest_element(build_root_system(CartanMatrix(E6)), theta))
+    code = main(["chow", "giambelli-lift", "--cartan-file", e6_file,
+                 "--theta", "2,3,4,5,6", "--class", f"[{point}]"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err == ("error: the Weyl group has 51840 elements, more than the "
+                   "50000 this program enumerates\n")

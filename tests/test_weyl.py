@@ -197,3 +197,14 @@ def test_coset_orbit_is_shared_per_normalized_theta(f4):
 def test_weyl_order_cli_matches_enumeration(name, capsys):
     assert main(["weyl", "order", "--type", name]) == 0
     assert capsys.readouterr().out == f"{get_weyl_group(root_system(name)).order}\n"
+
+
+def test_enumeration_above_the_bound_is_refused(f4, monkeypatch):
+    """A group larger than MAX_ENUMERATION raises before it is listed."""
+    monkeypatch.setattr(weyl, "MAX_ENUMERATION", 1000)
+    group = weyl.WeylGroup(f4)
+    with pytest.raises(ValueError, match="1152 elements, more than the 1000"):
+        group.index_of(group.identity)
+    assert group._elements is None
+    monkeypatch.setattr(weyl, "MAX_ENUMERATION", 1152)
+    assert group.order == 1152
