@@ -6,7 +6,8 @@ import pytest
 
 from chowring import weyl
 from chowring.cli import main
-from chowring.rootsystem import BUILTIN_CARTAN, root_system
+from chowring.rootsystem import (BUILTIN_CARTAN, CartanMatrix, build_root_system,
+                                  root_system)
 from chowring.weyl import get_weyl_group
 
 
@@ -208,3 +209,42 @@ def test_enumeration_above_the_bound_is_refused(f4, monkeypatch):
     assert group._elements is None
     monkeypatch.setattr(weyl, "MAX_ENUMERATION", 1152)
     assert group.order == 1152
+
+
+# Bourbaki numbering: 1-2-3 is the chain, 4 and 5 both hang off 3.
+D5 = ((2, -1, 0, 0, 0),
+      (-1, 2, -1, 0, 0),
+      (0, -1, 2, -1, -1),
+      (0, 0, -1, 2, 0),
+      (0, 0, -1, 0, 2))
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_CARTAN) + ["D5"])
+def test_group_tables_match_element_products(name):
+    """Every table of the enumerated group, element by element, against
+    the element-level products, inverses and lengths."""
+    system = (build_root_system(CartanMatrix(D5)) if name == "D5"
+              else root_system(name))
+    group = weyl.WeylGroup(system)
+    elements = group.elements
+    assert group.order == weyl.order_from_heights(system)
+    assert list(elements) == sorted(elements, key=lambda w: (w.length, w.images))
+    nodes = range(1, system.rank + 1)
+    for k, w in enumerate(elements):
+        assert group.index_of(w) == k
+        for i in nodes:
+            right = weyl.mult_simple_right(w, i)
+            left = weyl.mult_simple_left(w, i)
+            assert elements[group.right_index(k, i)] == right
+            assert elements[group.right_index(k, i)].length == right.length
+            assert elements[group.left_index(k, i)] == left
+            assert elements[group.left_index(k, i)].length == left.length
+        assert elements[group.inverse_index(k)] == weyl.inverse(w)
+        descents = [i for i in nodes
+                    if elements[group.left_index(k, i)].length < w.length]
+        assert group.left_min_descent(k) == (descents[0] if descents else -1)
+        assert k in group.indices_of_length(w.length)
+    assert group.max_length == len(system.positive_roots)
+    for length in range(-1, group.max_length + 2):
+        assert group.indices_of_length(length) == [
+            k for k, w in enumerate(elements) if w.length == length]
