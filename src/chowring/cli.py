@@ -73,7 +73,10 @@ def _ring(args):
         for labeled in f4pipeline.get_f4_varieties():
             if labeled.theta == theta:
                 return labeled
-    return get_chow_ring(system, theta)
+    try:
+        return get_chow_ring(system, theta)
+    except ValueError as exc:   # W^theta too large to walk
+        raise UsageError(str(exc)) from None
 
 
 def _parse_chow(ring, text):
@@ -125,8 +128,11 @@ def cmd_weyl(args) -> int:
         w = group.longest_parabolic(theta) if theta else group.longest
         _emit(f"{weylmod.serialize(w)}\nlength {w.length}\n", args.output)
     elif args.query == "cosets":
-        reps = (group.maximal_coset_reps(theta) if args.maximal
-                else group.minimal_coset_reps(theta))
+        try:
+            reps = (group.maximal_coset_reps(theta) if args.maximal
+                    else group.minimal_coset_reps(theta))
+        except ValueError as exc:   # W^theta too large to walk
+            raise UsageError(str(exc)) from None
         lines = [f"{weylmod.serialize(w)}" for w in reps]
         _emit("\n".join(lines) + f"\ncount {len(reps)}\n", args.output)
     return 0
@@ -140,7 +146,10 @@ def cmd_hasse(args) -> int:
         ring = _ring(args)
         diagram = hasse.build_pieri_diagram(ring, _node(args, ring, "a Pieri diagram"))
     else:
-        diagram = hasse.build_hasse(group, theta)
+        try:
+            diagram = hasse.build_hasse(group, theta)
+        except ValueError as exc:   # W^theta too large to walk
+            raise UsageError(str(exc)) from None
     if args.format == "json":
         _emit(hasse.export_json(diagram), args.output)
     else:

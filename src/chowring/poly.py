@@ -189,15 +189,18 @@ def _raw_delta(system: RootSystem, i: int, a: RawPoly) -> RawPoly:
     calc = _calculus(system)
     i0 = i - 1
     shift, mask, unit = calc.shifts[i0], calc.mask, calc.units[i0]
-    diff_pow = calc.diff_pow
+    # diff_pow extends this list in place; it is called only past its end
+    pows = calc._diff_pows[i0]
     out: RawPoly = {}
     get = out.get
     for e, c in a.items():
         k = (e >> shift) & mask
         if not k:
             continue
+        if k >= len(pows):
+            calc.diff_pow(i0, k)
         rest = e - k * unit
-        for ed, cd in diff_pow(i0, k).items():
+        for ed, cd in pows[k].items():
             key = rest + ed
             out[key] = get(key, 0) + c * cd
     return {e: c for e, c in out.items() if c}

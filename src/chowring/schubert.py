@@ -29,6 +29,11 @@ Four multiplication routes are implemented:
   1973; d is the product of the positive roots), multiplies there and
   projects back with the linear map
   c(u) = sum_{l(w) = deg u} delta_w(u) [X_{w0 w}].
+  The c map walks one coset orbit, not W: with K the nodes i where
+  delta_i(u) = 0 (s_i u = u), a w with a right descent j in K has
+  delta_w(u) = delta_{w s_j}(delta_j u) = 0, so the support lies in W^K.
+  K is read off u; a product of lifts of G/P_theta classes is
+  W_theta-invariant, so K contains theta.
   Each divided-difference chain starts at a parabolic base instead of at
   d: for J the right-descent set of w and w_J the longest element of
   W_J, delta_{w_J}(d) = |W_J| d_{P_J}, where d_{P_J} is the product of
@@ -195,8 +200,20 @@ class _GiambelliEngine:
         self._delta_d: dict[int, dict] = {}    # idx -> delta_{w_idx}(d)
         # J -> a reduced word of w_J, the longest element of W_J
         self._longest_words: dict[tuple[int, ...], tuple[int, ...]] = {}
-        self._w0_left: list[int] | None = None
+        # the group's tables by index, read on first use: every ring makes
+        # its engine, and building a ring must not enumerate W
+        self._tables: tuple[list, list, list, list[int]] | None = None
         self._products: dict[tuple[int, int], dict[int, int]] = {}
+
+    def tables(self) -> tuple[list, list, list, list[int]]:
+        """(right, left, inverse, lengths): the group's right and left
+        multiplication tables, inverse indices and lengths, read once per
+        engine; the first call enumerates W."""
+        if self._tables is None:
+            group = self.group
+            lengths = [w.length for w in group.elements]
+            self._tables = (group._right, group._left, group._inverse_idx, lengths)
+        return self._tables
 
     def delta_d(self, idx: int) -> dict:
         """delta_{w_idx}(d), memoized along chains that start at a
@@ -205,21 +222,20 @@ class _GiambelliEngine:
         cached = memo.get(idx)
         if cached is not None:
             return cached
-        group = self.group
-        nodes = range(1, self.system.rank + 1)
+        right, left, _, lengths = self.tables()
+        nodes = range(self.system.rank)
         stack = [idx]
         while stack:
             top = stack[-1]
             if top in memo:
                 stack.pop()
                 continue
-            length = group.element_at(top).length
-            J = tuple(i for i in nodes
-                      if group.element_at(group.right_index(top, i)).length < length)
+            length = lengths[top]
+            J = tuple(i + 1 for i in nodes if lengths[right[top][i]] < length)
             word = self._longest_words.get(J)
             if word is None:
                 word = self._longest_words[J] = _weyl.reduced_word(
-                    group.longest_parabolic(J))
+                    self.group.longest_parabolic(J))
             if len(word) == length:
                 # top is w_J itself
                 memo[top] = _raw_scale(_raw_root_product(self.system, J),
@@ -228,10 +244,10 @@ class _GiambelliEngine:
                 continue
             y = top
             for i in word:
-                y = group.right_index(y, i)
+                y = right[y][i - 1]
             y_length = length - len(word)
-            steps = [(i, group.left_index(top, i)) for i in nodes
-                     if group.element_at(group.left_index(y, i)).length < y_length]
+            steps = [(i + 1, left[top][i]) for i in nodes
+                     if lengths[left[y][i]] < y_length]
             i, parent = next(((i, p) for i, p in steps if p in memo), steps[0])
             got = memo.get(parent)
             if got is None:
@@ -243,54 +259,50 @@ class _GiambelliEngine:
 
     def lift_raw(self, w: WeylElement) -> dict:
         """|W| times the canonical lift of [X_w]."""
-        idx = self.group.index_of(w)
-        return self.delta_d(self.group.inverse_index(idx))
+        inverse = self.tables()[2]
+        return self.delta_d(inverse[self.group.index_of(w)])
 
-    def w0_left(self, idx: int) -> int:
-        """Index of w0 * w."""
-        if self._w0_left is None:
-            group = self.group
-            w0_word = _weyl.reduced_word(group.longest)
-            table = []
-            for k in range(group.order):
-                cur = k
-                for i in reversed(w0_word):
-                    cur = group.left_index(cur, i)
-                table.append(cur)
-            self._w0_left = table
-        return self._w0_left[idx]
+    def c_raw(self, u_raw: dict, degree: int) -> dict[WeylElement, object]:
+        """delta_v(u) for every v of the given length, keyed by w0 v.
 
-    def c_raw(self, u_raw: dict, degree: int) -> dict[int, object]:
-        """delta_w(u) for all w of the given length, by level-order walk.
+        Let K be the nodes i with delta_i(u) = 0, read off u.  A v with a
+        right descent j in K has delta_v(u) = delta_{v s_j}(delta_j u) = 0,
+        so the support lies in W^K and the walk runs over the coset orbit
+        of K in its stored order, delta_v = delta_a delta_{parent} with a
+        the first letter of v's word.  Zero polynomials are pruned so dead
+        branches cost nothing.  The leaf at point k is the class of w0 v,
+        the maximal representative at ``opposite[k]``.
 
-        Returns index -> constant (int or Fraction).  Zero polynomials are
-        pruned so dead branches cost nothing.
+        Returns w0 v -> constant (int or Fraction).
         """
-        group = self.group
-        if degree > group.max_length:
+        system = self.system
+        if not u_raw or degree > len(system.positive_roots):
             return {}
-        level: dict[int, dict] = {0: u_raw} if u_raw else {}
-        for m in range(1, degree + 1):
-            nxt: dict[int, dict] = {}
-            for idx in group.indices_of_length(m):
-                i = group.left_min_descent(idx)
-                parent = level.get(group.left_index(idx, i))
-                if not parent:
-                    continue
-                val = _raw_delta(self.system, i, parent)
-                if val:
-                    nxt[idx] = val
-            level = nxt
-            if not level:
-                return {}
-        out: dict[int, object] = {}
-        for idx, raw in level.items():
+        nodes = range(1, system.rank + 1)
+        # level 1; degree 0 walks nothing and K is every node
+        firsts = {i: _raw_delta(system, i, u_raw) for i in nodes} if degree else {}
+        orbit = _weyl.coset_orbit(system, [i for i in nodes if not firsts.get(i)])
+        values: dict[int, dict] = {0: u_raw}
+        for k in range(1, len(orbit.words)):
+            word = orbit.words[k]
+            if len(word) > degree:
+                break
+            parent = values.get(orbit.parents[k])
+            if parent is None:
+                continue
+            val = firsts[word[0]] if len(word) == 1 else _raw_delta(system, word[0], parent)
+            if val:
+                values[k] = val
+        out: dict[WeylElement, object] = {}
+        for k, raw in values.items():
+            if len(orbit.words[k]) != degree:
+                continue
             for e in raw:
                 if e:
                     raise AssertionError("c map met a non-constant leaf")
             const = raw.get(0, 0)
             if const:
-                out[idx] = const
+                out[orbit.maximal[orbit.opposite[k]]] = const
         return out
 
     def product_classes(self, wa: WeylElement, wb: WeylElement) -> dict[int, int]:
@@ -305,21 +317,20 @@ class _GiambelliEngine:
         cached = self._products.get(key)
         if cached is not None:
             return cached
-        la = group.element_at(key[0]).length
-        lb = group.element_at(key[1]).length
-        top = group.max_length
-        codim = (top - la) + (top - lb)
+        _, _, inverse, lengths = self.tables()
+        top = len(self.system.positive_roots)
+        codim = (top - lengths[key[0]]) + (top - lengths[key[1]])
         result: dict[int, int] = {}
         if codim <= top:
-            u = _calculus(self.system).mul(self.delta_d(group.inverse_index(key[0])),
-                                           self.delta_d(group.inverse_index(key[1])))
-            order2 = group.order * group.order
-            for idx, const in self.c_raw(u, codim).items():
+            u = _calculus(self.system).mul(self.delta_d(inverse[key[0]]),
+                                           self.delta_d(inverse[key[1]]))
+            order2 = len(lengths) * len(lengths)
+            for target, const in self.c_raw(u, codim).items():
                 q, r = divmod(const, order2)
                 if r:
                     raise AssertionError("lift product left the integer lattice")
                 if q:
-                    result[self.w0_left(idx)] = q
+                    result[group.index_of(target)] = q
         self._products[key] = result
         return result
 
@@ -694,11 +705,10 @@ class ChowRing:
         den = lcm(*(Fraction(c).denominator for c in u.raw.values()))
         raw = {e: int(c * den) for e, c in u.raw.items()}
         acc: dict[SchubertClass, int] = {}
-        for idx, const in self.engine.c_raw(raw, u.degree()).items():
+        for target, const in self.engine.c_raw(raw, u.degree()).items():
             q, r = divmod(const, den)
             if r:
                 raise ValueError("polynomial is not in the image lattice of c")
-            target = self.group.element_at(self.engine.w0_left(idx))
             pos = self._position.get(target)
             if pos is None:
                 raise SubringError(

@@ -27,8 +27,9 @@ from math import prod
 
 from .rootsystem import Root, RootSystem
 
-# The largest Weyl group :class:`WeylGroup` enumerates: W(E6), 51840
-# elements, still runs; W(E7), 2903040 elements, is refused.
+# The largest Weyl group :class:`WeylGroup` enumerates and the largest coset
+# orbit :func:`coset_orbit` walks: W(E6), 51840 elements, still runs;
+# W(E7), 2903040 elements, is refused.
 MAX_ENUMERATION = 100_000
 
 
@@ -280,8 +281,17 @@ def _coset_orbit(system: RootSystem, theta: tuple[int, ...]) -> CosetOrbit:
 
 
 def coset_orbit(system: RootSystem, theta=()) -> CosetOrbit:
-    """The shared :class:`CosetOrbit` of W^theta; theta in any order."""
-    return _coset_orbit(system, normalize_theta(system, theta))
+    """The shared :class:`CosetOrbit` of W^theta; theta in any order.
+
+    ValueError, before anything is walked, when |W| / |W_theta| exceeds
+    ``MAX_ENUMERATION``.
+    """
+    theta = normalize_theta(system, theta)
+    size = order_from_heights(system) // order_from_heights(system, theta)
+    if size > MAX_ENUMERATION:
+        raise ValueError(f"W^theta has {size} points, more than the "
+                         f"{MAX_ENUMERATION} this program walks")
+    return _coset_orbit(system, theta)
 
 
 class WeylGroup:
@@ -313,41 +323,74 @@ class WeylGroup:
         if order > MAX_ENUMERATION:
             raise ValueError(f"the Weyl group has {order} elements, more than the "
                              f"{MAX_ENUMERATION} this program enumerates")
-        nodes = range(1, self.rank + 1)
-        e = identity(self.system)
-        seen: dict[tuple[Root, ...], WeylElement] = {e.images: e}
-        # w s_1, ..., w s_n per element as the stored elements, kept for the
-        # right table without holding a second copy of their images
-        right_elements: dict[tuple[Root, ...], list[WeylElement]] = {}
-        frontier = [e]
-        while frontier:
-            nxt = []
-            for w in frontier:
-                row = right_elements[w.images] = []
-                for i in nodes:
-                    u = mult_simple_right(w, i)
-                    known = seen.get(u.images)
-                    if known is None:
-                        # new, so longer: every shorter element was found on
-                        # an earlier level
-                        known = seen[u.images] = u
-                        nxt.append(u)
-                    row.append(known)
-            frontier = nxt
-        elements = tuple(sorted(seen.values(), key=lambda w: (w.length, w.images)))
+        system = self.system
+        n = self.rank
+        cartan = system.cartan.entries
+        # w s_i(alpha_j) = w(alpha_j) - C[i][j] w(alpha_i): only the j with
+        # C[i][j] != 0 (j = i among them) change, per node i (0-based)
+        moved = [tuple((j, cartan[i][j]) for j in range(n) if cartan[i][j])
+                 for i in range(n)]
+        # a root's weight: beta_j times column j of C, over the nonzero entries
+        columns = [tuple((k, cartan[k][j]) for k in range(n) if cartan[k][j])
+                   for j in range(n)]
+        # Breadth first from e; t numbers the elements in the order found.
+        # lams[t] = w_t(rho), rho the sum of the fundamental weights: W acts
+        # freely on the orbit of rho, so the weight names the element.
+        found = [identity(system)]
+        lams = [(1,) * n]
+        by_images = {found[0].images: 0}
+        right_bfs = [[-1] * n]
+        for t, w in enumerate(found):
+            images = w.images
+            row = right_bfs[t]
+            for i in range(n):
+                if row[i] >= 0:
+                    # a descent, filled in from the shorter side: the walk
+                    # reaches every element of one length before the next
+                    continue
+                # so w(alpha_i) > 0 here and l(w s_i) = l(w) + 1
+                base = images[i]
+                new = list(images)
+                for j, c in moved[i]:
+                    new[j] = tuple(a - c * b for a, b in zip(images[j], base))
+                new = tuple(new)
+                u = by_images.get(new)
+                if u is None:
+                    u = by_images[new] = len(found)
+                    found.append(WeylElement(system, new, w.length + 1))
+                    # lambda(w s_i) = w(rho - alpha_i) = lambda(w) - wt(w alpha_i)
+                    lam = list(lams[t])
+                    for j, b in enumerate(base):
+                        if b:
+                            for k, c in columns[j]:
+                                lam[k] -= b * c
+                    lams.append(tuple(lam))
+                    right_bfs.append([-1] * n)
+                row[i] = u
+                right_bfs[u][i] = t
+        # canonical order: by length, ties broken on the image tuples
+        ranked = sorted(range(len(found)), key=lambda t: (found[t].length, found[t].images))
+        position = [0] * len(found)
+        for k, t in enumerate(ranked):
+            position[t] = k
+        elements = tuple(found[t] for t in ranked)
         self._elements = elements
         self._index = {w.images: k for k, w in enumerate(elements)}
-        n = len(elements)
-        index = self._index
-        reflect = self.system.reflect_root
-        right = []
+        right = [tuple(position[u] for u in right_bfs[t]) for t in ranked]
+        # s_i w(rho) = s_i lambda(w): subtract lambda_i alpha_i, alpha_i being
+        # column i of C in weight coordinates
+        by_weight = {lams[t]: k for k, t in enumerate(ranked)}
         left = []
-        for w in elements:
-            right.append(tuple(index[u.images] for u in right_elements[w.images]))
-            # s_i * w maps each simple root to s_i of its image under w; the
-            # index lookup needs no length, so no inversions are counted.
-            left.append(tuple(index[tuple(reflect(i, img) for img in w.images)]
-                              for i in nodes))
+        for t in ranked:
+            lam = lams[t]
+            row = []
+            for i in range(n):
+                coeff = lam[i]
+                mu = list(lam)
+                for k, c in columns[i]:
+                    mu[k] -= coeff * c
+                row.append(by_weight[tuple(mu)])
+            left.append(tuple(row))
         self._right = right
         self._left = left
         lengths = [w.length for w in elements]
@@ -360,15 +403,15 @@ class WeylGroup:
             if w.length == 0:
                 left_min.append(-1)
                 continue
-            for i in nodes:
-                if lengths[left[k][i - 1]] < w.length:
-                    left_min.append(i)
+            for i in range(n):
+                if lengths[left[k][i]] < w.length:
+                    left_min.append(i + 1)
                     break
         self._left_min_descent = left_min
         # (w s_i)^{-1} = s_i w^{-1}: along a right descent of each element,
         # in length order, the inverse of the shorter one is already known.
-        inv = [0] * n
-        for k in range(1, n):
+        inv = [0] * len(elements)
+        for k in range(1, len(elements)):
             for i0, j in enumerate(right[k]):
                 if lengths[j] < lengths[k]:
                     inv[k] = left[inv[j]][i0]

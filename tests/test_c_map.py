@@ -1,0 +1,138 @@
+"""The c map against a walk over all of W.
+
+``_GiambelliEngine.c_raw`` walks only the coset orbit of the invariance
+set K of u (the nodes i with delta_i(u) = 0).  The oracle below keeps the
+plain walk instead: every element of W level by level, each reached from
+its smallest left descent, and the leaf at v read as w0 * v by
+multiplying Weyl elements.
+"""
+
+import random
+from itertools import combinations_with_replacement
+
+import pytest
+
+from chowring import f4pipeline as pipe
+from chowring import poly, weyl
+from chowring.rootsystem import root_system
+from chowring.schubert import _GiambelliEngine, get_chow_ring
+from chowring.weyl import get_weyl_group
+
+
+def oracle_c_raw(group, u_raw, degree):
+    """delta_v(u) for every v of length ``degree`` in W, keyed by w0 v."""
+    system = group.system
+    if degree > group.max_length:
+        return {}
+    level = {0: u_raw} if u_raw else {}
+    for m in range(1, degree + 1):
+        nxt = {}
+        for idx in group.indices_of_length(m):
+            i = group.left_min_descent(idx)
+            parent = level.get(group.left_index(idx, i))
+            if parent:
+                val = poly._raw_delta(system, i, parent)
+                if val:
+                    nxt[idx] = val
+        level = nxt
+    out = {}
+    for idx, raw in level.items():
+        assert set(raw) <= {0}, "non-constant leaf"
+        if raw:
+            out[weyl.multiply(group.longest, group.element_at(idx))] = raw[0]
+    return out
+
+
+def invariance_set(system, u_raw):
+    return tuple(i for i in range(1, system.rank + 1)
+                 if not poly._raw_delta(system, i, u_raw))
+
+
+def _check(engine, u_raw, degree):
+    got = engine.c_raw(u_raw, degree)
+    assert got == oracle_c_raw(engine.group, u_raw, degree)
+    return got
+
+
+@pytest.mark.parametrize("name,theta", [
+    ("A2", ()), ("B2", ()), ("G2", ()), ("B3", ()),
+    ("B3", (1,)), ("B3", (2,)), ("B3", (3,)),
+    ("B3", (1, 2)), ("B3", (1, 3)), ("B3", (2, 3)),
+])
+def test_c_raw_matches_oracle_on_every_lift_product(name, theta):
+    ring = get_chow_ring(root_system(name), theta)
+    engine = _GiambelliEngine(ring.group)
+    mul = poly._calculus(ring.system).mul
+    lifts = {c: engine.lift_raw(c.rep) for c in ring.classes}
+    walked = 0
+    for a, b in combinations_with_replacement(ring.classes, 2):
+        if a.codim + b.codim <= ring.dim:
+            walked += bool(_check(engine, mul(lifts[a], lifts[b]), a.codim + b.codim))
+    assert walked
+
+
+def test_c_raw_matches_oracle_on_the_f4_verify_products(x1, x4):
+    """The 44 table products and the two squares of ``verify f4``."""
+    count = 0
+    for ring, node, table, square in ((x1, pipe.NODE_P1, "p1", "h1^4"),
+                                      (x4, pipe.NODE_P4, "p4", "g1^4")):
+        engine = _GiambelliEngine(ring.group)
+        mul = poly._calculus(ring.system).mul
+        h = ring.hyperplane_class(node)
+        pairs = [(h, ring.class_by_label(rhs)) for _, rhs, _ in pipe.load_table(table)]
+        pairs.append((ring.class_by_label(square),) * 2)
+        for a, b in pairs:
+            u = mul(engine.lift_raw(a.rep), engine.lift_raw(b.rep))
+            assert set(ring.theta) <= set(invariance_set(ring.system, u))
+            assert _check(engine, u, a.codim + b.codim)
+            count += 1
+    assert count == 46
+
+
+@pytest.mark.parametrize("fname", ["h14_preimage.txt", "g14_preimage.txt"])
+def test_c_raw_matches_oracle_on_the_preimages(f4_group, fname):
+    u = poly.parse_polynomial(f4_group.system, pipe._data_text(fname))
+    engine = _GiambelliEngine(f4_group)
+    for v in (u, u * u):
+        assert _check(engine, v.raw, v.degree())
+
+
+def _random_poly(system, variables, degree, rng):
+    """A random homogeneous polynomial in the weight variables ``variables``."""
+    u = poly.RationalPolynomial.zero(system)
+    for _ in range(4):
+        term = poly.RationalPolynomial.constant(system, rng.randint(-5, 5) or 1)
+        for _ in range(degree):
+            term = term * poly.RationalPolynomial.variable(system, rng.choice(variables))
+        u = u + term
+    return u
+
+
+@pytest.mark.parametrize("name", ["G2", "B3", "F4"])
+def test_c_raw_matches_oracle_on_seeded_polynomials(name):
+    """s_j fixes w_i for i != j, so a polynomial in the variables S is
+    invariant under every node outside S: S = every node mostly gives K
+    empty, a proper S a partial K."""
+    system = root_system(name)
+    engine = _GiambelliEngine(get_weyl_group(system))
+    rng = random.Random(20261018)
+    nodes = list(range(1, system.rank + 1))
+    kinds = set()
+    for size in range(1, system.rank + 1):
+        for _ in range(3):
+            variables = rng.sample(nodes, size)
+            for degree in (1, 2, 3, 4):
+                u = _random_poly(system, variables, degree, rng)
+                K = invariance_set(system, u.raw)
+                assert set(nodes) - set(variables) <= set(K)
+                kinds.add("empty" if not K else "partial")
+                _check(engine, u.raw, degree)
+    assert kinds == {"empty", "partial"}
+
+
+@pytest.mark.parametrize("name", ["A2", "F4"])
+def test_c_raw_in_degree_zero(name):
+    group = get_weyl_group(root_system(name))
+    engine = _GiambelliEngine(group)
+    assert _check(engine, {0: 7}, 0) == {group.longest: 7}
+    assert engine.c_raw({}, 0) == {}

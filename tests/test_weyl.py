@@ -4,10 +4,11 @@ from collections import Counter
 
 import pytest
 
-from chowring import weyl
+from chowring import cli, weyl
 from chowring.cli import main
 from chowring.rootsystem import (BUILTIN_CARTAN, CartanMatrix, build_root_system,
                                   root_system)
+from chowring.schubert import ChowRing
 from chowring.weyl import get_weyl_group
 
 
@@ -248,3 +249,36 @@ def test_group_tables_match_element_products(name):
     for length in range(-1, group.max_length + 2):
         assert group.indices_of_length(length) == [
             k for k, w in enumerate(elements) if w.length == length]
+
+
+def test_orbit_above_the_bound_is_refused(f4, monkeypatch):
+    """|W| / |W_theta| above MAX_ENUMERATION raises before the orbit is
+    walked or read from the cache."""
+    walked = []
+    cached = weyl._coset_orbit
+    monkeypatch.setattr(weyl, "_coset_orbit",
+                        lambda system, theta: walked.append(theta) or cached(system, theta))
+    monkeypatch.setattr(weyl, "MAX_ENUMERATION", 1000)
+    with pytest.raises(ValueError, match="^W\\^theta has 1152 points, more than the 1000"):
+        weyl.coset_orbit(f4, ())
+    assert walked == []
+    assert len(weyl.coset_orbit(f4, (2, 3, 4)).minimal) == 24
+
+
+@pytest.mark.parametrize("argv", [
+    ["weyl", "cosets", "--type", "F4"],
+    ["weyl", "cosets", "--type", "F4", "--maximal"],
+    ["hasse", "--type", "F4"],
+    ["chow", "basis", "--type", "F4"],
+])
+def test_orbit_above_the_bound_is_usage_error(argv, monkeypatch, capsys):
+    monkeypatch.setattr(weyl, "MAX_ENUMERATION", 1000)
+    # a fresh ring, so a cached F4/B ring of another test is not reused
+    monkeypatch.setattr(cli, "get_chow_ring", ChowRing)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: W^theta has 1152 points, more than the 1000 "
+                            "this program walks\n")
+    assert main(argv + ["--theta", "2,3,4"]) == 0
+    assert capsys.readouterr().err == ""
