@@ -259,7 +259,7 @@ class _GiambelliEngine:
 
     def lift_raw(self, w: WeylElement) -> dict:
         """|W| times the canonical lift of [X_w]."""
-        inverse = self.tables()[2]
+        _, _, inverse, _ = self.tables()
         return self.delta_d(inverse[self.group.index_of(w)])
 
     def c_raw(self, u_raw: dict, degree: int) -> dict[WeylElement, object]:
