@@ -214,6 +214,7 @@ _P1, _P4 = ["--type", "F4", "--theta", "2,3,4"], ["--type", "F4", "--theta", "1,
     ("giambelli_lift_f4_p1_h1_15.txt", ["chow", "giambelli-lift", *_P1, "--class", "h1^15"]),
     ("giambelli_lift_f4_p4_g1_4.txt", ["chow", "giambelli-lift", *_P4, "--class", "g1^4"]),
     ("giambelli_lift_f4_p4_g2_8.txt", ["chow", "giambelli-lift", *_P4, "--class", "g2^8"]),
+    ("giambelli_lift_b3_point.txt", ["chow", "giambelli-lift", "--type", "B3", "--class", "[]"]),
 ])
 def test_cli_output_matches_golden_copy(golden, argv, capsys):
     """Coset lists, diagrams, bases, tables and Giambelli lifts of X1 and
