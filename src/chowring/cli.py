@@ -227,7 +227,15 @@ def _dump_corr(alpha) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
+# the number of JSON files each corr query reads
+_CORR_FILES = {"diagonal": 0, "transpose": 1, "compose": 2}
+
+
 def cmd_corr(args) -> int:
+    wanted = _CORR_FILES[args.query]
+    if len(args.inputs) != wanted:
+        raise UsageError(f"corr {args.query} takes {wanted} input file(s), "
+                         f"not {len(args.inputs)}")
     if args.query == "diagonal":
         ring = _f4_variety(args.variety)
         _emit(_dump_corr(corr.diagonal(ring)), args.output)

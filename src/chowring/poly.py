@@ -91,6 +91,10 @@ class _Calculus:
                 if c:
                     form[self.units[k]] = c
             self.lin.append(form)
+        # each positive root as a raw linear form, in system.positive_roots order
+        self.root_forms: tuple[RawPoly, ...] = tuple(
+            {self.units[k]: c for k, c in enumerate(system.root_to_weight(beta)) if c}
+            for beta in system.positive_roots)
         self._lin_pows: list[list[RawPoly]] = [[{0: 1}] for _ in range(n)]
         self._diff_pows: list[list[RawPoly]] = [[{}] for _ in range(n)]
 
@@ -209,15 +213,14 @@ def _raw_delta(system: RootSystem, i: int, a: RawPoly) -> RawPoly:
 def _raw_root_product(system: RootSystem, theta: tuple[int, ...] = ()) -> RawPoly:
     """The product of the positive roots outside the subsystem Phi_theta
     spanned by the simple roots of ``theta``; theta=() gives d, the product
-    of all positive roots.  Not cached: the Giambelli engine builds each
-    product once, as the base of its chains."""
+    of all positive roots.  Not cached; the Giambelli engine keeps its
+    chains factored over the same ``root_forms`` and never calls this."""
     calc = _calculus(system)
     acc: RawPoly = {0: 1}
-    for beta in system.positive_roots:
+    for beta, form in zip(system.positive_roots, calc.root_forms):
         if all(i in theta for i, c in enumerate(beta, 1) if c):
             continue
-        weight = system.root_to_weight(beta)
-        acc = calc.mul(acc, {calc.units[k]: c for k, c in enumerate(weight) if c})
+        acc = calc.mul(acc, form)
     return acc
 
 

@@ -37,7 +37,11 @@ Four multiplication routes are implemented:
   Each divided-difference chain starts at a parabolic base instead of at
   d: for J the right-descent set of w and w_J the longest element of
   W_J, delta_{w_J}(d) = |W_J| d_{P_J}, where d_{P_J} is the product of
-  the positive roots outside Phi_J (see :class:`_GiambelliEngine`).
+  the positive roots outside Phi_J.  Chain values stay factored, a set S
+  of positive roots times a small cofactor Q: the roots of S that s_i
+  permutes among themselves have an s_i-invariant product, which passes
+  through delta_i, so each step expands only the others into Q.  A lift
+  is expanded once, when it is asked for (see :class:`_GiambelliEngine`).
   It works inside the full flag ring and asserts that the product lands
   back in the subring.  The paper states its hyperplane tables and squares
   through this route, and the tests use it as an oracle; all parabolic
@@ -63,8 +67,7 @@ from math import lcm, prod
 from types import MappingProxyType
 
 from . import weyl as _weyl
-from .poly import (RationalPolynomial, _calculus, _raw_delta,
-                   _raw_root_product, _raw_scale)
+from .poly import RationalPolynomial, _calculus, _raw_delta, _raw_scale
 from .rootsystem import Root, RootSystem
 from .weyl import WeylElement, WeylGroup, get_weyl_group
 
@@ -192,17 +195,33 @@ class _GiambelliEngine:
     A descent whose parent is already memoized is preferred, the smallest
     otherwise.  J empty gives d itself at the identity, and J = all nodes
     gives |W| at w0.
+
+    The chain values are memoized factored, delta_x(d) = Q_x prod_{S_x}
+    beta with S_x a set of positive roots and Q_x a raw polynomial; the
+    base is (Phi+ minus Phi_J, |W_J|), never expanded.  For a step to
+    s_i x let T be the roots beta of S other than alpha_i with s_i beta
+    in S.  s_i permutes the positive roots other than alpha_i, so it
+    permutes T, and G = prod_T beta is s_i-invariant; delta_i is linear
+    over s_i-invariants, so delta_i(G F) = G delta_i(F) with F = Q times
+    the roots of S outside T, and the new value is (T, delta_i(F)).  Only
+    F, a few roots times a small cofactor, is ever expanded on a chain.
+    ``delta_d`` expands Q prod_S once per requested index and memoizes
+    that, so its callers see the same dicts as with expanded chains.
     """
 
     def __init__(self, group: WeylGroup):
         self.group = group
         self.system = group.system
-        self._delta_d: dict[int, dict] = {}    # idx -> delta_{w_idx}(d)
+        self._delta_d: dict[int, dict] = {}    # idx -> delta_{w_idx}(d), expanded
+        # idx -> (S, Q), delta_{w_idx}(d) = Q times the positive roots indexed by S
+        self._factored: dict[int, tuple[frozenset[int], dict]] = {}
         # J -> a reduced word of w_J, the longest element of W_J
         self._longest_words: dict[tuple[int, ...], tuple[int, ...]] = {}
         # the group's tables by index, read on first use: every ring makes
         # its engine, and building a ring must not enumerate W
         self._tables: tuple[list, list, list, list[int]] | None = None
+        # s_i on positive root indices, built on the first chain
+        self._moves: tuple[tuple[int, ...], ...] | None = None
         self._products: dict[tuple[int, int], dict[int, int]] = {}
 
     def tables(self) -> tuple[list, list, list, list[int]]:
@@ -215,15 +234,31 @@ class _GiambelliEngine:
             self._tables = (group._right, group._left, group._inverse_idx, lengths)
         return self._tables
 
+    def root_moves(self) -> tuple[tuple[int, ...], ...]:
+        """Per node i (0-based), the index of s_i beta for each index beta
+        of ``system.positive_roots``; -1 at alpha_i, whose image is negative."""
+        if self._moves is None:
+            system = self.system
+            roots = system.positive_roots
+            index = {beta: b for b, beta in enumerate(roots)}
+            self._moves = tuple(
+                tuple(index.get(system.reflect_root(i, beta), -1) for beta in roots)
+                for i in range(1, system.rank + 1))
+        return self._moves
+
     def delta_d(self, idx: int) -> dict:
-        """delta_{w_idx}(d), memoized along chains that start at a
-        parabolic base |W_J| d_{P_J} (see the class docstring)."""
-        memo = self._delta_d
-        cached = memo.get(idx)
-        if cached is not None:
-            return cached
+        """delta_{w_idx}(d), expanded once from its factored chain value
+        (see the class docstring) and memoized."""
+        expanded = self._delta_d.get(idx)
+        if expanded is not None:
+            return expanded
+        system = self.system
+        calc = _calculus(system)
+        mul, forms = calc.mul, calc.root_forms
+        moves = self.root_moves()
         right, left, _, lengths = self.tables()
-        nodes = range(self.system.rank)
+        memo = self._factored
+        nodes = range(system.rank)
         stack = [idx]
         while stack:
             top = stack[-1]
@@ -237,9 +272,11 @@ class _GiambelliEngine:
                 word = self._longest_words[J] = _weyl.reduced_word(
                     self.group.longest_parabolic(J))
             if len(word) == length:
-                # top is w_J itself
-                memo[top] = _raw_scale(_raw_root_product(self.system, J),
-                                       _weyl.order_from_heights(self.system, J))
+                # top is w_J itself: |W_J| times the roots outside Phi_J
+                outside = frozenset(
+                    b for b, beta in enumerate(system.positive_roots)
+                    if any(c and i not in J for i, c in enumerate(beta, 1)))
+                memo[top] = (outside, {0: _weyl.order_from_heights(system, J)})
                 stack.pop()
                 continue
             y = top
@@ -253,9 +290,19 @@ class _GiambelliEngine:
             if got is None:
                 stack.append(parent)
                 continue
-            memo[top] = _raw_delta(self.system, i, got)
+            roots, cofactor = got
+            move = moves[i - 1]
+            # s_i permutes the roots kept, so their product passes delta_i
+            kept = frozenset(b for b in roots if move[b] in roots)
+            for b in roots - kept:
+                cofactor = mul(cofactor, forms[b])
+            memo[top] = (kept, _raw_delta(system, i, cofactor))
             stack.pop()
-        return memo[idx]
+        roots, expanded = memo[idx]
+        for b in roots:
+            expanded = mul(expanded, forms[b])
+        self._delta_d[idx] = expanded
+        return expanded
 
     def lift_raw(self, w: WeylElement) -> dict:
         """|W| times the canonical lift of [X_w]."""

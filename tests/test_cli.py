@@ -69,10 +69,18 @@ def _corr_with_coeff(coeff: str) -> str:
     (["corr", "transpose", "{file}"], _corr_with_coeff("1.5")),
     (["corr", "transpose", "{file}"], _corr_with_coeff("true")),
     (["corr", "transpose", "{file}"], _corr_with_coeff('"1"')),
+    (["corr", "transpose"], None),
+    (["corr", "compose"], None),
+    (["corr", "compose", "{file}"], _corr_with_coeff("1")),
+    (["corr", "compose", "{file}", "{file}", "{file}"], _corr_with_coeff("1")),
+    (["corr", "diagonal", "{file}"], _corr_with_coeff("1")),
 ], ids=["node-out-of-range", "not-a-basis-class", "bad-token",
         "corr-missing-target", "ragged-cartan", "codim-out-of-range",
         "table-node-in-theta", "pieri-node-out-of-range",
-        "corr-fractional-coeff", "corr-bool-coeff", "corr-string-coeff"])
+        "corr-fractional-coeff", "corr-bool-coeff", "corr-string-coeff",
+        "corr-transpose-no-file", "corr-compose-no-file",
+        "corr-compose-one-file", "corr-compose-three-files",
+        "corr-diagonal-with-file"])
 def test_malformed_input_is_usage_error(argv, file_text, tmp_path, capsys):
     path = tmp_path / "input"
     if file_text is not None:

@@ -84,16 +84,21 @@ def _subgroup_order(system, J):
     return len(seen)
 
 
+def _root_form(system, beta):
+    """The root beta as a linear form in the weight variables."""
+    form = RationalPolynomial.zero(system)
+    for k, c in enumerate(system.root_to_weight(beta), 1):
+        form = form + c * RationalPolynomial.variable(system, k)
+    return form
+
+
 def _roots_outside(system, J):
     """The product of the positive roots outside Phi_J, as linear forms."""
     acc = RationalPolynomial.one(system)
     for beta in system.positive_roots:
         if all(i in J for i, c in enumerate(beta, 1) if c):
             continue
-        form = RationalPolynomial.zero(system)
-        for k, c in enumerate(system.root_to_weight(beta), 1):
-            form = form + c * RationalPolynomial.variable(system, k)
-        acc = acc * form
+        acc = acc * _root_form(system, beta)
     return acc
 
 
@@ -134,3 +139,58 @@ def test_chains_make_fewer_divided_differences(f4_group, monkeypatch):
     for idx in indices:
         oracle_delta_d(f4_group, idx, memo)
     assert 0 < engine_calls < len(calls)
+
+
+def test_factored_chain_values_expand_to_the_oracle(f4_group):
+    """After the 48 lifts, every chain value the engine keeps, Q times the
+    positive roots indexed by S, expands to delta_w(d) of its index."""
+    system = f4_group.system
+    forms = [_root_form(system, beta) for beta in system.positive_roots]
+    engine = _GiambelliEngine(f4_group)
+    for idx in _lift_indices(f4_group):
+        engine.delta_d(idx)
+    assert len(engine._factored) > 47
+    memo = {}
+    for idx, (roots, cofactor) in engine._factored.items():
+        acc = RationalPolynomial._from_raw(system, dict(cofactor))
+        for b in roots:
+            acc = acc * forms[b]
+        assert acc.raw == oracle_delta_d(f4_group, idx, memo), \
+            f4_group.element_at(idx)
+
+
+def test_lifts_never_expand_a_root_product(f4_group, monkeypatch):
+    """The chains start at factored bases: lifting the 48 classes builds
+    no product of positive roots, not even a parabolic one."""
+    def refuse(*args):
+        raise AssertionError("a product of positive roots was expanded")
+
+    monkeypatch.setattr(poly, "_raw_root_product", refuse)
+    monkeypatch.setattr(schubert, "_raw_root_product", refuse, raising=False)
+    engine = _GiambelliEngine(f4_group)
+    for idx in _lift_indices(f4_group):
+        assert engine.delta_d(idx)
+
+
+def test_factored_chains_halve_the_divided_difference_input(f4_group, monkeypatch):
+    """delta_i expands only the roots that s_i moves, so the 48 lifts feed
+    the divided differences fewer than half the monomials the chains from d
+    feed them."""
+    sizes = []
+    kernel = schubert._raw_delta
+
+    def counted(*args):
+        sizes.append(len(args[2]))
+        return kernel(*args)
+
+    monkeypatch.setattr(schubert, "_raw_delta", counted)
+    indices = _lift_indices(f4_group)
+    engine = _GiambelliEngine(f4_group)
+    for idx in indices:
+        engine.delta_d(idx)
+    engine_terms = sum(sizes)
+    sizes.clear()
+    memo = {}
+    for idx in indices:
+        oracle_delta_d(f4_group, idx, memo)
+    assert 0 < 2 * engine_terms < sum(sizes)
