@@ -28,6 +28,14 @@ class UsageError(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as a usage error: one ``error:`` line on
+    stderr and exit code 2, as for the errors the commands find."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
+
+
 def _system(args) -> RootSystem:
     if getattr(args, "cartan_file", None):
         try:
@@ -158,6 +166,9 @@ def cmd_hasse(args) -> int:
 
 
 def cmd_chow(args) -> int:
+    if args.format != "text" and args.query != "table":
+        raise UsageError(f"chow {args.query} prints text only, not "
+                         f"--format {args.format}")
     ring = _ring(args)
     if args.query == "basis":
         if args.codim is not None and not 0 <= args.codim <= ring.dim:
@@ -271,25 +282,27 @@ def cmd_verify(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="chowring",
         description="Schubert calculus for Chow rings of G/P and the "
                     "verification pipeline for the two F4 varieties")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, theta=True):
+    def common(p, formats=(), theta=True):
+        """The system options, and --format when the command prints more
+        than one format; the first of ``formats`` is the default."""
         p.add_argument("--type", help="named root system (A1, A2, B2, B3, G2, F4)")
         p.add_argument("--cartan-file", help="plain-text integer Cartan matrix")
         if theta:
             p.add_argument("--theta", default="",
                            help="parabolic subset, comma-separated nodes, "
                                 "e.g. 2,3,4")
-        p.add_argument("--format", choices=("text", "json", "dot"),
-                       default="text")
+        if formats:
+            p.add_argument("--format", choices=formats, default=formats[0])
         p.add_argument("-o", "--output", help="write to a file instead of stdout")
 
     p = sub.add_parser("roots", help="list positive roots")
-    common(p, theta=False)
+    common(p, ("text", "json"), theta=False)
     p.set_defaults(fn=cmd_roots)
 
     p = sub.add_parser("weyl", help="Weyl group queries")
@@ -300,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_weyl)
 
     p = sub.add_parser("hasse", help="export Hasse or Pieri diagrams")
-    common(p)
+    common(p, ("dot", "json"))
     p.add_argument("--pieri", action="store_true",
                    help="weighted hyperplane-multiplication diagram")
     p.add_argument("--node", type=int,
@@ -312,7 +325,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("chow", help="Chow ring queries")
     p.add_argument("query", choices=("basis", "mult", "table", "giambelli-lift"))
-    common(p)
+    # only table prints json
+    common(p, ("text", "json"))
     p.add_argument("--codim", type=int)
     p.add_argument("--lhs")
     p.add_argument("--rhs")
@@ -341,9 +355,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -210,16 +210,13 @@ def _raw_delta(system: RootSystem, i: int, a: RawPoly) -> RawPoly:
     return {e: c for e, c in out.items() if c}
 
 
-def _raw_root_product(system: RootSystem, theta: tuple[int, ...] = ()) -> RawPoly:
-    """The product of the positive roots outside the subsystem Phi_theta
-    spanned by the simple roots of ``theta``; theta=() gives d, the product
-    of all positive roots.  Not cached; the Giambelli engine keeps its
-    chains factored over the same ``root_forms`` and never calls this."""
+def _raw_root_product(system: RootSystem) -> RawPoly:
+    """d, the product of all positive roots.  Not cached; the Giambelli
+    engine keeps its chains factored over the same ``root_forms`` and never
+    calls this."""
     calc = _calculus(system)
     acc: RawPoly = {0: 1}
-    for beta, form in zip(system.positive_roots, calc.root_forms):
-        if all(i in theta for i, c in enumerate(beta, 1) if c):
-            continue
+    for form in calc.root_forms:
         acc = calc.mul(acc, form)
     return acc
 

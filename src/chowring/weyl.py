@@ -107,9 +107,10 @@ def mult_simple_right(w: WeylElement, i: int) -> WeylElement:
     system = w.system
     col = tuple(system.cartan.entries[i - 1][j] for j in range(system.rank))
     base = w.images[i - 1]
+    # only the rows with C[i][j] != 0 move; the others are shared with w
     images = tuple(
-        tuple(w.images[j][t] - col[j] * base[t] for t in range(system.rank))
-        for j in range(system.rank))
+        tuple(a - c * b for a, b in zip(img, base)) if c else img
+        for img, c in zip(w.images, col))
     delta = 1 if system.is_positive(base) else -1
     return WeylElement(system, images, w.length + delta)
 
@@ -127,23 +128,35 @@ def right_descents(w: WeylElement) -> tuple[int, ...]:
                  if not w.system.is_positive(w.images[i - 1]))
 
 
-@lru_cache(maxsize=None)
-def reduced_word(w: WeylElement) -> tuple[int, ...]:
-    """Deterministic reduced word: strip the smallest right descent first.
+# element -> its canonical reduced word, for every element reduced_word
+# has passed on a descent chain
+_WORDS: dict[WeylElement, tuple[int, ...]] = {}
 
-    Memoized per element: elements are immutable and the word is pure.
+
+def reduced_word(w: WeylElement) -> tuple[int, ...]:
+    """Deterministic reduced word: word(w) = word(w s_i) + (i,), with i the
+    smallest right descent of w, and word(e) = ().
+
+    Memoized along the descent chain: the walk from w down stops at the
+    first element already known (or at e) and records every element it
+    passed, so words sharing a prefix build that prefix once.
     """
-    letters: list[int] = []
+    chain: list[tuple[WeylElement, int]] = []
     cur = w
+    word: tuple[int, ...] = ()
     while cur.length > 0:
+        known = _WORDS.get(cur)
+        if known is not None:
+            word = known
+            break
         ds = right_descents(cur)
         if not ds:
             raise AssertionError("positive length but no descent")
-        i = ds[0]
-        letters.append(i)
-        cur = mult_simple_right(cur, i)
-    letters.reverse()
-    return tuple(letters)
+        chain.append((cur, ds[0]))
+        cur = mult_simple_right(cur, ds[0])
+    for cur, i in reversed(chain):
+        word = _WORDS[cur] = word + (i,)
+    return word
 
 
 def word_to_element(system: RootSystem, word) -> WeylElement:

@@ -74,13 +74,26 @@ def _corr_with_coeff(coeff: str) -> str:
     (["corr", "compose", "{file}"], _corr_with_coeff("1")),
     (["corr", "compose", "{file}", "{file}", "{file}"], _corr_with_coeff("1")),
     (["corr", "diagonal", "{file}"], _corr_with_coeff("1")),
+    (["weyl", "order", "--type", "F4", "--format", "json"], None),
+    (["weyl", "longest", "--type", "F4", "--format", "dot"], None),
+    (["weyl", "cosets", "--type", "F4", "--theta", "2,3,4", "--format", "text"], None),
+    (["roots", "--type", "F4", "--format", "dot"], None),
+    (["chow", "basis", "--type", "F4", "--theta", "2,3,4", "--format", "json"], None),
+    (["chow", "mult", "--type", "F4", "--theta", "2,3,4",
+      "--lhs", "h1^1", "--rhs", "h1^1", "--format", "json"], None),
+    (["chow", "giambelli-lift", "--type", "F4", "--theta", "2,3,4",
+      "--class", "h1^1", "--format", "json"], None),
+    (["chow", "table", "--type", "F4", "--theta", "2,3,4", "--format", "dot"], None),
+    (["hasse", "--type", "F4", "--theta", "2,3,4", "--format", "text"], None),
 ], ids=["node-out-of-range", "not-a-basis-class", "bad-token",
         "corr-missing-target", "ragged-cartan", "codim-out-of-range",
         "table-node-in-theta", "pieri-node-out-of-range",
         "corr-fractional-coeff", "corr-bool-coeff", "corr-string-coeff",
         "corr-transpose-no-file", "corr-compose-no-file",
         "corr-compose-one-file", "corr-compose-three-files",
-        "corr-diagonal-with-file"])
+        "corr-diagonal-with-file", "weyl-order-json", "weyl-longest-dot",
+        "weyl-cosets-text", "roots-dot", "chow-basis-json", "chow-mult-json",
+        "chow-lift-json", "chow-table-dot", "hasse-text"])
 def test_malformed_input_is_usage_error(argv, file_text, tmp_path, capsys):
     path = tmp_path / "input"
     if file_text is not None:
@@ -223,6 +236,7 @@ _P1, _P4 = ["--type", "F4", "--theta", "2,3,4"], ["--type", "F4", "--theta", "1,
     ("giambelli_lift_f4_p4_g1_4.txt", ["chow", "giambelli-lift", *_P4, "--class", "g1^4"]),
     ("giambelli_lift_f4_p4_g2_8.txt", ["chow", "giambelli-lift", *_P4, "--class", "g2^8"]),
     ("giambelli_lift_b3_point.txt", ["chow", "giambelli-lift", "--type", "B3", "--class", "[]"]),
+    ("hasse_f4_p1.dot", ["hasse", *_P1]),
 ])
 def test_cli_output_matches_golden_copy(golden, argv, capsys):
     """Coset lists, diagrams, bases, tables and Giambelli lifts of X1 and
