@@ -66,6 +66,23 @@ def _theta(args, system: RootSystem | None = None) -> tuple[int, ...]:
     return theta
 
 
+# command -> option -> the queries that read it; any other query refuses it
+_READERS = {
+    "weyl": {"theta": ("longest", "cosets"), "maximal": ("cosets",)},
+    "chow": {"codim": ("basis",), "lhs": ("mult",), "rhs": ("mult",),
+             "cls": ("giambelli-lift",), "node": ("table",)},
+    "corr": {"variety": ("diagonal",), "mod": ("compose",)},
+}
+
+
+def _refuse_unread(args) -> None:
+    """A usage error for an option given to a query that would ignore it."""
+    for dest, queries in _READERS.get(args.command, {}).items():
+        if getattr(args, dest) not in (None, False) and args.query not in queries:
+            flag = "--class" if dest == "cls" else f"--{dest}"
+            raise UsageError(f"{args.command} {args.query} does not take {flag}")
+
+
 def _emit(text: str, path: str | None) -> None:
     if path:
         with open(path, "w") as fh:
@@ -148,6 +165,10 @@ def cmd_weyl(args) -> int:
 
 def cmd_hasse(args) -> int:
     system = _system(args)
+    if args.by_codim and (args.pieri or args.format == "json"):
+        raise UsageError("--by-codim flips the edges of a dot Hasse diagram only")
+    if args.node is not None and not args.pieri:
+        raise UsageError("--node picks the hyperplane of --pieri only")
     group = get_weyl_group(system)
     theta = _theta(args, system)
     if args.pieri:
@@ -248,7 +269,7 @@ def cmd_corr(args) -> int:
         raise UsageError(f"corr {args.query} takes {wanted} input file(s), "
                          f"not {len(args.inputs)}")
     if args.query == "diagonal":
-        ring = _f4_variety(args.variety)
+        ring = _f4_variety(args.variety or "x1")
         _emit(_dump_corr(corr.diagonal(ring)), args.output)
     elif args.query == "transpose":
         alpha = _load_corr(args.inputs[0])
@@ -294,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--type", help="named root system (A1, A2, B2, B3, G2, F4)")
         p.add_argument("--cartan-file", help="plain-text integer Cartan matrix")
         if theta:
-            p.add_argument("--theta", default="",
+            p.add_argument("--theta",
                            help="parabolic subset, comma-separated nodes, "
                                 "e.g. 2,3,4")
         if formats:
@@ -338,8 +359,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("query", choices=("diagonal", "transpose", "compose"))
     p.add_argument("inputs", nargs="*",
                    help="JSON files; compose takes BETA ALPHA for beta o alpha")
-    p.add_argument("--variety", default="x1", help="x1 or x4 (for diagonal)")
-    p.add_argument("--mod", type=int, default=0, choices=(0, 3))
+    p.add_argument("--variety", help="x1 or x4 (for diagonal; default x1)")
+    p.add_argument("--mod", type=int, choices=(0, 3),
+                   help="reduce the composite mod 3 (for compose)")
     p.add_argument("-o", "--output")
     p.set_defaults(fn=cmd_corr)
 
@@ -357,6 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        _refuse_unread(args)
         return args.fn(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

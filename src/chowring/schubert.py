@@ -215,24 +215,11 @@ class _GiambelliEngine:
         self._delta_d: dict[int, dict] = {}    # idx -> delta_{w_idx}(d), expanded
         # idx -> (S, Q), delta_{w_idx}(d) = Q times the positive roots indexed by S
         self._factored: dict[int, tuple[frozenset[int], dict]] = {}
-        # J -> a reduced word of w_J, the longest element of W_J
-        self._longest_words: dict[tuple[int, ...], tuple[int, ...]] = {}
-        # the group's tables by index, read on first use: every ring makes
-        # its engine, and building a ring must not enumerate W
-        self._tables: tuple[list, list, list, list[int]] | None = None
+        # J -> the length of w_J, the longest element of W_J
+        self._longest_lengths: dict[tuple[int, ...], int] = {}
         # s_i on positive root indices, built on the first chain
         self._moves: tuple[tuple[int, ...], ...] | None = None
         self._products: dict[tuple[int, int], dict[int, int]] = {}
-
-    def tables(self) -> tuple[list, list, list, list[int]]:
-        """(right, left, inverse, lengths): the group's right and left
-        multiplication tables, inverse indices and lengths, read once per
-        engine; the first call enumerates W."""
-        if self._tables is None:
-            group = self.group
-            lengths = [w.length for w in group.elements]
-            self._tables = (group._right, group._left, group._inverse_idx, lengths)
-        return self._tables
 
     def root_moves(self) -> tuple[tuple[int, ...], ...]:
         """Per node i (0-based), the index of s_i beta for each index beta
@@ -256,22 +243,24 @@ class _GiambelliEngine:
         calc = _calculus(system)
         mul, forms = calc.mul, calc.root_forms
         moves = self.root_moves()
-        right, left, _, lengths = self.tables()
+        # the orbit of rho is W: the first lift walks it, no ring build does
+        orbit = self.group.orbit
+        elements, weights, point_of = orbit.minimal, orbit.weights, orbit.point_of
         memo = self._factored
-        nodes = range(system.rank)
+        nodes = range(1, system.rank + 1)
         stack = [idx]
         while stack:
             top = stack[-1]
             if top in memo:
                 stack.pop()
                 continue
-            length = lengths[top]
-            J = tuple(i + 1 for i in nodes if lengths[right[top][i]] < length)
-            word = self._longest_words.get(J)
-            if word is None:
-                word = self._longest_words[J] = _weyl.reduced_word(
-                    self.group.longest_parabolic(J))
-            if len(word) == length:
+            w = elements[top]
+            J = _weyl.right_descents(w)
+            length_J = self._longest_lengths.get(J)
+            if length_J is None:
+                length_J = self._longest_lengths[J] = \
+                    self.group.longest_parabolic(J).length
+            if length_J == w.length:
                 # top is w_J itself: |W_J| times the roots outside Phi_J
                 outside = frozenset(
                     b for b, beta in enumerate(system.positive_roots)
@@ -279,12 +268,17 @@ class _GiambelliEngine:
                 memo[top] = (outside, {0: _weyl.order_from_heights(system, J)})
                 stack.pop()
                 continue
-            y = top
-            for i in word:
-                y = right[y][i - 1]
-            y_length = length - len(word)
-            steps = [(i + 1, left[top][i]) for i in nodes
-                     if lengths[left[y][i]] < y_length]
+            # i is a left descent of y exactly when s_i w = (s_i y) w_J: one
+            # step down the orbit (<w rho, alpha_i^vee> < 0) to an element
+            # whose right descents still contain J, i.e. that sends each
+            # alpha_j, j in J, to a root of negative height
+            weight = weights[top]
+            steps = []
+            for i in nodes:
+                if weight[i - 1] < 0:
+                    p = point_of[system.reflect_weight(i, weight)]
+                    if all(sum(elements[p].images[j - 1]) < 0 for j in J):
+                        steps.append((i, p))
             i, parent = next(((i, p) for i, p in steps if p in memo), steps[0])
             got = memo.get(parent)
             if got is None:
@@ -306,8 +300,13 @@ class _GiambelliEngine:
 
     def lift_raw(self, w: WeylElement) -> dict:
         """|W| times the canonical lift of [X_w]."""
-        _, _, inverse, _ = self.tables()
-        return self.delta_d(inverse[self.group.index_of(w)])
+        orbit = self.group.orbit
+        # w = s_a1 ... s_al by its orbit word, so w^{-1} = s_al ... s_a1
+        # climbs the orbit from e by the upward moves a1, ..., al
+        k = 0
+        for a in orbit.words[self.group.index_of(w)]:
+            k = orbit.up[k][a]
+        return self.delta_d(k)
 
     def c_raw(self, u_raw: dict, degree: int) -> dict[WeylElement, object]:
         """delta_v(u) for every v of the given length, keyed by w0 v.
@@ -364,14 +363,13 @@ class _GiambelliEngine:
         cached = self._products.get(key)
         if cached is not None:
             return cached
-        _, _, inverse, lengths = self.tables()
         top = len(self.system.positive_roots)
-        codim = (top - lengths[key[0]]) + (top - lengths[key[1]])
+        codim = (top - wa.length) + (top - wb.length)
         result: dict[int, int] = {}
         if codim <= top:
-            u = _calculus(self.system).mul(self.delta_d(inverse[key[0]]),
-                                           self.delta_d(inverse[key[1]]))
-            order2 = len(lengths) * len(lengths)
+            u = _calculus(self.system).mul(self.lift_raw(group.element_at(key[0])),
+                                           self.lift_raw(group.element_at(key[1])))
+            order2 = group.order * group.order
             for target, const in self.c_raw(u, codim).items():
                 q, r = divmod(const, order2)
                 if r:

@@ -9,8 +9,9 @@ found as the orbit of rho_P without enumerating W; it fixes the coset
 representatives, their order, reduced words, the Hasse edges and the
 Poincare-duality involution for every module that reads W^theta.  The
 order of W and of its parabolic subgroups follows from the root heights.
-The :class:`WeylGroup` wrapper adds the material that needs full
-enumeration: the canonical element list and multiplication tables.
+W itself is the orbit of theta = (), the orbit of rho: it is the one
+enumeration of W, and the :class:`WeylGroup` wrapper reads it as the
+canonical element list with an index lookup.
 
 Composition is functional: ``multiply(u, v)`` acts as u after v, and a
 word ``[a1, ..., ak]`` denotes ``s_a1 * s_a2 * ... * s_ak``.  Elements
@@ -229,63 +230,98 @@ def order_from_heights(system: RootSystem, theta=None) -> int:
     return prod((k + 1) ** (heights[k] - heights[k + 1]) for k in heights)
 
 
+@lru_cache(maxsize=None)
+def _opposition(system: RootSystem) -> tuple[int, ...]:
+    """sigma with w0(alpha_i) = -alpha_sigma(i), nodes 0-based: the i-th
+    coordinate of w0 lam is -lam[sigma[i]]."""
+    return tuple(next(j for j, x in enumerate(img) if x)
+                 for img in longest_element(system).images)
+
+
+@lru_cache(maxsize=None)
+def _root_steps(system: RootSystem) -> dict[Root, tuple[Root, ...]]:
+    """root -> (s_1 root, ..., s_n root) for every root, positive or
+    negative; each root in the table is one shared tuple."""
+    roots = {r: r for beta in system.positive_roots
+             for r in (beta, tuple(-x for x in beta))}
+    return {r: tuple(roots[system.reflect_root(a, r)] for a in range(1, system.rank + 1))
+            for r in roots}
+
+
+def _step_left(w: WeylElement, a: int, steps: dict) -> WeylElement:
+    """s_a w for s_a w one longer than w, s_a on w's images read off the
+    ``_root_steps`` table."""
+    return WeylElement(w.system, tuple(steps[r][a - 1] for r in w.images), w.length + 1)
+
+
 class CosetOrbit:
     """W^theta as the orbit of rho_P, the sum of the fundamental weights
     outside theta (Stembridge 2001).  s_a v is in W^theta and one step
     longer than v exactly when <v rho_P, alpha_a^vee> > 0, so a breadth-
-    first search along those moves reaches each point once.
+    first search along those moves reaches each point once.  The orbit of
+    theta = () is W itself: W acts freely on the orbit of rho, and every
+    coordinate of w rho is nonzero, so each move down is the reverse of a
+    move up.
 
     Points are indexed in the canonical (length, images) order of their
     minimal representatives v.  Per point k: ``weights[k]`` = v rho_P, and
     ``point_of`` maps each weight back to its point;
-    ``minimal[k]`` = v and ``maximal[k]`` = v w_theta; ``words[k]``, a
-    reduced word of v, left letter first, that puts one letter in front of
-    the word of ``parents[k]`` (-1 for rho_P); ``up[k]``, a -> the point
-    of s_a v for every upward move; ``opposite[k]``, the point of w0 v.
+    ``minimal[k]`` = v and ``maximal[k]`` = v w_theta (the same tuple when
+    theta is empty); ``words[k]``, a reduced word of v, left letter first,
+    that puts one letter in front of the word of ``parents[k]`` (-1 for
+    rho_P); ``up[k]``, a -> the point of s_a v for every upward move;
+    ``opposite[k]``, the point of w0 v, whose weight is w0 v rho_P.
+
+    The walk builds both representatives of s_a v from those of v by one
+    left reflection each, one step longer.  It asserts the orbit size and,
+    per point, v(alpha_i) > 0 and v w_theta(alpha_i) < 0 for every i in
+    theta: v is then minimal and v w_theta maximal in the coset.
     """
 
     def __init__(self, system: RootSystem, theta: tuple[int, ...]):
         n = system.rank
         self.theta = theta
         rho_p = tuple(0 if i in theta else 1 for i in range(1, n + 1))
-        # weight -> (v, word of v), breadth first
-        found = {rho_p: (identity(system), ())}
+        # weight -> (v, v w_theta, word of v, weight of the parent), and
+        # weight -> {a: weight of s_a v} over the upward moves, breadth first
+        e = identity(system)
+        steps = _root_steps(system)
+        found = {rho_p: (e, longest_element(system, theta) if theta else e, (), None)}
+        moves: dict[tuple[int, ...], dict[int, tuple[int, ...]]] = {}
         frontier = [rho_p]
         for lam in frontier:
-            v, word = found[lam]
+            v, w, word, _ = found[lam]
+            up = moves[lam] = {}
             for a in range(1, n + 1):
                 if lam[a - 1] <= 0:
                     continue
-                mu = system.reflect_weight(a, lam)
+                mu = up[a] = system.reflect_weight(a, lam)
                 if mu not in found:
-                    found[mu] = (WeylElement(system, tuple(
-                        system.reflect_root(a, img) for img in v.images), v.length + 1),
-                        (a,) + word)
+                    sv = _step_left(v, a, steps)
+                    found[mu] = (sv, _step_left(w, a, steps) if theta else sv,
+                                 (a,) + word, lam)
                     frontier.append(mu)
         if len(found) != order_from_heights(system) // order_from_heights(system, theta):
             raise AssertionError("the orbit of rho_P does not have |W| / |W_theta| points")
+        for v, w, _, _ in found.values():
+            for i in theta:
+                if not system.is_positive(v.images[i - 1]) or \
+                        system.is_positive(w.images[i - 1]):
+                    raise AssertionError("the orbit walk left the coset representatives")
         self.weights = tuple(sorted(found, key=lambda lam: (found[lam][0].length,
                                                            found[lam][0].images)))
         self.point_of = index = {lam: k for k, lam in enumerate(self.weights)}
         self.minimal = tuple(found[lam][0] for lam in self.weights)
-        self.words = tuple(found[lam][1] for lam in self.weights)
-        self.parents = tuple(index[system.reflect_weight(word[0], lam)] if word else -1
-                             for lam, word in zip(self.weights, self.words))
-        self.up = tuple({a: index[system.reflect_weight(a, lam)]
-                         for a in range(1, n + 1) if lam[a - 1] > 0}
+        self.maximal = (tuple(found[lam][1] for lam in self.weights) if theta
+                        else self.minimal)
+        self.words = tuple(found[lam][2] for lam in self.weights)
+        self.parents = tuple(index[found[lam][3]] if found[lam][2] else -1
+                             for lam in self.weights)
+        self.up = tuple({a: index[mu] for a, mu in moves[lam].items()}
                         for lam in self.weights)
-        w_theta = longest_element(system, theta)
-        self.maximal = tuple(
-            _element(system, tuple(act_root(v, img) for img in w_theta.images))
-            for v in self.minimal)
-        if any(w.length != v.length + w_theta.length
-               for v, w in zip(self.minimal, self.maximal)):
-            raise AssertionError("coset bijection lost length additivity")
-        # w0 v is the maximal representative of the opposite point
-        w0 = longest_element(system)
-        by_images = {w.images: k for k, w in enumerate(self.maximal)}
-        self.opposite = tuple(by_images[tuple(act_root(w0, img) for img in v.images)]
-                              for v in self.minimal)
+        sigma = _opposition(system)
+        self.opposite = tuple(index[tuple(-lam[j] for j in sigma)]
+                              for lam in self.weights)
 
 
 @lru_cache(maxsize=None)
@@ -308,140 +344,43 @@ def coset_orbit(system: RootSystem, theta=()) -> CosetOrbit:
 
 
 class WeylGroup:
-    """Fully enumerated Weyl group with canonical order and fast tables.
+    """W as a group: the regular orbit, ``coset_orbit(system, ())``, read
+    as the list of its elements.
 
     Elements are listed by length, ties broken lexicographically on the
     image tuples; this order fixes every downstream basis enumeration.
-    The group is materialized eagerly only when something asks for it,
-    and only up to ``MAX_ENUMERATION`` elements (ValueError beyond).
+    The group is walked only when something asks for its elements, and
+    only up to ``MAX_ENUMERATION`` elements (ValueError beyond).
     """
 
     def __init__(self, system: RootSystem):
         self.system = system
         self.rank = system.rank
-        self._elements: tuple[WeylElement, ...] | None = None
-        self._index: dict[tuple[Root, ...], int] = {}
-        self._right: list[tuple[int, ...]] = []
-        self._left: list[tuple[int, ...]] = []
-        self._by_length: list[list[int]] = []
-        self._left_min_descent: list[int] = []
-        self._inverse_idx: list[int] = []
+        self._orbit: CosetOrbit | None = None
+        self._index: dict[tuple[Root, ...], int] | None = None
 
-    # -- enumeration -------------------------------------------------------
-
-    def _ensure(self) -> None:
-        if self._elements is not None:
-            return
-        order = order_from_heights(self.system)
-        if order > MAX_ENUMERATION:
-            raise ValueError(f"the Weyl group has {order} elements, more than the "
-                             f"{MAX_ENUMERATION} this program enumerates")
-        system = self.system
-        n = self.rank
-        cartan = system.cartan.entries
-        # w s_i(alpha_j) = w(alpha_j) - C[i][j] w(alpha_i): only the j with
-        # C[i][j] != 0 (j = i among them) change, per node i (0-based)
-        moved = [tuple((j, cartan[i][j]) for j in range(n) if cartan[i][j])
-                 for i in range(n)]
-        # a root's weight: beta_j times column j of C, over the nonzero entries
-        columns = [tuple((k, cartan[k][j]) for k in range(n) if cartan[k][j])
-                   for j in range(n)]
-        # Breadth first from e; t numbers the elements in the order found.
-        # lams[t] = w_t(rho), rho the sum of the fundamental weights: W acts
-        # freely on the orbit of rho, so the weight names the element.
-        found = [identity(system)]
-        lams = [(1,) * n]
-        by_images = {found[0].images: 0}
-        right_bfs = [[-1] * n]
-        for t, w in enumerate(found):
-            images = w.images
-            row = right_bfs[t]
-            for i in range(n):
-                if row[i] >= 0:
-                    # a descent, filled in from the shorter side: the walk
-                    # reaches every element of one length before the next
-                    continue
-                # so w(alpha_i) > 0 here and l(w s_i) = l(w) + 1
-                base = images[i]
-                new = list(images)
-                for j, c in moved[i]:
-                    new[j] = tuple(a - c * b for a, b in zip(images[j], base))
-                new = tuple(new)
-                u = by_images.get(new)
-                if u is None:
-                    u = by_images[new] = len(found)
-                    found.append(WeylElement(system, new, w.length + 1))
-                    # lambda(w s_i) = w(rho - alpha_i) = lambda(w) - wt(w alpha_i)
-                    lam = list(lams[t])
-                    for j, b in enumerate(base):
-                        if b:
-                            for k, c in columns[j]:
-                                lam[k] -= b * c
-                    lams.append(tuple(lam))
-                    right_bfs.append([-1] * n)
-                row[i] = u
-                right_bfs[u][i] = t
-        # canonical order: by length, ties broken on the image tuples
-        ranked = sorted(range(len(found)), key=lambda t: (found[t].length, found[t].images))
-        position = [0] * len(found)
-        for k, t in enumerate(ranked):
-            position[t] = k
-        elements = tuple(found[t] for t in ranked)
-        self._elements = elements
-        self._index = {w.images: k for k, w in enumerate(elements)}
-        right = [tuple(position[u] for u in right_bfs[t]) for t in ranked]
-        # s_i w(rho) = s_i lambda(w): subtract lambda_i alpha_i, alpha_i being
-        # column i of C in weight coordinates
-        by_weight = {lams[t]: k for k, t in enumerate(ranked)}
-        left = []
-        for t in ranked:
-            lam = lams[t]
-            row = []
-            for i in range(n):
-                coeff = lam[i]
-                mu = list(lam)
-                for k, c in columns[i]:
-                    mu[k] -= coeff * c
-                row.append(by_weight[tuple(mu)])
-            left.append(tuple(row))
-        self._right = right
-        self._left = left
-        lengths = [w.length for w in elements]
-        by_length: list[list[int]] = [[] for _ in range(lengths[-1] + 1)]
-        for k, length in enumerate(lengths):
-            by_length[length].append(k)
-        self._by_length = by_length
-        left_min = []
-        for k, w in enumerate(elements):
-            if w.length == 0:
-                left_min.append(-1)
-                continue
-            for i in range(n):
-                if lengths[left[k][i]] < w.length:
-                    left_min.append(i + 1)
-                    break
-        self._left_min_descent = left_min
-        # (w s_i)^{-1} = s_i w^{-1}: along a right descent of each element,
-        # in length order, the inverse of the shorter one is already known.
-        inv = [0] * len(elements)
-        for k in range(1, len(elements)):
-            for i0, j in enumerate(right[k]):
-                if lengths[j] < lengths[k]:
-                    inv[k] = left[inv[j]][i0]
-                    break
-        self._inverse_idx = inv
+    @property
+    def orbit(self) -> CosetOrbit:
+        """The orbit of rho, one point per element; the first call walks it."""
+        if self._orbit is None:
+            order = order_from_heights(self.system)
+            if order > MAX_ENUMERATION:
+                raise ValueError(f"the Weyl group has {order} elements, more than the "
+                                 f"{MAX_ENUMERATION} this program enumerates")
+            self._orbit = coset_orbit(self.system, ())
+        return self._orbit
 
     @property
     def elements(self) -> tuple[WeylElement, ...]:
-        self._ensure()
-        return self._elements  # type: ignore[return-value]
+        return self.orbit.minimal
 
     @property
     def order(self) -> int:
         return len(self.elements)
 
     def index_of(self, w: WeylElement) -> int:
-        self._ensure()
+        if self._index is None:
+            self._index = {v.images: k for k, v in enumerate(self.elements)}
         try:
             return self._index[w.images]
         except KeyError:
@@ -449,33 +388,6 @@ class WeylGroup:
 
     def element_at(self, idx: int) -> WeylElement:
         return self.elements[idx]
-
-    def right_index(self, idx: int, i: int) -> int:
-        self._ensure()
-        return self._right[idx][i - 1]
-
-    def left_index(self, idx: int, i: int) -> int:
-        self._ensure()
-        return self._left[idx][i - 1]
-
-    def indices_of_length(self, length: int) -> list[int]:
-        self._ensure()
-        if length < 0 or length >= len(self._by_length):
-            return []
-        return self._by_length[length]
-
-    def left_min_descent(self, idx: int) -> int:
-        self._ensure()
-        return self._left_min_descent[idx]
-
-    def inverse_index(self, idx: int) -> int:
-        self._ensure()
-        return self._inverse_idx[idx]
-
-    @property
-    def max_length(self) -> int:
-        self._ensure()
-        return len(self._by_length) - 1
 
     # -- distinguished elements and cosets ----------------------------------
 

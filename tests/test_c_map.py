@@ -16,30 +16,34 @@ from chowring import f4pipeline as pipe
 from chowring import poly, weyl
 from chowring.rootsystem import root_system
 from chowring.schubert import _GiambelliEngine, get_chow_ring
-from chowring.weyl import get_weyl_group
+from chowring.weyl import get_weyl_group, longest_element
+from weyl_oracle import left_min_descent, listed_group
 
 
-def oracle_c_raw(group, u_raw, degree):
+def oracle_c_raw(system, u_raw, degree):
     """delta_v(u) for every v of length ``degree`` in W, keyed by w0 v."""
-    system = group.system
-    if degree > group.max_length:
+    if degree > len(system.positive_roots):
         return {}
+    elements, index = listed_group(system)
     level = {0: u_raw} if u_raw else {}
     for m in range(1, degree + 1):
         nxt = {}
-        for idx in group.indices_of_length(m):
-            i = group.left_min_descent(idx)
-            parent = level.get(group.left_index(idx, i))
+        for idx, w in enumerate(elements):
+            if w.length != m:
+                continue
+            i, below = left_min_descent(w)
+            parent = level.get(index[below.images])
             if parent:
                 val = poly._raw_delta(system, i, parent)
                 if val:
                     nxt[idx] = val
         level = nxt
+    w0 = longest_element(system)
     out = {}
     for idx, raw in level.items():
         assert set(raw) <= {0}, "non-constant leaf"
         if raw:
-            out[weyl.multiply(group.longest, group.element_at(idx))] = raw[0]
+            out[weyl.multiply(w0, elements[idx])] = raw[0]
     return out
 
 
@@ -50,7 +54,7 @@ def invariance_set(system, u_raw):
 
 def _check(engine, u_raw, degree):
     got = engine.c_raw(u_raw, degree)
-    assert got == oracle_c_raw(engine.group, u_raw, degree)
+    assert got == oracle_c_raw(engine.system, u_raw, degree)
     return got
 
 

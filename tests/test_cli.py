@@ -85,6 +85,20 @@ def _corr_with_coeff(coeff: str) -> str:
       "--class", "h1^1", "--format", "json"], None),
     (["chow", "table", "--type", "F4", "--theta", "2,3,4", "--format", "dot"], None),
     (["hasse", "--type", "F4", "--theta", "2,3,4", "--format", "text"], None),
+    (["weyl", "order", "--type", "A2", "--theta", "1"], None),
+    (["weyl", "order", "--type", "A2", "--maximal"], None),
+    (["weyl", "longest", "--type", "A2", "--maximal"], None),
+    (["hasse", "--type", "F4", "--theta", "2,3,4", "--format", "json", "--by-codim"], None),
+    (["hasse", "--type", "F4", "--theta", "2,3,4", "--pieri", "--by-codim"], None),
+    (["hasse", "--type", "F4", "--theta", "2,3,4", "--node", "1"], None),
+    (["chow", "mult", "--type", "F4", "--theta", "2,3,4",
+      "--lhs", "h1^1", "--rhs", "h1^1", "--codim", "2"], None),
+    (["chow", "basis", "--type", "F4", "--theta", "2,3,4", "--lhs", "h1^1"], None),
+    (["chow", "table", "--type", "F4", "--theta", "2,3,4", "--rhs", "h1^1"], None),
+    (["chow", "basis", "--type", "F4", "--theta", "2,3,4", "--class", "h1^1"], None),
+    (["chow", "basis", "--type", "F4", "--theta", "2,3,4", "--node", "1"], None),
+    (["corr", "diagonal", "--mod", "3"], None),
+    (["corr", "transpose", "{file}", "--variety", "x4"], _corr_with_coeff("1")),
 ], ids=["node-out-of-range", "not-a-basis-class", "bad-token",
         "corr-missing-target", "ragged-cartan", "codim-out-of-range",
         "table-node-in-theta", "pieri-node-out-of-range",
@@ -93,7 +107,11 @@ def _corr_with_coeff(coeff: str) -> str:
         "corr-compose-one-file", "corr-compose-three-files",
         "corr-diagonal-with-file", "weyl-order-json", "weyl-longest-dot",
         "weyl-cosets-text", "roots-dot", "chow-basis-json", "chow-mult-json",
-        "chow-lift-json", "chow-table-dot", "hasse-text"])
+        "chow-lift-json", "chow-table-dot", "hasse-text", "weyl-order-theta",
+        "weyl-order-maximal", "weyl-longest-maximal", "hasse-json-by-codim",
+        "pieri-by-codim", "hasse-node-without-pieri", "chow-mult-codim",
+        "chow-basis-lhs", "chow-table-rhs", "chow-basis-class", "chow-basis-node",
+        "corr-diagonal-mod", "corr-transpose-variety"])
 def test_malformed_input_is_usage_error(argv, file_text, tmp_path, capsys):
     path = tmp_path / "input"
     if file_text is not None:

@@ -8,7 +8,7 @@ from chowring import weyl
 from chowring.cli import main
 from chowring.rootsystem import CartanMatrix, build_root_system
 from chowring.schubert import ChowRing
-from chowring.weyl import WeylGroup, longest_element, serialize
+from chowring.weyl import longest_element, multiply, serialize
 
 # Bourbaki numbering: 1-3-4-5-6 is the long chain and 2 hangs off 4.
 E6 = ((2, 0, -1, 0, 0, 0),
@@ -21,10 +21,15 @@ E6 = ((2, 0, -1, 0, 0, 0),
 
 @pytest.fixture
 def no_enumeration(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("W(E6) was enumerated")
+    """Refuse the orbit of theta = (), the one walk of all of W."""
+    walk = weyl._coset_orbit
 
-    monkeypatch.setattr(WeylGroup, "_ensure", refuse)
+    def refuse_regular(system, theta):
+        if not theta:
+            raise AssertionError("W(E6) was enumerated")
+        return walk(system, theta)
+
+    monkeypatch.setattr(weyl, "_coset_orbit", refuse_regular)
 
 
 @pytest.fixture
@@ -55,6 +60,23 @@ def test_cayley_plane_degree_by_chevalley(no_enumeration, node):
         x = ring.chevalley_mult(node, x)
     assert x == 78 * ring.element(ring.point_class)
     assert ring._localization is None
+
+
+@pytest.mark.parametrize("node", [1, 6])
+def test_orbit_representatives_match_element_products(no_enumeration, node):
+    """E6/P1 and E6/P6: each maximal representative is v w_theta, images
+    and the length multiply recounts, and the opposite point's is w0 v.
+    On E6, w0 is not -1 on the weights, so a lookup of -lambda would
+    find the wrong point."""
+    system = build_root_system(CartanMatrix(E6))
+    theta = tuple(i for i in range(1, 7) if i != node)
+    orbit = weyl.coset_orbit(system, theta)
+    w_theta = longest_element(system, theta)
+    w0 = longest_element(system)
+    for k, v in enumerate(orbit.minimal):
+        for got, want in ((orbit.maximal[k], multiply(v, w_theta)),
+                          (orbit.maximal[orbit.opposite[k]], multiply(w0, v))):
+            assert (got.images, got.length) == (want.images, want.length)
 
 
 @pytest.mark.parametrize("argv", [

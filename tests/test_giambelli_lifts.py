@@ -14,37 +14,48 @@ from chowring import poly, schubert
 from chowring.poly import RationalPolynomial
 from chowring.rootsystem import BUILTIN_CARTAN, root_system
 from chowring.schubert import _GiambelliEngine, get_chow_ring
-from chowring.weyl import get_weyl_group, identity, mult_simple_right
+from chowring.weyl import get_weyl_group, inverse
+from weyl_oracle import left_min_descent, list_group, listed_group
 
 
-def oracle_delta_d(group, idx, memo):
-    """delta_{w_idx}(d) along smallest-left-descent chains from d."""
+def oracle_delta_d(system, idx, memo):
+    """delta_{w_idx}(d) along smallest-left-descent chains from d, over
+    the listing of W by right products."""
+    elements, index = listed_group(system)
     stack = [idx]
     while stack:
         top = stack[-1]
         if top in memo:
             stack.pop()
             continue
-        if group.element_at(top).length == 0:
-            memo[top] = poly._raw_root_product(group.system)
+        if elements[top].length == 0:
+            memo[top] = poly._raw_root_product(system)
             stack.pop()
             continue
-        i = group.left_min_descent(top)
-        parent = group.left_index(top, i)
+        i, below = left_min_descent(elements[top])
+        parent = index[below.images]
         if parent not in memo:
             stack.append(parent)
             continue
-        memo[top] = schubert._raw_delta(group.system, i, memo[parent])
+        memo[top] = schubert._raw_delta(system, i, memo[parent])
         stack.pop()
     return memo[idx]
 
 
-def _lift_indices(group):
+def _lift_indices(system):
     """Indices w^{-1} of the 48 classes of X1 and X4 (F4/P1 and F4/P4);
     the unit class of both is w0, so 47 of them are distinct."""
-    return [group.inverse_index(group.index_of(c.rep))
+    _, index = listed_group(system)
+    return [index[inverse(c.rep).images]
             for theta in ((2, 3, 4), (1, 2, 3))
-            for c in get_chow_ring(group.system, theta).classes]
+            for c in get_chow_ring(system, theta).classes]
+
+
+@pytest.fixture(scope="session")
+def f4_oracle_memo():
+    """The oracle's chain values on F4, shared by the tests that only
+    compare against them."""
+    return {}
 
 
 @pytest.mark.parametrize("name", ["A1", "A2", "B2", "G2", "B3"])
@@ -53,35 +64,17 @@ def test_delta_d_matches_oracle_on_every_element(name):
     engine = _GiambelliEngine(group)
     memo = {}
     for idx in range(group.order):
-        assert engine.delta_d(idx) == oracle_delta_d(group, idx, memo), \
+        assert engine.delta_d(idx) == oracle_delta_d(group.system, idx, memo), \
             group.element_at(idx)
 
 
-def test_delta_d_matches_oracle_on_the_f4_lifts(f4_group):
+def test_delta_d_matches_oracle_on_the_f4_lifts(f4_group, f4_oracle_memo):
     engine = _GiambelliEngine(f4_group)
-    memo = {}
-    indices = _lift_indices(f4_group)
+    indices = _lift_indices(f4_group.system)
     assert (len(indices), len(set(indices))) == (48, 47)
     for idx in indices:
-        assert engine.delta_d(idx) == oracle_delta_d(f4_group, idx, memo), \
-            f4_group.element_at(idx)
-
-
-def _subgroup_order(system, J):
-    """|W_J| by enumerating the subgroup generated by s_j, j in J."""
-    e = identity(system)
-    seen = {e.images}
-    frontier = [e]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for j in J:
-                u = mult_simple_right(w, j)
-                if u.images not in seen:
-                    seen.add(u.images)
-                    nxt.append(u)
-        frontier = nxt
-    return len(seen)
+        want = oracle_delta_d(f4_group.system, idx, f4_oracle_memo)
+        assert engine.delta_d(idx) == want, f4_group.element_at(idx)
 
 
 def _root_form(system, beta):
@@ -115,8 +108,8 @@ def test_parabolic_base(name):
         for J in combinations(nodes, size):
             outside = _roots_outside(system, J)
             idx = group.index_of(group.longest_parabolic(J))
-            assert oracle_delta_d(group, idx, memo) == \
-                (_subgroup_order(system, J) * outside).raw, J
+            assert oracle_delta_d(system, idx, memo) == \
+                (len(list_group(system, J)) * outside).raw, J
 
 
 def test_chains_make_fewer_divided_differences(f4_group, monkeypatch):
@@ -130,7 +123,7 @@ def test_chains_make_fewer_divided_differences(f4_group, monkeypatch):
         return kernel(*args)
 
     monkeypatch.setattr(schubert, "_raw_delta", counted)
-    indices = _lift_indices(f4_group)
+    indices = _lift_indices(f4_group.system)
     engine = _GiambelliEngine(f4_group)
     for idx in indices:
         engine.delta_d(idx)
@@ -138,25 +131,24 @@ def test_chains_make_fewer_divided_differences(f4_group, monkeypatch):
     calls.clear()
     memo = {}
     for idx in indices:
-        oracle_delta_d(f4_group, idx, memo)
+        oracle_delta_d(f4_group.system, idx, memo)
     assert 0 < engine_calls < len(calls)
 
 
-def test_factored_chain_values_expand_to_the_oracle(f4_group):
+def test_factored_chain_values_expand_to_the_oracle(f4_group, f4_oracle_memo):
     """After the 48 lifts, every chain value the engine keeps, Q times the
     positive roots indexed by S, expands to delta_w(d) of its index."""
     system = f4_group.system
     forms = [_root_form(system, beta) for beta in system.positive_roots]
     engine = _GiambelliEngine(f4_group)
-    for idx in _lift_indices(f4_group):
+    for idx in _lift_indices(system):
         engine.delta_d(idx)
     assert len(engine._factored) > 47
-    memo = {}
     for idx, (roots, cofactor) in engine._factored.items():
         acc = RationalPolynomial._from_raw(system, dict(cofactor))
         for b in roots:
             acc = acc * forms[b]
-        assert acc.raw == oracle_delta_d(f4_group, idx, memo), \
+        assert acc.raw == oracle_delta_d(system, idx, f4_oracle_memo), \
             f4_group.element_at(idx)
 
 
@@ -169,7 +161,7 @@ def test_lifts_never_expand_a_root_product(f4_group, monkeypatch):
     monkeypatch.setattr(poly, "_raw_root_product", refuse)
     monkeypatch.setattr(schubert, "_raw_root_product", refuse, raising=False)
     engine = _GiambelliEngine(f4_group)
-    for idx in _lift_indices(f4_group):
+    for idx in _lift_indices(f4_group.system):
         assert engine.delta_d(idx)
 
 
@@ -185,7 +177,7 @@ def test_factored_chains_halve_the_divided_difference_input(f4_group, monkeypatc
         return kernel(*args)
 
     monkeypatch.setattr(schubert, "_raw_delta", counted)
-    indices = _lift_indices(f4_group)
+    indices = _lift_indices(f4_group.system)
     engine = _GiambelliEngine(f4_group)
     for idx in indices:
         engine.delta_d(idx)
@@ -193,5 +185,5 @@ def test_factored_chains_halve_the_divided_difference_input(f4_group, monkeypatc
     sizes.clear()
     memo = {}
     for idx in indices:
-        oracle_delta_d(f4_group, idx, memo)
+        oracle_delta_d(f4_group.system, idx, memo)
     assert 0 < 2 * engine_terms < sum(sizes)

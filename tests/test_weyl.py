@@ -10,6 +10,7 @@ from chowring.rootsystem import (BUILTIN_CARTAN, CartanMatrix, build_root_system
                                   root_system)
 from chowring.schubert import ChowRing
 from chowring.weyl import get_weyl_group
+from weyl_oracle import list_group
 
 
 def test_identity_and_involutions(f4):
@@ -74,7 +75,7 @@ def test_maximal_reps_shift_lengths(f4_group):
 
 
 def test_maximal_reps_empty_theta_is_whole_group(f4_group):
-    assert set(f4_group.maximal_coset_reps(())) == set(f4_group.elements)
+    assert set(f4_group.maximal_coset_reps(())) == set(list_group(f4_group.system))
 
 
 def test_lagrange_partition(f4_group):
@@ -235,19 +236,22 @@ def test_positive_roots_stable_up_to_sign(f4_group):
 
 @pytest.mark.parametrize("name", sorted(BUILTIN_CARTAN))
 def test_coset_orbit_matches_enumeration(name):
-    """On every quotient, the orbit of rho_P against the Weyl group: the W
-    filter, v * w_theta, the s_i * v Hasse rule, w0 * v and |W^theta|."""
+    """On every quotient, the orbit of rho_P against W listed by right
+    products: the W filter with its lengths, v * w_theta with the lengths
+    multiply recounts, the s_i * v Hasse rule, w0 * v and |W^theta|."""
     system = root_system(name)
     group = get_weyl_group(system)
+    elements = list_group(system)
     w0 = group.longest
-    assert weyl.order_from_heights(system) == group.order
+    assert weyl.order_from_heights(system) == group.order == len(elements)
     nodes = range(1, system.rank + 1)
     for theta in itertools.chain.from_iterable(
             itertools.combinations(nodes, r) for r in range(system.rank + 1)):
         orbit = weyl.coset_orbit(system, theta)
-        minimal = [w for w in group.elements
+        minimal = [w for w in elements
                    if all(system.is_positive(w.images[t - 1]) for t in theta)]
         assert list(orbit.minimal) == minimal
+        assert [v.length for v in orbit.minimal] == [v.length for v in minimal]
         w_theta = group.longest_parabolic(theta)
         maximal = [weyl.multiply(v, w_theta) for v in minimal]
         assert ([(w.images, w.length) for w in orbit.maximal]
@@ -282,43 +286,53 @@ def test_weyl_order_cli_matches_enumeration(name, capsys):
 
 def test_enumeration_above_the_bound_is_refused(f4, monkeypatch):
     """A group larger than MAX_ENUMERATION raises before it is listed."""
+    walked = []
+    cached = weyl._coset_orbit
+    monkeypatch.setattr(weyl, "_coset_orbit",
+                        lambda system, theta: walked.append(theta) or cached(system, theta))
     monkeypatch.setattr(weyl, "MAX_ENUMERATION", 1000)
     group = weyl.WeylGroup(f4)
     with pytest.raises(ValueError, match="1152 elements, more than the 1000"):
         group.index_of(group.identity)
-    assert group._elements is None
+    assert walked == []
     monkeypatch.setattr(weyl, "MAX_ENUMERATION", 1152)
     assert group.order == 1152
+    assert walked == [()]
 
 
 @pytest.mark.parametrize("name", sorted(BUILTIN_CARTAN) + ["D5"])
 def test_group_tables_match_element_products(name):
-    """Every table of the enumerated group, element by element, against
-    the element-level products, inverses and lengths."""
+    """W as the orbit of rho, element by element, against W listed by
+    right products and against the element-level products, inverses and
+    lengths: the index lookup, and the moves the Giambelli engine makes,
+    s_i w by weight lookup, right descents and w^{-1} by index lookup."""
     system = _system(name)
     group = weyl.WeylGroup(system)
+    orbit = group.orbit
     elements = group.elements
     assert group.order == weyl.order_from_heights(system)
-    assert list(elements) == sorted(elements, key=lambda w: (w.length, w.images))
+    assert ([(w.images, w.length) for w in elements]
+            == [(w.images, w.length) for w in list_group(system)])
+    e = weyl.identity(system)
     nodes = range(1, system.rank + 1)
+    reflections = {i: weyl.simple_reflection(system, i) for i in nodes}
     for k, w in enumerate(elements):
         assert group.index_of(w) == k
+        weight = orbit.weights[k]
         for i in nodes:
-            right = weyl.mult_simple_right(w, i)
+            right = weyl.multiply(w, reflections[i])
+            assert elements[group.index_of(weyl.mult_simple_right(w, i))] == right
+            assert elements[group.index_of(right)].length == right.length
             left = weyl.mult_simple_left(w, i)
-            assert elements[group.right_index(k, i)] == right
-            assert elements[group.right_index(k, i)].length == right.length
-            assert elements[group.left_index(k, i)] == left
-            assert elements[group.left_index(k, i)].length == left.length
-        assert elements[group.inverse_index(k)] == weyl.inverse(w)
-        descents = [i for i in nodes
-                    if elements[group.left_index(k, i)].length < w.length]
-        assert group.left_min_descent(k) == (descents[0] if descents else -1)
-        assert k in group.indices_of_length(w.length)
-    assert group.max_length == len(system.positive_roots)
-    for length in range(-1, group.max_length + 2):
-        assert group.indices_of_length(length) == [
-            k for k, w in enumerate(elements) if w.length == length]
+            moved = orbit.point_of[system.reflect_weight(i, weight)]
+            assert elements[moved] == left
+            assert elements[moved].length == left.length
+            assert (weight[i - 1] < 0) == (left.length < w.length)
+        inverse = elements[group.index_of(weyl.inverse(w))]
+        assert weyl.multiply(w, inverse) == e and inverse.length == w.length
+        assert weyl.right_descents(w) == tuple(
+            i for i in nodes if weyl.multiply(w, reflections[i]).length < w.length)
+    assert max(w.length for w in elements) == len(system.positive_roots)
 
 
 def test_orbit_above_the_bound_is_refused(f4, monkeypatch):
