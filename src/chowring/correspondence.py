@@ -27,15 +27,16 @@ from __future__ import annotations
 
 import json
 
-from .schubert import ChowElement, ChowRing, SchubertClass
+from .schubert import ChowElement, ChowRing, SchubertClass, _Combination
 
 Modulus = int  # 0 means integral coefficients
 
 
-class Correspondence:
+class Correspondence(_Combination):
     """Bigraded integer cycle on X x Y acting as a morphism X -> Y."""
 
-    __slots__ = ("source", "target", "terms")
+    __slots__ = ("source", "target")
+    _mismatch = "correspondences on different variety pairs"
 
     def __init__(self, source: ChowRing, target: ChowRing,
                  terms: dict | None = None):
@@ -53,9 +54,7 @@ class Correspondence:
         for key in [key for key, v in terms.items() if not v]:
             del terms[key]
         # the sums are fresh and zero-free, so they need no second copy
-        corr = cls(source, target)
-        corr.terms = terms
-        return corr
+        return cls(source, target)._with(terms)
 
     @classmethod
     def from_product(cls, x: ChowElement, y: ChowElement) -> "Correspondence":
@@ -68,44 +67,21 @@ class Correspondence:
 
     # -- structure -----------------------------------------------------------
 
-    def _check_pair(self, other: "Correspondence") -> None:
-        if self.source is not other.source or self.target is not other.target:
-            raise ValueError("correspondences on different variety pairs")
+    def _space(self) -> tuple[ChowRing, ChowRing]:
+        return self.source, self.target
 
-    def __add__(self, other: "Correspondence") -> "Correspondence":
-        self._check_pair(other)
-        acc = dict(self.terms)
-        for fg, v in other.terms.items():
-            acc[fg] = acc.get(fg, 0) + v
-        return Correspondence(self.source, self.target, acc)
+    def _with(self, terms: dict) -> "Correspondence":
+        new = Correspondence.__new__(Correspondence)
+        new.source, new.target, new.terms = self.source, self.target, terms
+        return new
 
-    def __sub__(self, other: "Correspondence") -> "Correspondence":
-        self._check_pair(other)
-        acc = dict(self.terms)
-        for fg, v in other.terms.items():
-            acc[fg] = acc.get(fg, 0) - v
-        return Correspondence(self.source, self.target, acc)
+    def _sort_key(self, fg) -> tuple[int, int, int, int]:
+        f, g = fg
+        return (f.codim, self.source.class_position(f),
+                g.codim, self.target.class_position(g))
 
-    def __neg__(self) -> "Correspondence":
-        return Correspondence(self.source, self.target,
-                              {fg: -v for fg, v in self.terms.items()})
-
-    def __mul__(self, scalar: int) -> "Correspondence":
-        return Correspondence(self.source, self.target,
-                              {fg: v * scalar for fg, v in self.terms.items()})
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, Correspondence)
-                and self.source is other.source and self.target is other.target
-                and self.terms == other.terms)
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def is_zero(self) -> bool:
-        return not self.terms
+    def _label(self, fg) -> str:
+        return f"{self.source.label_of(fg[0])}x{self.target.label_of(fg[1])}"
 
     def total_codims(self) -> tuple[int, ...]:
         return tuple(sorted({f.codim + g.codim for f, g in self.terms}))
@@ -113,25 +89,6 @@ class Correspondence:
     @property
     def is_morphism_degree(self) -> bool:
         return all(f.codim + g.codim == self.source.dim for f, g in self.terms)
-
-    def sorted_terms(self):
-        return sorted(self.terms.items(),
-                      key=lambda kv: (kv[0][0].codim,
-                                      self.source.class_position(kv[0][0]),
-                                      kv[0][1].codim,
-                                      self.target.class_position(kv[0][1])))
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "0"
-        bits = []
-        for (f, g), v in self.sorted_terms():
-            body = f"{self.source.label_of(f)}x{self.target.label_of(g)}"
-            if abs(v) != 1:
-                body = f"{abs(v)}*{body}"
-            bits.append(("+ " if v > 0 else "- ") + body if bits
-                        else (body if v > 0 else f"-{body}"))
-        return " ".join(bits)
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +121,7 @@ def compose(beta: Correspondence, alpha: Correspondence) -> Correspondence:
 
 def intersect(alpha: Correspondence, beta: Correspondence) -> Correspondence:
     """Cup product on X x Y, factorwise via the Chow ring products."""
-    alpha._check_pair(beta)
+    alpha._check(beta)
     acc: dict = {}
     for (f_a, g_a), va in alpha.terms.items():
         for (f_b, g_b), vb in beta.terms.items():
@@ -180,7 +137,7 @@ def intersect(alpha: Correspondence, beta: Correspondence) -> Correspondence:
                         acc[key] = v
                     elif key in acc:
                         del acc[key]
-    return Correspondence(alpha.source, alpha.target, acc)
+    return alpha._with(acc)
 
 
 def diagonal(ring: ChowRing) -> Correspondence:
@@ -202,7 +159,7 @@ def mod_reduce(alpha: Correspondence, m: Modulus) -> Correspondence:
             r -= m
         if r:
             acc[fg] = r
-    return Correspondence(alpha.source, alpha.target, acc)
+    return alpha._with(acc)
 
 
 def congruent(alpha: Correspondence, beta: Correspondence, m: Modulus) -> bool:

@@ -49,7 +49,10 @@ Four multiplication routes are implemented:
 
 Every product of two basis classes by either general route is
 cross-checked against the Chevalley formula when a factor has codimension
-1 and against the duality table in complementary codimensions.
+1 and against the duality table in complementary codimensions.  Both
+routes are one bilinear extension, ``ChowRing._extend``, of their pair
+products.  Chow elements and correspondences share one integer-only
+arithmetic, their base :class:`_Combination`.
 
 A :class:`SchubertClass` belongs to exactly one ring, the one whose
 constructor built it, and compares and hashes by identity; the rings'
@@ -67,7 +70,7 @@ from math import lcm, prod
 from types import MappingProxyType
 
 from . import weyl as _weyl
-from .poly import RationalPolynomial, _calculus, _raw_delta, _raw_scale
+from .poly import RationalPolynomial, _calculus, _raw_add_into, _raw_delta, _raw_scale
 from .rootsystem import Root, RootSystem
 from .weyl import WeylElement, WeylGroup, get_weyl_group
 
@@ -98,46 +101,44 @@ class SchubertClass:
         return f"SchubertClass({_weyl.serialize(self.rep)!r}, codim={self.codim})"
 
 
-class ChowElement:
-    """Integer combination of Schubert classes of one ring."""
+class _Combination:
+    """Integer combination of keys in one space, ``terms`` key -> nonzero int,
+    on the term-dict kernels of :mod:`chowring.poly`.  A non-``int`` scalar
+    gives NotImplemented, so Python raises TypeError.  A subclass supplies
+    ``_space()``, compared by identity, its ``_mismatch`` message,
+    ``_with(terms)`` that takes a fresh zero-free dict as it is, and a
+    key's ``_sort_key`` and ``_label``.
+    """
 
-    __slots__ = ("ring", "terms")
+    __slots__ = ("terms",)
 
-    def __init__(self, ring: "ChowRing", terms: dict | None = None):
-        self.ring = ring
-        self.terms: dict[SchubertClass, int] = \
-            {c: v for c, v in (terms or {}).items() if v}
+    def _check(self, other: "_Combination") -> None:
+        if self._space() != other._space():
+            raise ValueError(self._mismatch)
 
-    def _check(self, other: "ChowElement") -> None:
-        if self.ring is not other.ring:
-            raise ValueError("elements of different Chow rings")
-
-    def __add__(self, other: "ChowElement") -> "ChowElement":
+    def __add__(self, other, sign=1):
+        if type(other) is not type(self):
+            return NotImplemented
         self._check(other)
         acc = dict(self.terms)
-        for c, v in other.terms.items():
-            acc[c] = acc.get(c, 0) + v
-        return ChowElement(self.ring, acc)
+        _raw_add_into(acc, other.terms, sign)
+        return self._with(acc)
 
-    def __sub__(self, other: "ChowElement") -> "ChowElement":
-        self._check(other)
-        acc = dict(self.terms)
-        for c, v in other.terms.items():
-            acc[c] = acc.get(c, 0) - v
-        return ChowElement(self.ring, acc)
+    def __sub__(self, other):
+        return self.__add__(other, -1)
 
-    def __neg__(self) -> "ChowElement":
-        return ChowElement(self.ring, {c: -v for c, v in self.terms.items()})
+    def __neg__(self):
+        return self._with(_raw_scale(self.terms, -1))
 
-    def __mul__(self, other):
-        if isinstance(other, ChowElement):
-            return self.ring.multiply(self, other)
-        return ChowElement(self.ring, {c: v * other for c, v in self.terms.items()})
+    def __mul__(self, scalar):
+        if not isinstance(scalar, int):
+            return NotImplemented
+        return self._with(_raw_scale(self.terms, scalar))
 
     __rmul__ = __mul__
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, ChowElement) and self.ring is other.ring
+        return (type(other) is type(self) and self._space() == other._space()
                 and self.terms == other.terms)
 
     def __hash__(self):
@@ -146,27 +147,56 @@ class ChowElement:
     def is_zero(self) -> bool:
         return not self.terms
 
+    def sorted_terms(self) -> list[tuple[object, int]]:
+        key = self._sort_key
+        return sorted(self.terms.items(), key=lambda kv: key(kv[0]))
+
+    def __repr__(self) -> str:
+        parts = []
+        for key, v in self.sorted_terms():
+            label = self._label(key)
+            body = label if abs(v) == 1 else f"{abs(v)}*{label}"
+            parts.append(("+ " if v > 0 else "- ") + body if parts
+                         else (body if v > 0 else f"-{body}"))
+        return " ".join(parts) or "0"
+
+
+class ChowElement(_Combination):
+    """Integer combination of Schubert classes of one ring; ``x * y``
+    multiplies in the ring."""
+
+    __slots__ = ("ring",)
+    _mismatch = "elements of different Chow rings"
+
+    def __init__(self, ring: "ChowRing", terms: dict | None = None):
+        self.ring = ring
+        self.terms: dict[SchubertClass, int] = \
+            {c: v for c, v in (terms or {}).items() if v}
+
+    def _space(self) -> "ChowRing":
+        return self.ring
+
+    def _with(self, terms: dict) -> "ChowElement":
+        new = ChowElement.__new__(ChowElement)
+        new.ring, new.terms = self.ring, terms
+        return new
+
+    def _sort_key(self, cls: SchubertClass) -> tuple[int, int]:
+        return cls.codim, self.ring.class_position(cls)
+
+    def _label(self, cls: SchubertClass) -> str:
+        return self.ring.label_of(cls)
+
+    def __mul__(self, other):
+        if isinstance(other, ChowElement):
+            return self.ring.multiply(self, other)
+        return super().__mul__(other)
+
     def codims(self) -> tuple[int, ...]:
         return tuple(sorted({c.codim for c in self.terms}))
 
     def is_homogeneous(self) -> bool:
         return len(self.codims()) <= 1
-
-    def sorted_terms(self) -> list[tuple[SchubertClass, int]]:
-        ring = self.ring
-        return sorted(self.terms.items(),
-                      key=lambda cv: (cv[0].codim, ring.class_position(cv[0])))
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for cls, v in self.sorted_terms():
-            label = self.ring.label_of(cls)
-            body = label if abs(v) == 1 else f"{abs(v)}*{label}"
-            parts.append(("+ " if v > 0 else "- ") + body if parts
-                         else (body if v > 0 else f"-{body}"))
-        return " ".join(parts)
 
 
 class _GiambelliEngine:
@@ -219,7 +249,7 @@ class _GiambelliEngine:
         self._longest_lengths: dict[tuple[int, ...], int] = {}
         # s_i on positive root indices, built on the first chain
         self._moves: tuple[tuple[int, ...], ...] | None = None
-        self._products: dict[tuple[int, int], dict[int, int]] = {}
+        self._products: dict[tuple[int, int], dict[WeylElement, int]] = {}
 
     def root_moves(self) -> tuple[tuple[int, ...], ...]:
         """Per node i (0-based), the index of s_i beta for each index beta
@@ -351,32 +381,32 @@ class _GiambelliEngine:
                 out[orbit.maximal[orbit.opposite[k]]] = const
         return out
 
-    def product_classes(self, wa: WeylElement, wb: WeylElement) -> dict[int, int]:
-        """[X_wa]*[X_wb] over the full flag ring, as index -> coefficient.
+    def product_classes(self, wa: WeylElement, wb: WeylElement) -> dict[WeylElement, int]:
+        """[X_wa]*[X_wb] over the full flag ring, keyed like ``c_raw``.
 
         Memoized per unordered pair of element indices; the division by
         |W|^2 must be exact or the conventions are broken somewhere.
         """
         group = self.group
         ia, ib = group.index_of(wa), group.index_of(wb)
-        key = (ia, ib) if ia <= ib else (ib, ia)
-        cached = self._products.get(key)
+        if ia > ib:
+            ia, ib, wa, wb = ib, ia, wb, wa
+        cached = self._products.get((ia, ib))
         if cached is not None:
             return cached
         top = len(self.system.positive_roots)
         codim = (top - wa.length) + (top - wb.length)
-        result: dict[int, int] = {}
+        result: dict[WeylElement, int] = {}
         if codim <= top:
-            u = _calculus(self.system).mul(self.lift_raw(group.element_at(key[0])),
-                                           self.lift_raw(group.element_at(key[1])))
+            u = _calculus(self.system).mul(self.lift_raw(wa), self.lift_raw(wb))
             order2 = group.order * group.order
             for target, const in self.c_raw(u, codim).items():
                 q, r = divmod(const, order2)
                 if r:
                     raise AssertionError("lift product left the integer lattice")
                 if q:
-                    result[group.index_of(target)] = q
-        self._products[key] = result
+                    result[target] = q
+        self._products[(ia, ib)] = result
         return result
 
 
@@ -691,8 +721,7 @@ class ChowRing:
             raise ValueError(f"node {node} lies in theta")
         acc: dict[SchubertClass, int] = {}
         for cls, v in x.terms.items():
-            for target, coeff in self._chevalley_row(node, cls).items():
-                acc[target] = acc.get(target, 0) + v * coeff
+            _raw_add_into(acc, self._chevalley_row(node, cls), v)
         return ChowElement(self, acc)
 
     def _chevalley_row(self, node: int, cls: SchubertClass) -> dict[SchubertClass, int]:
@@ -749,16 +778,23 @@ class ChowRing:
             raise ValueError("c map needs a homogeneous polynomial")
         den = lcm(*(Fraction(c).denominator for c in u.raw.values()))
         raw = {e: int(c * den) for e, c in u.raw.items()}
-        acc: dict[SchubertClass, int] = {}
+        acc: dict[WeylElement, int] = {}
         for target, const in self.engine.c_raw(raw, u.degree()).items():
             q, r = divmod(const, den)
             if r:
                 raise ValueError("polynomial is not in the image lattice of c")
-            pos = self._position.get(target)
+            acc[target] = q
+        return self._subring_element(acc, "c map support")
+
+    def _subring_element(self, terms: dict[WeylElement, int], what: str) -> ChowElement:
+        """Engine output, keyed by Weyl elements, as an element of this ring;
+        SubringError where a key indexes no class of it."""
+        acc: dict[SchubertClass, int] = {}
+        for w, v in terms.items():
+            pos = self._position.get(w)
             if pos is None:
-                raise SubringError(
-                    f"c map support left the subring at {_weyl.serialize(target)}")
-            acc[self.classes[pos]] = q
+                raise SubringError(f"{what} left the subring at {_weyl.serialize(w)}")
+            acc[self.classes[pos]] = v
         return ChowElement(self, acc)
 
     # -- general products ----------------------------------------------------------
@@ -784,6 +820,16 @@ class ChowRing:
         self._pair_products[key] = result
         return result
 
+    def _giambelli_pair_product(self, a: SchubertClass, b: SchubertClass) -> ChowElement:
+        """[X_a]*[X_b] in the full flag ring, asserted to land back in the
+        subring and cross-checked like ``pair_product``."""
+        if a.codim + b.codim > self.dim:
+            return self.zero()
+        product = self._subring_element(
+            self.engine.product_classes(a.rep, b.rep), "product")
+        self._cross_check(a, b, product, "Giambelli")
+        return product
+
     def giambelli_multiply(self, x: ChowElement, y: ChowElement) -> ChowElement:
         """x*y by the Giambelli route (lift, multiply, project with c).
 
@@ -791,27 +837,7 @@ class ChowRing:
         asserted to land back in the subring and cross-checked like
         ``pair_product``; only the shared engine caches anything.
         """
-        x._check(y)
-        if x.ring is not self:
-            raise ValueError("elements belong to a different ring")
-        acc: dict[SchubertClass, int] = {}
-        for a, va in x.terms.items():
-            for b, vb in y.terms.items():
-                if a.codim + b.codim > self.dim:
-                    continue
-                terms: dict[SchubertClass, int] = {}
-                for idx, v in self.engine.product_classes(a.rep, b.rep).items():
-                    w = self.group.element_at(idx)
-                    pos = self._position.get(w)
-                    if pos is None:
-                        raise SubringError(
-                            f"product left the subring at {_weyl.serialize(w)}")
-                    terms[self.classes[pos]] = v
-                product = ChowElement(self, terms)
-                self._cross_check(a, b, product, "Giambelli")
-                for c, v in product.terms.items():
-                    acc[c] = acc.get(c, 0) + va * vb * v
-        return ChowElement(self, acc)
+        return self._extend(x, y, self._giambelli_pair_product)
 
     def _cross_check(self, a: SchubertClass, b: SchubertClass,
                      result: ChowElement, route: str) -> None:
@@ -833,14 +859,19 @@ class ChowRing:
 
     def multiply(self, x: ChowElement, y: ChowElement) -> ChowElement:
         """Bilinear extension of ``pair_product``."""
+        return self._extend(x, y, self.pair_product)
+
+    def _extend(self, x: ChowElement, y: ChowElement, pair_product) -> ChowElement:
+        """x*y as the sum of va vb pair_product(a, b) over the terms va a of
+        x and vb b of y, both elements of this ring."""
         x._check(y)
         if x.ring is not self:
             raise ValueError("elements belong to a different ring")
-        acc = self.zero()
-        for ca, va in x.terms.items():
-            for cb, vb in y.terms.items():
-                acc = acc + (va * vb) * self.pair_product(ca, cb)
-        return acc
+        acc: dict[SchubertClass, int] = {}
+        for a, va in x.terms.items():
+            for b, vb in y.terms.items():
+                _raw_add_into(acc, pair_product(a, b).terms, va * vb)
+        return x._with(acc)
 
     def pair_degree(self, a: SchubertClass, b: SchubertClass) -> int:
         """degree([X_a]*[X_b]), read from the duality table."""
@@ -848,6 +879,8 @@ class ChowRing:
 
     def degree(self, x: ChowElement) -> int:
         """Coefficient of the point class (other components contribute 0)."""
+        if x.ring is not self:
+            raise ValueError("elements belong to a different ring")
         return x.terms.get(self.point_class, 0)
 
     def power(self, cls: SchubertClass, n: int) -> ChowElement:

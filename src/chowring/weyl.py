@@ -231,6 +231,12 @@ def order_from_heights(system: RootSystem, theta=None) -> int:
 
 
 @lru_cache(maxsize=None)
+def _orbit_size(system: RootSystem, theta: tuple[int, ...]) -> int:
+    """|W| / |W_theta|, the size of the orbit of rho_P, for a normalized theta."""
+    return order_from_heights(system) // order_from_heights(system, theta)
+
+
+@lru_cache(maxsize=None)
 def _opposition(system: RootSystem) -> tuple[int, ...]:
     """sigma with w0(alpha_i) = -alpha_sigma(i), nodes 0-based: the i-th
     coordinate of w0 lam is -lam[sigma[i]]."""
@@ -301,7 +307,7 @@ class CosetOrbit:
                     found[mu] = (sv, _step_left(w, a, steps) if theta else sv,
                                  (a,) + word, lam)
                     frontier.append(mu)
-        if len(found) != order_from_heights(system) // order_from_heights(system, theta):
+        if len(found) != _orbit_size(system, theta):
             raise AssertionError("the orbit of rho_P does not have |W| / |W_theta| points")
         for v, w, _, _ in found.values():
             for i in theta:
@@ -336,7 +342,7 @@ def coset_orbit(system: RootSystem, theta=()) -> CosetOrbit:
     ``MAX_ENUMERATION``.
     """
     theta = normalize_theta(system, theta)
-    size = order_from_heights(system) // order_from_heights(system, theta)
+    size = _orbit_size(system, theta)
     if size > MAX_ENUMERATION:
         raise ValueError(f"W^theta has {size} points, more than the "
                          f"{MAX_ENUMERATION} this program walks")
@@ -363,7 +369,7 @@ class WeylGroup:
     def orbit(self) -> CosetOrbit:
         """The orbit of rho, one point per element; the first call walks it."""
         if self._orbit is None:
-            order = order_from_heights(self.system)
+            order = _orbit_size(self.system, ())
             if order > MAX_ENUMERATION:
                 raise ValueError(f"the Weyl group has {order} elements, more than the "
                                  f"{MAX_ENUMERATION} this program enumerates")

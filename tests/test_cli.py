@@ -255,10 +255,14 @@ _P1, _P4 = ["--type", "F4", "--theta", "2,3,4"], ["--type", "F4", "--theta", "1,
     ("giambelli_lift_f4_p4_g2_8.txt", ["chow", "giambelli-lift", *_P4, "--class", "g2^8"]),
     ("giambelli_lift_b3_point.txt", ["chow", "giambelli-lift", "--type", "B3", "--class", "[]"]),
     ("hasse_f4_p1.dot", ["hasse", *_P1]),
+    ("chow_mult_f4_p1_h1_4_h1_4.txt", ["chow", "mult", *_P1, "--lhs", "h1^4", "--rhs", "h1^4"]),
+    ("chow_mult_f4_p4_g1_4_g1_4.txt", ["chow", "mult", *_P4, "--lhs", "g1^4", "--rhs", "g1^4"]),
+    ("chow_mult_b3_flag.txt", ["chow", "mult", "--type", "B3", "--lhs", "[s2 s3 s2 s1 s2 s3 s2]",
+                               "--rhs", "[s1 s2 s3 s2 s1 s2 s3]"]),
 ])
 def test_cli_output_matches_golden_copy(golden, argv, capsys):
-    """Coset lists, diagrams, bases, tables and Giambelli lifts of X1 and
-    X4, byte for byte."""
+    """Coset lists, diagrams, bases, tables, Giambelli lifts and products
+    of X1 and X4, byte for byte."""
     code, out, _ = run_cli(*argv, capsys=capsys)
     assert code == 0
     assert out.encode() == (Path(__file__).parent / "golden" / golden).read_bytes()

@@ -87,6 +87,9 @@ def test_ring_rejects_classes_of_another_ring(x1, x4):
             x1.pair_product(x1.unit_class, foreign)
         with pytest.raises(ValueError):
             x1.dual_class(foreign)
+    for other in (x4, copy):
+        with pytest.raises(ValueError, match="different ring"):
+            x1.degree(other.element(other.point_class))
     assert x4.unit_class != x1.unit_class
     assert [x1.class_position(c) for c in x1.classes] == list(range(24))
 
