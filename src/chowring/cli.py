@@ -206,7 +206,11 @@ def cmd_chow(args) -> int:
             raise UsageError("chow mult needs --lhs and --rhs")
         x = _parse_chow(ring, args.lhs)
         y = _parse_chow(ring, args.rhs)
-        _emit(repr(ring.multiply(x, y)) + "\n", args.output)
+        try:
+            product = ring.multiply(x, y)
+        except ValueError as exc:   # localization table too large to build
+            raise UsageError(str(exc)) from None
+        _emit(repr(product) + "\n", args.output)
     elif args.query == "table":
         rows = hyperplane_table(ring, _node(args, ring, "a table"))
         if args.format == "json":

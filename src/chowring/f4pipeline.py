@@ -352,7 +352,7 @@ def check_structure():
     expected_ranks = (1, 1, 1, 1) + (2,) * 8 + (1, 1, 1, 1)
     facts = {
         "positive roots": (len(system.positive_roots), 24),
-        "|W|": (group.order, 1152),
+        "|W|": (len(group.elements), 1152),
         "l(w0)": (group.longest.length, 24),
         "|W^theta| P1": (len(group.minimal_coset_reps(THETA_P1)), 24),
         "|W^theta| P4": (len(group.minimal_coset_reps(THETA_P4)), 24),

@@ -21,9 +21,10 @@ Four multiplication routes are implemented:
   products w*s_beta;
 * ``pair_product``, ``multiply`` and ``power`` handle arbitrary products by
   localization on the fixed points W^theta of G/P (orbit of rho_P, Billey's
-  restriction formula, Atiyah-Bott integration; see
-  :class:`_LocalizationEngine`).  No polynomial is built and the Weyl group
-  is never enumerated; each ring builds its engine on the first product;
+  restriction formula, Atiyah-Bott integration by support in exact
+  integers; see :class:`_LocalizationEngine`).  No polynomial is built and
+  the Weyl group is never enumerated; each ring builds its engine on the
+  first product, and refuses above ``MAX_LOCALIZATION_TABLE``;
 * ``giambelli_multiply`` lifts both factors to the weight polynomial ring
   along  lift([X_w]) = delta_{w^{-1}}(d / |W|)  (Bernstein-Gelfand-Gelfand
   1973; d is the product of the positive roots), multiplies there and
@@ -66,6 +67,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice
 from math import lcm, prod
 from types import MappingProxyType
 
@@ -415,6 +417,11 @@ def _get_engine(group: WeylGroup) -> _GiambelliEngine:
     return _GiambelliEngine(group)
 
 
+# The largest localization table, |W^P|^2 restrictions, an engine builds:
+# E8/P1 (2160 fixed points) builds, E8/P2 (17280) is refused.
+MAX_LOCALIZATION_TABLE = 10_000_000
+
+
 class _LocalizationEngine:
     """Structure constants of one parabolic ring by localization on W^P.
 
@@ -439,16 +446,27 @@ class _LocalizationEngine:
 
     with every root evaluated exactly at an integer point alpha_i -> p_i.
     Both points are positive, so no root vanishes on them and each
-    restriction is positive on the Bruhat interval below x.  When the
-    codimensions add up to dim G/P the sum is the same integer at every
-    such point; it is computed at two points and a product is returned
-    only if both give that integer.
+    restriction is positive on the Bruhat interval below x.
+    A product a*b integrates by support, in integers: one pass over the x
+    where neither factor vanishes adds scale(x) sigma^a|_x sigma^b|_x
+    sigma^v|_x, with scale(x) / lcm = 1 / e(x), into one sum per point and
+    per v of the complementary length.  In the top degree the integral is
+    the same integer at every point, so a coefficient is returned only if
+    both sums divide by their lcm to that one integer.
+
+    The table holds up to |W^P|^2 restrictions; above
+    ``MAX_LOCALIZATION_TABLE`` the engine refuses before it builds any.
     """
 
     def __init__(self, ring: "ChowRing"):
+        orbit = ring.orbit
+        size = len(orbit.words)
+        if size * size > MAX_LOCALIZATION_TABLE:
+            raise ValueError(f"localization on {size} fixed points needs a table of "
+                             f"{size * size} entries, more than the "
+                             f"{MAX_LOCALIZATION_TABLE} this program builds")
         system = ring.system
         n = system.rank
-        orbit = ring.orbit
         self.ring = ring
         self.up = orbit.up
         self.points = (tuple(range(1, n + 1)),
@@ -471,6 +489,13 @@ class _LocalizationEngine:
                           for t in range(len(self.points)))
         self.scales = [tuple(m // e_t for m, e_t in zip(self.lcms, e)) for e in euler]
         self.opposite = orbit.opposite
+        # the keys v of each length; points are in (length, images) order
+        self.by_length: list[list[int]] = [[] for _ in range(ring.dim + 1)]
+        for k, word in enumerate(orbit.words):
+            self.by_length[len(word)].append(k)
+        # deg(X_a X_b sigma^v) is the coefficient of the class at point v:
+        # that class's dual lives at opposite[opposite[v]] = v
+        self.classes = ring._at_point
 
     @staticmethod
     def _value(root, point) -> int:
@@ -498,51 +523,47 @@ class _LocalizationEngine:
         self.ring.class_position(cls)
         return self.opposite[cls.point]
 
-    def _support(self, classes) -> list[tuple[dict, tuple[int, ...]]]:
-        """(restrictions at x, scale(x) * product of the classes at x) for
-        every x where no class vanishes; scale(x)/lcm is 1/e(x) per point."""
+    def integrals(self, classes) -> tuple[Fraction, ...]:
+        """deg of the product of ``classes``, one exact Atiyah-Bott sum per point."""
         ks = [self._index(c) for c in classes]
-        out = []
+        sums = [0] * len(self.points)
         for restriction, scale in zip(self.restrictions, self.scales):
-            terms = scale
-            for k in ks:
-                val = restriction.get(k)
-                if val is None:
-                    break
-                terms = tuple(t * v for t, v in zip(terms, val))
-            else:
-                out.append((restriction, terms))
-        return out
-
-    def _integrate(self, terms) -> tuple[Fraction, ...]:
-        sums = [sum(col) for col in zip(*terms)] or [0] * len(self.points)
+            if all(k in restriction for k in ks):
+                for t, m in enumerate(scale):
+                    sums[t] += m * prod(restriction[k][t] for k in ks)
         return tuple(Fraction(s, m) for s, m in zip(sums, self.lcms))
 
-    def integrals(self, classes) -> tuple[Fraction, ...]:
-        """deg of the product of ``classes``, one Atiyah-Bott sum per point."""
-        return self._integrate([t for _, t in self._support(classes)])
-
     def product(self, a: SchubertClass, b: SchubertClass) -> dict[SchubertClass, int]:
-        """[X_a]*[X_b] as class -> coefficient: the coefficient of c is
-        deg(X_a X_b X_dual(c)), which must be one integer at both points."""
-        ring = self.ring
-        if a.codim + b.codim > ring.dim:
+        """[X_a]*[X_b] as class -> coefficient, integrated by support."""
+        ka, kb = self._index(a), self._index(b)
+        need = self.ring.dim - a.codim - b.codim
+        if need < 0:
             return {}
-        support = self._support((a, b))
+        keys = self.by_length[need]
+        sums0, sums1 = [0] * len(keys), [0] * len(keys)
+        # only x >= a, b and v contribute, so no point shorter than those
+        lo = self.by_length[max(need, a.codim, b.codim)][0]
+        for restriction, (c0, c1) in islice(zip(self.restrictions, self.scales), lo, None):
+            ra, rb = restriction.get(ka), restriction.get(kb)
+            if ra is None or rb is None:
+                continue
+            t0, t1 = c0 * ra[0] * rb[0], c1 * ra[1] * rb[1]
+            for j, v in enumerate(keys):
+                rv = restriction.get(v)
+                if rv is not None:
+                    sums0[j] += t0 * rv[0]
+                    sums1[j] += t1 * rv[1]
+        m0, m1 = self.lcms
         out = {}
-        for c in ring.basis(a.codim + b.codim):
-            k = self._index(ring.dual_class(c))
-            values = set(self._integrate(
-                [tuple(t * v for t, v in zip(terms, restriction[k]))
-                 for restriction, terms in support if k in restriction]))
-            if len(values) != 1:
+        for v, s0, s1 in zip(keys, sums0, sums1):
+            (q0, r0), (q1, r1) = divmod(s0, m0), divmod(s1, m1)
+            if q0 != q1 or r0 * m1 != r1 * m0:   # s0/m0 != s1/m1
                 raise AssertionError("localization gives different products at "
                                      "the two evaluation points")
-            value = values.pop()
-            if value.denominator != 1:
+            if r0:
                 raise AssertionError("localization product left the integer lattice")
-            if value:
-                out[c] = int(value)
+            if q0:
+                out[self.classes[v]] = q0
         return out
 
 

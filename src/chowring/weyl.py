@@ -382,7 +382,8 @@ class WeylGroup:
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        """|W| from the root heights; nothing is walked."""
+        return _orbit_size(self.system, ())
 
     def index_of(self, w: WeylElement) -> int:
         if self._index is None:

@@ -25,7 +25,7 @@ def _report(n, text):
 
 def test_criterion_01_structure(f4, f4_group, x1, x4):
     assert len(f4.positive_roots) == 24
-    assert f4_group.order == 1152
+    assert f4_group.order == len(f4_group.elements) == 1152
     assert f4_group.longest.length == 24
     assert len(f4_group.minimal_coset_reps((2, 3, 4))) == 24
     assert len(f4_group.minimal_coset_reps((1, 2, 3))) == 24

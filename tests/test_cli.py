@@ -123,6 +123,21 @@ def test_malformed_input_is_usage_error(argv, file_text, tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_chow_mult_above_the_localization_bound_is_usage_error(monkeypatch, capsys):
+    """An engine whose table would exceed the bound ends ``chow mult`` with
+    one error line and exit code 2; the ring is built fresh, so no cached
+    engine hides the guard."""
+    from chowring import cli, schubert
+
+    monkeypatch.setattr(cli, "get_chow_ring", schubert.ChowRing)
+    monkeypatch.setattr(schubert, "MAX_LOCALIZATION_TABLE", 48 * 48 - 1)
+    code, out, err = run_cli("chow", "mult", "--type", "B3", "--lhs", "[s1 s2 s3 s2 s1]",
+                             "--rhs", "[s2 s3 s2 s1 s2]", capsys=capsys)
+    assert (code, out) == (2, "")
+    assert err == ("error: localization on 48 fixed points needs a table of 2304 "
+                   "entries, more than the 2303 this program builds\n")
+
+
 def test_weyl_order_and_longest(capsys):
     code, out, _ = run_cli("weyl", "order", "--type", "F4", capsys=capsys)
     assert (code, out) == (0, "1152\n")
@@ -259,10 +274,14 @@ _P1, _P4 = ["--type", "F4", "--theta", "2,3,4"], ["--type", "F4", "--theta", "1,
     ("chow_mult_f4_p4_g1_4_g1_4.txt", ["chow", "mult", *_P4, "--lhs", "g1^4", "--rhs", "g1^4"]),
     ("chow_mult_b3_flag.txt", ["chow", "mult", "--type", "B3", "--lhs", "[s2 s3 s2 s1 s2 s3 s2]",
                                "--rhs", "[s1 s2 s3 s2 s1 s2 s3]"]),
+    ("chow_mult_f4_p2_codim5_codim6.txt", [
+        "chow", "mult", "--type", "F4", "--theta", "1,3,4",
+        "--lhs", "[s2 s3 s1 s2 s3 s4 s3 s2 s3 s1 s2 s3 s4 s3 s1 s2 s3 s2 s1]",
+        "--rhs", "[s3 s1 s2 s3 s4 s3 s2 s3 s1 s2 s3 s4 s3 s1 s2 s3 s2 s1]"]),
 ])
 def test_cli_output_matches_golden_copy(golden, argv, capsys):
     """Coset lists, diagrams, bases, tables, Giambelli lifts and products
-    of X1 and X4, byte for byte."""
+    of X1 and X4, and a six-term F4/P2 product, byte for byte."""
     code, out, _ = run_cli(*argv, capsys=capsys)
     assert code == 0
     assert out.encode() == (Path(__file__).parent / "golden" / golden).read_bytes()

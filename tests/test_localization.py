@@ -1,8 +1,10 @@
 """The localization product engine: properties on random parabolic
-quotients, Weyl's degree formula as an independent oracle, and the
-promise that products never build a polynomial nor read a Weyl group
-table."""
+quotients, the basis-scanning rule and Weyl's degree formula as
+independent oracles, failure injection into its exactness checks, its
+table-size guard, and the promise that products never build a polynomial
+nor read a Weyl group table."""
 
+import random
 from fractions import Fraction
 from itertools import combinations
 from math import factorial
@@ -12,11 +14,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chowring import correspondence as corr
-from chowring import poly, schubert
+from chowring import poly, schubert, weyl
 from chowring.correspondence import Correspondence
-from chowring.rootsystem import BUILTIN_CARTAN, root_system
+from chowring.rootsystem import BUILTIN_CARTAN, CartanMatrix, build_root_system, root_system
 from chowring.schubert import ChowElement, ChowRing, get_chow_ring
 from chowring.weyl import WeylGroup
+from localization_oracle import oracle_product
 
 # Every quotient of every built-in type, except the F4 quotients with fewer
 # than two nodes in theta: their 576 and 1152 fixed points take 1-3 s per
@@ -126,3 +129,125 @@ def test_products_never_build_a_polynomial(f4, x1, monkeypatch):
     assert corr.intersect(alpha, beta) == Correspondence(
         ring, ring, {(cls("h1^8"), cls("h1^1")): 16,
                      (cls("h2^8"), cls("h1^1")): 12})
+
+
+@pytest.mark.parametrize("quotient", QUOTIENTS,
+                         ids=lambda q: f"{q[0]}-" + ("".join(map(str, q[1])) or "flag"))
+def test_engine_matches_basis_scanning_oracle(quotient):
+    """Integration by support against the old rule, class by class: every
+    pair on the rings of at most 96 classes (F4/P1, F4/P2 and F4/P4
+    among them), 50 seeded pairs on the F4 quotients of 144-288 classes,
+    whose full tables take minutes by either rule."""
+    ring = _ring(quotient)
+    pairs = [(a, b) for i, a in enumerate(ring.classes) for b in ring.classes[i:]
+             if a.codim + b.codim <= ring.dim]
+    if len(ring.classes) > 96:
+        pairs = random.Random(2).sample(pairs, 50)
+    for a, b in pairs:
+        assert ring.localization.product(a, b) == oracle_product(ring, a, b)
+
+
+def _fresh_b3_flag():
+    """An uncached B3 flag ring and its engine, free to tamper with."""
+    ring = ChowRing(root_system("B3"), ())
+    return ring, ring.localization
+
+
+def test_tampered_restriction_gives_different_products():
+    """One restriction value changed at one evaluation point: the two
+    Atiyah-Bott sums no longer agree, and the product is refused."""
+    ring, engine = _fresh_b3_flag()
+    h = ring.hyperplane_class(1)
+    assert engine.product(h, h) == oracle_product(ring, h, h)
+    # the longest point lies above every class, so sigma^h|_top feeds every
+    # coefficient of h*h
+    top = engine.restrictions[-1]
+    k = engine.opposite[h.point]
+    u0, u1 = top[k]
+    top[k] = (u0 + 1, u1)
+    for rule in (engine.product, lambda a, b: oracle_product(ring, a, b)):
+        with pytest.raises(AssertionError, match="different products at the two "
+                                                 "evaluation points"):
+            rule(h, h)
+
+
+def test_broken_integrality_leaves_the_lattice():
+    """Both Atiyah-Bott denominators doubled: the points still agree, but
+    the unit times a class is half that class, off the integer lattice."""
+    ring, engine = _fresh_b3_flag()
+    h = ring.hyperplane_class(2)
+    assert engine.product(ring.unit_class, h) == {h: 1}
+    engine.lcms = tuple(2 * m for m in engine.lcms)
+    for rule in (engine.product, lambda a, b: oracle_product(ring, a, b)):
+        with pytest.raises(AssertionError, match="integer lattice"):
+            rule(ring.unit_class, h)
+
+
+# Bourbaki numbering: 1-3-4-...-n is the long chain and 2 hangs off 4.
+E7 = ((2, 0, -1, 0, 0, 0, 0),
+      (0, 2, 0, -1, 0, 0, 0),
+      (-1, 0, 2, -1, 0, 0, 0),
+      (0, -1, -1, 2, -1, 0, 0),
+      (0, 0, 0, -1, 2, -1, 0),
+      (0, 0, 0, 0, -1, 2, -1),
+      (0, 0, 0, 0, 0, -1, 2))
+
+E8 = ((2, 0, -1, 0, 0, 0, 0, 0),
+      (0, 2, 0, -1, 0, 0, 0, 0),
+      (-1, 0, 2, -1, 0, 0, 0, 0),
+      (0, -1, -1, 2, -1, 0, 0, 0),
+      (0, 0, 0, -1, 2, -1, 0, 0),
+      (0, 0, 0, 0, -1, 2, -1, 0),
+      (0, 0, 0, 0, 0, -1, 2, -1),
+      (0, 0, 0, 0, 0, 0, -1, 2))
+
+
+def _maximal(rows, node):
+    system = build_root_system(CartanMatrix(rows))
+    return system, tuple(i for i in range(1, system.rank + 1) if i != node)
+
+
+def test_e7_p7_degree_by_localization(monkeypatch):
+    """E7/P7, 56 classes: deg H^27 by localization equals Weyl's formula,
+    and W(E7) is never enumerated."""
+    walk = weyl._coset_orbit
+
+    def refuse_regular(system, theta):
+        if not theta:
+            raise AssertionError("W(E7) was enumerated")
+        return walk(system, theta)
+
+    monkeypatch.setattr(weyl, "_coset_orbit", refuse_regular)
+    system, theta = _maximal(E7, 7)
+    ring = ChowRing(system, theta)
+    assert (ring.rank_total, ring.dim) == (56, 27)
+    top = ring.power(ring.hyperplane_class(7), 27)
+    assert ring._localization is not None
+    assert ring.degree(top) == _weyl_degree(system, theta)
+
+
+def test_table_bound_builds_e8_p1_and_refuses_e8_p2():
+    """The stated bound, on the orbit sizes alone: E8/P1 has 2160 fixed
+    points, E8/P2 has 17280."""
+    p1, p2 = (weyl._orbit_size(*_maximal(E8, node)) for node in (1, 2))
+    assert (p1, p2) == (2160, 17280)
+    assert p1 * p1 <= schubert.MAX_LOCALIZATION_TABLE < p2 * p2
+
+
+def test_engine_above_the_table_bound_is_refused(monkeypatch):
+    """With the bound one below |W^P|^2 the engine raises before it
+    computes a single restriction; at the bound it builds."""
+    def refuse(*args):
+        raise AssertionError("the engine started building")
+
+    ring = ChowRing(root_system("B3"), ())   # uncached, engine not built
+    monkeypatch.setattr(schubert, "MAX_LOCALIZATION_TABLE", 48 * 48 - 1)
+    monkeypatch.setattr(schubert._LocalizationEngine, "_restrictions", refuse)
+    with pytest.raises(ValueError, match="48 fixed points needs a table of 2304 "
+                                         "entries, more than the 2303"):
+        ring.localization
+    assert ring._localization is None
+    monkeypatch.undo()
+    monkeypatch.setattr(schubert, "MAX_LOCALIZATION_TABLE", 48 * 48)
+    assert ring.localization.product(ring.unit_class, ring.point_class) == {
+        ring.point_class: 1}

@@ -34,7 +34,8 @@ def test_mixed_systems_rejected():
     ("A1", 2), ("A2", 6), ("B2", 8), ("G2", 12), ("B3", 48), ("F4", 1152),
 ])
 def test_group_orders(name, order):
-    assert get_weyl_group(root_system(name)).order == order
+    group = get_weyl_group(root_system(name))
+    assert group.order == len(group.elements) == order
 
 
 def test_longest_element_f4(f4_group):
@@ -281,7 +282,7 @@ def test_coset_orbit_is_shared_per_normalized_theta(f4):
 @pytest.mark.parametrize("name", sorted(BUILTIN_CARTAN))
 def test_weyl_order_cli_matches_enumeration(name, capsys):
     assert main(["weyl", "order", "--type", name]) == 0
-    assert capsys.readouterr().out == f"{get_weyl_group(root_system(name)).order}\n"
+    assert capsys.readouterr().out == f"{len(get_weyl_group(root_system(name)).elements)}\n"
 
 
 def test_enumeration_above_the_bound_is_refused(f4, monkeypatch):
@@ -295,8 +296,10 @@ def test_enumeration_above_the_bound_is_refused(f4, monkeypatch):
     with pytest.raises(ValueError, match="1152 elements, more than the 1000"):
         group.index_of(group.identity)
     assert walked == []
-    monkeypatch.setattr(weyl, "MAX_ENUMERATION", 1152)
     assert group.order == 1152
+    assert walked == []
+    monkeypatch.setattr(weyl, "MAX_ENUMERATION", 1152)
+    assert len(group.elements) == 1152
     assert walked == [()]
 
 
