@@ -219,13 +219,25 @@ def fixture_congruence(kind: str, eps: int) -> Correspondence | tuple:
     return tuple(build(items) for items in data["rho"])
 
 
+class IdempotentMismatch(Exception):
+    """A reduced composition is not congruent mod 3 to its displayed cycle.
+
+    A mathematical FAIL, not an internal fault; ``witness`` names the index
+    i, the displayed cycle (p' or q') and the reduced composition.
+    """
+
+    def __init__(self, message: str, i: int, cycle: str, reduced: Correspondence):
+        super().__init__(message)
+        self.witness = {"i": i, "cycle": cycle, "reduced": corr.to_jsonable(reduced)}
+
+
 @lru_cache(maxsize=None)
 def compute_idempotents(eps: int) -> tuple[tuple[Correspondence, ...], tuple[Correspondence, ...]]:
     """Balanced mod-3 reductions of rho_{7-i}^t o rho_i and rho_i o rho_{7-i}^t.
 
-    They are asserted congruent to the displayed cycles; the displayed
-    (exact integral) cycles are what downstream consumers get via
-    :func:`fixture_idempotents`.
+    They are asserted congruent to the displayed cycles, else
+    :class:`IdempotentMismatch`; the displayed (exact integral) cycles are
+    what downstream consumers get via :func:`fixture_idempotents`.
     """
     _check_eps(eps)
     p_fix, q_fix = fixture_idempotents()
@@ -236,11 +248,13 @@ def compute_idempotents(eps: int) -> tuple[tuple[Correspondence, ...], tuple[Cor
         p_cand = corr.mod_reduce(corr.compose(rho_mate_t, rho_i), 3)
         q_cand = corr.mod_reduce(corr.compose(rho_i, rho_mate_t), 3)
         if not corr.congruent(p_cand, p_fix[i], 3):
-            raise RuntimeError(f"composition rho_{7-i}^t o rho_{i} is not "
-                               f"congruent to the displayed cycle p'_{i}")
+            raise IdempotentMismatch(f"composition rho_{7-i}^t o rho_{i} is not "
+                                     f"congruent to the displayed cycle p'_{i}",
+                                     i, "p'", p_cand)
         if not corr.congruent(q_cand, q_fix[i], 3):
-            raise RuntimeError(f"composition rho_{i} o rho_{7-i}^t is not "
-                               f"congruent to the displayed cycle q'_{i}")
+            raise IdempotentMismatch(f"composition rho_{i} o rho_{7-i}^t is not "
+                                     f"congruent to the displayed cycle q'_{i}",
+                                     i, "q'", q_cand)
         p_out.append(p_cand)
         q_out.append(q_cand)
     return tuple(p_out), tuple(q_out)
@@ -448,8 +462,8 @@ def check_rho_congruences(eps: int):
 def check_idempotent_congruences(eps: int):
     try:
         compute_idempotents(eps)
-    except RuntimeError as exc:
-        return False, str(exc), None
+    except IdempotentMismatch as exc:
+        return False, str(exc), exc.witness
     return (True, f"rho_(7-i)^t o rho_i and rho_i o rho_(7-i)^t are congruent "
             f"mod 3 to the displayed p'_i, q'_i (eps={eps:+d})", None)
 

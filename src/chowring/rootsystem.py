@@ -3,9 +3,12 @@
 All arithmetic is exact.  A root is an integer coordinate vector in the
 simple-root basis, a weight is an integer coordinate vector in the
 fundamental-weight basis, and the invariant bilinear form is carried by a
-rational symmetrizer.  The closure construction needs nothing beyond the
-Cartan matrix, so any finite-type matrix is accepted, not only the named
-ones used by the F4 pipeline.
+rational symmetrizer.  The form, scaled to integers, is used once per
+root, to build the integer coordinates of its coroot in the simple
+coroots; every coroot pairing is then an integer dot product.  The
+closure construction needs nothing beyond the Cartan matrix, so any
+finite-type matrix is accepted, not only the named ones used by the F4
+pipeline.
 
 Convention: ``cartan.entries[i][j]`` is the pairing of simple root j
 against simple coroot i.  Consequently the expansion of the simple root
@@ -20,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from pathlib import Path
 
 Root = tuple[int, ...]
@@ -141,8 +145,8 @@ class RootSystem:
         self.positive_roots = positive_roots
         self.labels = labels
         self._sym = _symmetrizer(cartan)
-        self._positive_set = frozenset(positive_roots)
         self._check_reflection_convention()
+        self._coroots = self._coroot_table()
 
     # -- construction helpers -------------------------------------------
 
@@ -155,6 +159,31 @@ class RootSystem:
                     "reflection convention broken: s_i(alpha_i) != -alpha_i "
                     "(transposed Cartan matrix?)")
 
+    def _coroot_table(self) -> dict[Root, Root]:
+        """root -> beta^vee in the simple coroots, for every root, positive
+        or negative.  alpha_k = d_k alpha_k^vee, so the k-th coordinate of
+        beta^vee = 2 beta / (beta, beta) is 2 d_k beta_k / (beta, beta).
+        The form is scaled to integers, d_k = e_k / m, and each coordinate
+        is asserted to be an integer."""
+        m = lcm(*(d.denominator for d in self._sym))
+        e = [int(d * m) for d in self._sym]
+        c = self.cartan.entries
+        n = self.rank
+        table: dict[Root, Root] = {}
+        for beta in self.positive_roots:
+            # m (beta, beta)
+            norm = sum(beta[i] * e[i] * c[i][j] * beta[j]
+                       for i in range(n) if beta[i] for j in range(n) if beta[j])
+            coroot = []
+            for k in range(n):
+                q, r = divmod(2 * e[k] * beta[k], norm)
+                if r:
+                    raise ArithmeticError(f"non-integral coroot of {beta}")
+                coroot.append(q)
+            table[beta] = tuple(coroot)
+            table[tuple(-x for x in beta)] = tuple(-x for x in coroot)
+        return table
+
     # -- roots ------------------------------------------------------------
 
     def simple_root(self, i: int) -> Root:
@@ -165,8 +194,7 @@ class RootSystem:
         return all(x >= 0 for x in root) and any(x != 0 for x in root)
 
     def is_root(self, root: Root) -> bool:
-        return root in self._positive_set or \
-            tuple(-x for x in root) in self._positive_set
+        return tuple(root) in self._coroots
 
     @staticmethod
     def height(root: Root) -> int:
@@ -200,29 +228,23 @@ class RootSystem:
     def norm2(self, root: Root) -> Fraction:
         return self.bilinear(root, root)
 
-    def coroot_pairing(self, beta: Root, omega: Weight) -> int:
-        """<beta^vee, omega> for a root beta and a weight omega.
-
-        Expands beta^vee in the simple coroots; the result is always an
-        integer for genuine roots and weights.
-        """
-        if not self.is_root(beta):
+    def coroot(self, beta: Root) -> Root:
+        """beta^vee in the simple-coroot basis, integer coordinates."""
+        coroot = self._coroots.get(tuple(beta))
+        if coroot is None:
             raise ValueError(f"{beta} is not a root of this system")
-        norm = self.norm2(beta)
-        total = Fraction(0)
-        for k in range(self.rank):
-            if beta[k] and omega[k]:
-                total += omega[k] * beta[k] * 2 * self._sym[k] / norm
-        if total.denominator != 1:
-            raise ArithmeticError(f"non-integral coroot pairing {total}")
-        return int(total)
+        return coroot
+
+    def coroot_pairing(self, beta: Root, omega: Weight) -> int:
+        """<beta^vee, omega> for a root beta and a weight omega: the dot
+        product of beta^vee, in the simple coroots, with omega, in the
+        fundamental weights."""
+        return sum(c * x for c, x in zip(self.coroot(beta), omega))
 
     def root_coroot_pairing(self, alpha: Root, beta: Root) -> int:
-        """<alpha, beta^vee> = 2(alpha, beta)/(beta, beta) for roots."""
-        value = 2 * self.bilinear(alpha, beta) / self.norm2(beta)
-        if value.denominator != 1:
-            raise ArithmeticError(f"non-integral Cartan pairing {value}")
-        return int(value)
+        """<alpha, beta^vee> = 2(alpha, beta)/(beta, beta) for roots: the
+        coroot pairing of beta with alpha expanded in the weights."""
+        return self.coroot_pairing(beta, self.root_to_weight(alpha))
 
     # -- weights ------------------------------------------------------------
 

@@ -13,12 +13,15 @@ Four multiplication routes are implemented:
 * ``chevalley_mult`` multiplies by the codimension-1 class through
   Chevalley's rule, the sum over positive roots beta with
   l(w*s_beta) = l(w) - 1, weighted by the coroot pairing
-  <beta^vee, omega_alpha>.  It is read off the orbit without multiplying
-  Weyl elements: for beta with w(beta) < 0 the coset of w*s_beta is the
-  point of the weight w rho_P - <rho_P, beta^vee> w(beta), and the term is
-  kept when that point lies one step nearer rho_P than w's.  One row is
-  memoized per (node, class); the tests hold the rows to the Weyl-element
-  products w*s_beta;
+  <beta^vee, omega_alpha>.  It is read off integer tables, without
+  multiplying Weyl elements or applying them to roots: w(beta) =
+  v(w_theta beta) is one entry of the orbit's root-image table
+  (``CosetOrbit.root_images``), whose index also gives its sign, and for
+  w(beta) < 0 the coset of w*s_beta is the point of the weight
+  w rho_P - <rho_P, beta^vee> w(beta), kept when that point lies one step
+  nearer rho_P than w's.  The pairings are integer dot products with the
+  root system's coroot table.  One row is memoized per (node, class); the
+  tests hold the rows to the Weyl-element products w*s_beta;
 * ``pair_product``, ``multiply`` and ``power`` handle arbitrary products by
   localization on the fixed points W^theta of G/P (orbit of rho_P, Billey's
   restriction formula, Atiyah-Bott integration by support in exact
@@ -73,7 +76,7 @@ from types import MappingProxyType
 
 from . import weyl as _weyl
 from .poly import RationalPolynomial, _calculus, _raw_add_into, _raw_delta, _raw_scale
-from .rootsystem import Root, RootSystem
+from .rootsystem import RootSystem
 from .weyl import WeylElement, WeylGroup, get_weyl_group
 
 
@@ -445,6 +448,10 @@ class _LocalizationEngine:
         e(x) = product over gamma in Phi+ minus Phi+_theta of (-x gamma),
 
     with every root evaluated exactly at an integer point alpha_i -> p_i.
+    Roots are handled by their index in the system's
+    :class:`~chowring.weyl.RootIndex`, each evaluated once: the r_j of x
+    follow from its parent's by one table step, and the images x gamma are
+    the orbit's ``root_images``.
     Both points are positive, so no root vanishes on them and each
     restriction is positive on the Bruhat interval below x.
     A product a*b integrates by support, in integers: one pass over the x
@@ -471,20 +478,30 @@ class _LocalizationEngine:
         self.up = orbit.up
         self.points = (tuple(range(1, n + 1)),
                        tuple(k * k + 1 for k in range(1, n + 1)))
-        tangent = tuple(g for g in system.positive_roots
+        table = orbit.roots
+        # every root, by its index in the root table, at each evaluation point
+        self.values = tuple(tuple(sum(c * x for c, x in zip(r, p)) for p in self.points)
+                            for r in table.roots)
+        tangent = tuple(b for b, g in enumerate(system.positive_roots)
                         if any(g[i - 1] for i in range(1, n + 1) if i not in ring.theta))
-        # The roots r_j of each point, from its parent's: parents are one
-        # step shorter, so they come first in orbit order.
-        factors: list[tuple] = []
+        # The roots r_j of each point, by index, from its parent's: parents
+        # are one step shorter, so they come first in orbit order.
+        factors: list[tuple[int, ...]] = []
         for word, parent in zip(orbit.words, orbit.parents):
-            factors.append(() if parent < 0 else (system.simple_root(word[0]),) + tuple(
-                system.reflect_root(word[0], r) for r in factors[parent]))
-        images = [tuple(_weyl.act_root(x, g) for g in tangent) for x in orbit.minimal]
+            if parent < 0:
+                factors.append(())
+                continue
+            a = word[0]
+            factors.append((table.index[system.simple_root(a)],) + tuple(
+                map(table.steps[a - 1].__getitem__, factors[parent])))
         self.restrictions = [self._restrictions(word, roots)
                              for word, roots in zip(orbit.words, factors)]
-        # Atiyah-Bott weights: 1/e(x) = scale[x] / lcms, per point.
-        euler = [tuple(prod(-self._value(g, p) for g in imgs) for p in self.points)
-                 for imgs in images]
+        # Atiyah-Bott weights: 1/e(x) = scale[x] / lcms, per point, with the
+        # tangent images x(gamma) read off the orbit's root-image table.
+        values = self.values
+        euler = [tuple(prod(-values[img[b]][t] for b in tangent)
+                       for t in range(len(self.points)))
+                 for img in orbit.root_images]
         self.lcms = tuple(lcm(*(abs(e[t]) for e in euler))
                           for t in range(len(self.points)))
         self.scales = [tuple(m // e_t for m, e_t in zip(self.lcms, e)) for e in euler]
@@ -497,13 +514,10 @@ class _LocalizationEngine:
         # that class's dual lives at opposite[opposite[v]] = v
         self.classes = ring._at_point
 
-    @staticmethod
-    def _value(root, point) -> int:
-        return sum(c * p for c, p in zip(root, point))
-
     def _restrictions(self, word, roots) -> dict[int, tuple[int, ...]]:
-        """sigma^v|_x at each point for every v <= x, keyed by v's index."""
-        values = [tuple(self._value(r, p) for p in self.points) for r in roots]
+        """sigma^v|_x at each point for every v <= x, keyed by v's index;
+        ``roots`` are the r_j of x as root-table indices."""
+        values = [self.values[r] for r in roots]
         states = {0: (1,) * len(self.points)}
         for a, r in zip(reversed(word), reversed(values)):
             # s_a only moves states with <lambda, alpha_a^vee> > 0 to states
@@ -611,9 +625,11 @@ class ChowRing:
         self._hyperplanes = {a: at_point[opposite[p]]
                              for a, p in self.orbit.up[0].items()}
         self._hyperplane_nodes = {c: a for a, c in self._hyperplanes.items()}
-        # node -> (beta, <beta^vee, omega_node>, <rho_P, beta^vee>), and
-        # (node, class) -> Chevalley row, both filled on first use
-        self._chevalley_betas: dict[int, tuple[tuple[Root, int, int], ...]] = {}
+        # node -> (index of w_theta beta, <beta^vee, omega_node>,
+        # <rho_P, beta^vee>) per positive root beta with a nonzero
+        # coefficient, and (node, class) -> Chevalley row, both filled on
+        # first use
+        self._chevalley_betas: dict[int, tuple[tuple[int, int, int], ...]] = {}
         self._chevalley_rows: dict[tuple[int, SchubertClass],
                                    dict[SchubertClass, int]] = {}
 
@@ -729,14 +745,20 @@ class ChowRing:
 
         Chevalley's rule: [X_w] * H_node is the sum of <beta^vee, omega_node>
         [X_{w s_beta}] over positive roots beta with l(w s_beta) = l(w) - 1.
-        It is read off the orbit of rho_P without multiplying Weyl
-        elements: the class at point p has weight lambda = w rho_P, and for
-        beta with w(beta) < 0 the coset of w s_beta is the point of
-        lambda - <rho_P, beta^vee> w(beta); the term is kept when that point
-        lies one step closer to rho_P than p.  Rows are memoized per (node,
-        class).  The test suite holds this route to the Weyl-element
-        products w s_beta on every quotient of rank <= 3 and on the F4
-        quotients with at least two nodes in theta.
+        It is read off the orbit of rho_P by index, without Weyl-element
+        arithmetic.  Per node, one tuple holds, for each positive root beta
+        with <beta^vee, omega_node> != 0, the index of w_theta beta, that
+        coefficient and <rho_P, beta^vee>, integer dot products with the
+        coroot table.  The class at point p, w = v w_theta, has weight
+        lambda = w rho_P, and w(beta) = v(w_theta beta) is an entry of the
+        orbit's ``root_images[p]``, negative exactly when its index is not
+        below the number of positive roots.  For such beta the coset of
+        w s_beta is the point of lambda - <rho_P, beta^vee> w(beta); the
+        term is kept when that point lies one step closer to rho_P than p.
+        Rows are memoized per (node, class).  The test suite holds this
+        route to the Weyl-element products w s_beta on every quotient of
+        rank <= 3, of A4 and of D4, and on the F4 quotients with at least
+        two nodes in theta.
         """
         if node in self.theta:
             raise ValueError(f"node {node} lies in theta")
@@ -752,25 +774,37 @@ class ChowRing:
         if row is not None:
             return row
         self.class_position(cls)
-        roots = self._chevalley_betas.get(node)
-        if roots is None:
-            # weights[0] is rho_P itself
-            rho_p = self.orbit.weights[0]
-            roots = self._chevalley_betas[node] = tuple(
-                (beta, coeff, self.system.coroot_pairing(beta, rho_p))
-                for beta, coeff in _chevalley_roots(self.system, node))
-        system = self.system
         orbit = self.orbit
-        lam = orbit.weights[cls.point]
-        target_depth = len(orbit.words[cls.point]) - 1
+        table = orbit.roots
+        betas = self._chevalley_betas.get(node)
+        if betas is None:
+            system = self.system
+            # w_theta = s_a1 ... s_ak acts on a root index right letter first
+            word = _weyl.reduced_word(self.w_theta)[::-1]
+            rho_p = orbit.weights[0]
+            out = []
+            for b, beta in enumerate(system.positive_roots):
+                coeff = system.coroot(beta)[node - 1]
+                if coeff:
+                    shift = system.coroot_pairing(beta, rho_p)
+                    for a in word:
+                        b = table.steps[a - 1][b]
+                    out.append((b, coeff, shift))
+            betas = self._chevalley_betas[node] = tuple(out)
+        p = cls.point
+        lam = orbit.weights[p]
+        # w(beta) = v(w_theta beta), v the minimal representative at p
+        image = orbit.root_images[p]
+        positive, weights = table.positive, table.weights
+        point_of, words = orbit.point_of, orbit.words
+        target_depth = len(words[p]) - 1
         row = {}
-        for beta, coeff, shift in roots:
-            image = _weyl.act_root(cls.rep, beta)
-            if system.is_positive(image):
+        for b, coeff, shift in betas:
+            r = image[b]
+            if r < positive:
                 continue
-            mu = tuple(a - shift * b for a, b in zip(lam, system.root_to_weight(image)))
-            q = orbit.point_of[mu]
-            if len(orbit.words[q]) == target_depth:
+            q = point_of[tuple(x - shift * y for x, y in zip(lam, weights[r]))]
+            if len(words[q]) == target_depth:
                 target = self._at_point[q]
                 row[target] = row.get(target, 0) + coeff
         self._chevalley_rows[key] = row
@@ -912,19 +946,6 @@ class ChowRing:
 
     def __repr__(self) -> str:
         return f"ChowRing(theta={self.theta}, dim={self.dim}, rank={self.rank_total})"
-
-
-@lru_cache(maxsize=None)
-def _chevalley_roots(system: RootSystem, node: int) -> tuple[tuple[Root, int], ...]:
-    """(beta, <beta^vee, omega_node>) for every positive root with a nonzero
-    pairing, in canonical root order."""
-    omega = system.fundamental_weight(node)
-    out = []
-    for beta in system.positive_roots:
-        coeff = system.coroot_pairing(beta, omega)
-        if coeff:
-            out.append((beta, coeff))
-    return tuple(out)
 
 
 @lru_cache(maxsize=None)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import prod
 
-from .rootsystem import Root, RootSystem
+from .rootsystem import Root, RootSystem, Weight
 
 # The largest Weyl group :class:`WeylGroup` enumerates and the largest coset
 # orbit :func:`coset_orbit` walks: W(E6), 51840 elements, still runs;
@@ -244,20 +244,40 @@ def _opposition(system: RootSystem) -> tuple[int, ...]:
                  for img in longest_element(system).images)
 
 
+@dataclass(frozen=True, eq=False)
+class RootIndex:
+    """The roots of one system by index: the positive roots in the system's
+    order, then their negatives in the same order, so index r is positive
+    exactly when r < ``positive``.  Per index, ``roots[r]`` is the root
+    (one shared tuple) and ``weights[r]`` its expansion in the fundamental
+    weights; ``steps[a - 1][r]`` is the index of s_a roots[r].
+    """
+
+    roots: tuple[Root, ...]
+    index: dict[Root, int]
+    positive: int
+    weights: tuple[Weight, ...]
+    steps: tuple[tuple[int, ...], ...]
+
+
 @lru_cache(maxsize=None)
-def _root_steps(system: RootSystem) -> dict[Root, tuple[Root, ...]]:
-    """root -> (s_1 root, ..., s_n root) for every root, positive or
-    negative; each root in the table is one shared tuple."""
-    roots = {r: r for beta in system.positive_roots
-             for r in (beta, tuple(-x for x in beta))}
-    return {r: tuple(roots[system.reflect_root(a, r)] for a in range(1, system.rank + 1))
-            for r in roots}
+def root_index(system: RootSystem) -> RootIndex:
+    """The shared :class:`RootIndex` of a system."""
+    positive = system.positive_roots
+    roots = positive + tuple(tuple(-x for x in beta) for beta in positive)
+    index = {r: k for k, r in enumerate(roots)}
+    steps = tuple(tuple(index[system.reflect_root(a, r)] for r in roots)
+                  for a in range(1, system.rank + 1))
+    return RootIndex(roots, index, len(positive),
+                     tuple(system.root_to_weight(r) for r in roots), steps)
 
 
-def _step_left(w: WeylElement, a: int, steps: dict) -> WeylElement:
+def _step_left(w: WeylElement, a: int, table: RootIndex) -> WeylElement:
     """s_a w for s_a w one longer than w, s_a on w's images read off the
-    ``_root_steps`` table."""
-    return WeylElement(w.system, tuple(steps[r][a - 1] for r in w.images), w.length + 1)
+    root index."""
+    roots, index, step = table.roots, table.index, table.steps[a - 1]
+    return WeylElement(w.system, tuple(roots[step[index[r]]] for r in w.images),
+                       w.length + 1)
 
 
 class CosetOrbit:
@@ -277,6 +297,10 @@ class CosetOrbit:
     that puts one letter in front of the word of ``parents[k]`` (-1 for
     rho_P); ``up[k]``, a -> the point of s_a v for every upward move;
     ``opposite[k]``, the point of w0 v, whose weight is w0 v rho_P.
+    ``roots`` is the system's :class:`RootIndex`, and ``root_images[k]``,
+    built on first read, holds the index of v(beta) for every positive
+    root beta; the image under the maximal representative is
+    v w_theta(beta) = v(w_theta beta), the entry at the index of w_theta beta.
 
     The walk builds both representatives of s_a v from those of v by one
     left reflection each, one step longer.  It asserts the orbit size and,
@@ -291,7 +315,7 @@ class CosetOrbit:
         # weight -> (v, v w_theta, word of v, weight of the parent), and
         # weight -> {a: weight of s_a v} over the upward moves, breadth first
         e = identity(system)
-        steps = _root_steps(system)
+        self.roots = table = root_index(system)
         found = {rho_p: (e, longest_element(system, theta) if theta else e, (), None)}
         moves: dict[tuple[int, ...], dict[int, tuple[int, ...]]] = {}
         frontier = [rho_p]
@@ -303,8 +327,8 @@ class CosetOrbit:
                     continue
                 mu = up[a] = system.reflect_weight(a, lam)
                 if mu not in found:
-                    sv = _step_left(v, a, steps)
-                    found[mu] = (sv, _step_left(w, a, steps) if theta else sv,
+                    sv = _step_left(v, a, table)
+                    found[mu] = (sv, _step_left(w, a, table) if theta else sv,
                                  (a,) + word, lam)
                     frontier.append(mu)
         if len(found) != _orbit_size(system, theta):
@@ -328,6 +352,22 @@ class CosetOrbit:
         sigma = _opposition(system)
         self.opposite = tuple(index[tuple(-lam[j] for j in sigma)]
                               for lam in self.weights)
+        self._root_images: tuple[tuple[int, ...], ...] | None = None
+
+    @property
+    def root_images(self) -> tuple[tuple[int, ...], ...]:
+        """Per point k, the index in ``roots`` of v(beta), v = ``minimal[k]``,
+        for each positive root beta in the system's order; built on the
+        first read.  v = s_a u with u the parent's representative and a the
+        first letter of ``words[k]``, so the entry is s_a applied by index
+        to the parent's entry, one table step per root."""
+        if self._root_images is None:
+            steps = self.roots.steps
+            images = [tuple(range(self.roots.positive))]   # point 0 is e
+            for word, parent in zip(self.words[1:], self.parents[1:]):
+                images.append(tuple(map(steps[word[0] - 1].__getitem__, images[parent])))
+            self._root_images = tuple(images)
+        return self._root_images
 
 
 @lru_cache(maxsize=None)

@@ -8,38 +8,71 @@ root beta with w(beta) < 0 and keeps the terms with l(w s_beta) =
 l(w) - 1, which must index classes of the ring.
 """
 
+from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
 import pytest
 
 from chowring import weyl
-from chowring.rootsystem import root_system
+from chowring.rootsystem import CartanMatrix, build_root_system, root_system
 from chowring.schubert import ChowElement, SubringError, get_chow_ring
 
-# Every quotient of the rank <= 3 types and the F4 quotients with at least
-# two nodes in theta, 3418 products in all; F4/B and the F4 quotients with
-# one node in theta would take the Weyl-element route about 12 s more.
+# Simply-laced types the built-in ones lack, Bourbaki numbering; D4 has
+# node 2 in the middle.
+DECLARED = {
+    "A4": ((2, -1, 0, 0), (-1, 2, -1, 0), (0, -1, 2, -1), (0, 0, -1, 2)),
+    "D4": ((2, -1, 0, 0), (-1, 2, -1, -1), (0, -1, 2, 0), (0, -1, 0, 2)),
+}
+
+# Every quotient of the rank <= 3 types, the F4 quotients with at least
+# two nodes in theta, and every quotient of A4 and of D4; F4/B and the F4
+# quotients with one node in theta would take the Weyl-element route about
+# 12 s more.
 QUOTIENTS = [(name, theta)
              for name, rank in (("A1", 1), ("A2", 2), ("B2", 2), ("G2", 2),
-                                ("B3", 3), ("F4", 4))
+                                ("B3", 3), ("F4", 4), ("A4", 4), ("D4", 4))
              for size in range(2 if name == "F4" else 0, rank)
              for theta in combinations(range(1, rank + 1), size)]
 
 
 @lru_cache(maxsize=None)
+def _system(name):
+    if name in DECLARED:
+        return build_root_system(CartanMatrix(DECLARED[name]))
+    return root_system(name)
+
+
+def _coroot_pairing(system, beta, alpha):
+    """2 (alpha, beta) / (beta, beta) by the Fraction form."""
+    value = 2 * system.bilinear(alpha, beta) / system.norm2(beta)
+    assert value.denominator == 1
+    return int(value)
+
+
+@lru_cache(maxsize=None)
 def _reflection(system, beta):
-    return weyl.reflection(system, beta)
+    """s_beta from its images s_beta(alpha_j) = alpha_j - <alpha_j, beta^vee> beta."""
+    images = []
+    for j in range(1, system.rank + 1):
+        alpha = system.simple_root(j)
+        k = _coroot_pairing(system, beta, alpha)
+        images.append(tuple(a - k * b for a, b in zip(alpha, beta)))
+    return weyl._element(system, tuple(images))
 
 
 def weyl_chevalley(ring, node, cls):
     """[X_w] * H_node as the sum of <beta^vee, omega_node> [X_{w s_beta}]
-    over positive roots beta with l(w s_beta) = l(w) - 1."""
+    over positive roots beta with l(w s_beta) = l(w) - 1.  The coefficient
+    is beta_node (alpha_node, alpha_node) / (beta, beta) by the Fraction
+    form, apart from the ring's integer coroot table."""
     system = ring.system
-    omega = system.fundamental_weight(node)
+    alpha = system.simple_root(node)
     acc = {}
     for beta in system.positive_roots:
-        coeff = system.coroot_pairing(beta, omega)
+        coeff = Fraction(beta[node - 1]) * system.norm2(alpha) / system.norm2(beta)
+        assert coeff.denominator == 1
+        coeff = int(coeff)
         if not coeff or system.is_positive(weyl.act_root(cls.rep, beta)):
             continue
         w = weyl.multiply(cls.rep, _reflection(system, beta))
@@ -56,7 +89,7 @@ def weyl_chevalley(ring, node, cls):
 
 @pytest.mark.parametrize("name,theta", QUOTIENTS)
 def test_orbit_chevalley_matches_weyl_products(name, theta):
-    ring = get_chow_ring(root_system(name), theta)
+    ring = get_chow_ring(_system(name), theta)
     for node in range(1, ring.system.rank + 1):
         if node in ring.theta:
             continue

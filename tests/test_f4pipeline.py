@@ -4,6 +4,7 @@ import pytest
 
 from chowring import correspondence as corr
 from chowring import f4pipeline as pipe
+from chowring.schubert import SubringError
 
 
 def test_labeled_rings_dimensions(x1, x4):
@@ -149,3 +150,51 @@ def test_report_failure_carries_witness(x1):
     assert "witness" in report.to_text()
     payload = json.loads(report.to_json())
     assert payload["checks"][0]["witness"] == {"got": "x"}
+
+
+@pytest.fixture
+def fresh_idempotents(monkeypatch):
+    """monkeypatch, with the idempotent caches cleared before the test and
+    again before its patches are undone."""
+    pipe.fixture_idempotents.cache_clear()
+    pipe.compute_idempotents.cache_clear()
+    yield monkeypatch
+    pipe.fixture_idempotents.cache_clear()
+    pipe.compute_idempotents.cache_clear()
+
+
+def _check_congruences(eps):
+    return pipe._run(pipe.VerificationReport(), "idempotent-congruences",
+                     lambda: pipe.check_idempotent_congruences(eps))
+
+
+def test_engine_fault_in_idempotent_congruences_is_error(fresh_idempotents):
+    """A SubringError is an engine fault: ERROR, never FAIL."""
+    def broken(i, eps):
+        raise SubringError("product left the subring at s1")
+
+    fresh_idempotents.setattr(pipe, "build_rho", broken)
+    result = _check_congruences(1)
+    assert result.status == "ERROR"
+    assert result.detail == "SubringError: product left the subring at s1"
+    assert result.witness is None
+
+
+def test_corrupted_idempotent_cycle_fails_with_witness(fresh_idempotents):
+    """One coefficient of the displayed q'_2 off by one: FAIL, and the
+    witness holds i, the cycle and the reduced composition."""
+    reduced = corr.to_jsonable(pipe.compute_idempotents(1)[1][2])
+    data = json.loads(pipe._data_text("idempotent_cycles.json"))
+    data["q"][2][0]["coeff"] += 1
+    text = json.dumps(data)
+    real = pipe._data_text
+    fresh_idempotents.setattr(
+        pipe, "_data_text",
+        lambda name: text if name == "idempotent_cycles.json" else real(name))
+    pipe.fixture_idempotents.cache_clear()
+    pipe.compute_idempotents.cache_clear()
+    result = _check_congruences(1)
+    assert result.status == "FAIL"
+    assert result.detail == ("composition rho_2 o rho_5^t is not congruent to "
+                             "the displayed cycle q'_2")
+    assert result.witness == {"i": 2, "cycle": "q'", "reduced": reduced}

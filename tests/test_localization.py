@@ -100,8 +100,10 @@ def test_hyperplane_degree_matches_weyl_formula(name):
 
 
 def test_products_never_build_a_polynomial(f4, x1, monkeypatch):
-    """pair_product and intersect run on localization alone, and the engine
-    reads no table of the enumerated Weyl group."""
+    """pair_product and intersect run on localization alone, the engine
+    reads no table of the enumerated Weyl group, and neither the engine
+    nor the Chevalley rows of its cross-check apply a Weyl element to a
+    root."""
     def refuse(*args, **kwargs):
         raise AssertionError("polynomial or Weyl group table used")
 
@@ -117,6 +119,7 @@ def test_products_never_build_a_polynomial(f4, x1, monkeypatch):
         monkeypatch.setattr(WeylGroup, attr, refuse)
     for attr in ("orbit", "elements"):
         monkeypatch.setattr(WeylGroup, attr, property(refuse))
+    monkeypatch.setattr(weyl, "act_root", refuse)
 
     def cls(label):
         return ring.class_of(x1.class_by_label(label).rep)
@@ -124,6 +127,8 @@ def test_products_never_build_a_polynomial(f4, x1, monkeypatch):
     h14 = cls("h1^4")
     assert ring.pair_product(h14, h14) == ChowElement(
         ring, {cls("h1^8"): 8, cls("h2^8"): 6})
+    # a hyperplane factor: the product is cross-checked against Chevalley
+    assert ring.pair_product(cls("h1^1"), h14) == ring.chevalley_mult(1, ring.element(h14))
     alpha = Correspondence(ring, ring, {(h14, ring.unit_class): 1})
     beta = Correspondence(ring, ring, {(h14, cls("h1^1")): 2})
     assert corr.intersect(alpha, beta) == Correspondence(

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from chowring.rootsystem import (BUILTIN_CARTAN, CartanMatrix,
@@ -109,3 +111,33 @@ def test_node_index_out_of_range(f4):
         f4.reflect_weight(0, (0, 0, 0, 0))
     with pytest.raises(ValueError):
         f4.reflect_weight(5, (0, 0, 0, 0))
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_CARTAN))
+def test_integer_coroots_match_the_fraction_form(name):
+    """beta^vee = 2 beta / (beta, beta) with alpha_k = (alpha_k, alpha_k)/2
+    alpha_k^vee, expanded by the Fraction form, for every root; and both
+    pairings against that expansion."""
+    system = root_system(name)
+    n = system.rank
+    simple = [system.simple_root(k) for k in range(1, n + 1)]
+    roots = system.positive_roots + tuple(tuple(-x for x in beta)
+                                          for beta in system.positive_roots)
+    for beta in roots:
+        norm = system.norm2(beta)
+        want = tuple(Fraction(b) * system.norm2(alpha) / norm
+                     for b, alpha in zip(beta, simple))
+        assert system.coroot(beta) == want
+        for j in range(1, n + 1):
+            omega = system.fundamental_weight(j)
+            assert system.coroot_pairing(beta, omega) == want[j - 1]
+        for alpha in roots:
+            assert system.root_coroot_pairing(alpha, beta) == \
+                2 * system.bilinear(alpha, beta) / norm
+
+
+def test_coroot_and_root_coroot_pairing_reject_non_roots(f4):
+    with pytest.raises(ValueError):
+        f4.coroot((1, 0, 0, 1))
+    with pytest.raises(ValueError):
+        f4.root_coroot_pairing(f4.simple_root(1), (2, 0, 0, 0))

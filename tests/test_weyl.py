@@ -369,3 +369,29 @@ def test_orbit_above_the_bound_is_usage_error(argv, monkeypatch, capsys):
                             "this program walks\n")
     assert main(argv + ["--theta", "2,3,4"]) == 0
     assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_CARTAN))
+def test_root_images_match_act_root(name):
+    """On every point of every quotient, the orbit's root-image table read
+    for the minimal representative v at beta, and for the maximal one v
+    w_theta at w_theta beta, against ``act_root``."""
+    system = root_system(name)
+    table = weyl.root_index(system)
+    roots, count = table.roots, table.positive
+    n = system.rank
+    for size in range(n + 1):
+        for theta in itertools.combinations(range(1, n + 1), size):
+            orbit = weyl.coset_orbit(system, theta)
+            w_theta = weyl.longest_element(system, theta)
+            flipped = [table.index[weyl.act_root(w_theta, beta)]
+                       for beta in system.positive_roots]
+            for k, image in enumerate(orbit.root_images):
+                v, w = orbit.minimal[k], orbit.maximal[k]
+                for b, beta in enumerate(system.positive_roots):
+                    assert roots[image[b]] == weyl.act_root(v, beta)
+                    # w_theta beta < 0 for beta in Phi_theta: v(-gamma) = -v(gamma)
+                    r = flipped[b]
+                    got = roots[image[r]] if r < count else \
+                        tuple(-x for x in roots[image[r - count]])
+                    assert got == weyl.act_root(w, beta)
