@@ -5,9 +5,7 @@ a verification pipeline for the two 15-dimensional F4 varieties."""
 from .correspondence import (Correspondence, compose, diagonal, intersect,
                              mod_reduce, realize, transpose)
 from .f4pipeline import get_f4_varieties, run_f4_verification
-from .poly import (RationalPolynomial, divided_difference,
-                   divided_difference_word, format_polynomial,
-                   parse_polynomial, positive_root_product, weyl_act)
+from .poly import RationalPolynomial, format_polynomial, parse_polynomial
 from .rootsystem import (CartanMatrix, InfiniteRootSystemError, RootSystem,
                          build_root_system, root_system)
 from .schubert import ChowElement, ChowRing, SchubertClass, get_chow_ring
@@ -19,9 +17,7 @@ __all__ = [
     "CartanMatrix", "RootSystem", "InfiniteRootSystemError",
     "build_root_system", "root_system",
     "WeylElement", "WeylGroup", "get_weyl_group",
-    "RationalPolynomial", "weyl_act", "divided_difference",
-    "divided_difference_word", "positive_root_product",
-    "format_polynomial", "parse_polynomial",
+    "RationalPolynomial", "format_polynomial", "parse_polynomial",
     "SchubertClass", "ChowElement", "ChowRing", "get_chow_ring",
     "Correspondence", "compose", "transpose", "diagonal", "intersect",
     "mod_reduce", "realize",

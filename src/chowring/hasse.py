@@ -1,4 +1,4 @@
-"""Labeled Hasse diagrams of parabolic quotients and their embeddings.
+"""Labeled Hasse and Pieri diagrams of parabolic quotients.
 
 Vertices are the minimal-length coset representatives, graded by length:
 the points of the quotient's :class:`~chowring.weyl.CosetOrbit`, in its
@@ -50,28 +50,6 @@ def build_hasse(group: WeylGroup, theta) -> HasseDiagram:
     edges = sorted((k, j, i) for k, moves in enumerate(orbit.up)
                    for i, j in moves.items())
     return HasseDiagram(orbit.theta, orbit.minimal, tuple(edges), "label")
-
-
-def embed_diagram(group: WeylGroup, theta_big, theta_small) -> dict[WeylElement, WeylElement]:
-    """Vertex map realizing H(theta_big) inside H(theta_small).
-
-    A minimal representative v maps to v * w_{theta_big} * w_{theta_small};
-    edges are preserved with their labels since the edge rule multiplies on
-    the left and the map is a right translation.
-    """
-    big = _weyl.coset_orbit(group.system, theta_big)
-    small = _weyl.coset_orbit(group.system, theta_small)
-    if not set(small.theta) <= set(big.theta):
-        raise ValueError("theta_small must be a subset of theta_big")
-    w_small = group.longest_parabolic(small.theta)
-    small_vertices = set(small.minimal)
-    mapping = {}
-    for v, v_max in zip(big.minimal, big.maximal):
-        image = _weyl.multiply(v_max, w_small)
-        if image not in small_vertices:
-            raise AssertionError("embedding left the target vertex set")
-        mapping[v] = image
-    return mapping
 
 
 def build_pieri_diagram(ring: ChowRing, node: int) -> HasseDiagram:

@@ -1,5 +1,5 @@
-"""Exact polynomials in fundamental-weight variables with the Weyl action
-and divided-difference operators.
+"""Exact polynomials in fundamental-weight variables and the divided
+difference kernel that the Giambelli engine runs on.
 
 Coefficients are exact rationals (Python ints or Fractions; the two mix
 freely and integer-only inputs stay integer, which keeps the long
@@ -13,8 +13,8 @@ telescoping identity
 where L_i = s_i(w_i) = w_i - alpha_i.  Since s_i fixes every variable
 except w_i, this reduces the operator to a per-monomial table lookup and
 no polynomial division is ever performed; the defining identity
-alpha_i * delta_i(u) == u - s_i(u) is enforced by the test suite instead
-of a remainder check.
+alpha_i * delta_i(u) == u - s_i(u) is enforced by the test suite, against
+its own Weyl action on polynomials, instead of a remainder check.
 
 Raw term dictionaries (packed monomial -> coefficient) are the working
 representation.  A monomial w1^e1 ... wn^en is one non-negative int: the
@@ -40,7 +40,6 @@ from fractions import Fraction
 from weakref import WeakKeyDictionary
 
 from .rootsystem import RootSystem
-from .weyl import WeylElement, reduced_word
 
 RawPoly = dict  # packed monomial (int) -> int | Fraction, zero coefficients absent
 
@@ -169,25 +168,6 @@ def _calculus(system: RootSystem) -> _Calculus:
     return calc
 
 
-def _raw_reflect(system: RootSystem, i: int, a: RawPoly) -> RawPoly:
-    """s_i(u): substitute w_i -> L_i, all other variables fixed."""
-    calc = _calculus(system)
-    i0 = i - 1
-    shift, mask, unit = calc.shifts[i0], calc.mask, calc.units[i0]
-    out: RawPoly = {}
-    get = out.get
-    for e, c in a.items():
-        k = (e >> shift) & mask
-        if not k:
-            out[e] = get(e, 0) + c
-            continue
-        rest = e - k * unit
-        for el, cl in calc.lin_pow(i0, k).items():
-            key = rest + el
-            out[key] = get(key, 0) + c * cl
-    return {e: c for e, c in out.items() if c}
-
-
 def _raw_delta(system: RootSystem, i: int, a: RawPoly) -> RawPoly:
     """Divided difference (u - s_i(u)) / alpha_i via the telescoped table."""
     calc = _calculus(system)
@@ -208,17 +188,6 @@ def _raw_delta(system: RootSystem, i: int, a: RawPoly) -> RawPoly:
             key = rest + ed
             out[key] = get(key, 0) + c * cd
     return {e: c for e, c in out.items() if c}
-
-
-def _raw_root_product(system: RootSystem) -> RawPoly:
-    """d, the product of all positive roots.  Not cached; the Giambelli
-    engine keeps its chains factored over the same ``root_forms`` and never
-    calls this."""
-    calc = _calculus(system)
-    acc: RawPoly = {0: 1}
-    for form in calc.root_forms:
-        acc = calc.mul(acc, form)
-    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -328,43 +297,6 @@ class RationalPolynomial:
 
     def __repr__(self) -> str:
         return f"RationalPolynomial({format_polynomial(self)!r})"
-
-
-# ---------------------------------------------------------------------------
-# operators
-
-
-def weyl_act(w: WeylElement, u: RationalPolynomial) -> RationalPolynomial:
-    """Ring automorphism induced by w acting on the weight lattice."""
-    if w.system is not u.system:
-        raise ValueError("element and polynomial live on different systems")
-    raw = u.raw
-    for i in reversed(reduced_word(w)):
-        raw = _raw_reflect(u.system, i, raw)
-    return RationalPolynomial._from_raw(u.system, raw)
-
-
-def divided_difference(i: int, u: RationalPolynomial) -> RationalPolynomial:
-    """delta_i(u) = (u - s_i(u)) / alpha_i, exact."""
-    u.system._check_node(i)
-    return RationalPolynomial._from_raw(u.system, _raw_delta(u.system, i, u.raw))
-
-
-def divided_difference_word(word, u: RationalPolynomial) -> RationalPolynomial:
-    """Composition delta_{a1} o ... o delta_{ak} (rightmost applied first).
-
-    The word does not need to be reduced; a repeated letter annihilates.
-    """
-    raw = u.raw
-    for i in reversed(tuple(word)):
-        u.system._check_node(i)
-        raw = _raw_delta(u.system, i, raw)
-    return RationalPolynomial._from_raw(u.system, raw)
-
-
-def positive_root_product(system: RootSystem) -> RationalPolynomial:
-    """Product of all positive roots, expanded in the weight variables."""
-    return RationalPolynomial._from_raw(system, _raw_root_product(system))
 
 
 # ---------------------------------------------------------------------------

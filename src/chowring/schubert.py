@@ -252,21 +252,7 @@ class _GiambelliEngine:
         self._factored: dict[int, tuple[frozenset[int], dict]] = {}
         # J -> the length of w_J, the longest element of W_J
         self._longest_lengths: dict[tuple[int, ...], int] = {}
-        # s_i on positive root indices, built on the first chain
-        self._moves: tuple[tuple[int, ...], ...] | None = None
         self._products: dict[tuple[int, int], dict[WeylElement, int]] = {}
-
-    def root_moves(self) -> tuple[tuple[int, ...], ...]:
-        """Per node i (0-based), the index of s_i beta for each index beta
-        of ``system.positive_roots``; -1 at alpha_i, whose image is negative."""
-        if self._moves is None:
-            system = self.system
-            roots = system.positive_roots
-            index = {beta: b for b, beta in enumerate(roots)}
-            self._moves = tuple(
-                tuple(index.get(system.reflect_root(i, beta), -1) for beta in roots)
-                for i in range(1, system.rank + 1))
-        return self._moves
 
     def delta_d(self, idx: int) -> dict:
         """delta_{w_idx}(d), expanded once from its factored chain value
@@ -277,9 +263,10 @@ class _GiambelliEngine:
         system = self.system
         calc = _calculus(system)
         mul, forms = calc.mul, calc.root_forms
-        moves = self.root_moves()
         # the orbit of rho is W: the first lift walks it, no ring build does
         orbit = self.group.orbit
+        # s_i on root indices; s_i alpha_i is negative, so never in a set S
+        moves = orbit.roots.steps
         elements, weights, point_of = orbit.minimal, orbit.weights, orbit.point_of
         memo = self._factored
         nodes = range(1, system.rank + 1)
@@ -536,16 +523,6 @@ class _LocalizationEngine:
         """The point sigma^v of ``cls`` lives at; ValueError for a foreign class."""
         self.ring.class_position(cls)
         return self.opposite[cls.point]
-
-    def integrals(self, classes) -> tuple[Fraction, ...]:
-        """deg of the product of ``classes``, one exact Atiyah-Bott sum per point."""
-        ks = [self._index(c) for c in classes]
-        sums = [0] * len(self.points)
-        for restriction, scale in zip(self.restrictions, self.scales):
-            if all(k in restriction for k in ks):
-                for t, m in enumerate(scale):
-                    sums[t] += m * prod(restriction[k][t] for k in ks)
-        return tuple(Fraction(s, m) for s, m in zip(sums, self.lcms))
 
     def product(self, a: SchubertClass, b: SchubertClass) -> dict[SchubertClass, int]:
         """[X_a]*[X_b] as class -> coefficient, integrated by support."""

@@ -1,22 +1,23 @@
-"""Weyl group arithmetic on top of a root system.
+"""Weyl groups of a root system, read as orbits of dominant weights.
 
 An element is stored by the images of the simple roots, which is a
 faithful representation giving canonical equality and hashing; reduced
-words are derived data.  Element-level operations (multiplication,
-reduced words, inverses, actions) are plain functions.  The
+words are derived data.  Elements are built in two ways only: by right
+multiplication with a simple reflection (words, parsing, longest
+elements) and by the one-step-longer left moves of an orbit walk.  The
 parabolic quotient W^theta is one :class:`CosetOrbit` per (system, theta),
 found as the orbit of rho_P without enumerating W; it fixes the coset
 representatives, their order, reduced words, the Hasse edges and the
-Poincare-duality involution for every module that reads W^theta.  The
-order of W and of its parabolic subgroups follows from the root heights.
-W itself is the orbit of theta = (), the orbit of rho: it is the one
-enumeration of W, and the :class:`WeylGroup` wrapper reads it as the
-canonical element list with an index lookup.
+Poincare-duality involution for every module that reads W^theta, and its
+:class:`RootIndex` tables apply elements to roots by index.  The order of
+W and of its parabolic subgroups follows from the root heights.  W itself
+is the orbit of theta = (), the orbit of rho: it is the one enumeration
+of W, and the :class:`WeylGroup` wrapper reads it as the canonical
+element list with an index lookup.
 
-Composition is functional: ``multiply(u, v)`` acts as u after v, and a
-word ``[a1, ..., ak]`` denotes ``s_a1 * s_a2 * ... * s_ak``.  Elements
-serialize as the deterministic reduced word, e.g. ``"s3 s2 s1"``, with
-the identity written ``"e"``.
+A word ``[a1, ..., ak]`` denotes ``s_a1 * s_a2 * ... * s_ak``, acting on
+roots right to left.  Elements serialize as the deterministic reduced
+word, e.g. ``"s3 s2 s1"``, with the identity written ``"e"``.
 """
 
 from __future__ import annotations
@@ -57,52 +58,6 @@ def identity(system: RootSystem) -> WeylElement:
     return WeylElement(system, images, 0)
 
 
-def simple_reflection(system: RootSystem, i: int) -> WeylElement:
-    images = tuple(system.reflect_root(i, system.simple_root(j))
-                   for j in range(1, system.rank + 1))
-    return WeylElement(system, images, 1)
-
-
-def reflection(system: RootSystem, beta: Root) -> WeylElement:
-    """Reflection in an arbitrary root, not necessarily simple."""
-    if not system.is_root(beta):
-        raise ValueError(f"{beta} is not a root")
-    images = []
-    for j in range(1, system.rank + 1):
-        alpha = system.simple_root(j)
-        k = system.root_coroot_pairing(alpha, beta)
-        images.append(tuple(alpha[t] - k * beta[t] for t in range(system.rank)))
-    return _element(system, tuple(images))
-
-
-def act_root(w: WeylElement, root: Root) -> Root:
-    """Apply w to a root given in simple-root coordinates (linear)."""
-    n = w.system.rank
-    acc = [0] * n
-    for j, coeff in enumerate(root):
-        if coeff:
-            img = w.images[j]
-            for t in range(n):
-                acc[t] += coeff * img[t]
-    return tuple(acc)
-
-
-def _element(system: RootSystem, images: tuple[Root, ...]) -> WeylElement:
-    """Build an element from its images, counting inversions for the length."""
-    probe = WeylElement(system, images, -1)
-    length = sum(1 for beta in system.positive_roots
-                 if not system.is_positive(act_root(probe, beta)))
-    return WeylElement(system, images, length)
-
-
-def multiply(u: WeylElement, v: WeylElement) -> WeylElement:
-    """Composition of actions: (u*v)(x) = u(v(x))."""
-    if u.system is not v.system:
-        raise ValueError("cannot multiply elements of different root systems")
-    images = tuple(act_root(u, v.images[j]) for j in range(u.system.rank))
-    return _element(u.system, images)
-
-
 def mult_simple_right(w: WeylElement, i: int) -> WeylElement:
     """w * s_i, with the length updated incrementally."""
     system = w.system
@@ -114,13 +69,6 @@ def mult_simple_right(w: WeylElement, i: int) -> WeylElement:
         for img, c in zip(w.images, col))
     delta = 1 if system.is_positive(base) else -1
     return WeylElement(system, images, w.length + delta)
-
-
-def mult_simple_left(w: WeylElement, i: int) -> WeylElement:
-    """s_i * w."""
-    system = w.system
-    images = tuple(system.reflect_root(i, img) for img in w.images)
-    return _element(system, images)
 
 
 def right_descents(w: WeylElement) -> tuple[int, ...]:
@@ -165,11 +113,6 @@ def word_to_element(system: RootSystem, word) -> WeylElement:
     for i in word:
         w = mult_simple_right(w, i)
     return w
-
-
-def inverse(w: WeylElement) -> WeylElement:
-    word = reduced_word(w)
-    return word_to_element(w.system, tuple(reversed(word)))
 
 
 def serialize(w: WeylElement) -> str:
@@ -433,14 +376,7 @@ class WeylGroup:
         except KeyError:
             raise ValueError("element does not belong to this group") from None
 
-    def element_at(self, idx: int) -> WeylElement:
-        return self.elements[idx]
-
     # -- distinguished elements and cosets ----------------------------------
-
-    @property
-    def identity(self) -> WeylElement:
-        return identity(self.system)
 
     @property
     def longest(self) -> WeylElement:

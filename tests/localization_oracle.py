@@ -5,10 +5,24 @@ fixed points of both factors, one integer sum per class and evaluation
 point.  The tests hold it to the rule it replaced, which reads the same
 restriction table but, for each class c of the product's codimension,
 rescans the whole support and integrates deg(X_a X_b X_dual(c)) as one
-exact Fraction per evaluation point.
+exact Fraction per evaluation point.  ``integrals`` gives the degree of
+any product of classes from the same table, one sum per point.
 """
 
 from fractions import Fraction
+from math import prod
+
+
+def integrals(engine, classes):
+    """deg of the product of ``classes``, one exact Atiyah-Bott sum per
+    evaluation point of ``engine``."""
+    ks = [engine._index(c) for c in classes]
+    sums = [0] * len(engine.points)
+    for restriction, scale in zip(engine.restrictions, engine.scales):
+        if all(k in restriction for k in ks):
+            for t, m in enumerate(scale):
+                sums[t] += m * prod(restriction[k][t] for k in ks)
+    return tuple(Fraction(s, m) for s, m in zip(sums, engine.lcms))
 
 
 def oracle_product(ring, a, b):

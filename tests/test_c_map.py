@@ -13,11 +13,11 @@ from itertools import combinations_with_replacement
 import pytest
 
 from chowring import f4pipeline as pipe
-from chowring import poly, weyl
+from chowring import poly
 from chowring.rootsystem import root_system
 from chowring.schubert import _GiambelliEngine, get_chow_ring
 from chowring.weyl import get_weyl_group, longest_element
-from weyl_oracle import left_min_descent, listed_group
+from weyl_oracle import left_min_descent, listed_group, multiply
 
 
 def oracle_c_raw(system, u_raw, degree):
@@ -43,7 +43,7 @@ def oracle_c_raw(system, u_raw, degree):
     for idx, raw in level.items():
         assert set(raw) <= {0}, "non-constant leaf"
         if raw:
-            out[weyl.multiply(w0, elements[idx])] = raw[0]
+            out[multiply(w0, elements[idx])] = raw[0]
     return out
 
 

@@ -17,6 +17,7 @@ import pytest
 from chowring import weyl
 from chowring.rootsystem import CartanMatrix, build_root_system, root_system
 from chowring.schubert import ChowElement, SubringError, get_chow_ring
+import weyl_oracle
 
 # Simply-laced types the built-in ones lack, Bourbaki numbering; D4 has
 # node 2 in the middle.
@@ -43,24 +44,6 @@ def _system(name):
     return root_system(name)
 
 
-def _coroot_pairing(system, beta, alpha):
-    """2 (alpha, beta) / (beta, beta) by the Fraction form."""
-    value = 2 * system.bilinear(alpha, beta) / system.norm2(beta)
-    assert value.denominator == 1
-    return int(value)
-
-
-@lru_cache(maxsize=None)
-def _reflection(system, beta):
-    """s_beta from its images s_beta(alpha_j) = alpha_j - <alpha_j, beta^vee> beta."""
-    images = []
-    for j in range(1, system.rank + 1):
-        alpha = system.simple_root(j)
-        k = _coroot_pairing(system, beta, alpha)
-        images.append(tuple(a - k * b for a, b in zip(alpha, beta)))
-    return weyl._element(system, tuple(images))
-
-
 def weyl_chevalley(ring, node, cls):
     """[X_w] * H_node as the sum of <beta^vee, omega_node> [X_{w s_beta}]
     over positive roots beta with l(w s_beta) = l(w) - 1.  The coefficient
@@ -73,9 +56,9 @@ def weyl_chevalley(ring, node, cls):
         coeff = Fraction(beta[node - 1]) * system.norm2(alpha) / system.norm2(beta)
         assert coeff.denominator == 1
         coeff = int(coeff)
-        if not coeff or system.is_positive(weyl.act_root(cls.rep, beta)):
+        if not coeff or system.is_positive(weyl_oracle.act_root(cls.rep, beta)):
             continue
-        w = weyl.multiply(cls.rep, _reflection(system, beta))
+        w = weyl_oracle.multiply(cls.rep, weyl_oracle.reflection(system, beta))
         if w.length != cls.rep.length - 1:
             continue
         try:

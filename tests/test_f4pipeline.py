@@ -4,6 +4,7 @@ import pytest
 
 from chowring import correspondence as corr
 from chowring import f4pipeline as pipe
+from chowring.cli import main
 from chowring.schubert import SubringError
 
 
@@ -180,21 +181,52 @@ def test_engine_fault_in_idempotent_congruences_is_error(fresh_idempotents):
     assert result.witness is None
 
 
-def test_corrupted_idempotent_cycle_fails_with_witness(fresh_idempotents):
-    """One coefficient of the displayed q'_2 off by one: FAIL, and the
-    witness holds i, the cycle and the reduced composition."""
+Q2_MISMATCH = "composition rho_2 o rho_5^t is not congruent to the displayed cycle q'_2"
+
+
+def _corrupt_q2(monkeypatch):
+    """Add one to the first coefficient of the displayed q'_2, through
+    ``_data_text``, and clear the caches that read it.  Returns the
+    reduced composition rho_2 o rho_5^t, computed before the edit."""
     reduced = corr.to_jsonable(pipe.compute_idempotents(1)[1][2])
     data = json.loads(pipe._data_text("idempotent_cycles.json"))
     data["q"][2][0]["coeff"] += 1
     text = json.dumps(data)
     real = pipe._data_text
-    fresh_idempotents.setattr(
+    monkeypatch.setattr(
         pipe, "_data_text",
         lambda name: text if name == "idempotent_cycles.json" else real(name))
     pipe.fixture_idempotents.cache_clear()
     pipe.compute_idempotents.cache_clear()
+    return reduced
+
+
+def test_corrupted_idempotent_cycle_fails_with_witness(fresh_idempotents):
+    """One coefficient of the displayed q'_2 off by one: FAIL, and the
+    witness holds i, the cycle and the reduced composition."""
+    reduced = _corrupt_q2(fresh_idempotents)
     result = _check_congruences(1)
     assert result.status == "FAIL"
-    assert result.detail == ("composition rho_2 o rho_5^t is not congruent to "
-                             "the displayed cycle q'_2")
+    assert result.detail == Q2_MISMATCH
     assert result.witness == {"i": 2, "cycle": "q'", "reduced": reduced}
+
+
+def test_corrupted_idempotent_cycle_verify_exits_fail(fresh_idempotents, capsys):
+    """The same edit through the whole command: every check that reads the
+    mismatch FAILs with a witness, none reads ERROR, and verify exits 1."""
+    reduced = _corrupt_q2(fresh_idempotents)
+    rc = main(["verify", "f4", "--eps", "both", "--format", "json"])
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    failing = {c["name"]: c for c in checks if not c["passed"]}
+    assert not any(c.get("error") for c in checks)
+    assert sorted(failing) == ["idempotent-completeness", "idempotent-congruences[eps=+1]",
+                               "idempotent-congruences[eps=-1]",
+                               "idempotent-eps-independence", "idempotent-exactness"]
+    witness = {"i": 2, "cycle": "q'", "reduced": reduced}
+    for name in ("idempotent-congruences[eps=+1]", "idempotent-congruences[eps=-1]",
+                 "idempotent-eps-independence"):
+        assert failing[name]["detail"] == Q2_MISMATCH
+        assert failing[name]["witness"] == witness
+    assert failing["idempotent-exactness"]["witness"] == ["q2", "q2t"]
+    assert failing["idempotent-completeness"]["witness"] == ["q"]
+    assert rc == 1

@@ -1,11 +1,10 @@
 import json
 
-import pytest
-
-from chowring import hasse, weyl
+from chowring import hasse
 from chowring.rootsystem import root_system
 from chowring.schubert import get_chow_ring
 from chowring.weyl import get_weyl_group
+import weyl_oracle
 
 
 def test_full_theta_single_vertex(f4_group):
@@ -28,7 +27,7 @@ def test_f4_quotient_diagrams(f4_group):
     assert len(d1.edges) == 30
     for src, dst, label in d1.edges:
         assert d1.vertices[dst].length == d1.vertices[src].length + 1
-        assert (weyl.mult_simple_left(d1.vertices[src], label)
+        assert (weyl_oracle.mult_simple_left(d1.vertices[src], label)
                 == d1.vertices[dst])
     d4 = hasse.build_hasse(f4_group, (1, 2, 3))
     assert len(d4.vertices) == 24
@@ -53,45 +52,6 @@ def test_vertex_counts_match_chow_ranks(f4_group, x1):
     assert tuple(per_length[::-1]) == x1.ranks()
 
 
-def test_embed_identity(f4_group):
-    mapping = hasse.embed_diagram(f4_group, (2, 3, 4), (2, 3, 4))
-    assert all(v == w for v, w in mapping.items())
-
-
-def test_embed_into_cayley_graph(f4_group):
-    mapping = hasse.embed_diagram(f4_group, (2, 3, 4), ())
-    assert len(mapping) == 24
-    assert len(set(mapping.values())) == 24
-    assert min(w.length for w in mapping.values()) == 9
-    # graph homomorphism with the same labels
-    big = hasse.build_hasse(f4_group, (2, 3, 4))
-    small = hasse.build_hasse(f4_group, ())
-    small_edges = {(small.vertices[s], small.vertices[t], lab)
-                   for s, t, lab in small.edges}
-    for s, t, lab in big.edges:
-        image = (mapping[big.vertices[s]], mapping[big.vertices[t]], lab)
-        assert image in small_edges
-
-
-def test_embed_rank3_exhaustive():
-    group = get_weyl_group(root_system("B3"))
-    subsets = [(), (1,), (2,), (3,), (1, 2), (1, 3), (2, 3), (1, 2, 3)]
-    for big in subsets:
-        for small in subsets:
-            if not set(small) <= set(big):
-                with pytest.raises(ValueError):
-                    hasse.embed_diagram(group, big, small)
-                continue
-            mapping = hasse.embed_diagram(group, big, small)
-            small_d = hasse.build_hasse(group, small)
-            small_edges = {(small_d.vertices[s], small_d.vertices[t], lab)
-                           for s, t, lab in small_d.edges}
-            big_d = hasse.build_hasse(group, big)
-            for s, t, lab in big_d.edges:
-                assert (mapping[big_d.vertices[s]],
-                        mapping[big_d.vertices[t]], lab) in small_edges
-
-
 def test_pieri_diagram_weights(x1, x4):
     p1 = hasse.build_pieri_diagram(x1, 1)
     assert len(p1.vertices) == 24
@@ -109,11 +69,11 @@ def test_pieri_diagram_regenerates_table(x1):
     for cls in x1.classes:
         if cls.codim >= x1.dim:
             continue
-        vertex = index[weyl.multiply(cls.rep, x1.w_theta)]
+        vertex = index[weyl_oracle.multiply(cls.rep, x1.w_theta)]
         product = x1.chevalley_mult(1, x1.element(cls))
         expected = {}
         for target, coeff in product.terms.items():
-            expected[index[weyl.multiply(target.rep, x1.w_theta)]] = coeff
+            expected[index[weyl_oracle.multiply(target.rep, x1.w_theta)]] = coeff
         got = {t: w for s, t, w in diagram.edges if s == vertex}
         assert got == expected
 

@@ -3,10 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from chowring import poly, weyl
+from chowring import weyl
 from chowring.poly import RationalPolynomial as RP
 from chowring.rootsystem import root_system
 from chowring.schubert import ChowElement, ChowRing, get_chow_ring
+import poly_oracle
+import weyl_oracle
 
 
 def _by_label(ring, text):
@@ -157,7 +159,7 @@ def test_unit_lift_is_one_and_point_lift_is_chain_start(f4):
     unit_lift = gb.giambelli_lift(gb.unit_class)
     assert unit_lift == RP.one(f4)
     point_lift = gb.giambelli_lift(gb.point_class)
-    assert point_lift == poly.positive_root_product(f4) * Fraction(1, 1152)
+    assert point_lift == poly_oracle.positive_root_product(f4) * Fraction(1, 1152)
     assert point_lift.degree() == 24
 
 
@@ -172,7 +174,7 @@ def test_lift_degree_matches_codim_random(f4):
     rng = random.Random(20240810)
     chosen = rng.sample(range(gb.group.order), 50)
     for idx in chosen:
-        w = gb.group.element_at(idx)
+        w = gb.group.elements[idx]
         cls = gb.class_of(w)
         lift = gb.giambelli_lift(cls)
         if cls.codim == 0:
@@ -256,7 +258,7 @@ def test_lift_word_invariance_for_codim4_reps(x1, x4):
     from fractions import Fraction as F
     for ring, label in ((x1, "h1^4"), (x4, "g1^4")):
         cls = ring.class_by_label(label)
-        inv = weyl.inverse(cls.rep)
+        inv = weyl_oracle.inverse(cls.rep)
         # alternative reduced word: strip the largest right descent first
         other = []
         cur = inv
@@ -266,6 +268,6 @@ def test_lift_word_invariance_for_codim4_reps(x1, x4):
             cur = weyl.mult_simple_right(cur, i)
         other.reverse()
         assert tuple(other) != weyl.reduced_word(inv)
-        d = poly.positive_root_product(ring.system) * F(1, 1152)
-        assert (poly.divided_difference_word(tuple(other), d)
+        d = poly_oracle.positive_root_product(ring.system) * F(1, 1152)
+        assert (poly_oracle.divided_difference_word(tuple(other), d)
                 == ring.giambelli_lift(cls))

@@ -10,16 +10,17 @@ from chowring.rootsystem import (BUILTIN_CARTAN, CartanMatrix, build_root_system
                                   root_system)
 from chowring.schubert import ChowRing
 from chowring.weyl import get_weyl_group
+import weyl_oracle
 from weyl_oracle import list_group
 
 
 def test_identity_and_involutions(f4):
     e = weyl.identity(f4)
     for i in range(1, 5):
-        s = weyl.simple_reflection(f4, i)
-        assert weyl.multiply(e, s) == s
-        assert weyl.multiply(s, e) == s
-        assert weyl.multiply(s, s) == e
+        s = weyl.word_to_element(f4, (i,))
+        assert weyl_oracle.multiply(e, s) == s
+        assert weyl_oracle.multiply(s, e) == s
+        assert weyl_oracle.multiply(s, s) == e
         assert s.length == 1
 
 
@@ -27,7 +28,7 @@ def test_mixed_systems_rejected():
     a = weyl.identity(root_system("A2"))
     b = weyl.identity(root_system("B2"))
     with pytest.raises(ValueError):
-        weyl.multiply(a, b)
+        weyl_oracle.multiply(a, b)
 
 
 @pytest.mark.parametrize("name,order", [
@@ -64,7 +65,7 @@ def test_minimal_coset_reps_profile(f4_group, theta):
 
 
 def test_minimal_reps_full_theta(f4_group):
-    assert f4_group.minimal_coset_reps((1, 2, 3, 4)) == (f4_group.identity,)
+    assert f4_group.minimal_coset_reps((1, 2, 3, 4)) == (weyl.identity(f4_group.system),)
 
 
 def test_maximal_reps_shift_lengths(f4_group):
@@ -95,7 +96,7 @@ def test_coset_pairing_bijection(f4_group, theta):
     seen = set()
     for w in reps:
         for v in parabolic:
-            wv = weyl.multiply(w, v)
+            wv = weyl_oracle.multiply(w, v)
             assert wv.length == w.length + v.length
             seen.add(wv)
     assert len(seen) == f4_group.order
@@ -209,8 +210,8 @@ def test_inverse(f4_group):
         w = weyl.identity(system)
         for _ in range(rng.randint(0, 30)):
             w = weyl.mult_simple_right(w, rng.randint(1, 4))
-        assert weyl.multiply(w, weyl.inverse(w)) == e
-        assert weyl.inverse(w).length == w.length
+        assert weyl_oracle.multiply(w, weyl_oracle.inverse(w)) == e
+        assert weyl_oracle.inverse(w).length == w.length
 
 
 def test_serialize_roundtrip(f4):
@@ -230,7 +231,7 @@ def test_positive_roots_stable_up_to_sign(f4_group):
         for _ in range(rng.randint(0, 30)):
             w = weyl.mult_simple_right(w, rng.randint(1, 4))
         for beta in system.positive_roots:
-            image = weyl.act_root(w, beta)
+            image = weyl_oracle.act_root(w, beta)
             if image not in pos:
                 assert tuple(-x for x in image) in pos
 
@@ -254,7 +255,7 @@ def test_coset_orbit_matches_enumeration(name):
         assert list(orbit.minimal) == minimal
         assert [v.length for v in orbit.minimal] == [v.length for v in minimal]
         w_theta = group.longest_parabolic(theta)
-        maximal = [weyl.multiply(v, w_theta) for v in minimal]
+        maximal = [weyl_oracle.multiply(v, w_theta) for v in minimal]
         assert ([(w.images, w.length) for w in orbit.maximal]
                 == [(w.images, w.length) for w in maximal])
         assert (weyl.order_from_heights(system)
@@ -263,14 +264,14 @@ def test_coset_orbit_matches_enumeration(name):
         for k, v in enumerate(minimal):
             up = {}
             for i in range(1, system.rank + 1):
-                u = weyl.mult_simple_left(v, i)
+                u = weyl_oracle.mult_simple_left(v, i)
                 if u.length == v.length + 1 and u in index:
                     up[i] = index[u]
             assert orbit.up[k] == up
             assert weyl.word_to_element(system, orbit.words[k]) == v
             if orbit.parents[k] >= 0:
                 assert orbit.words[k][1:] == orbit.words[orbit.parents[k]]
-            assert orbit.maximal[orbit.opposite[k]] == weyl.multiply(w0, v)
+            assert orbit.maximal[orbit.opposite[k]] == weyl_oracle.multiply(w0, v)
 
 
 def test_coset_orbit_is_shared_per_normalized_theta(f4):
@@ -294,7 +295,7 @@ def test_enumeration_above_the_bound_is_refused(f4, monkeypatch):
     monkeypatch.setattr(weyl, "MAX_ENUMERATION", 1000)
     group = weyl.WeylGroup(f4)
     with pytest.raises(ValueError, match="1152 elements, more than the 1000"):
-        group.index_of(group.identity)
+        group.index_of(weyl.identity(group.system))
     assert walked == []
     assert group.order == 1152
     assert walked == []
@@ -318,23 +319,23 @@ def test_group_tables_match_element_products(name):
             == [(w.images, w.length) for w in list_group(system)])
     e = weyl.identity(system)
     nodes = range(1, system.rank + 1)
-    reflections = {i: weyl.simple_reflection(system, i) for i in nodes}
+    reflections = {i: weyl.word_to_element(system, (i,)) for i in nodes}
     for k, w in enumerate(elements):
         assert group.index_of(w) == k
         weight = orbit.weights[k]
         for i in nodes:
-            right = weyl.multiply(w, reflections[i])
+            right = weyl_oracle.multiply(w, reflections[i])
             assert elements[group.index_of(weyl.mult_simple_right(w, i))] == right
             assert elements[group.index_of(right)].length == right.length
-            left = weyl.mult_simple_left(w, i)
+            left = weyl_oracle.mult_simple_left(w, i)
             moved = orbit.point_of[system.reflect_weight(i, weight)]
             assert elements[moved] == left
             assert elements[moved].length == left.length
             assert (weight[i - 1] < 0) == (left.length < w.length)
-        inverse = elements[group.index_of(weyl.inverse(w))]
-        assert weyl.multiply(w, inverse) == e and inverse.length == w.length
+        inverse = elements[group.index_of(weyl_oracle.inverse(w))]
+        assert weyl_oracle.multiply(w, inverse) == e and inverse.length == w.length
         assert weyl.right_descents(w) == tuple(
-            i for i in nodes if weyl.multiply(w, reflections[i]).length < w.length)
+            i for i in nodes if weyl_oracle.multiply(w, reflections[i]).length < w.length)
     assert max(w.length for w in elements) == len(system.positive_roots)
 
 
@@ -384,14 +385,14 @@ def test_root_images_match_act_root(name):
         for theta in itertools.combinations(range(1, n + 1), size):
             orbit = weyl.coset_orbit(system, theta)
             w_theta = weyl.longest_element(system, theta)
-            flipped = [table.index[weyl.act_root(w_theta, beta)]
+            flipped = [table.index[weyl_oracle.act_root(w_theta, beta)]
                        for beta in system.positive_roots]
             for k, image in enumerate(orbit.root_images):
                 v, w = orbit.minimal[k], orbit.maximal[k]
                 for b, beta in enumerate(system.positive_roots):
-                    assert roots[image[b]] == weyl.act_root(v, beta)
+                    assert roots[image[b]] == weyl_oracle.act_root(v, beta)
                     # w_theta beta < 0 for beta in Phi_theta: v(-gamma) = -v(gamma)
                     r = flipped[b]
                     got = roots[image[r]] if r < count else \
                         tuple(-x for x in roots[image[r - count]])
-                    assert got == weyl.act_root(w, beta)
+                    assert got == weyl_oracle.act_root(w, beta)

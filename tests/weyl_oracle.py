@@ -1,14 +1,73 @@
-"""W listed without the orbit of rho, as an oracle for the tests.
+"""Element-level Weyl group arithmetic, as an oracle for the tests.
 
-``chowring.weyl`` lists W as the orbit of rho; the tests hold it, and the
-engines that read it, to a breadth-first search over w -> w s_j from the
-identity instead, with left moves s_i w and lengths from element-level
-products.
+``chowring.weyl`` lists W as the orbit of rho and applies elements to
+roots by index; the tests hold it, and the engines that read it, to the
+coordinate group law instead: elements act linearly on simple-root
+coordinates, products compose the images of the simple roots, and every
+length is recounted from the inversions.  W itself is listed by a
+breadth-first search over w -> w s_j from the identity.
 """
 
 from functools import lru_cache
 
-from chowring.weyl import identity, mult_simple_left, mult_simple_right
+from chowring.weyl import (WeylElement, identity, mult_simple_right,
+                           reduced_word, word_to_element)
+
+
+def act_root(w, root):
+    """Apply w to a root given in simple-root coordinates (linear)."""
+    n = w.system.rank
+    acc = [0] * n
+    for j, coeff in enumerate(root):
+        if coeff:
+            img = w.images[j]
+            for t in range(n):
+                acc[t] += coeff * img[t]
+    return tuple(acc)
+
+
+def element(system, images):
+    """The element with these simple-root images, its length counted from
+    the inversions."""
+    probe = WeylElement(system, images, -1)
+    length = sum(1 for beta in system.positive_roots
+                 if not system.is_positive(act_root(probe, beta)))
+    return WeylElement(system, images, length)
+
+
+def multiply(u, v):
+    """Composition of actions: (u*v)(x) = u(v(x))."""
+    if u.system is not v.system:
+        raise ValueError("cannot multiply elements of different root systems")
+    return element(u.system, tuple(act_root(u, img) for img in v.images))
+
+
+@lru_cache(maxsize=None)
+def reflection(system, beta):
+    """s_beta for a root beta, not necessarily simple, from its images
+    s_beta(alpha_j) = alpha_j - <alpha_j, beta^vee> beta; the pairing
+    2 (alpha_j, beta) / (beta, beta) comes from the Fraction form, apart
+    from the system's integer coroot table."""
+    if not system.is_root(beta):
+        raise ValueError(f"{beta} is not a root")
+    images = []
+    for j in range(1, system.rank + 1):
+        alpha = system.simple_root(j)
+        k = 2 * system.bilinear(alpha, beta) / system.norm2(beta)
+        assert k.denominator == 1
+        images.append(tuple(a - int(k) * b for a, b in zip(alpha, beta)))
+    return element(system, tuple(images))
+
+
+def mult_simple_left(w, i):
+    """s_i * w."""
+    system = w.system
+    return element(system, tuple(system.reflect_root(i, img) for img in w.images))
+
+
+def inverse(w):
+    """w^{-1}, the reversed reduced word."""
+    return word_to_element(w.system, tuple(reversed(reduced_word(w))))
 
 
 def list_group(system, nodes=None):
