@@ -281,7 +281,10 @@ def cmd_corr(args) -> int:
     elif args.query == "compose":
         beta = _load_corr(args.inputs[0])
         alpha = _load_corr(args.inputs[1])
-        composed = corr.compose(beta, alpha)
+        try:
+            composed = corr.compose(beta, alpha)
+        except ValueError as exc:   # the middle varieties differ
+            raise UsageError(str(exc)) from None
         if args.mod:
             composed = corr.mod_reduce(composed, args.mod)
         _emit(_dump_corr(composed), args.output)

@@ -25,8 +25,6 @@ Modular reduction keeps balanced representatives, e.g. coefficients in
 
 from __future__ import annotations
 
-import json
-
 from .schubert import ChowElement, ChowRing, SchubertClass, _Combination
 
 Modulus = int  # 0 means integral coefficients
@@ -213,10 +211,6 @@ def to_jsonable(alpha: Correspondence) -> list[dict]:
     return [{"f": alpha.source.label_of(f), "g": alpha.target.label_of(g),
              "coeff": v}
             for (f, g), v in alpha.sorted_terms()]
-
-
-def to_json(alpha: Correspondence) -> str:
-    return json.dumps(to_jsonable(alpha), indent=2) + "\n"
 
 
 def from_jsonable(source: ChowRing, target: ChowRing, data) -> Correspondence:

@@ -522,7 +522,8 @@ def _support_ranks(p: Correspondence) -> dict[int, int]:
         for x in basis:
             image = corr.realize(p, ring.element(x))
             rows.append([image.terms.get(y, 0) for y in basis])
-        r = linalg.rank(rows)
+        # the rank of an integer matrix is the size of its Hermite basis
+        r = len(linalg.hermite_row_basis(rows))
         if r:
             ranks[s] = r
     return ranks

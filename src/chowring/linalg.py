@@ -2,30 +2,6 @@
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-
-def rank(rows) -> int:
-    """Rank of a matrix with integer or Fraction entries, by elimination."""
-    m = [[Fraction(x) for x in row] for row in rows]
-    r = 0
-    cols = len(m[0]) if m else 0
-    for c in range(cols):
-        pivot = next((k for k in range(r, len(m)) if m[k][c]), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for k in range(len(m)):
-            if k != r and m[k][c]:
-                f = m[k][c]
-                m[k] = [a - f * b for a, b in zip(m[k], m[r])]
-        r += 1
-        if r == len(m):
-            break
-    return r
-
 
 def hermite_row_basis(rows) -> tuple[tuple[int, ...], ...]:
     """Canonical basis of the integer row space (row-style Hermite form).

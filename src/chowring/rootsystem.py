@@ -138,12 +138,10 @@ class RootSystem:
     2 and 3).  Positive roots are ordered by height, then lexicographically.
     """
 
-    def __init__(self, cartan: CartanMatrix, positive_roots: tuple[Root, ...],
-                 labels: tuple[str, ...]):
+    def __init__(self, cartan: CartanMatrix, positive_roots: tuple[Root, ...]):
         self.cartan = cartan
         self.rank = cartan.rank
         self.positive_roots = positive_roots
-        self.labels = labels
         self._sym = _symmetrizer(cartan)
         self._check_reflection_convention()
         self._coroots = self._coroot_table()
@@ -241,11 +239,6 @@ class RootSystem:
         fundamental weights."""
         return sum(c * x for c, x in zip(self.coroot(beta), omega))
 
-    def root_coroot_pairing(self, alpha: Root, beta: Root) -> int:
-        """<alpha, beta^vee> = 2(alpha, beta)/(beta, beta) for roots: the
-        coroot pairing of beta with alpha expanded in the weights."""
-        return self.coroot_pairing(beta, self.root_to_weight(alpha))
-
     # -- weights ------------------------------------------------------------
 
     def fundamental_weight(self, i: int) -> Weight:
@@ -279,8 +272,7 @@ class RootSystem:
         return f"RootSystem(rank={self.rank}, positive_roots={len(self.positive_roots)})"
 
 
-def build_root_system(cartan: CartanMatrix, max_height: int = 100,
-                      labels: tuple[str, ...] | None = None) -> RootSystem:
+def build_root_system(cartan: CartanMatrix, max_height: int = 100) -> RootSystem:
     """Generate all positive roots by reflection closure.
 
     Starts from the simple roots and applies simple reflections until no
@@ -311,16 +303,10 @@ def build_root_system(cartan: CartanMatrix, max_height: int = 100,
                     new_frontier.append(image)
         frontier = new_frontier
     ordered = tuple(sorted(known, key=lambda r: (sum(r), r)))
-    if labels is None:
-        labels = tuple(str(i + 1) for i in range(n))
-    return RootSystem(cartan, ordered, labels)
+    return RootSystem(cartan, ordered)
 
 
 @lru_cache(maxsize=None)
 def root_system(name: str) -> RootSystem:
     """Shared instance of a built-in named root system."""
     return build_root_system(CartanMatrix.from_name(name))
-
-
-def load_root_system(path) -> RootSystem:
-    return build_root_system(CartanMatrix.from_file(path))

@@ -250,9 +250,8 @@ class _GiambelliEngine:
         self._delta_d: dict[int, dict] = {}    # idx -> delta_{w_idx}(d), expanded
         # idx -> (S, Q), delta_{w_idx}(d) = Q times the positive roots indexed by S
         self._factored: dict[int, tuple[frozenset[int], dict]] = {}
-        # J -> the length of w_J, the longest element of W_J
-        self._longest_lengths: dict[tuple[int, ...], int] = {}
-        self._products: dict[tuple[int, int], dict[WeylElement, int]] = {}
+        # J -> the base at w_J: the positive roots outside Phi_J, and |W_J|
+        self._bases: dict[tuple[int, ...], tuple[frozenset[int], dict]] = {}
 
     def delta_d(self, idx: int) -> dict:
         """delta_{w_idx}(d), expanded once from its factored chain value
@@ -268,7 +267,8 @@ class _GiambelliEngine:
         # s_i on root indices; s_i alpha_i is negative, so never in a set S
         moves = orbit.roots.steps
         elements, weights, point_of = orbit.minimal, orbit.weights, orbit.point_of
-        memo = self._factored
+        memo, bases = self._factored, self._bases
+        top_length = len(system.positive_roots)
         nodes = range(1, system.rank + 1)
         stack = [idx]
         while stack:
@@ -278,16 +278,16 @@ class _GiambelliEngine:
                 continue
             w = elements[top]
             J = _weyl.right_descents(w)
-            length_J = self._longest_lengths.get(J)
-            if length_J is None:
-                length_J = self._longest_lengths[J] = \
-                    self.group.longest_parabolic(J).length
-            if length_J == w.length:
-                # top is w_J itself: |W_J| times the roots outside Phi_J
+            base = bases.get(J)
+            if base is None:
                 outside = frozenset(
                     b for b, beta in enumerate(system.positive_roots)
                     if any(c and i not in J for i, c in enumerate(beta, 1)))
-                memo[top] = (outside, {0: _weyl.order_from_heights(system, J)})
+                base = bases[J] = (outside, {0: _weyl.order_from_heights(system, J)})
+            if w.length == top_length - len(base[0]):
+                # top is w_J itself, of length |Phi_J^+|: |W_J| times the
+                # roots outside Phi_J
+                memo[top] = base
                 stack.pop()
                 continue
             # i is a left descent of y exactly when s_i w = (s_i y) w_J: one
@@ -322,13 +322,12 @@ class _GiambelliEngine:
 
     def lift_raw(self, w: WeylElement) -> dict:
         """|W| times the canonical lift of [X_w]."""
-        orbit = self.group.orbit
-        # w = s_a1 ... s_al by its orbit word, so w^{-1} = s_al ... s_a1
-        # climbs the orbit from e by the upward moves a1, ..., al
-        k = 0
-        for a in orbit.words[self.group.index_of(w)]:
-            k = orbit.up[k][a]
-        return self.delta_d(k)
+        # w^{-1} is the point of weight w^{-1} rho, whose i-th coordinate
+        # <w^{-1} rho, alpha_i^vee> = <rho, w(alpha_i)^vee> is the height
+        # of the coroot of w(alpha_i)
+        coroot = self.system.coroot
+        return self.delta_d(self.group.orbit.point_of[
+            tuple(sum(coroot(r)) for r in w.images)])
 
     def c_raw(self, u_raw: dict, degree: int) -> dict[WeylElement, object]:
         """delta_v(u) for every v of the given length, keyed by w0 v.
@@ -374,31 +373,22 @@ class _GiambelliEngine:
         return out
 
     def product_classes(self, wa: WeylElement, wb: WeylElement) -> dict[WeylElement, int]:
-        """[X_wa]*[X_wb] over the full flag ring, keyed like ``c_raw``.
-
-        Memoized per unordered pair of element indices; the division by
-        |W|^2 must be exact or the conventions are broken somewhere.
+        """[X_wa]*[X_wb] over the full flag ring, keyed like ``c_raw``:
+        the product of the two lifts, projected by the c map.  The division
+        by |W|^2 must be exact or the conventions are broken somewhere.
         """
-        group = self.group
-        ia, ib = group.index_of(wa), group.index_of(wb)
-        if ia > ib:
-            ia, ib, wa, wb = ib, ia, wb, wa
-        cached = self._products.get((ia, ib))
-        if cached is not None:
-            return cached
         top = len(self.system.positive_roots)
         codim = (top - wa.length) + (top - wb.length)
         result: dict[WeylElement, int] = {}
         if codim <= top:
             u = _calculus(self.system).mul(self.lift_raw(wa), self.lift_raw(wb))
-            order2 = group.order * group.order
+            order2 = self.group.order * self.group.order
             for target, const in self.c_raw(u, codim).items():
                 q, r = divmod(const, order2)
                 if r:
                     raise AssertionError("lift product left the integer lattice")
                 if q:
                     result[target] = q
-        self._products[(ia, ib)] = result
         return result
 
 
@@ -867,7 +857,7 @@ class ChowRing:
 
         Each product of basis classes is computed in the full flag ring,
         asserted to land back in the subring and cross-checked like
-        ``pair_product``; only the shared engine caches anything.
+        ``pair_product``; nothing but the shared engine's lifts is cached.
         """
         return self._extend(x, y, self._giambelli_pair_product)
 

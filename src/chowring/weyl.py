@@ -13,7 +13,7 @@ Poincare-duality involution for every module that reads W^theta, and its
 W and of its parabolic subgroups follows from the root heights.  W itself
 is the orbit of theta = (), the orbit of rho: it is the one enumeration
 of W, and the :class:`WeylGroup` wrapper reads it as the canonical
-element list with an index lookup.
+element list.
 
 A word ``[a1, ..., ak]`` denotes ``s_a1 * s_a2 * ... * s_ak``, acting on
 roots right to left.  Elements serialize as the deterministic reduced
@@ -339,25 +339,21 @@ class WeylGroup:
     Elements are listed by length, ties broken lexicographically on the
     image tuples; this order fixes every downstream basis enumeration.
     The group is walked only when something asks for its elements, and
-    only up to ``MAX_ENUMERATION`` elements (ValueError beyond).
+    only up to ``MAX_ENUMERATION`` elements (ValueError beyond).  It keeps
+    no table of its own: every read goes to the shared cached orbit.
     """
 
     def __init__(self, system: RootSystem):
         self.system = system
-        self.rank = system.rank
-        self._orbit: CosetOrbit | None = None
-        self._index: dict[tuple[Root, ...], int] | None = None
 
     @property
     def orbit(self) -> CosetOrbit:
         """The orbit of rho, one point per element; the first call walks it."""
-        if self._orbit is None:
-            order = _orbit_size(self.system, ())
-            if order > MAX_ENUMERATION:
-                raise ValueError(f"the Weyl group has {order} elements, more than the "
-                                 f"{MAX_ENUMERATION} this program enumerates")
-            self._orbit = coset_orbit(self.system, ())
-        return self._orbit
+        order = _orbit_size(self.system, ())
+        if order > MAX_ENUMERATION:
+            raise ValueError(f"the Weyl group has {order} elements, more than the "
+                             f"{MAX_ENUMERATION} this program enumerates")
+        return _coset_orbit(self.system, ())
 
     @property
     def elements(self) -> tuple[WeylElement, ...]:
@@ -367,14 +363,6 @@ class WeylGroup:
     def order(self) -> int:
         """|W| from the root heights; nothing is walked."""
         return _orbit_size(self.system, ())
-
-    def index_of(self, w: WeylElement) -> int:
-        if self._index is None:
-            self._index = {v.images: k for k, v in enumerate(self.elements)}
-        try:
-            return self._index[w.images]
-        except KeyError:
-            raise ValueError("element does not belong to this group") from None
 
     # -- distinguished elements and cosets ----------------------------------
 

@@ -1,7 +1,8 @@
-"""The package surface: every public name resolves, and the Weyl-element
+"""The package surface: every public name resolves, the Weyl-element
 algebra and polynomial operators that the tests keep as oracles
 (weyl_oracle.py, poly_oracle.py, localization_oracle.py) have no second
-copy in the package."""
+copy in the package, and the caches, indexes and second paths that no
+command read stay deleted."""
 
 import ast
 import importlib
@@ -10,6 +11,7 @@ from pathlib import Path
 
 import chowring
 from chowring import poly, schubert, weyl
+from chowring.rootsystem import RootSystem, root_system
 
 # Program code reaches none of these; the tests hold the oracle copies of
 # the moved ones, and the others are gone.
@@ -17,12 +19,21 @@ MOVED_FUNCTIONS = {
     "multiply", "act_root", "reflection", "mult_simple_left", "inverse",
     "weyl_act", "divided_difference", "divided_difference_word",
     "positive_root_product", "_raw_reflect", "_raw_root_product",
-    "embed_diagram", "simple_reflection", "LabeledBasis"}
+    "embed_diagram", "simple_reflection", "LabeledBasis",
+    "rank", "to_json", "load_root_system"}
 MOVED_METHODS = (
     (schubert._LocalizationEngine, "integrals"),
     (schubert._GiambelliEngine, "root_moves"),
     (weyl.WeylGroup, "element_at"),
-    (weyl.WeylGroup, "identity"))
+    (weyl.WeylGroup, "identity"),
+    (weyl.WeylGroup, "index_of"),
+    (RootSystem, "root_coroot_pairing"))
+# Attributes that instances no longer carry: the Giambelli product memo and
+# the per-J longest lengths, the W element index, and unread names.
+MOVED_ATTRIBUTES = (
+    (schubert._GiambelliEngine, ("_products", "_longest_lengths")),
+    (weyl.WeylGroup, ("_index", "_orbit", "rank")),
+    (RootSystem, ("labels",)))
 
 
 def _modules():
@@ -40,6 +51,12 @@ def test_moved_names_are_not_defined_in_the_package():
              for name in sorted(MOVED_FUNCTIONS) if hasattr(module, name)]
     found += [f"{cls.__name__}.{name}" for cls, name in MOVED_METHODS
               if hasattr(cls, name)]
+    system = root_system("A1")
+    group = weyl.WeylGroup(system)
+    instances = {RootSystem: system, weyl.WeylGroup: group,
+                 schubert._GiambelliEngine: schubert._GiambelliEngine(group)}
+    found += [f"{cls.__name__}().{name}" for cls, names in MOVED_ATTRIBUTES
+              for name in names if hasattr(instances[cls], name)]
     assert found == []
 
 

@@ -99,6 +99,9 @@ def _corr_with_coeff(coeff: str) -> str:
     (["chow", "basis", "--type", "F4", "--theta", "2,3,4", "--node", "1"], None),
     (["corr", "diagonal", "--mod", "3"], None),
     (["corr", "transpose", "{file}", "--variety", "x4"], _corr_with_coeff("1")),
+    (["corr", "compose", "{file}", "{file}"],
+     '{"source": "x1", "target": "x4", "terms": '
+     '[{"f": "h1^0", "g": "g1^15", "coeff": 1}]}'),
 ], ids=["node-out-of-range", "not-a-basis-class", "bad-token",
         "corr-missing-target", "ragged-cartan", "codim-out-of-range",
         "table-node-in-theta", "pieri-node-out-of-range",
@@ -111,7 +114,8 @@ def _corr_with_coeff(coeff: str) -> str:
         "weyl-order-maximal", "weyl-longest-maximal", "hasse-json-by-codim",
         "pieri-by-codim", "hasse-node-without-pieri", "chow-mult-codim",
         "chow-basis-lhs", "chow-table-rhs", "chow-basis-class", "chow-basis-node",
-        "corr-diagonal-mod", "corr-transpose-variety"])
+        "corr-diagonal-mod", "corr-transpose-variety",
+        "corr-compose-middle-mismatch"])
 def test_malformed_input_is_usage_error(argv, file_text, tmp_path, capsys):
     path = tmp_path / "input"
     if file_text is not None:

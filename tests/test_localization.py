@@ -115,7 +115,6 @@ def test_products_never_build_a_polynomial(f4, x1, monkeypatch):
     monkeypatch.setattr(poly._Calculus, "mul", refuse)
     monkeypatch.setattr(poly, "_raw_delta", refuse)
     monkeypatch.setattr(schubert, "_raw_delta", refuse)
-    monkeypatch.setattr(WeylGroup, "index_of", refuse)
     for attr in ("orbit", "elements"):
         monkeypatch.setattr(WeylGroup, attr, property(refuse))
 

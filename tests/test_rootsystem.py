@@ -4,7 +4,7 @@ import pytest
 
 from chowring.rootsystem import (BUILTIN_CARTAN, CartanMatrix,
                                  InfiniteRootSystemError, build_root_system,
-                                 load_root_system, root_system)
+                                 root_system)
 
 
 @pytest.mark.parametrize("name,count", [
@@ -44,7 +44,7 @@ def test_bad_cartan_matrices_rejected():
 def test_cartan_from_file(tmp_path):
     path = tmp_path / "b2.txt"
     path.write_text("2 -1\n-2 2\n")
-    rs = load_root_system(path)
+    rs = build_root_system(CartanMatrix.from_file(path))
     assert len(rs.positive_roots) == 4
     assert rs.cartan.entries == BUILTIN_CARTAN["B2"]
 
@@ -116,8 +116,9 @@ def test_node_index_out_of_range(f4):
 @pytest.mark.parametrize("name", sorted(BUILTIN_CARTAN))
 def test_integer_coroots_match_the_fraction_form(name):
     """beta^vee = 2 beta / (beta, beta) with alpha_k = (alpha_k, alpha_k)/2
-    alpha_k^vee, expanded by the Fraction form, for every root; and both
-    pairings against that expansion."""
+    alpha_k^vee, expanded by the Fraction form, for every root; and its
+    pairing with every fundamental weight and every root against that
+    expansion."""
     system = root_system(name)
     n = system.rank
     simple = [system.simple_root(k) for k in range(1, n + 1)]
@@ -132,7 +133,7 @@ def test_integer_coroots_match_the_fraction_form(name):
             omega = system.fundamental_weight(j)
             assert system.coroot_pairing(beta, omega) == want[j - 1]
         for alpha in roots:
-            assert system.root_coroot_pairing(alpha, beta) == \
+            assert system.coroot_pairing(beta, system.root_to_weight(alpha)) == \
                 2 * system.bilinear(alpha, beta) / norm
 
 
@@ -140,4 +141,4 @@ def test_coroot_and_root_coroot_pairing_reject_non_roots(f4):
     with pytest.raises(ValueError):
         f4.coroot((1, 0, 0, 1))
     with pytest.raises(ValueError):
-        f4.root_coroot_pairing(f4.simple_root(1), (2, 0, 0, 0))
+        f4.coroot_pairing((2, 0, 0, 0), f4.root_to_weight(f4.simple_root(1)))

@@ -295,7 +295,7 @@ def test_enumeration_above_the_bound_is_refused(f4, monkeypatch):
     monkeypatch.setattr(weyl, "MAX_ENUMERATION", 1000)
     group = weyl.WeylGroup(f4)
     with pytest.raises(ValueError, match="1152 elements, more than the 1000"):
-        group.index_of(weyl.identity(group.system))
+        group.elements
     assert walked == []
     assert group.order == 1152
     assert walked == []
@@ -308,12 +308,14 @@ def test_enumeration_above_the_bound_is_refused(f4, monkeypatch):
 def test_group_tables_match_element_products(name):
     """W as the orbit of rho, element by element, against W listed by
     right products and against the element-level products, inverses and
-    lengths: the index lookup, and the moves the Giambelli engine makes,
-    s_i w by weight lookup, right descents and w^{-1} by index lookup."""
+    lengths: the listing order, and the moves the Giambelli engine makes,
+    s_i w by weight lookup, right descents and w^{-1} by the weight of the
+    coroot heights of w(alpha_i)."""
     system = _system(name)
     group = weyl.WeylGroup(system)
     orbit = group.orbit
     elements = group.elements
+    index = {w.images: k for k, w in enumerate(elements)}
     assert group.order == weyl.order_from_heights(system)
     assert ([(w.images, w.length) for w in elements]
             == [(w.images, w.length) for w in list_group(system)])
@@ -321,19 +323,21 @@ def test_group_tables_match_element_products(name):
     nodes = range(1, system.rank + 1)
     reflections = {i: weyl.word_to_element(system, (i,)) for i in nodes}
     for k, w in enumerate(elements):
-        assert group.index_of(w) == k
+        assert index[w.images] == k   # no element is listed twice
         weight = orbit.weights[k]
         for i in nodes:
             right = weyl_oracle.multiply(w, reflections[i])
-            assert elements[group.index_of(weyl.mult_simple_right(w, i))] == right
-            assert elements[group.index_of(right)].length == right.length
+            assert elements[index[weyl.mult_simple_right(w, i).images]] == right
+            assert elements[index[right.images]].length == right.length
             left = weyl_oracle.mult_simple_left(w, i)
             moved = orbit.point_of[system.reflect_weight(i, weight)]
             assert elements[moved] == left
             assert elements[moved].length == left.length
             assert (weight[i - 1] < 0) == (left.length < w.length)
-        inverse = elements[group.index_of(weyl_oracle.inverse(w))]
+        inverse = elements[index[weyl_oracle.inverse(w).images]]
         assert weyl_oracle.multiply(w, inverse) == e and inverse.length == w.length
+        heights = tuple(sum(system.coroot(r)) for r in w.images)
+        assert elements[orbit.point_of[heights]] == inverse
         assert weyl.right_descents(w) == tuple(
             i for i in nodes if weyl_oracle.multiply(w, reflections[i]).length < w.length)
     assert max(w.length for w in elements) == len(system.positive_roots)
