@@ -45,7 +45,8 @@ Four multiplication routes are implemented:
   of positive roots times a small cofactor Q: the roots of S that s_i
   permutes among themselves have an s_i-invariant product, which passes
   through delta_i, so each step expands only the others into Q.  A lift
-  is expanded once, when it is asked for (see :class:`_GiambelliEngine`).
+  is expanded from its chain value each time it is asked for (see
+  :class:`_GiambelliEngine`).
   It works inside the full flag ring and asserts that the product lands
   back in the subring.  The paper states its hyperplane tables and squares
   through this route, and the tests use it as an oracle; all parabolic
@@ -82,6 +83,11 @@ from .weyl import WeylElement, WeylGroup, get_weyl_group
 
 class SubringError(RuntimeError):
     """A product left the span of the parabolic Schubert basis."""
+
+
+class LatticeError(ValueError):
+    """A c-map coefficient is not an integer: the polynomial is not in the
+    image lattice of c."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -240,25 +246,21 @@ class _GiambelliEngine:
     over s_i-invariants, so delta_i(G F) = G delta_i(F) with F = Q times
     the roots of S outside T, and the new value is (T, delta_i(F)).  Only
     F, a few roots times a small cofactor, is ever expanded on a chain.
-    ``delta_d`` expands Q prod_S once per requested index and memoizes
-    that, so its callers see the same dicts as with expanded chains.
+    ``delta_d`` expands Q prod_S on every request; the memoized chain
+    values and bases are all the engine keeps.
     """
 
     def __init__(self, group: WeylGroup):
         self.group = group
         self.system = group.system
-        self._delta_d: dict[int, dict] = {}    # idx -> delta_{w_idx}(d), expanded
         # idx -> (S, Q), delta_{w_idx}(d) = Q times the positive roots indexed by S
         self._factored: dict[int, tuple[frozenset[int], dict]] = {}
         # J -> the base at w_J: the positive roots outside Phi_J, and |W_J|
         self._bases: dict[tuple[int, ...], tuple[frozenset[int], dict]] = {}
 
     def delta_d(self, idx: int) -> dict:
-        """delta_{w_idx}(d), expanded once from its factored chain value
-        (see the class docstring) and memoized."""
-        expanded = self._delta_d.get(idx)
-        if expanded is not None:
-            return expanded
+        """delta_{w_idx}(d), expanded from its memoized factored chain value
+        (see the class docstring)."""
         system = self.system
         calc = _calculus(system)
         mul, forms = calc.mul, calc.root_forms
@@ -317,17 +319,12 @@ class _GiambelliEngine:
         roots, expanded = memo[idx]
         for b in roots:
             expanded = mul(expanded, forms[b])
-        self._delta_d[idx] = expanded
         return expanded
 
     def lift_raw(self, w: WeylElement) -> dict:
-        """|W| times the canonical lift of [X_w]."""
-        # w^{-1} is the point of weight w^{-1} rho, whose i-th coordinate
-        # <w^{-1} rho, alpha_i^vee> = <rho, w(alpha_i)^vee> is the height
-        # of the coroot of w(alpha_i)
-        coroot = self.system.coroot
-        return self.delta_d(self.group.orbit.point_of[
-            tuple(sum(coroot(r)) for r in w.images)])
+        """|W| times the canonical lift of [X_w]; w^{-1} is the point of
+        weight w^{-1} rho."""
+        return self.delta_d(self.group.orbit.point_of[_weyl.inverse_rho(w)])
 
     def c_raw(self, u_raw: dict, degree: int) -> dict[WeylElement, object]:
         """delta_v(u) for every v of the given length, keyed by w0 v.
@@ -788,9 +785,9 @@ class ChowRing:
     def c_map(self, u: RationalPolynomial) -> ChowElement:
         """c(u) = sum over w of length deg(u) of delta_w(u) [X_{w0 w}].
 
-        Raises if a coefficient is non-integral ("not in the image
-        lattice") or, for a parabolic ring, if the support leaves the
-        subring.
+        Raises :class:`LatticeError` if a coefficient is non-integral and,
+        for a parabolic ring, :class:`SubringError` if the support leaves
+        the subring.
         """
         if u.system is not self.system:
             raise ValueError("polynomial belongs to a different root system")
@@ -804,7 +801,7 @@ class ChowRing:
         for target, const in self.engine.c_raw(raw, u.degree()).items():
             q, r = divmod(const, den)
             if r:
-                raise ValueError("polynomial is not in the image lattice of c")
+                raise LatticeError("polynomial is not in the image lattice of c")
             acc[target] = q
         return self._subring_element(acc, "c map support")
 
@@ -931,15 +928,15 @@ def hyperplane_table(ring: ChowRing, node: int) -> list[dict]:
     {class, coeff} entries, using ring labels when attached.
     """
     rows = []
-    h = ring.hyperplane_class(node)
+    names = {cls: ring.label_of(cls) for cls in ring.classes}
+    lhs = names[ring.hyperplane_class(node)]
     for codim in range(1, ring.dim):
-        for cls in sorted(ring.basis(codim), key=ring.label_of):
+        for cls in sorted(ring.basis(codim), key=names.__getitem__):
             product = ring.chevalley_mult(node, ring.element(cls))
-            entries = sorted(({"class": ring.label_of(c), "coeff": v}
+            entries = sorted(({"class": names[c], "coeff": v}
                               for c, v in product.terms.items()),
                              key=lambda e: e["class"])
-            rows.append({"lhs": ring.label_of(h), "rhs": ring.label_of(cls),
-                         "product": entries})
+            rows.append({"lhs": lhs, "rhs": names[cls], "product": entries})
     return rows
 
 

@@ -1,19 +1,20 @@
 """Weyl groups of a root system, read as orbits of dominant weights.
 
 An element is stored by the images of the simple roots, which is a
-faithful representation giving canonical equality and hashing; reduced
-words are derived data.  Elements are built in two ways only: by right
-multiplication with a simple reflection (words, parsing, longest
-elements) and by the one-step-longer left moves of an orbit walk.  The
-parabolic quotient W^theta is one :class:`CosetOrbit` per (system, theta),
-found as the orbit of rho_P without enumerating W; it fixes the coset
-representatives, their order, reduced words, the Hasse edges and the
-Poincare-duality involution for every module that reads W^theta, and its
-:class:`RootIndex` tables apply elements to roots by index.  The order of
-W and of its parabolic subgroups follows from the root heights.  W itself
-is the orbit of theta = (), the orbit of rho: it is the one enumeration
-of W, and the :class:`WeylGroup` wrapper reads it as the canonical
-element list.
+faithful representation giving canonical equality and hashing.  Reduced
+words are derived data, read off the integer weight w^{-1} rho without
+multiplying elements or keeping a memo.  Elements are built in two ways
+only: by right multiplication with a simple reflection (words, parsing,
+longest elements) and by the one-step-longer left moves of an orbit
+walk.  The parabolic quotient W^theta is one :class:`CosetOrbit` per
+(system, theta), found as the orbit of rho_P without enumerating W; it
+fixes the coset representatives, their order, reduced words, the Hasse
+edges and the Poincare-duality involution for every module that reads
+W^theta, and its :class:`RootIndex` tables apply elements to roots by
+index.  The order of W and of its parabolic subgroups follows from the
+root heights.  W itself is the orbit of theta = (), the orbit of rho: it
+is the one enumeration of W, and the :class:`WeylGroup` wrapper reads it
+as the canonical element list.
 
 A word ``[a1, ..., ak]`` denotes ``s_a1 * s_a2 * ... * s_ak``, acting on
 roots right to left.  Elements serialize as the deterministic reduced
@@ -77,35 +78,33 @@ def right_descents(w: WeylElement) -> tuple[int, ...]:
                  if not w.system.is_positive(w.images[i - 1]))
 
 
-# element -> its canonical reduced word, for every element reduced_word
-# has passed on a descent chain
-_WORDS: dict[WeylElement, tuple[int, ...]] = {}
+def inverse_rho(w: WeylElement) -> Weight:
+    """w^{-1} rho in the fundamental weights.  Its i-th coordinate
+    <w^{-1} rho, alpha_i^vee> = <rho, w(alpha_i)^vee> is the height of the
+    coroot of w(alpha_i), negative exactly when i is a right descent of w."""
+    coroot = w.system.coroot
+    return tuple(sum(coroot(r)) for r in w.images)
 
 
 def reduced_word(w: WeylElement) -> tuple[int, ...]:
     """Deterministic reduced word: word(w) = word(w s_i) + (i,), with i the
     smallest right descent of w, and word(e) = ().
 
-    Memoized along the descent chain: the walk from w down stops at the
-    first element already known (or at e) and records every element it
-    passed, so words sharing a prefix build that prefix once.
+    Read off lam = w^{-1} rho alone: the right descents of w are the i with
+    lam_i < 0, and (w s_i)^{-1} rho = s_i lam = lam - lam_i alpha_i, so the
+    walk down the descent chain is integer weight arithmetic.
     """
-    chain: list[tuple[WeylElement, int]] = []
-    cur = w
-    word: tuple[int, ...] = ()
-    while cur.length > 0:
-        known = _WORDS.get(cur)
-        if known is not None:
-            word = known
-            break
-        ds = right_descents(cur)
-        if not ds:
-            raise AssertionError("positive length but no descent")
-        chain.append((cur, ds[0]))
-        cur = mult_simple_right(cur, ds[0])
-    for cur, i in reversed(chain):
-        word = _WORDS[cur] = word + (i,)
-    return word
+    alphas = tuple(zip(*w.system.cartan.entries))   # alpha_i is column i
+    lam = inverse_rho(w)
+    letters = []
+    while True:
+        for i, c in enumerate(lam):
+            if c < 0:
+                break
+        else:
+            return tuple(reversed(letters))
+        letters.append(i + 1)
+        lam = [x - c * a for x, a in zip(lam, alphas[i])]
 
 
 def word_to_element(system: RootSystem, word) -> WeylElement:

@@ -21,6 +21,9 @@ MOVED_FUNCTIONS = {
     "positive_root_product", "_raw_reflect", "_raw_root_product",
     "embed_diagram", "simple_reflection", "LabeledBasis",
     "rank", "to_json", "load_root_system"}
+# Module state that is gone: the reduced-word memo (words are read off
+# w^{-1} rho).
+MOVED_MODULE_STATE = ((weyl, "_WORDS"),)
 MOVED_METHODS = (
     (schubert._LocalizationEngine, "integrals"),
     (schubert._GiambelliEngine, "root_moves"),
@@ -28,10 +31,11 @@ MOVED_METHODS = (
     (weyl.WeylGroup, "identity"),
     (weyl.WeylGroup, "index_of"),
     (RootSystem, "root_coroot_pairing"))
-# Attributes that instances no longer carry: the Giambelli product memo and
-# the per-J longest lengths, the W element index, and unread names.
+# Attributes that instances no longer carry: the Giambelli product memo,
+# the per-J longest lengths and the expanded-lift memo, the W element index,
+# and unread names.
 MOVED_ATTRIBUTES = (
-    (schubert._GiambelliEngine, ("_products", "_longest_lengths")),
+    (schubert._GiambelliEngine, ("_products", "_longest_lengths", "_delta_d")),
     (weyl.WeylGroup, ("_index", "_orbit", "rank")),
     (RootSystem, ("labels",)))
 
@@ -51,6 +55,8 @@ def test_moved_names_are_not_defined_in_the_package():
              for name in sorted(MOVED_FUNCTIONS) if hasattr(module, name)]
     found += [f"{cls.__name__}.{name}" for cls, name in MOVED_METHODS
               if hasattr(cls, name)]
+    found += [f"{module.__name__}.{name}" for module, name in MOVED_MODULE_STATE
+              if hasattr(module, name)]
     system = root_system("A1")
     group = weyl.WeylGroup(system)
     instances = {RootSystem: system, weyl.WeylGroup: group,

@@ -9,7 +9,7 @@ from chowring.cli import main
 from chowring.rootsystem import CartanMatrix, build_root_system
 from chowring.schubert import ChowRing
 from chowring.weyl import longest_element, serialize
-from weyl_oracle import multiply
+from weyl_oracle import multiply, stripped_word
 
 # Bourbaki numbering: 1-3-4-5-6 is the long chain and 2 hangs off 4.
 E6 = ((2, 0, -1, 0, 0, 0),
@@ -78,6 +78,18 @@ def test_orbit_representatives_match_element_products(no_enumeration, node):
         for got, want in ((orbit.maximal[k], multiply(v, w_theta)),
                           (orbit.maximal[orbit.opposite[k]], multiply(w0, v))):
             assert (got.images, got.length) == (want.images, want.length)
+
+
+@pytest.mark.parametrize("node", [1, 6])
+def test_coset_rep_words_match_stripping_oracle(no_enumeration, node):
+    """Both representatives of every point of E6/P1 and E6/P6, words up to
+    36 letters, against the word stripped by element products."""
+    system = build_root_system(CartanMatrix(E6))
+    orbit = weyl.coset_orbit(system, [i for i in range(1, 7) if i != node])
+    reps = orbit.minimal + orbit.maximal
+    assert max(w.length for w in reps) == 36
+    for w in reps:
+        assert weyl.reduced_word(w) == stripped_word(w), serialize(w)
 
 
 @pytest.mark.parametrize("argv", [

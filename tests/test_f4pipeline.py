@@ -230,3 +230,82 @@ def test_corrupted_idempotent_cycle_verify_exits_fail(fresh_idempotents, capsys)
     assert failing["idempotent-exactness"]["witness"] == ["q2", "q2t"]
     assert failing["idempotent-completeness"]["witness"] == ["q"]
     assert rc == 1
+
+
+def _verify_json(capsys):
+    rc = main(["verify", "f4", "--eps", "both", "--format", "json"])
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert not any(c.get("error") for c in checks)
+    return rc, {c["name"]: c for c in checks if not c["passed"]}
+
+
+LATTICE = "polynomial is not in the image lattice of c"
+
+
+@pytest.mark.parametrize("fname,old,new,error", [
+    # a coefficient that leaves the W_theta-invariants
+    ("h14_preimage.txt", "11/6*w1^2*w4^2", "17/6*w1^2*w4^2",
+     "c map support left the subring at "),
+    # one that leaves the integer lattice
+    ("h14_preimage.txt", "11/6*w1^2*w4^2", "12/6*w1^2*w4^2", LATTICE),
+    # an extra term
+    ("g14_preimage.txt", "- 2/3*w2*w3^3", "- 2/3*w2*w3^3 - 1/7*w1^4", LATTICE),
+], ids=["h14-subring", "h14-lattice", "g14-extra-term"])
+def test_preimage_transcription_error_fails_with_witness(fname, old, new, error,
+                                                         monkeypatch, capsys):
+    """One edit to a transcribed preimage polynomial, through ``_data_text``:
+    preimage-polynomials FAILs, each witness row names the polynomial and
+    the c map's error, nothing reads ERROR and verify exits 1."""
+    text = pipe._data_text(fname)
+    assert text.count(old) == 1
+    real = pipe._data_text
+    monkeypatch.setattr(pipe, "_data_text", lambda name: text.replace(old, new)
+                        if name == fname else real(name))
+    rc, failing = _verify_json(capsys)
+    assert sorted(failing) == ["preimage-polynomials"]
+    witness = failing["preimage-polynomials"]["witness"]
+    assert [row["poly"] for row in witness] == [fname, fname + " squared"]
+    assert all(row["error"].startswith(error) for row in witness)
+    assert rc == 1
+
+
+def test_eps_dependent_candidates_fail_with_witness(monkeypatch, capsys):
+    """The eps=-1 candidates p'_1 and p'_2 swapped: eps-independence FAILs,
+    and its witness names p'_1 with the candidate of each eps."""
+    real = pipe.compute_idempotents
+    p, q = real(1)
+
+    def swapped(eps):
+        return ((p[0], p[2], p[1], p[3]), q) if eps == -1 else real(eps)
+
+    monkeypatch.setattr(pipe, "compute_idempotents", swapped)
+    rc, failing = _verify_json(capsys)
+    assert sorted(failing) == ["idempotent-eps-independence"]
+    assert failing["idempotent-eps-independence"]["witness"] == {
+        "family": "p'", "i": 1, "eps=+1": corr.to_jsonable(p[1]),
+        "eps=-1": corr.to_jsonable(p[2])}
+    assert rc == 1
+
+
+def test_J_missing_a_term_fails_inverse_with_witness(monkeypatch, capsys):
+    """build_J without its first term, h1^0 x g1^15: both isomorphism-inverse
+    checks FAIL, and each witness gives both sides with their residue mod 3
+    against the diagonal, the two terms that the dropped one and its
+    transpose paired with g1^0 x h1^15 and h1^15 x g1^0."""
+    real = pipe.build_J
+
+    def dropped(eps):
+        J = real(eps)
+        (first, _), *_ = J.sorted_terms()
+        return J._with({fg: v for fg, v in J.terms.items() if fg != first})
+
+    monkeypatch.setattr(pipe, "build_J", dropped)
+    rc, failing = _verify_json(capsys)
+    assert sorted(failing) == ["isomorphism-inverse[eps=+1]", "isomorphism-inverse[eps=-1]",
+                               "isomorphism-shape[eps=+1]", "isomorphism-shape[eps=-1]"]
+    want = [{"side": side, "residue": [{"coeff": -1, "f": f"{x}^0", "g": f"{x}^15"},
+                                       {"coeff": -1, "f": f"{x}^15", "g": f"{x}^0"}]}
+            for side, x in (("J^t o J", "h1"), ("J o J^t", "g1"))]
+    for eps in ("+1", "-1"):
+        assert failing[f"isomorphism-inverse[eps={eps}]"]["witness"] == want
+    assert rc == 1

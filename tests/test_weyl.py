@@ -127,67 +127,52 @@ A5 = ((2, -1, 0, 0, 0),
       (0, 0, 0, -1, 2))
 
 
-def _stripped_word(w):
-    """The canonical word without a memo: strip the smallest right descent,
-    one multiplication per letter, and read the letters backwards."""
-    letters = []
-    while w.length > 0:
-        i = weyl.right_descents(w)[0]
-        letters.append(i)
-        w = weyl.mult_simple_right(w, i)
-    return tuple(reversed(letters))
-
-
 def _system(name):
     rows = {"D5": D5, "A5": A5}.get(name)
     return build_root_system(CartanMatrix(rows)) if rows else root_system(name)
 
 
 @pytest.mark.parametrize("name", ["A2", "B2", "G2", "B3", "F4", "D5", "A5"])
-def test_reduced_word_matches_stripping_oracle(name, monkeypatch):
-    """Every element's memoized word is the stripped one, whether the memo
-    fills from the longest elements down or from the shortest up."""
+def test_reduced_word_matches_stripping_oracle(name):
+    """Every element's word is the stripped one, whether the group is named
+    from the longest elements down or from the shortest up."""
     elements = weyl.WeylGroup(_system(name)).elements
-    oracle = {w: _stripped_word(w) for w in elements}
+    oracle = {w: weyl_oracle.stripped_word(w) for w in elements}
     for order in (elements[::-1], elements):
-        monkeypatch.setattr(weyl, "_WORDS", {})
         for w in order:
             assert weyl.reduced_word(w) == oracle[w], weyl.serialize(w)
 
 
-def test_equal_elements_built_apart_get_one_word(f4_group, monkeypatch):
+def test_equal_elements_built_apart_get_one_word(f4_group):
     """The group's elements, an orbit's minimal and maximal representatives
     and elements parsed from the orbit's own words are built along different
-    paths; equal elements get the same word from a fresh memo each."""
+    paths; equal elements get the same word."""
     system = f4_group.system
     orbit = weyl.coset_orbit(system, (2, 3, 4))
     sources = [f4_group.elements, orbit.minimal, orbit.maximal,
                [weyl.parse_element(system, " ".join(f"s{i}" for i in word))
                 for word in orbit.words]]
-    words = []
-    for source in sources:
-        monkeypatch.setattr(weyl, "_WORDS", {})
-        words.append({w.images: weyl.reduced_word(w) for w in source})
+    words = [{w.images: weyl.reduced_word(w) for w in source} for source in sources]
     for found in words[1:]:
         assert found == {images: words[0][images] for images in found}
     assert words[1] == words[3]
 
 
-def test_word_memo_keeps_each_element_once(f4_group, monkeypatch):
-    """Serializing all of W(F4) leaves at most one memo entry per element,
-    and each multiplication on a descent chain adds an entry."""
-    f4 = f4_group.system
-    for w in f4_group.elements:
-        weyl.serialize(w)
-    assert sum(1 for w in weyl._WORDS if w.system is f4) <= 1152
-    monkeypatch.setattr(weyl, "_WORDS", {})
+def test_naming_w_multiplies_no_element(monkeypatch):
+    """Every word of W(F4) is read off w^{-1} rho: serializing the whole
+    group calls neither ``mult_simple_right`` nor ``right_descents``.  The
+    system is built apart from the shared one, so no earlier test can have
+    named its elements."""
+    system = build_root_system(CartanMatrix.from_name("F4"))
+    elements = weyl.WeylGroup(system).elements
     calls = []
-    step = weyl.mult_simple_right
-    monkeypatch.setattr(weyl, "mult_simple_right",
-                        lambda w, i: calls.append(i) or step(w, i))
-    for w in f4_group.elements[::-1]:
-        weyl.serialize(w)
-    assert len(calls) == len(weyl._WORDS) == 1151
+    for name in ("mult_simple_right", "right_descents"):
+        real = getattr(weyl, name)
+        monkeypatch.setattr(weyl, name, lambda *args, name=name, real=real:
+                            calls.append(name) or real(*args))
+    words = [weyl.serialize(w) for w in elements]
+    assert calls == []
+    assert len(set(words)) == len(elements) == 1152
 
 
 def test_length_matches_word_on_random_f4_elements(f4_group):

@@ -11,7 +11,7 @@ breadth-first search over w -> w s_j from the identity.
 from functools import lru_cache
 
 from chowring.weyl import (WeylElement, identity, mult_simple_right,
-                           reduced_word, word_to_element)
+                           reduced_word, right_descents, word_to_element)
 
 
 def act_root(w, root):
@@ -68,6 +68,18 @@ def mult_simple_left(w, i):
 def inverse(w):
     """w^{-1}, the reversed reduced word."""
     return word_to_element(w.system, tuple(reversed(reduced_word(w))))
+
+
+def stripped_word(w):
+    """The canonical reduced word by element products: strip the smallest
+    right descent, one multiplication per letter, and read the letters
+    backwards."""
+    letters = []
+    while w.length > 0:
+        i = right_descents(w)[0]
+        letters.append(i)
+        w = mult_simple_right(w, i)
+    return tuple(reversed(letters))
 
 
 def list_group(system, nodes=None):
