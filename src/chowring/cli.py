@@ -154,12 +154,12 @@ def cmd_weyl(args) -> int:
         _emit(f"{weylmod.serialize(w)}\nlength {w.length}\n", args.output)
     elif args.query == "cosets":
         try:
-            reps = (group.maximal_coset_reps(theta) if args.maximal
-                    else group.minimal_coset_reps(theta))
+            orbit = weylmod.coset_orbit(system, theta)
         except ValueError as exc:   # W^theta too large to walk
             raise UsageError(str(exc)) from None
-        lines = [f"{weylmod.serialize(w)}" for w in reps]
-        _emit("\n".join(lines) + f"\ncount {len(reps)}\n", args.output)
+        names = (tuple(map(weylmod.serialize, orbit.maximal)) if args.maximal
+                 else orbit.names)
+        _emit("\n".join(names) + f"\ncount {len(names)}\n", args.output)
     return 0
 
 

@@ -2,10 +2,11 @@
 
 Vertices are the minimal-length coset representatives, graded by length:
 the points of the quotient's :class:`~chowring.weyl.CosetOrbit`, in its
-order.  An edge carries label i when the longer endpoint is s_i times the
-shorter one, which is exactly the orbit's upward move along i, so the
-edges are read off the orbit and no Weyl element is multiplied.  With that
-rule the diagram of a rank-2 quotient is the expected path and the two F4
+order, named by the orbit's ``names``, built once per orbit.  An edge
+carries label i when the longer endpoint is s_i times the shorter one,
+which is exactly the orbit's upward move along i, so the edges are read
+off the orbit and no Weyl element is multiplied.  With that rule the
+diagram of a rank-2 quotient is the expected path and the two F4
 quotients reproduce the familiar double-diamond shape.  (The right-handed
 variant w' = w*s_i leaves the quotient of the projective plane
 disconnected, so the left-handed rule is the one actually drawn.)
@@ -23,12 +24,13 @@ from dataclasses import dataclass
 
 from . import weyl as _weyl
 from .schubert import ChowRing
-from .weyl import WeylElement, WeylGroup
+from .weyl import CosetOrbit, WeylElement, WeylGroup
 
 
 @dataclass(frozen=True)
 class HasseDiagram:
-    """Graded diagram on the minimal coset representatives.
+    """Graded diagram on the minimal coset representatives, the points of
+    ``orbit``; vertex k is ``orbit.minimal[k]``, named ``orbit.names[k]``.
 
     ``edge_tag`` names the third entry of each edge.  With "label", edges
     increase length by one and label i means target = s_i * source.  With
@@ -36,10 +38,17 @@ class HasseDiagram:
     the basis classes, i.e. decreasing vertex length.
     """
 
-    theta: tuple[int, ...]
-    vertices: tuple[WeylElement, ...]
+    orbit: CosetOrbit
     edges: tuple[tuple[int, int, int], ...]   # (source idx, target idx, tag)
     edge_tag: str
+
+    @property
+    def theta(self) -> tuple[int, ...]:
+        return self.orbit.theta
+
+    @property
+    def vertices(self) -> tuple[WeylElement, ...]:
+        return self.orbit.minimal
 
     def lengths(self) -> tuple[int, ...]:
         return tuple(v.length for v in self.vertices)
@@ -49,7 +58,7 @@ def build_hasse(group: WeylGroup, theta) -> HasseDiagram:
     orbit = _weyl.coset_orbit(group.system, theta)
     edges = sorted((k, j, i) for k, moves in enumerate(orbit.up)
                    for i, j in moves.items())
-    return HasseDiagram(orbit.theta, orbit.minimal, tuple(edges), "label")
+    return HasseDiagram(orbit, tuple(edges), "label")
 
 
 def build_pieri_diagram(ring: ChowRing, node: int) -> HasseDiagram:
@@ -62,25 +71,20 @@ def build_pieri_diagram(ring: ChowRing, node: int) -> HasseDiagram:
         for target, weight in product.terms.items():
             edges.append((cls.point, target.point, weight))
     edges.sort()
-    return HasseDiagram(ring.theta, ring.orbit.minimal, tuple(edges), "weight")
+    return HasseDiagram(ring.orbit, tuple(edges), "weight")
 
 
 # ---------------------------------------------------------------------------
 # export
 
 
-def _vertex_names(diagram) -> list[str]:
-    return [_weyl.serialize(v) for v in diagram.vertices]
-
-
 def export_dot(diagram, by_codim: bool = False) -> str:
     """Deterministic DOT text; ``by_codim`` flips the drawing direction so
     codimension increases left to right."""
-    names = _vertex_names(diagram)
     key = diagram.edge_tag
     lines = ["digraph hasse {", "  rankdir=LR;"]
-    for k, v in enumerate(diagram.vertices):
-        lines.append(f'  n{k} [label="{names[k]} (l={v.length})"];')
+    for k, (name, v) in enumerate(zip(diagram.orbit.names, diagram.vertices)):
+        lines.append(f'  n{k} [label="{name} (l={v.length})"];')
     for src, dst, tag in diagram.edges:
         a, b = (dst, src) if by_codim and key == "label" else (src, dst)
         lines.append(f'  n{a} -> n{b} [{key}="{tag}"];')
@@ -89,11 +93,10 @@ def export_dot(diagram, by_codim: bool = False) -> str:
 
 
 def export_json(diagram) -> str:
-    names = _vertex_names(diagram)
     payload = {
         "theta": list(diagram.theta),
-        "vertices": [{"word": names[k], "length": v.length}
-                     for k, v in enumerate(diagram.vertices)],
+        "vertices": [{"word": name, "length": v.length}
+                     for name, v in zip(diagram.orbit.names, diagram.vertices)],
         "edges": [
             {"source": s, "target": t, diagram.edge_tag: tag}
             for s, t, tag in diagram.edges],

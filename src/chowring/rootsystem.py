@@ -143,6 +143,12 @@ class RootSystem:
         self.rank = cartan.rank
         self.positive_roots = positive_roots
         self._sym = _symmetrizer(cartan)
+        # per node i (0-based), alpha_(i+1) in the fundamental weights
+        # (column i of the Cartan matrix) and its nonzero entries as
+        # (coordinate, entry) pairs: the coordinates s_(i+1) moves
+        self.alpha_weights: tuple[Weight, ...] = tuple(zip(*cartan.entries))
+        self.alpha_support: tuple[tuple[tuple[int, int], ...], ...] = tuple(
+            tuple((k, x) for k, x in enumerate(col) if x) for col in self.alpha_weights)
         self._check_reflection_convention()
         self._coroots = self._coroot_table()
 
@@ -248,7 +254,7 @@ class RootSystem:
     def simple_root_weight(self, j: int) -> Weight:
         """alpha_j expanded in the fundamental-weight basis (column j)."""
         self._check_node(j)
-        return tuple(self.cartan.entries[i][j - 1] for i in range(self.rank))
+        return self.alpha_weights[j - 1]
 
     def root_to_weight(self, root: Root) -> Weight:
         c = self.cartan.entries
@@ -256,13 +262,16 @@ class RootSystem:
                      for i in range(self.rank))
 
     def reflect_weight(self, i: int, omega: Weight) -> Weight:
-        """s_i on a weight: subtract the i-th coordinate times alpha_i."""
+        """s_i on a weight: subtract the i-th coordinate times alpha_i,
+        touching only the coordinates where alpha_i is nonzero."""
         self._check_node(i)
         coeff = omega[i - 1]
         if coeff == 0:
             return tuple(omega)
-        alpha = self.simple_root_weight(i)
-        return tuple(omega[k] - coeff * alpha[k] for k in range(self.rank))
+        out = list(omega)
+        for k, x in self.alpha_support[i - 1]:
+            out[k] -= coeff * x
+        return tuple(out)
 
     def _check_node(self, i: int) -> None:
         if not 1 <= i <= self.rank:

@@ -554,8 +554,10 @@ class ChowRing:
         self.theta = _weyl.normalize_theta(system, theta)
         self.engine = _get_engine(self.group)
         self.orbit = _weyl.coset_orbit(system, self.theta)
-        self.w0 = self.group.longest
-        self.w_theta = self.group.longest_parabolic(self.theta)
+        # the orbit's endpoints: point 0 is rho_P, with minimal representative
+        # e and maximal w_theta; the last point is the unique longest, w0
+        self.w_theta = self.orbit.maximal[0]
+        self.w0 = self.orbit.maximal[-1]
         self.dim = self.w0.length - self.w_theta.length
         # basis order: by codimension, ties broken on the image tuples
         maximal = self.orbit.maximal

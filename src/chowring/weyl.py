@@ -3,10 +3,11 @@
 An element is stored by the images of the simple roots, which is a
 faithful representation giving canonical equality and hashing.  Reduced
 words are derived data, read off the integer weight w^{-1} rho without
-multiplying elements or keeping a memo.  Elements are built in two ways
-only: by right multiplication with a simple reflection (words, parsing,
-longest elements) and by the one-step-longer left moves of an orbit
-walk.  The parabolic quotient W^theta is one :class:`CosetOrbit` per
+multiplying elements; they are not memoized, and each :class:`CosetOrbit`
+names its points once, on the first read of its ``names``.  Elements are
+built in two ways only: by right multiplication with a simple reflection
+(words, parsing, longest elements) and by the one-step-longer left moves
+of an orbit walk.  The parabolic quotient W^theta is one :class:`CosetOrbit` per
 (system, theta), found as the orbit of rho_P without enumerating W; it
 fixes the coset representatives, their order, reduced words, the Hasse
 edges and the Poincare-duality involution for every module that reads
@@ -92,10 +93,11 @@ def reduced_word(w: WeylElement) -> tuple[int, ...]:
 
     Read off lam = w^{-1} rho alone: the right descents of w are the i with
     lam_i < 0, and (w s_i)^{-1} rho = s_i lam = lam - lam_i alpha_i, so the
-    walk down the descent chain is integer weight arithmetic.
+    walk down the descent chain is integer weight arithmetic on the
+    coordinates alpha_i touches.
     """
-    alphas = tuple(zip(*w.system.cartan.entries))   # alpha_i is column i
-    lam = inverse_rho(w)
+    support = w.system.alpha_support
+    lam = list(inverse_rho(w))
     letters = []
     while True:
         for i, c in enumerate(lam):
@@ -104,7 +106,9 @@ def reduced_word(w: WeylElement) -> tuple[int, ...]:
         else:
             return tuple(reversed(letters))
         letters.append(i + 1)
-        lam = [x - c * a for x, a in zip(lam, alphas[i])]
+        # only the coordinates where alpha_i is nonzero move
+        for k, a in support[i]:
+            lam[k] -= c * a
 
 
 def word_to_element(system: RootSystem, word) -> WeylElement:
@@ -243,6 +247,9 @@ class CosetOrbit:
     built on first read, holds the index of v(beta) for every positive
     root beta; the image under the maximal representative is
     v w_theta(beta) = v(w_theta beta), the entry at the index of w_theta beta.
+    ``names[k]``, also built on first read, is ``serialize(minimal[k])``,
+    the canonical word of v as text: every export of the orbit's points
+    reads these names instead of naming the points again.
 
     The walk builds both representatives of s_a v from those of v by one
     left reflection each, one step longer.  It asserts the orbit size and,
@@ -295,6 +302,7 @@ class CosetOrbit:
         self.opposite = tuple(index[tuple(-lam[j] for j in sigma)]
                               for lam in self.weights)
         self._root_images: tuple[tuple[int, ...], ...] | None = None
+        self._names: tuple[str, ...] | None = None
 
     @property
     def root_images(self) -> tuple[tuple[int, ...], ...]:
@@ -310,6 +318,13 @@ class CosetOrbit:
                 images.append(tuple(map(steps[word[0] - 1].__getitem__, images[parent])))
             self._root_images = tuple(images)
         return self._root_images
+
+    @property
+    def names(self) -> tuple[str, ...]:
+        """Per point k, ``serialize(minimal[k])``; built on the first read."""
+        if self._names is None:
+            self._names = tuple(map(serialize, self.minimal))
+        return self._names
 
 
 @lru_cache(maxsize=None)

@@ -1,7 +1,7 @@
 import json
 
-from chowring import hasse
-from chowring.rootsystem import root_system
+from chowring import hasse, weyl
+from chowring.rootsystem import CartanMatrix, build_root_system, root_system
 from chowring.schubert import get_chow_ring
 from chowring.weyl import get_weyl_group
 import weyl_oracle
@@ -113,3 +113,25 @@ def test_json_export(f4_group):
     p = hasse.build_pieri_diagram(get_chow_ring(root_system("F4"), (2, 3, 4)), 1)
     payload_p = json.loads(hasse.export_json(p))
     assert all("weight" in e for e in payload_p["edges"])
+
+
+def test_f4_p1_exports_name_each_vertex_once(x1, monkeypatch):
+    """The Hasse DOT, Hasse JSON and Pieri JSON exports of F4/P1 read one
+    tuple of vertex names off the shared orbit: 24 serializations in all.
+    The system is built apart from the shared one, so no earlier test can
+    have named its orbit."""
+    system = build_root_system(CartanMatrix.from_name("F4"))
+    calls = []
+    real = weyl.serialize
+    monkeypatch.setattr(weyl, "serialize", lambda w: calls.append(w) or real(w))
+    diagram = hasse.build_hasse(get_weyl_group(system), (2, 3, 4))
+    pieri = hasse.build_pieri_diagram(get_chow_ring(system, (2, 3, 4)), 1)
+    texts = [hasse.export_dot(diagram), hasse.export_json(diagram),
+             hasse.export_json(pieri)]
+    assert len(calls) == len(set(calls)) == 24
+    assert diagram.orbit is pieri.orbit
+    # the same texts as from the shared system's diagrams
+    monkeypatch.undo()
+    shared = hasse.build_hasse(get_weyl_group(root_system("F4")), (2, 3, 4))
+    assert texts == [hasse.export_dot(shared), hasse.export_json(shared),
+                     hasse.export_json(hasse.build_pieri_diagram(x1, 1))]

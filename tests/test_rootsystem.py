@@ -5,6 +5,7 @@ import pytest
 from chowring.rootsystem import (BUILTIN_CARTAN, CartanMatrix,
                                  InfiniteRootSystemError, build_root_system,
                                  root_system)
+from chowring.weyl import coset_orbit
 
 
 @pytest.mark.parametrize("name,count", [
@@ -111,6 +112,28 @@ def test_node_index_out_of_range(f4):
         f4.reflect_weight(0, (0, 0, 0, 0))
     with pytest.raises(ValueError):
         f4.reflect_weight(5, (0, 0, 0, 0))
+    with pytest.raises(ValueError):
+        f4.reflect_weight(0, (1, 1, 1, 1))
+    with pytest.raises(ValueError):
+        f4.reflect_weight(5, (1, 1, 1, 1))
+
+
+def test_reflect_weight_matches_the_column_formula(f4):
+    """s_i lam = lam - lam_i alpha_i, alpha_i column i of the Cartan matrix,
+    on every weight of the W(F4) orbits of rho and of each fundamental
+    weight."""
+    columns = [tuple(row[i] for row in f4.cartan.entries) for i in range(4)]
+    weights = set(coset_orbit(f4, ()).weights)
+    for node in range(1, 5):
+        theta = tuple(i for i in range(1, 5) if i != node)
+        weights.update(coset_orbit(f4, theta).weights)
+    assert len(weights) == 1152 + 24 + 96 + 96 + 24
+    for i in range(1, 5):
+        alpha = f4.simple_root_weight(i)
+        assert alpha == columns[i - 1]
+        for lam in weights:
+            assert f4.reflect_weight(i, lam) == tuple(
+                x - lam[i - 1] * a for x, a in zip(lam, alpha))
 
 
 @pytest.mark.parametrize("name", sorted(BUILTIN_CARTAN))

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -5,7 +6,7 @@ import pytest
 
 from chowring import weyl
 from chowring.poly import RationalPolynomial as RP
-from chowring.rootsystem import root_system
+from chowring.rootsystem import BUILTIN_CARTAN, root_system
 from chowring.schubert import ChowElement, ChowRing, get_chow_ring
 import poly_oracle
 import weyl_oracle
@@ -22,6 +23,23 @@ def test_basis_extremes(x1):
     assert x1.point_class.rep == x1.w_theta
     with pytest.raises(ValueError):
         x1.basis(16)
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_CARTAN))
+def test_ring_endpoints_are_the_longest_elements(name):
+    """w0 and w_theta, read off the ends of the orbit of rho_P, are the
+    greedy longest elements of W and W_theta on every theta."""
+    system = root_system(name)
+    w0 = weyl.longest_element(system)
+    for size in range(system.rank + 1):
+        for theta in itertools.combinations(range(1, system.rank + 1), size):
+            ring = get_chow_ring(system, theta)
+            w_theta = weyl.longest_element(system, theta)
+            assert (ring.w0, ring.w0.length) == (w0, w0.length)
+            assert (ring.w_theta, ring.w_theta.length) == (w_theta, w_theta.length)
+            assert ring.dim == w0.length - w_theta.length
+    w_theta = get_chow_ring(system, ()).w_theta
+    assert (w_theta, w_theta.length) == (weyl.identity(system), 0)
 
 
 def test_ranks_per_codim(x1, x4):

@@ -265,6 +265,19 @@ def test_coset_orbit_is_shared_per_normalized_theta(f4):
         weyl.coset_orbit(f4, (5,))
 
 
+@pytest.mark.parametrize("name,theta", [
+    ("F4", (2, 3, 4)), ("F4", (1, 3, 4)), ("F4", (1, 2, 4)), ("F4", (1, 2, 3)),
+    ("B3", ()),
+])
+def test_orbit_names_are_the_serialized_minimal_reps(name, theta):
+    orbit = weyl.coset_orbit(root_system(name), theta)
+    assert len(orbit.names) == len(orbit.minimal)
+    for k, v in enumerate(orbit.minimal):
+        assert orbit.names[k] == weyl.serialize(v)
+    # built on the first read and kept
+    assert orbit.names is orbit.names
+
+
 @pytest.mark.parametrize("name", sorted(BUILTIN_CARTAN))
 def test_weyl_order_cli_matches_enumeration(name, capsys):
     assert main(["weyl", "order", "--type", name]) == 0
