@@ -145,12 +145,11 @@ def cmd_roots(args) -> int:
 
 def cmd_weyl(args) -> int:
     system = _system(args)
-    group = get_weyl_group(system)
     theta = _theta(args, system)
     if args.query == "order":
         _emit(f"{weylmod.order_from_heights(system)}\n", args.output)
     elif args.query == "longest":
-        w = group.longest_parabolic(theta) if theta else group.longest
+        w = weylmod.longest_element(system, theta or None)
         _emit(f"{weylmod.serialize(w)}\nlength {w.length}\n", args.output)
     elif args.query == "cosets":
         try:

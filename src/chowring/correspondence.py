@@ -25,7 +25,8 @@ Modular reduction keeps balanced representatives, e.g. coefficients in
 
 from __future__ import annotations
 
-from .schubert import ChowElement, ChowRing, SchubertClass, _Combination
+from .poly import _Combination
+from .schubert import ChowElement, ChowRing, SchubertClass
 
 Modulus = int  # 0 means integral coefficients
 
@@ -80,9 +81,6 @@ class Correspondence(_Combination):
 
     def _label(self, fg) -> str:
         return f"{self.source.label_of(fg[0])}x{self.target.label_of(fg[1])}"
-
-    def total_codims(self) -> tuple[int, ...]:
-        return tuple(sorted({f.codim + g.codim for f, g in self.terms}))
 
     @property
     def is_morphism_degree(self) -> bool:
@@ -171,21 +169,18 @@ def _require_square_morphism(p: Correspondence, what: str) -> None:
         raise ValueError(f"{what} needs a correspondence of morphism degree")
 
 
-def is_idempotent(p: Correspondence, m: Modulus = 0) -> bool:
+def is_idempotent(p: Correspondence, m: Modulus) -> bool:
     _require_square_morphism(p, "idempotency")
-    return congruent(compose(p, p), p, m) if m else compose(p, p) == p
+    return congruent(compose(p, p), p, m)
 
 
-def are_orthogonal(p: Correspondence, q: Correspondence, m: Modulus = 0) -> bool:
+def are_orthogonal(p: Correspondence, q: Correspondence, m: Modulus) -> bool:
     _require_square_morphism(p, "orthogonality")
     _require_square_morphism(q, "orthogonality")
     if p.source is not q.source:
         raise ValueError("idempotents live on different varieties")
-    ab = compose(p, q)
-    ba = compose(q, p)
-    if m:
-        return mod_reduce(ab, m).is_zero() and mod_reduce(ba, m).is_zero()
-    return ab.is_zero() and ba.is_zero()
+    return (mod_reduce(compose(p, q), m).is_zero()
+            and mod_reduce(compose(q, p), m).is_zero())
 
 
 def realize(p: Correspondence, x: ChowElement) -> ChowElement:

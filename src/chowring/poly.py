@@ -28,9 +28,12 @@ Python int.  A monomial whose total degree exceeds 2^W - 1 raises
 ValueError, both where it is built from exponents and where a product
 would reach it; since every exponent is at most the total degree, no
 field can wrap into the next.  The constant monomial is key 0.
-:class:`RationalPolynomial` is the thin public wrapper that ties a term
-dict to its root system; exponent tuples appear only at its constructors
-and in the text format.
+
+The same kernels carry :class:`_Combination`, the sparse arithmetic that
+Chow elements, correspondences and polynomials share.
+:class:`RationalPolynomial` is the combination that ties a term dict to
+its root system; exponent tuples appear only at its constructor and in
+the text format.
 """
 
 from __future__ import annotations
@@ -61,6 +64,70 @@ def _raw_scale(a: RawPoly, scale) -> RawPoly:
     if scale == 0:
         return {}
     return {e: c * scale for e, c in a.items()}
+
+
+class _Combination:
+    """Exact combination of keys in one space, ``terms`` key -> nonzero
+    coefficient, on the term-dict kernels above; Chow elements,
+    correspondences and polynomials share it.  A scalar that is not one
+    of the class's ``_scalars`` (``int`` here, so cycles keep integral
+    coefficients) gives NotImplemented, so Python raises TypeError.  A
+    subclass supplies ``_space()``, compared by identity, its
+    ``_mismatch`` message, ``_with(terms)`` that takes a fresh zero-free
+    dict as it is, and, for the default ``repr``, a key's ``_sort_key``
+    and ``_label``.
+    """
+
+    __slots__ = ("terms",)
+    _scalars = int
+
+    def _check(self, other: "_Combination") -> None:
+        if self._space() != other._space():
+            raise ValueError(self._mismatch)
+
+    def __add__(self, other, sign=1):
+        if type(other) is not type(self):
+            return NotImplemented
+        self._check(other)
+        acc = dict(self.terms)
+        _raw_add_into(acc, other.terms, sign)
+        return self._with(acc)
+
+    def __sub__(self, other):
+        return self.__add__(other, -1)
+
+    def __neg__(self):
+        return self._with(_raw_scale(self.terms, -1))
+
+    def __mul__(self, scalar):
+        if not isinstance(scalar, self._scalars):
+            return NotImplemented
+        return self._with(_raw_scale(self.terms, scalar))
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other) -> bool:
+        return (type(other) is type(self) and self._space() == other._space()
+                and self.terms == other.terms)
+
+    def __hash__(self):
+        return hash(frozenset(self.terms.items()))
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def sorted_terms(self) -> list[tuple[object, int]]:
+        key = self._sort_key
+        return sorted(self.terms.items(), key=lambda kv: key(kv[0]))
+
+    def __repr__(self) -> str:
+        parts = []
+        for key, v in self.sorted_terms():
+            label = self._label(key)
+            body = label if abs(v) == 1 else f"{abs(v)}*{label}"
+            parts.append(("+ " if v > 0 else "- ") + body if parts
+                         else (body if v > 0 else f"-{body}"))
+        return " ".join(parts) or "0"
 
 
 class _Calculus:
@@ -194,106 +261,52 @@ def _raw_delta(system: RootSystem, i: int, a: RawPoly) -> RawPoly:
 # public wrapper
 
 
-class RationalPolynomial:
+class RationalPolynomial(_Combination):
     """Polynomial in w1..wn tied to a root system; immutable by contract.
 
-    ``terms`` maps exponent tuples to coefficients; the polynomial keeps
-    them as the packed term dict ``raw``.
+    The constructor takes ``terms`` as exponent tuple -> coefficient; the
+    attribute ``terms`` holds them packed.  Sums, differences, rational
+    multiples and equality are those of :class:`_Combination`; ``*`` of
+    two polynomials is their product.
     """
 
-    __slots__ = ("system", "raw")
+    __slots__ = ("system",)
+    _mismatch = "polynomials belong to different root systems"
+    _scalars = (int, Fraction)
 
     def __init__(self, system: RootSystem, terms: dict | None = None):
         pack = _calculus(system).pack
         self.system = system
-        self.raw: RawPoly = {pack(e): c for e, c in (terms or {}).items() if c}
+        self.terms: RawPoly = {pack(e): c for e, c in (terms or {}).items() if c}
 
     @classmethod
     def _from_raw(cls, system: RootSystem, raw: RawPoly) -> "RationalPolynomial":
         """Wrap a packed term dict of ``system`` without copying it."""
         u = cls.__new__(cls)
         u.system = system
-        u.raw = raw
+        u.terms = raw
         return u
 
-    # constructors
+    def _space(self) -> RootSystem:
+        return self.system
 
-    @classmethod
-    def zero(cls, system: RootSystem) -> "RationalPolynomial":
-        return cls(system)
-
-    @classmethod
-    def one(cls, system: RootSystem) -> "RationalPolynomial":
-        return cls.constant(system, 1)
-
-    @classmethod
-    def constant(cls, system: RootSystem, value) -> "RationalPolynomial":
-        return cls(system, {(0,) * system.rank: value})
-
-    @classmethod
-    def variable(cls, system: RootSystem, i: int) -> "RationalPolynomial":
-        if not 1 <= i <= system.rank:
-            raise ValueError(f"variable index {i} out of range")
-        e = tuple(1 if t == i - 1 else 0 for t in range(system.rank))
-        return cls(system, {e: 1})
-
-    # queries
-
-    def is_zero(self) -> bool:
-        return not self.raw
+    def _with(self, terms: RawPoly) -> "RationalPolynomial":
+        return RationalPolynomial._from_raw(self.system, terms)
 
     def degree(self) -> int:
-        return max(self.raw, default=0) >> _calculus(self.system).degree_shift
+        return max(self.terms, default=0) >> _calculus(self.system).degree_shift
 
     def is_homogeneous(self) -> bool:
         shift = _calculus(self.system).degree_shift
-        return len({e >> shift for e in self.raw}) <= 1
-
-    # arithmetic
-
-    def _check(self, other: "RationalPolynomial") -> None:
-        if self.system is not other.system:
-            raise ValueError("polynomials belong to different root systems")
-
-    def __add__(self, other: "RationalPolynomial") -> "RationalPolynomial":
-        self._check(other)
-        acc = dict(self.raw)
-        _raw_add_into(acc, other.raw)
-        return RationalPolynomial._from_raw(self.system, acc)
-
-    def __sub__(self, other: "RationalPolynomial") -> "RationalPolynomial":
-        self._check(other)
-        acc = dict(self.raw)
-        _raw_add_into(acc, other.raw, -1)
-        return RationalPolynomial._from_raw(self.system, acc)
-
-    def __neg__(self) -> "RationalPolynomial":
-        return RationalPolynomial._from_raw(self.system, _raw_scale(self.raw, -1))
+        return len({e >> shift for e in self.terms}) <= 1
 
     def __mul__(self, other):
         if isinstance(other, RationalPolynomial):
             self._check(other)
-            return RationalPolynomial._from_raw(
-                self.system, _calculus(self.system).mul(self.raw, other.raw))
-        return RationalPolynomial._from_raw(self.system, _raw_scale(self.raw, other))
+            return self._with(_calculus(self.system).mul(self.terms, other.terms))
+        return super().__mul__(other)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "RationalPolynomial":
-        if n < 0:
-            raise ValueError("negative powers are not defined")
-        acc = RationalPolynomial.one(self.system)
-        for _ in range(n):
-            acc = acc * self
-        return acc
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, RationalPolynomial)
-                and self.system is other.system
-                and self.raw == other.raw)
-
-    def __hash__(self):
-        return hash(frozenset((e, Fraction(c)) for e, c in self.raw.items()))
 
     def __repr__(self) -> str:
         return f"RationalPolynomial({format_polynomial(self)!r})"
@@ -308,10 +321,10 @@ def _term_sort_key(e: tuple) -> tuple:
 
 
 def format_polynomial(u: RationalPolynomial) -> str:
-    if not u.raw:
+    if not u.terms:
         return "0"
     unpack = _calculus(u.system).unpack
-    terms = {unpack(e): c for e, c in u.raw.items()}
+    terms = {unpack(e): c for e, c in u.terms.items()}
     pieces: list[str] = []
     for e in sorted(terms, key=_term_sort_key):
         c = Fraction(terms[e])
@@ -336,7 +349,7 @@ def parse_polynomial(system: RootSystem, text: str) -> RationalPolynomial:
     """Inverse of :func:`format_polynomial`; whitespace is ignored."""
     compact = "".join(text.split())
     if not compact or compact == "0":
-        return RationalPolynomial.zero(system)
+        return RationalPolynomial._from_raw(system, {})
     # split into signed terms
     pack = _calculus(system).pack
     terms: RawPoly = {}

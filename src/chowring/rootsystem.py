@@ -3,9 +3,10 @@
 All arithmetic is exact.  A root is an integer coordinate vector in the
 simple-root basis, a weight is an integer coordinate vector in the
 fundamental-weight basis, and the invariant bilinear form is carried by a
-rational symmetrizer.  The form, scaled to integers, is used once per
-root, to build the integer coordinates of its coroot in the simple
-coroots; every coroot pairing is then an integer dot product.  The
+rational symmetrizer.  The form decides finite type, as it must be
+positive definite, and, scaled to integers, is used once per root, to
+build the integer coordinates of its coroot in the simple coroots; every
+coroot pairing is then an integer dot product.  The
 closure construction needs nothing beyond the Cartan matrix, so any
 finite-type matrix is accepted, not only the named ones used by the F4
 pipeline.
@@ -45,7 +46,7 @@ BUILTIN_CARTAN: dict[str, tuple[tuple[int, ...], ...]] = {
 
 
 class InfiniteRootSystemError(ValueError):
-    """The reflection closure exceeded the height bound."""
+    """The Cartan matrix is not of finite type."""
 
 
 @dataclass(frozen=True)
@@ -142,7 +143,6 @@ class RootSystem:
         self.cartan = cartan
         self.rank = cartan.rank
         self.positive_roots = positive_roots
-        self._sym = _symmetrizer(cartan)
         # per node i (0-based), alpha_(i+1) in the fundamental weights
         # (column i of the Cartan matrix) and its nonzero entries as
         # (coordinate, entry) pairs: the coordinates s_(i+1) moves
@@ -169,8 +169,9 @@ class RootSystem:
         beta^vee = 2 beta / (beta, beta) is 2 d_k beta_k / (beta, beta).
         The form is scaled to integers, d_k = e_k / m, and each coordinate
         is asserted to be an integer."""
-        m = lcm(*(d.denominator for d in self._sym))
-        e = [int(d * m) for d in self._sym]
+        sym = _symmetrizer(self.cartan)
+        m = lcm(*(d.denominator for d in sym))
+        e = [int(d * m) for d in sym]
         c = self.cartan.entries
         n = self.rank
         table: dict[Root, Root] = {}
@@ -197,9 +198,6 @@ class RootSystem:
     def is_positive(self, root: Root) -> bool:
         return all(x >= 0 for x in root) and any(x != 0 for x in root)
 
-    def is_root(self, root: Root) -> bool:
-        return tuple(root) in self._coroots
-
     @staticmethod
     def height(root: Root) -> int:
         return sum(root)
@@ -212,25 +210,7 @@ class RootSystem:
         return tuple(root[j] - (pairing if j == i - 1 else 0)
                      for j in range(self.rank))
 
-    @property
-    def highest_root(self) -> Root:
-        return self.positive_roots[-1]
-
-    # -- bilinear form and coroots ----------------------------------------
-
-    def bilinear(self, a: Root, b: Root) -> Fraction:
-        c = self.cartan.entries
-        total = Fraction(0)
-        for i in range(self.rank):
-            if a[i]:
-                di = self._sym[i]
-                for j in range(self.rank):
-                    if b[j] and c[i][j]:
-                        total += a[i] * b[j] * di * c[i][j]
-        return total
-
-    def norm2(self, root: Root) -> Fraction:
-        return self.bilinear(root, root)
+    # -- coroots -------------------------------------------------------------
 
     def coroot(self, beta: Root) -> Root:
         """beta^vee in the simple-coroot basis, integer coordinates."""
@@ -246,10 +226,6 @@ class RootSystem:
         return sum(c * x for c, x in zip(self.coroot(beta), omega))
 
     # -- weights ------------------------------------------------------------
-
-    def fundamental_weight(self, i: int) -> Weight:
-        self._check_node(i)
-        return tuple(1 if k == i - 1 else 0 for k in range(self.rank))
 
     def simple_root_weight(self, j: int) -> Weight:
         """alpha_j expanded in the fundamental-weight basis (column j)."""
@@ -281,14 +257,38 @@ class RootSystem:
         return f"RootSystem(rank={self.rank}, positive_roots={len(self.positive_roots)})"
 
 
-def build_root_system(cartan: CartanMatrix, max_height: int = 100) -> RootSystem:
+def _positive_definite(rows) -> bool:
+    """Sylvester's criterion in exact arithmetic: every leading principal
+    minor is positive.  Elimination without row swaps has the ratio of the
+    k-th and the (k-1)-th minor as its k-th pivot."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    for k, pivot_row in enumerate(m):
+        pivot = pivot_row[k]
+        if pivot <= 0:
+            return False
+        for row in m[k + 1:]:
+            if row[k]:
+                f = row[k] / pivot
+                for j in range(k, len(row)):
+                    row[j] -= f * pivot_row[j]
+    return True
+
+
+def build_root_system(cartan: CartanMatrix) -> RootSystem:
     """Generate all positive roots by reflection closure.
 
-    Starts from the simple roots and applies simple reflections until no
-    new positive root appears.  A root of height above ``max_height``
-    aborts with :class:`InfiniteRootSystemError`; every finite-type system
-    closes up well below the default bound.
+    The matrix must be of finite type, its symmetrization D C positive
+    definite (D from :func:`_symmetrizer`), or
+    :class:`InfiniteRootSystemError` is raised before any closure runs.
+    The closure starts from the simple roots and applies simple
+    reflections until no new positive root appears.
     """
+    d = _symmetrizer(cartan)
+    if not _positive_definite([[d_i * x for x in row]
+                               for d_i, row in zip(d, cartan.entries)]):
+        raise InfiniteRootSystemError(
+            "infinite root system: the symmetrized Cartan matrix is not "
+            "positive definite")
     n = cartan.rank
     c = cartan.entries
     simple = [tuple(1 if k == i else 0 for k in range(n)) for i in range(n)]
@@ -304,10 +304,6 @@ def build_root_system(cartan: CartanMatrix, max_height: int = 100) -> RootSystem
                 image = tuple(root[j] - (pairing if j == i else 0)
                               for j in range(n))
                 if all(x >= 0 for x in image) and image not in known:
-                    if sum(image) > max_height:
-                        raise InfiniteRootSystemError(
-                            f"infinite root system: closure exceeded height "
-                            f"{max_height}")
                     known.add(image)
                     new_frontier.append(image)
         frontier = new_frontier

@@ -56,8 +56,8 @@ Every product of two basis classes by either general route is
 cross-checked against the Chevalley formula when a factor has codimension
 1 and against the duality table in complementary codimensions.  Both
 routes are one bilinear extension, ``ChowRing._extend``, of their pair
-products.  Chow elements and correspondences share one integer-only
-arithmetic, their base :class:`_Combination`.
+products.  Chow elements, correspondences and polynomials share one
+arithmetic, their base :class:`chowring.poly._Combination`.
 
 A :class:`SchubertClass` belongs to exactly one ring, the one whose
 constructor built it, and compares and hashes by identity; the rings'
@@ -76,7 +76,8 @@ from math import lcm, prod
 from types import MappingProxyType
 
 from . import weyl as _weyl
-from .poly import RationalPolynomial, _calculus, _raw_add_into, _raw_delta, _raw_scale
+from .poly import (RationalPolynomial, _calculus, _Combination, _raw_add_into, _raw_delta,
+                   _raw_scale)
 from .rootsystem import RootSystem
 from .weyl import WeylElement, WeylGroup, get_weyl_group
 
@@ -110,66 +111,6 @@ class SchubertClass:
 
     def __repr__(self) -> str:
         return f"SchubertClass({_weyl.serialize(self.rep)!r}, codim={self.codim})"
-
-
-class _Combination:
-    """Integer combination of keys in one space, ``terms`` key -> nonzero int,
-    on the term-dict kernels of :mod:`chowring.poly`.  A non-``int`` scalar
-    gives NotImplemented, so Python raises TypeError.  A subclass supplies
-    ``_space()``, compared by identity, its ``_mismatch`` message,
-    ``_with(terms)`` that takes a fresh zero-free dict as it is, and a
-    key's ``_sort_key`` and ``_label``.
-    """
-
-    __slots__ = ("terms",)
-
-    def _check(self, other: "_Combination") -> None:
-        if self._space() != other._space():
-            raise ValueError(self._mismatch)
-
-    def __add__(self, other, sign=1):
-        if type(other) is not type(self):
-            return NotImplemented
-        self._check(other)
-        acc = dict(self.terms)
-        _raw_add_into(acc, other.terms, sign)
-        return self._with(acc)
-
-    def __sub__(self, other):
-        return self.__add__(other, -1)
-
-    def __neg__(self):
-        return self._with(_raw_scale(self.terms, -1))
-
-    def __mul__(self, scalar):
-        if not isinstance(scalar, int):
-            return NotImplemented
-        return self._with(_raw_scale(self.terms, scalar))
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other) -> bool:
-        return (type(other) is type(self) and self._space() == other._space()
-                and self.terms == other.terms)
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def sorted_terms(self) -> list[tuple[object, int]]:
-        key = self._sort_key
-        return sorted(self.terms.items(), key=lambda kv: key(kv[0]))
-
-    def __repr__(self) -> str:
-        parts = []
-        for key, v in self.sorted_terms():
-            label = self._label(key)
-            body = label if abs(v) == 1 else f"{abs(v)}*{label}"
-            parts.append(("+ " if v > 0 else "- ") + body if parts
-                         else (body if v > 0 else f"-{body}"))
-        return " ".join(parts) or "0"
 
 
 class ChowElement(_Combination):
@@ -601,10 +542,6 @@ class ChowRing:
 
     # -- basis bookkeeping ---------------------------------------------------
 
-    @property
-    def rank_total(self) -> int:
-        return len(self.classes)
-
     def basis(self, codim: int) -> tuple[SchubertClass, ...]:
         if not 0 <= codim <= self.dim:
             raise ValueError(f"codimension {codim} out of range 0..{self.dim}")
@@ -797,8 +734,8 @@ class ChowRing:
             return self.zero()
         if not u.is_homogeneous():
             raise ValueError("c map needs a homogeneous polynomial")
-        den = lcm(*(Fraction(c).denominator for c in u.raw.values()))
-        raw = {e: int(c * den) for e, c in u.raw.items()}
+        den = lcm(*(Fraction(c).denominator for c in u.terms.values()))
+        raw = {e: int(c * den) for e, c in u.terms.items()}
         acc: dict[WeylElement, int] = {}
         for target, const in self.engine.c_raw(raw, u.degree()).items():
             q, r = divmod(const, den)
@@ -898,12 +835,6 @@ class ChowRing:
         """degree([X_a]*[X_b]), read from the duality table."""
         return 1 if self.dual_class(a) == b else 0
 
-    def degree(self, x: ChowElement) -> int:
-        """Coefficient of the point class (other components contribute 0)."""
-        if x.ring is not self:
-            raise ValueError("elements belong to a different ring")
-        return x.terms.get(self.point_class, 0)
-
     def power(self, cls: SchubertClass, n: int) -> ChowElement:
         acc = self.unit
         for _ in range(n):
@@ -911,11 +842,16 @@ class ChowRing:
         return acc
 
     def __repr__(self) -> str:
-        return f"ChowRing(theta={self.theta}, dim={self.dim}, rank={self.rank_total})"
+        return f"ChowRing(theta={self.theta}, dim={self.dim}, rank={len(self.classes)})"
+
+
+def get_chow_ring(system: RootSystem, theta=()) -> ChowRing:
+    """The shared ring of W^theta; theta in any order."""
+    return _get_chow_ring(system, _weyl.normalize_theta(system, theta))
 
 
 @lru_cache(maxsize=None)
-def get_chow_ring(system: RootSystem, theta=()) -> ChowRing:
+def _get_chow_ring(system: RootSystem, theta: tuple[int, ...]) -> ChowRing:
     return ChowRing(system, theta)
 
 

@@ -384,9 +384,6 @@ class WeylGroup:
     def longest(self) -> WeylElement:
         return longest_element(self.system)
 
-    def longest_parabolic(self, theta) -> WeylElement:
-        return longest_element(self.system, theta)
-
     def minimal_coset_reps(self, theta) -> tuple[WeylElement, ...]:
         """W^theta: elements sending every theta-simple root to a positive
         root; one minimal-length representative per coset, graded by

@@ -44,7 +44,7 @@ def weyl_act(w, u):
     """Ring automorphism induced by w acting on the weight lattice."""
     if w.system is not u.system:
         raise ValueError("element and polynomial live on different systems")
-    raw = u.raw
+    raw = u.terms
     for i in reversed(reduced_word(w)):
         raw = _raw_reflect(u.system, i, raw)
     return RationalPolynomial._from_raw(u.system, raw)
@@ -53,7 +53,7 @@ def weyl_act(w, u):
 def divided_difference(i, u):
     """delta_i(u) = (u - s_i(u)) / alpha_i, exact."""
     u.system._check_node(i)
-    return RationalPolynomial._from_raw(u.system, _raw_delta(u.system, i, u.raw))
+    return RationalPolynomial._from_raw(u.system, _raw_delta(u.system, i, u.terms))
 
 
 def divided_difference_word(word, u):
@@ -61,7 +61,7 @@ def divided_difference_word(word, u):
 
     The word does not need to be reduced; a repeated letter annihilates.
     """
-    raw = u.raw
+    raw = u.terms
     for i in reversed(tuple(word)):
         u.system._check_node(i)
         raw = _raw_delta(u.system, i, raw)

@@ -1,8 +1,8 @@
 """The package surface: every public name resolves, the Weyl-element
 algebra and polynomial operators that the tests keep as oracles
 (weyl_oracle.py, poly_oracle.py, localization_oracle.py) have no second
-copy in the package, and the caches, indexes and second paths that no
-command read stay deleted."""
+copy in the package, the caches, indexes and second paths that no
+command read stay deleted, and the sparse arithmetic has one copy."""
 
 import ast
 import importlib
@@ -72,3 +72,12 @@ def test_poly_does_not_import_weyl():
     names = {alias.name for node in imports for alias in node.names}
     names |= {node.module for node in imports if isinstance(node, ast.ImportFrom)}
     assert not {"weyl", "chowring.weyl"} & names
+
+
+def test_polynomials_share_the_combination_arithmetic():
+    """One copy of the sparse arithmetic: polynomials, Chow elements and
+    correspondences inherit it from ``poly._Combination``."""
+    assert schubert._Combination is poly._Combination
+    assert issubclass(poly.RationalPolynomial, poly._Combination)
+    own = {"__add__", "__sub__", "__neg__", "__eq__", "__hash__", "is_zero", "_check"}
+    assert own & vars(poly.RationalPolynomial).keys() == set()

@@ -53,7 +53,8 @@ def weyl_chevalley(ring, node, cls):
     alpha = system.simple_root(node)
     acc = {}
     for beta in system.positive_roots:
-        coeff = Fraction(beta[node - 1]) * system.norm2(alpha) / system.norm2(beta)
+        coeff = (Fraction(beta[node - 1]) * weyl_oracle.norm2(system, alpha)
+                 / weyl_oracle.norm2(system, beta))
         assert coeff.denominator == 1
         coeff = int(coeff)
         if not coeff or system.is_positive(weyl_oracle.act_root(cls.rep, beta)):

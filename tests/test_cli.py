@@ -251,7 +251,9 @@ def test_verify_f4_report_matches_golden_copy(capsys):
 _P1, _P4 = ["--type", "F4", "--theta", "2,3,4"], ["--type", "F4", "--theta", "1,2,3"]
 
 
-@pytest.mark.parametrize("golden, argv", [
+# (golden file, argv): the CLI runs whose output is pinned byte for byte;
+# tests/test_reachability.py traces the same runs
+GOLDEN_RUNS = [
     ("weyl_cosets_f4_p1.txt", ["weyl", "cosets", *_P1]),
     ("weyl_cosets_f4_p1_maximal.txt", ["weyl", "cosets", *_P1, "--maximal"]),
     ("weyl_cosets_b3_theta2.txt", ["weyl", "cosets", "--type", "B3", "--theta", "2"]),
@@ -282,7 +284,10 @@ _P1, _P4 = ["--type", "F4", "--theta", "2,3,4"], ["--type", "F4", "--theta", "1,
         "chow", "mult", "--type", "F4", "--theta", "1,3,4",
         "--lhs", "[s2 s3 s1 s2 s3 s4 s3 s2 s3 s1 s2 s3 s4 s3 s1 s2 s3 s2 s1]",
         "--rhs", "[s3 s1 s2 s3 s4 s3 s2 s3 s1 s2 s3 s4 s3 s1 s2 s3 s2 s1]"]),
-])
+]
+
+
+@pytest.mark.parametrize("golden, argv", GOLDEN_RUNS)
 def test_cli_output_matches_golden_copy(golden, argv, capsys):
     """Coset lists, diagrams, bases, tables, Giambelli lifts and products
     of X1 and X4, and a six-term F4/P2 product, byte for byte."""

@@ -1,12 +1,16 @@
-"""The integer arithmetic that Chow elements and correspondences share."""
+"""The sparse arithmetic that Chow elements, correspondences and
+polynomials share."""
 
 import operator
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from chowring.correspondence import Correspondence
+from chowring.poly import RationalPolynomial, _calculus, parse_polynomial
+from chowring.rootsystem import root_system
 from chowring.schubert import ChowElement
 
 
@@ -16,13 +20,20 @@ def _space(kind, x1, x4):
     if kind == "ChowElement":
         return (lambda terms: ChowElement(x1, terms), list(x1.classes),
                 x4.unit, "elements of different Chow rings")
+    if kind == "RationalPolynomial":
+        f4, pack = x1.system, _calculus(x1.system).pack
+        return (lambda terms: RationalPolynomial._from_raw(
+                    f4, {e: c for e, c in terms.items() if c}),
+                [pack(e) for e in product(range(3), repeat=4)],
+                parse_polynomial(root_system("B3"), "w1"),
+                "polynomials belong to different root systems")
     return (lambda terms: Correspondence(x1, x4, terms),
             [(f, g) for f in x1.classes for g in x4.classes],
             Correspondence(x4, x1, {(x4.unit_class, x1.unit_class): 1}),
             "correspondences on different variety pairs")
 
 
-@pytest.mark.parametrize("kind", ["ChowElement", "Correspondence"])
+@pytest.mark.parametrize("kind", ["ChowElement", "Correspondence", "RationalPolynomial"])
 def test_linear_space_laws(kind, x1, x4):
     make, keys, foreign, mismatch = _space(kind, x1, x4)
     rng = random.Random(14)
@@ -63,3 +74,16 @@ def test_only_int_scalars_scale_cycles(product, x1):
     with pytest.raises(TypeError):
         product(x1.unit, d)
 
+
+def test_polynomials_take_rational_scalars_only(x1):
+    """A polynomial scales by ints and Fractions; ``*`` of two polynomials
+    is their product, and anything else is a TypeError."""
+    f4 = x1.system
+    u = parse_polynomial(f4, "w1 - 2*w2")
+    assert Fraction(1, 2) * u == u * Fraction(1, 2) == parse_polynomial(f4, "1/2*w1 - w2")
+    assert u * u == parse_polynomial(f4, "w1^2 - 4*w1*w2 + 4*w2^2")
+    for scalar in (0.5, None, x1.unit):
+        with pytest.raises(TypeError):
+            u * scalar
+        with pytest.raises(TypeError):
+            scalar * u

@@ -127,9 +127,9 @@ def test_r_squared_exact_and_mod3(x1, x4):
 
 def test_r_homogeneous_total_codim(x1, x4):
     r = f4pipeline.build_r(-1)
-    assert r.total_codims() == (4,)
+    assert {f.codim + g.codim for f, g in r.terms} == {4}
     rho = f4pipeline.build_rho(3, -1)
-    assert rho.total_codims() == (15,)
+    assert {f.codim + g.codim for f, g in rho.terms} == {15}
     assert rho.is_morphism_degree
 
 
@@ -148,6 +148,23 @@ def test_mod_reduce_balanced(x1):
     assert reduced.terms == {(h, _label(x1, "h1^7")): -1}
     assert corr.mod_reduce(alpha, 0) == alpha
     assert corr.mod_reduce(3 * alpha, 3).is_zero()
+
+
+def test_repr_of_a_labeled_correspondence(x1, x4):
+    """Terms print as source label x target label, in basis order."""
+    c = Correspondence(x1, x4, {(_label(x1, "h2^8"), x4.point_class): 1,
+                                (_label(x1, "h1^4"), _label(x4, "g1^4")): 2,
+                                (x1.unit_class, _label(x4, "g2^8")): -1})
+    assert repr(c) == "-h1^0xg2^8 + 2*h1^4xg1^4 + h2^8xg1^15"
+
+
+def test_mod_reduce_balanced_for_an_even_modulus(x1):
+    """Representatives lie in (-m/2, m/2]: for m = 4, 2 stays 2 and -2
+    becomes 2, 3 becomes -1."""
+    h = _label(x1, "h1^8")
+    g1, g2, unit = _label(x1, "h1^7"), _label(x1, "h2^7"), x1.unit_class
+    alpha = Correspondence(x1, x1, {(h, g1): 2, (h, g2): -2, (unit, unit): 3})
+    assert corr.mod_reduce(alpha, 4).terms == {(h, g1): 2, (h, g2): 2, (unit, unit): -1}
 
 
 def test_mod_reduce_is_ring_hom_for_compose(x1):
@@ -170,7 +187,7 @@ def test_is_idempotent_examples(x1, p0):
     assert not corr.is_idempotent(2 * p0, 0)
     with pytest.raises(ValueError):
         corr.is_idempotent(Correspondence(x1, x1,
-                                          {(x1.unit_class, x1.unit_class): 1}))
+                                          {(x1.unit_class, x1.unit_class): 1}), 0)
 
 
 def test_orthogonality_examples(x1, p0):

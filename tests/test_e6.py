@@ -45,9 +45,9 @@ def test_cayley_plane_degree(no_enumeration, node):
     """E6/P1 and E6/P6: 27 classes and deg H^16 = 78 (Weyl's formula)."""
     system = build_root_system(CartanMatrix(E6))
     ring = ChowRing(system, [i for i in range(1, 7) if i != node])
-    assert (ring.rank_total, ring.dim) == (27, 16)
+    assert (len(ring.classes), ring.dim) == (27, 16)
     h = ring.hyperplane_class(node)
-    assert ring.degree(ring.power(h, 16)) == 78
+    assert ring.power(h, 16).terms == {ring.point_class: 78}
 
 
 @pytest.mark.parametrize("node", [1, 6])

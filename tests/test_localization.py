@@ -93,7 +93,7 @@ def test_hyperplane_degree_matches_weyl_formula(name):
         ring = get_chow_ring(system, theta)
         top = ring.power(ring.hyperplane_class(node), ring.dim)
         assert set(top.terms) <= {ring.point_class}
-        degrees[node] = ring.degree(top)
+        degrees[node] = top.terms.get(ring.point_class, 0)
         assert degrees[node] == _weyl_degree(system, theta)
     if name == "F4":
         assert degrees[2] == 59440103424
@@ -222,10 +222,10 @@ def test_e7_p7_degree_by_localization(monkeypatch):
     monkeypatch.setattr(weyl, "_coset_orbit", refuse_regular)
     system, theta = _maximal(E7, 7)
     ring = ChowRing(system, theta)
-    assert (ring.rank_total, ring.dim) == (56, 27)
+    assert (len(ring.classes), ring.dim) == (56, 27)
     top = ring.power(ring.hyperplane_class(7), 27)
     assert ring._localization is not None
-    assert ring.degree(top) == _weyl_degree(system, theta)
+    assert top.terms == {ring.point_class: _weyl_degree(system, theta)}
 
 
 def test_table_bound_builds_e8_p1_and_refuses_e8_p2():

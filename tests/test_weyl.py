@@ -48,9 +48,10 @@ def test_longest_element_f4(f4_group):
 
 
 def test_longest_element_parabolic(f4_group):
-    assert f4_group.longest_parabolic(()).length == 0
-    assert f4_group.longest_parabolic((1, 2, 3)).length == 9
-    assert f4_group.longest_parabolic((2, 3, 4)).length == 9
+    f4 = f4_group.system
+    assert weyl.longest_element(f4, ()).length == 0
+    assert weyl.longest_element(f4, (1, 2, 3)).length == 9
+    assert weyl.longest_element(f4, (2, 3, 4)).length == 9
     # dimension of both quotients
     assert 24 - 9 == 15
 
@@ -239,7 +240,7 @@ def test_coset_orbit_matches_enumeration(name):
                    if all(system.is_positive(w.images[t - 1]) for t in theta)]
         assert list(orbit.minimal) == minimal
         assert [v.length for v in orbit.minimal] == [v.length for v in minimal]
-        w_theta = group.longest_parabolic(theta)
+        w_theta = weyl.longest_element(system, theta)
         maximal = [weyl_oracle.multiply(v, w_theta) for v in minimal]
         assert ([(w.images, w.length) for w in orbit.maximal]
                 == [(w.images, w.length) for w in maximal])

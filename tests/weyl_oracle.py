@@ -5,13 +5,38 @@ roots by index; the tests hold it, and the engines that read it, to the
 coordinate group law instead: elements act linearly on simple-root
 coordinates, products compose the images of the simple roots, and every
 length is recounted from the inversions.  W itself is listed by a
-breadth-first search over w -> w s_j from the identity.
+breadth-first search over w -> w s_j from the identity.  The invariant
+form is kept here in Fractions, apart from the system's integer coroot
+table.
 """
 
+from fractions import Fraction
 from functools import lru_cache
 
+from chowring.rootsystem import _symmetrizer
 from chowring.weyl import (WeylElement, identity, mult_simple_right,
-                           reduced_word, right_descents, word_to_element)
+                           reduced_word, right_descents, root_index,
+                           word_to_element)
+
+
+@lru_cache(maxsize=None)
+def _form(system):
+    """d C, with d the symmetrizer of the Cartan matrix C."""
+    return tuple(tuple(d * x for x in row)
+                 for d, row in zip(_symmetrizer(system.cartan), system.cartan.entries))
+
+
+def bilinear(system, a, b):
+    """(a, b) = sum over i, j of a_i b_j d_i C_ij for roots in simple-root
+    coordinates, with d the symmetrizer of the Cartan matrix C."""
+    form = _form(system)
+    return sum((a[i] * b[j] * form[i][j]
+                for i in range(system.rank) if a[i]
+                for j in range(system.rank) if b[j]), Fraction(0))
+
+
+def norm2(system, root):
+    return bilinear(system, root, root)
 
 
 def act_root(w, root):
@@ -48,12 +73,12 @@ def reflection(system, beta):
     s_beta(alpha_j) = alpha_j - <alpha_j, beta^vee> beta; the pairing
     2 (alpha_j, beta) / (beta, beta) comes from the Fraction form, apart
     from the system's integer coroot table."""
-    if not system.is_root(beta):
+    if tuple(beta) not in root_index(system).index:
         raise ValueError(f"{beta} is not a root")
     images = []
     for j in range(1, system.rank + 1):
         alpha = system.simple_root(j)
-        k = 2 * system.bilinear(alpha, beta) / system.norm2(beta)
+        k = 2 * bilinear(system, alpha, beta) / norm2(system, beta)
         assert k.denominator == 1
         images.append(tuple(a - int(k) * b for a, b in zip(alpha, beta)))
     return element(system, tuple(images))
