@@ -366,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("inputs", nargs="*",
                    help="JSON files; compose takes BETA ALPHA for beta o alpha")
     p.add_argument("--variety", help="x1 or x4 (for diagonal; default x1)")
-    p.add_argument("--mod", type=int, choices=(0, 3),
+    p.add_argument("--mod", type=int, choices=(3,),
                    help="reduce the composite mod 3 (for compose)")
     p.add_argument("-o", "--output")
     p.set_defaults(fn=cmd_corr)

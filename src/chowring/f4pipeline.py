@@ -3,10 +3,11 @@ of the split group of type F4.
 
 The varieties are the quotients by the maximal parabolic subgroups that
 omit node 1 and node 4 of the Dynkin diagram.  Their Chow rings carry the
-labels h/g with ``h1^s, h2^s`` (and ``g1^s, g2^s``) in each codimension s;
-which Schubert class gets which label is solved as a constraint problem
-against the checked-in hyperplane multiplication tables and then frozen as
-a fixture of reduced words.
+labels h/g with ``h1^s, h2^s`` (and ``g1^s, g2^s``) in each codimension s,
+read from a frozen fixture of reduced words.  That the checked-in
+hyperplane multiplication tables pin exactly these labels is itself one of
+the checks: it solves the labels as a constraint problem against the
+tables and compares the one solution with the fixture.
 
 On top of the labeled rings the pipeline constructs the rational cycle
 r = h1^4 x 1 + eps (1 x g1^4), the fifteen-codimensional cycles
@@ -23,6 +24,7 @@ The report is deterministic: serializing it twice gives identical bytes
 
 from __future__ import annotations
 
+import itertools
 import json
 import time
 from dataclasses import dataclass, field
@@ -73,46 +75,27 @@ def _eps_coeff(text: str, eps: int) -> int:
 # labeled rings
 
 
-def solve_labels(ring: ChowRing, node: int, letter: str, table) -> dict:
-    """Unique label assignment reproducing the hyperplane table.
-
-    Codimensions with a single class are forced; for each rank-2
-    codimension both assignments are tried and the table decides.  No
-    consistent assignment, or more than one, means the conventions have
-    drifted and is reported as a fixture error.
-    """
-    chev = {cls: ring.chevalley_mult(node, ring.element(cls))
-            for cls in ring.classes}
-    two = [s for s in range(ring.dim + 1) if len(ring.basis(s)) == 2]
-    solutions = []
-    for mask in range(1 << len(two)):
-        label: dict = {}
-        for s in range(ring.dim + 1):
-            basis = ring.basis(s)
-            if len(basis) == 1:
-                label[f"{letter}1^{s}"] = basis[0]
-            else:
-                k = (mask >> two.index(s)) & 1
-                label[f"{letter}1^{s}"] = basis[k]
-                label[f"{letter}2^{s}"] = basis[1 - k]
-        inverse = {cls: lab for lab, cls in label.items()}
-        if all({inverse[c]: v for c, v in chev[label[rhs]].terms.items()}
-               == dict(product)
-               for _, rhs, product in table):
-            solutions.append(label)
-    if len(solutions) != 1:
-        raise RuntimeError(
-            f"label fixture error: {len(solutions)} assignments reproduce the "
-            f"hyperplane table (expected exactly 1)")
-    label = solutions[0]
-    # the published duality is delta_{ij}: the dual of (i, s) must be (i, dim-s)
+def _table_misses(multiply, label: dict, table):
+    """Yield the rows of a hyperplane table that ``multiply`` does not
+    reproduce when the classes carry ``label``; ``multiply`` maps the class
+    of a row's right-hand side to the terms of its hyperplane product."""
     inverse = {cls: lab for lab, cls in label.items()}
-    for lab, cls in label.items():
-        i, s = _parse_label(lab)
-        if inverse[ring.dual_class(cls)] != f"{letter}{i}^{ring.dim - s}":
-            raise RuntimeError("label fixture error: labels are not aligned "
-                               "with the duality pairing")
-    return label
+    for lhs, rhs, want in table:
+        got = {inverse[c]: v for c, v in multiply(label[rhs]).items()}
+        if got != dict(want):
+            yield {"row": f"{lhs}*{rhs}", "got": got, "want": dict(want)}
+
+
+def solve_labels(ring: ChowRing, node: int, letter: str, table) -> list[dict]:
+    """Every label assignment, ``{letter}i^s`` naming the i-th class of an
+    ordering of each codimension s, under which Chevalley's rule reproduces
+    the hyperplane table."""
+    chev = {cls: ring.chevalley_mult(node, ring.element(cls)).terms
+            for cls in ring.classes}
+    orders = (itertools.permutations(ring.basis(s)) for s in range(ring.dim + 1))
+    labels = ({f"{letter}{i}^{s}": cls for s, basis in enumerate(choice)
+               for i, cls in enumerate(basis, 1)} for choice in itertools.product(*orders))
+    return [label for label in labels if not any(_table_misses(chev.__getitem__, label, table))]
 
 
 def _parse_label(lab: str) -> tuple[int, int]:
@@ -122,19 +105,21 @@ def _parse_label(lab: str) -> tuple[int, int]:
 
 @lru_cache(maxsize=None)
 def get_f4_varieties() -> tuple[ChowRing, ChowRing]:
-    """The two labeled F4 rings; label assignments are checked against the
-    frozen reduced-word fixtures."""
+    """The two F4 rings, labeled by the frozen reduced-word fixtures, which
+    must name each basis class once, in the codimension of its label (that
+    the tables pin the labels is the ``pieri-tables-chevalley`` check)."""
     system = root_system("F4")
     x1 = get_chow_ring(system, THETA_P1)
     x4 = get_chow_ring(system, THETA_P4)
-    for ring, node, letter, which in ((x1, NODE_P1, "h", "p1"),
-                                      (x4, NODE_P4, "g", "p4")):
-        labels = solve_labels(ring, node, letter, load_table(which))
-        frozen = json.loads(_data_text(f"labels_{which}.json"))
-        solved = {lab: _weyl.serialize(cls.rep) for lab, cls in labels.items()}
-        if solved != frozen:
-            raise RuntimeError(f"label fixture error: solved assignment for "
-                               f"{which} differs from the frozen fixture")
+    for ring, letter, which in ((x1, "h", "p1"), (x4, "g", "p4")):
+        words = json.loads(_data_text(f"labels_{which}.json"))
+        labels = {lab: ring.class_of(_weyl.parse_element(system, word))
+                  for lab, word in words.items()}
+        if (len(labels) != len(ring.classes) or len(set(labels.values())) != len(labels)
+                or any(lab != f"{letter}{_parse_label(lab)[0]}^{cls.codim}"
+                       for lab, cls in labels.items())):
+            raise RuntimeError(f"label fixture error: labels_{which}.json does not "
+                               "name each basis class once, in its codimension")
         ring.attach_labels(labels)
     return x1, x4
 
@@ -366,33 +351,45 @@ def check_structure():
         "ranks X1": (x1.ranks(), expected_ranks),
         "ranks X4": (x4.ranks(), expected_ranks),
     }
-    bad = {k: [got, want] for k, (got, want) in facts.items() if got != want}
+    bad = {k: [list(got), list(want)] if isinstance(want, tuple) else [got, want]
+           for k, (got, want) in facts.items() if got != want}
     return (not bad, "root count, group order, coset sizes and codimension "
-            "ranks", {k: [list(v[0]) if isinstance(v[0], tuple) else v[0],
-                          list(v[1]) if isinstance(v[1], tuple) else v[1]]
-                      for k, v in bad.items()} or None)
+            "ranks", bad or None)
 
 
-def _table_products(ring: ChowRing, node: int, table, route: str):
-    failures = []
-    h = ring.element(ring.hyperplane_class(node))
-    for lhs, rhs, product in table:
-        x = ring.element(ring.class_by_label(rhs))
-        got = (ring.chevalley_mult(node, x) if route == "chevalley"
-               else ring.giambelli_multiply(h, x))
-        want = ChowElement(ring, {ring.class_by_label(c): v for c, v in product})
-        if got != want:
-            failures.append({"rhs": rhs, "got": repr(got), "want": repr(want)})
-    return (not failures, f"all {len(table)} hyperplane products via {route}",
-            failures or None)
-
-
-def check_tables(route: str):
+def check_table_labels():
+    """The hyperplane tables pin the frozen labels: under Chevalley's rule
+    exactly one assignment reproduces each table, it is the frozen one, and
+    the dual of h_i^s (g_i^s) is h_i^(15-s) (g_i^(15-s))."""
     x1, x4 = get_f4_varieties()
-    ok1, _, bad1 = _table_products(x1, NODE_P1, load_table("p1"), route)
-    ok4, _, bad4 = _table_products(x4, NODE_P4, load_table("p4"), route)
-    witness = {"p1": bad1, "p4": bad4} if not (ok1 and ok4) else None
-    return (ok1 and ok4, f"all 44 hyperplane products via {route}", witness)
+    witness = {}
+    for ring, node, letter, which in ((x1, NODE_P1, "h", "p1"), (x4, NODE_P4, "g", "p4")):
+        table = load_table(which)
+        solutions = solve_labels(ring, node, letter, table)
+        unaligned = [lab for lab, cls in sorted(ring.labels.items())
+                     if _parse_label(ring.label_of(ring.dual_class(cls)))
+                     != (_parse_label(lab)[0], ring.dim - cls.codim)]
+        if solutions != [ring.labels] or unaligned:
+            missed = list(_table_misses(
+                lambda cls: ring.chevalley_mult(node, ring.element(cls)).terms,
+                ring.labels, table))
+            witness[which] = {"assignments": len(solutions), "missed": missed,
+                              "unaligned": unaligned}
+    return (not witness, "all 44 hyperplane products via chevalley", witness or None)
+
+
+def check_tables():
+    """Each hyperplane table, reproduced by the Giambelli route."""
+    x1, x4 = get_f4_varieties()
+    witness = {}
+    for ring, node, which in ((x1, NODE_P1, "p1"), (x4, NODE_P4, "p4")):
+        h = ring.element(ring.hyperplane_class(node))
+        missed = list(_table_misses(
+            lambda cls: ring.giambelli_multiply(h, ring.element(cls)).terms,
+            ring.labels, load_table(which)))
+        if missed:
+            witness[which] = missed
+    return (not witness, "all 44 hyperplane products via giambelli", witness or None)
 
 
 def check_squares():
@@ -645,8 +642,8 @@ def run_f4_verification(eps: str | int = "both") -> VerificationReport:
         eps_values = (_check_eps(int(eps)),)
     report = VerificationReport()
     _run(report, "structure", check_structure)
-    _run(report, "pieri-tables-chevalley", lambda: check_tables("chevalley"))
-    _run(report, "pieri-tables-giambelli", lambda: check_tables("giambelli"))
+    _run(report, "pieri-tables-chevalley", check_table_labels)
+    _run(report, "pieri-tables-giambelli", check_tables)
     _run(report, "giambelli-squares", check_squares)
     _run(report, "preimage-polynomials", check_preimages)
     for e in eps_values:

@@ -102,6 +102,7 @@ def _corr_with_coeff(coeff: str) -> str:
     (["corr", "compose", "{file}", "{file}"],
      '{"source": "x1", "target": "x4", "terms": '
      '[{"f": "h1^0", "g": "g1^15", "coeff": 1}]}'),
+    (["corr", "compose", "{file}", "{file}", "--mod", "0"], _corr_with_coeff("1")),
 ], ids=["node-out-of-range", "not-a-basis-class", "bad-token",
         "corr-missing-target", "ragged-cartan", "codim-out-of-range",
         "table-node-in-theta", "pieri-node-out-of-range",
@@ -115,7 +116,7 @@ def _corr_with_coeff(coeff: str) -> str:
         "pieri-by-codim", "hasse-node-without-pieri", "chow-mult-codim",
         "chow-basis-lhs", "chow-table-rhs", "chow-basis-class", "chow-basis-node",
         "corr-diagonal-mod", "corr-transpose-variety",
-        "corr-compose-middle-mismatch"])
+        "corr-compose-middle-mismatch", "corr-compose-mod-0"])
 def test_malformed_input_is_usage_error(argv, file_text, tmp_path, capsys):
     path = tmp_path / "input"
     if file_text is not None:
@@ -284,13 +285,15 @@ GOLDEN_RUNS = [
         "chow", "mult", "--type", "F4", "--theta", "1,3,4",
         "--lhs", "[s2 s3 s1 s2 s3 s4 s3 s2 s3 s1 s2 s3 s4 s3 s1 s2 s3 s2 s1]",
         "--rhs", "[s3 s1 s2 s3 s4 s3 s2 s3 s1 s2 s3 s4 s3 s1 s2 s3 s2 s1]"]),
+    ("verify_f4.txt", ["verify", "f4", "--eps", "both"]),
 ]
 
 
 @pytest.mark.parametrize("golden, argv", GOLDEN_RUNS)
 def test_cli_output_matches_golden_copy(golden, argv, capsys):
     """Coset lists, diagrams, bases, tables, Giambelli lifts and products
-    of X1 and X4, and a six-term F4/P2 product, byte for byte."""
+    of X1 and X4, a six-term F4/P2 product and the text report of
+    ``verify f4``, byte for byte."""
     code, out, _ = run_cli(*argv, capsys=capsys)
     assert code == 0
     assert out.encode() == (Path(__file__).parent / "golden" / golden).read_bytes()

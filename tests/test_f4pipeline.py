@@ -1,11 +1,16 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from chowring import correspondence as corr
 from chowring import f4pipeline as pipe
+from chowring import weyl
 from chowring.cli import main
-from chowring.schubert import SubringError
+from chowring.schubert import ChowRing, SubringError
+
+CHECK_NAMES = [c["name"] for c in json.loads(
+    (Path(__file__).parent / "golden" / "verify_f4.json").read_text())["checks"]]
 
 
 def test_labeled_rings_dimensions(x1, x4):
@@ -15,11 +20,119 @@ def test_labeled_rings_dimensions(x1, x4):
     assert x4.class_by_label("g1^15") == x4.point_class
 
 
-def test_label_solve_is_stable(x1):
-    from chowring import weyl
+def test_label_solve_is_stable(x1, x4):
+    """Exactly one assignment reproduces each hyperplane table under
+    Chevalley's rule, and it is the frozen one the rings carry."""
+    assert pipe.solve_labels(x1, pipe.NODE_P1, "h", pipe.load_table("p1")) == [x1.labels]
+    assert pipe.solve_labels(x4, pipe.NODE_P4, "g", pipe.load_table("p4")) == [x4.labels]
+
+
+def _clear_pipeline_caches():
+    for fn in vars(pipe).values():
+        if hasattr(fn, "cache_clear") and fn.__module__ == pipe.__name__:
+            fn.cache_clear()
+
+
+@pytest.fixture
+def fresh_pipeline(monkeypatch):
+    """monkeypatch, with every cache of f4pipeline cleared before the test.
+    Afterwards the patches are undone, the caches cleared again and the
+    shared rings relabeled from the checked-in data, so that no later test
+    sees labels that an edit attached."""
+    _clear_pipeline_caches()
+    yield monkeypatch
+    monkeypatch.undo()
+    _clear_pipeline_caches()
+    pipe.get_f4_varieties()
+
+
+def _edit_data(monkeypatch, fname, edit):
+    """Serve ``fname`` through ``_data_text`` with one edit: a pair (old,
+    new) replaces a substring that occurs once, a function edits the parsed
+    JSON in place.  The checked-in file is never touched."""
+    text = pipe._data_text(fname)
+    if isinstance(edit, tuple):
+        assert text.count(edit[0]) == 1
+        text = text.replace(*edit)
+    else:
+        data = json.loads(text)
+        edit(data)
+        text = json.dumps(data)
+    real = pipe._data_text
+    monkeypatch.setattr(pipe, "_data_text",
+                        lambda name: text if name == fname else real(name))
+
+
+def _swap(*pairs):
+    def edit(words):
+        for a, b in pairs:
+            words[a], words[b] = words[b], words[a]
+    return edit
+
+
+def _table_coeff(rhs, coeff):
+    def edit(rows):
+        next(row for row in rows if row["rhs"] == rhs)["product"][0]["coeff"] = coeff
+    return edit
+
+
+def _r2_first_coeff(data):
+    data["r2"][0]["coeff"] = "1"      # displayed as -1
+
+
+def _q2_first_coeff(data):
+    data["q"][2][0]["coeff"] += 1
+
+
+def _h14_class_named_twice(words):
+    words["h2^4"] = words["h1^4"]
+
+
+def test_labels_load_without_solving_or_chevalley(fresh_pipeline, x1):
+    """get_f4_varieties reads the frozen words; it neither solves labels
+    nor multiplies by Chevalley's rule."""
+    def refuse(*args):
+        raise AssertionError("label solving at load")
+
+    fresh_pipeline.setattr(pipe, "solve_labels", refuse)
+    fresh_pipeline.setattr(ChowRing, "chevalley_mult", refuse)
+    assert pipe.get_f4_varieties()[0] is x1
     frozen = json.loads(pipe._data_text("labels_p1.json"))
-    for lab, word in frozen.items():
-        assert weyl.serialize(x1.class_by_label(lab).rep) == word
+    assert {lab: weyl.serialize(cls.rep) for lab, cls in x1.labels.items()} == frozen
+
+
+def test_table_checks_take_separate_routes(x1, monkeypatch):
+    """pieri-tables-chevalley passes without a product in the full flag
+    ring; pieri-tables-giambelli computes its products there (and, through
+    the cross-check, compares each with Chevalley's rule)."""
+    def refuse(a, b):
+        raise AssertionError("product in the full flag ring")
+
+    monkeypatch.setattr(x1.engine, "product_classes", refuse)
+    assert pipe.check_table_labels()[0]
+    with pytest.raises(AssertionError, match="full flag ring"):
+        pipe.check_tables()
+
+
+def test_labels_not_aligned_with_duality_fail(x1, monkeypatch):
+    """A duality that sends each class to itself: the tables still pin the
+    frozen labels, but every label of X1 is out of line with it."""
+    monkeypatch.setattr(x1, "dual_class", lambda cls: cls)
+    passed, _, witness = pipe.check_table_labels()
+    assert not passed
+    assert witness == {"p1": {"assignments": 1, "missed": [],
+                              "unaligned": sorted(x1.labels)}}
+
+
+def test_structure_failure_witness_lists_got_and_want(x1, monkeypatch):
+    """Each fact that differs maps to [got, want], tuples given as lists."""
+    monkeypatch.setattr(ChowRing, "ranks", lambda self: (1,) * 24)
+    monkeypatch.setattr(x1, "dim", 16)
+    passed, _, witness = pipe.check_structure()
+    want = [1, 1, 1, 1] + [2] * 8 + [1, 1, 1, 1]
+    assert not passed
+    assert witness == {"dim X1": [16, 15], "ranks X1": [[1] * 24, want],
+                       "ranks X4": [[1] * 24, want]}
 
 
 def test_build_r(x1, x4):
@@ -154,28 +267,17 @@ def test_report_failure_carries_witness(x1):
     assert payload["checks"][0]["witness"] == {"got": "x"}
 
 
-@pytest.fixture
-def fresh_idempotents(monkeypatch):
-    """monkeypatch, with the idempotent caches cleared before the test and
-    again before its patches are undone."""
-    pipe.fixture_idempotents.cache_clear()
-    pipe.compute_idempotents.cache_clear()
-    yield monkeypatch
-    pipe.fixture_idempotents.cache_clear()
-    pipe.compute_idempotents.cache_clear()
-
-
 def _check_congruences(eps):
     return pipe._run(pipe.VerificationReport(), "idempotent-congruences",
                      lambda: pipe.check_idempotent_congruences(eps))
 
 
-def test_engine_fault_in_idempotent_congruences_is_error(fresh_idempotents):
+def test_engine_fault_in_idempotent_congruences_is_error(fresh_pipeline):
     """A SubringError is an engine fault: ERROR, never FAIL."""
     def broken(i, eps):
         raise SubringError("product left the subring at s1")
 
-    fresh_idempotents.setattr(pipe, "build_rho", broken)
+    fresh_pipeline.setattr(pipe, "build_rho", broken)
     result = _check_congruences(1)
     assert result.status == "ERROR"
     assert result.detail == "SubringError: product left the subring at s1"
@@ -190,32 +292,25 @@ def _corrupt_q2(monkeypatch):
     ``_data_text``, and clear the caches that read it.  Returns the
     reduced composition rho_2 o rho_5^t, computed before the edit."""
     reduced = corr.to_jsonable(pipe.compute_idempotents(1)[1][2])
-    data = json.loads(pipe._data_text("idempotent_cycles.json"))
-    data["q"][2][0]["coeff"] += 1
-    text = json.dumps(data)
-    real = pipe._data_text
-    monkeypatch.setattr(
-        pipe, "_data_text",
-        lambda name: text if name == "idempotent_cycles.json" else real(name))
-    pipe.fixture_idempotents.cache_clear()
-    pipe.compute_idempotents.cache_clear()
+    _edit_data(monkeypatch, "idempotent_cycles.json", _q2_first_coeff)
+    _clear_pipeline_caches()
     return reduced
 
 
-def test_corrupted_idempotent_cycle_fails_with_witness(fresh_idempotents):
+def test_corrupted_idempotent_cycle_fails_with_witness(fresh_pipeline):
     """One coefficient of the displayed q'_2 off by one: FAIL, and the
     witness holds i, the cycle and the reduced composition."""
-    reduced = _corrupt_q2(fresh_idempotents)
+    reduced = _corrupt_q2(fresh_pipeline)
     result = _check_congruences(1)
     assert result.status == "FAIL"
     assert result.detail == Q2_MISMATCH
     assert result.witness == {"i": 2, "cycle": "q'", "reduced": reduced}
 
 
-def test_corrupted_idempotent_cycle_verify_exits_fail(fresh_idempotents, capsys):
+def test_corrupted_idempotent_cycle_verify_exits_fail(fresh_pipeline, capsys):
     """The same edit through the whole command: every check that reads the
     mismatch FAILs with a witness, none reads ERROR, and verify exits 1."""
-    reduced = _corrupt_q2(fresh_idempotents)
+    reduced = _corrupt_q2(fresh_pipeline)
     rc = main(["verify", "f4", "--eps", "both", "--format", "json"])
     checks = json.loads(capsys.readouterr().out)["checks"]
     failing = {c["name"]: c for c in checks if not c["passed"]}
@@ -257,11 +352,7 @@ def test_preimage_transcription_error_fails_with_witness(fname, old, new, error,
     """One edit to a transcribed preimage polynomial, through ``_data_text``:
     preimage-polynomials FAILs, each witness row names the polynomial and
     the c map's error, nothing reads ERROR and verify exits 1."""
-    text = pipe._data_text(fname)
-    assert text.count(old) == 1
-    real = pipe._data_text
-    monkeypatch.setattr(pipe, "_data_text", lambda name: text.replace(old, new)
-                        if name == fname else real(name))
+    _edit_data(monkeypatch, fname, (old, new))
     rc, failing = _verify_json(capsys)
     assert sorted(failing) == ["preimage-polynomials"]
     witness = failing["preimage-polynomials"]["witness"]
@@ -310,3 +401,104 @@ def test_J_missing_a_term_fails_inverse_with_witness(monkeypatch, capsys):
     for eps in ("+1", "-1"):
         assert failing[f"isomorphism-inverse[eps={eps}]"]["witness"] == want
     assert rc == 1
+
+
+def _both_eps(*names):
+    return [f"{name}[eps={e}]" for name in names for e in ("+1", "-1")]
+
+
+TABLES = ["pieri-tables-chevalley", "pieri-tables-giambelli"]
+IDEMPOTENTS = [*_both_eps("idempotent-congruences"), "idempotent-eps-independence",
+               "idempotent-exactness", "idempotent-completeness"]
+# two labels of one codimension swapped: every check that reads those
+# labels FAILs; the realization ranks, the endomorphism lattice and
+# J's inverse do not see which of the two classes carries which name
+LABEL_SWAP = [*TABLES, "giambelli-squares", "preimage-polynomials",
+              *_both_eps("r2-congruence", "rho-congruences", "isomorphism-shape"),
+              *IDEMPOTENTS, "idempotent-orthogonality"]
+
+
+@pytest.mark.parametrize("fname,edit,status,failing,rc", [
+    ("labels_p1.json", _swap(("h1^4", "h2^4")), "FAIL", LABEL_SWAP, 1),
+    ("labels_p4.json", _swap(("g1^8", "g2^8")), "FAIL", LABEL_SWAP, 1),
+    ("pieri_table_p1.json", _table_coeff("h1^2", 3), "FAIL", TABLES, 1),
+    ("pieri_table_p4.json", _table_coeff("g1^2", 2), "FAIL", TABLES, 1),
+    ("rho_congruences.json", _r2_first_coeff, "FAIL", _both_eps("r2-congruence"), 1),
+    ("idempotent_cycles.json", _q2_first_coeff, "FAIL", IDEMPOTENTS, 1),
+    ("h14_preimage.txt", ("11/6*w1^2*w4^2", "17/6*w1^2*w4^2"), "FAIL",
+     ["preimage-polynomials"], 1),
+    ("g14_preimage.txt", ("- 2/3*w2*w3^3", "- 2/3*w2*w3^3 - 1/7*w1^4"), "FAIL",
+     ["preimage-polynomials"], 1),
+    # a file that does not name each class once is a fixture error at load
+    ("labels_p1.json", _h14_class_named_twice, "ERROR", CHECK_NAMES, 3),
+], ids=["labels-p1-swap", "labels-p4-swap", "table-p1", "table-p4", "rho-congruences",
+        "idempotent-cycles", "h14-preimage", "g14-preimage", "labels-p1-structure"])
+def test_data_edit_verdicts(fname, edit, status, failing, rc, fresh_pipeline, capsys):
+    """One edit per data file, through ``_data_text``: the status of every
+    check of ``verify f4 --eps both`` and its exit code."""
+    _edit_data(fresh_pipeline, fname, edit)
+    code = main(["verify", "f4", "--eps", "both", "--format", "json"])
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    got = {c["name"]: "ERROR" if c.get("error") else "PASS" if c["passed"] else "FAIL"
+           for c in checks}
+    assert got == {name: status if name in failing else "PASS" for name in CHECK_NAMES}
+    assert code == rc
+
+
+def test_corrupted_table_fails_both_table_checks_with_witness(fresh_pipeline, capsys):
+    """h1^1*h1^2 = 3 h1^3 in the table: no assignment reproduces it, and
+    both routes name the row with what they got and what the table wants."""
+    _edit_data(fresh_pipeline, "pieri_table_p1.json", _table_coeff("h1^2", 3))
+    rc, failing = _verify_json(capsys)
+    row = {"row": "h1^1*h1^2", "got": {"h1^3": 2}, "want": {"h1^3": 3}}
+    assert sorted(failing) == TABLES
+    assert failing["pieri-tables-chevalley"]["witness"] == {
+        "p1": {"assignments": 0, "missed": [row], "unaligned": []}}
+    assert failing["pieri-tables-giambelli"]["witness"] == {"p1": [row]}
+    assert rc == 1
+
+
+@pytest.mark.parametrize("pairs,unaligned", [
+    ((("h1^4", "h2^4"),), ["h1^11", "h1^4", "h2^11", "h2^4"]),
+    # the dual pair swapped as well keeps the labels in line with duality
+    ((("h1^4", "h2^4"), ("h1^11", "h2^11")), []),
+], ids=["one-pair", "dual-pairs"])
+def test_swapped_labels_fail_the_table_check_with_witness(pairs, unaligned, fresh_pipeline):
+    """Labels of one codimension swapped in the fixture: the tables still
+    pin one assignment, but not the frozen one; the witness names the rows
+    the frozen labels miss and the labels out of line with duality."""
+    _edit_data(fresh_pipeline, "labels_p1.json", _swap(*pairs))
+    passed, _, witness = pipe.check_table_labels()
+    assert not passed
+    assert list(witness) == ["p1"]
+    assert witness["p1"]["assignments"] == 1
+    assert {"h1^1*h1^4", "h1^1*h2^4"} <= {row["row"] for row in witness["p1"]["missed"]}
+    assert witness["p1"]["unaligned"] == unaligned
+
+
+def _rename(old, new):
+    def edit(words):
+        words[new] = words.pop(old)
+    return edit
+
+
+FIXTURE_ERROR = (RuntimeError, "label fixture error: labels_p1.json does not name each "
+                 "basis class once, in its codimension")
+
+
+@pytest.mark.parametrize("edit,error", [
+    (_h14_class_named_twice, FIXTURE_ERROR),
+    (_swap(("h1^4", "h1^5")), FIXTURE_ERROR),         # each class in the other's codimension
+    (_rename("h1^0", "g1^0"), FIXTURE_ERROR),         # the other variety's letter
+    (lambda words: words.pop("h1^15"), FIXTURE_ERROR),
+    (_rename("h1^15", "h1^15x"), (ValueError, "invalid literal")),
+    (lambda words: words.update({"h1^15": "s9"}), (ValueError, "bad reflection token")),
+], ids=["class-named-twice", "codimensions-swapped", "letter", "missing", "malformed-label",
+        "malformed-word"])
+def test_label_fixture_structure_errors_at_load(edit, error, fresh_pipeline):
+    """A label file that does not name each basis class once, in the
+    codimension of its label, is a fixture error of get_f4_varieties."""
+    _edit_data(fresh_pipeline, "labels_p1.json", edit)
+    kind, message = error
+    with pytest.raises(kind, match=message):
+        pipe.get_f4_varieties()

@@ -233,6 +233,20 @@ def test_multiply_truncates_above_dimension(x1):
     assert x1.multiply(h18, x1.multiply(h18, h18)).is_zero()
 
 
+def test_giambelli_multiply_above_dimension_skips_the_flag_ring(x1, monkeypatch):
+    """Codimensions summing past the dimension give zero by the Giambelli
+    route without a product in the full flag ring; one summing to the
+    dimension still reaches it."""
+    def refuse(a, b):
+        raise AssertionError("product in the full flag ring")
+
+    monkeypatch.setattr(x1.engine, "product_classes", refuse)
+    h18 = _by_label(x1, "h1^8")
+    assert x1.giambelli_multiply(h18, h18) == x1.zero()
+    with pytest.raises(AssertionError, match="full flag ring"):
+        x1.giambelli_multiply(h18, _by_label(x1, "h1^7"))
+
+
 def test_chevalley_agrees_with_giambelli_everywhere(x1, x4):
     for ring, node in ((x1, 1), (x4, 4)):
         h = ring.element(ring.hyperplane_class(node))
