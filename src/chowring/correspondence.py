@@ -21,6 +21,13 @@ codimensions.)
 
 Modular reduction keeps balanced representatives, e.g. coefficients in
 {-1, 0, 1} for modulus 3, so printed cycles carry their natural signs.
+
+Term keys are (f, g) tuples, and each ordered pair of rings has exactly one
+key object per class pair: every operation takes its keys from the pair's
+table (``_keys``), which the source ring holds, so a term costs no fresh
+tuple for the garbage collector to walk.  The table fills one row per first
+factor f, when f first appears.  A factor that is not a class of its ring
+misses the table and raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -29,6 +36,40 @@ from .poly import _Combination
 from .schubert import ChowElement, ChowRing, SchubertClass
 
 Modulus = int  # 0 means integral coefficients
+
+_NOT_SECOND = "second factor {!r} does not belong to the target ring"
+
+
+class _PairKeys(dict):
+    """f -> {g: (f, g) for every class g of the target}: the canonical term
+    keys of one ordered pair of rings.  It holds the target's classes, not
+    the target ring, so the source's weak table can let the target go."""
+
+    __slots__ = ("_sources", "_targets")
+
+    def __init__(self, source: ChowRing, target: ChowRing):
+        super().__init__()
+        self._sources = source.duality
+        self._targets = target.classes
+
+    def __missing__(self, f):
+        if f not in self._sources:
+            raise ValueError(f"first factor {f!r} does not belong to the source ring")
+        row = self[f] = {g: (f, g) for g in self._targets}
+        return row
+
+
+def _keys(source: ChowRing, target: ChowRing) -> _PairKeys:
+    table = source._pair_keys.get(target)
+    if table is None:
+        table = source._pair_keys[target] = _PairKeys(source, target)
+    return table
+
+
+def _drop_zeros(terms: dict) -> dict:
+    for key in [key for key, v in terms.items() if not v]:
+        del terms[key]
+    return terms
 
 
 class Correspondence(_Combination):
@@ -41,28 +82,45 @@ class Correspondence(_Combination):
                  terms: dict | None = None):
         self.source = source
         self.target = target
-        self.terms: dict[tuple[SchubertClass, SchubertClass], int] = \
-            {fg: v for fg, v in (terms or {}).items() if v}
+        keys = _keys(source, target)
+        try:
+            self.terms: dict[tuple[SchubertClass, SchubertClass], int] = \
+                {keys[f][g]: v for (f, g), v in (terms or {}).items() if v}
+        except KeyError as exc:
+            raise ValueError(_NOT_SECOND.format(exc.args[0])) from None
+
+    @classmethod
+    def _of(cls, source: ChowRing, target: ChowRing, terms: dict) -> "Correspondence":
+        """Takes a fresh zero-free dict of canonical keys as it is."""
+        new = cls.__new__(cls)
+        new.source, new.target, new.terms = source, target, terms
+        return new
 
     @classmethod
     def from_pairs(cls, source: ChowRing, target: ChowRing, pairs) -> "Correspondence":
+        keys = _keys(source, target)
         terms: dict = {}
-        for f, g, v in pairs:
-            key = (f, g)
-            terms[key] = terms.get(key, 0) + v
-        for key in [key for key, v in terms.items() if not v]:
-            del terms[key]
-        # the sums are fresh and zero-free, so they need no second copy
-        return cls(source, target)._with(terms)
+        try:
+            for f, g, v in pairs:
+                key = keys[f][g]
+                terms[key] = terms.get(key, 0) + v
+        except KeyError as exc:
+            raise ValueError(_NOT_SECOND.format(exc.args[0])) from None
+        return cls._of(source, target, _drop_zeros(terms))
 
     @classmethod
     def from_product(cls, x: ChowElement, y: ChowElement) -> "Correspondence":
         """Outer product of a cycle on X and a cycle on Y."""
+        keys = _keys(x.ring, y.ring)
         terms = {}
-        for f, vf in x.terms.items():
-            for g, vg in y.terms.items():
-                terms[(f, g)] = vf * vg
-        return cls(x.ring, y.ring, terms)
+        try:
+            for f, vf in x.terms.items():
+                row = keys[f]
+                for g, vg in y.terms.items():
+                    terms[row[g]] = vf * vg
+        except KeyError as exc:
+            raise ValueError(_NOT_SECOND.format(exc.args[0])) from None
+        return cls._of(x.ring, y.ring, terms)
 
     # -- structure -----------------------------------------------------------
 
@@ -70,9 +128,7 @@ class Correspondence(_Combination):
         return self.source, self.target
 
     def _with(self, terms: dict) -> "Correspondence":
-        new = Correspondence.__new__(Correspondence)
-        new.source, new.target, new.terms = self.source, self.target, terms
-        return new
+        return Correspondence._of(self.source, self.target, terms)
 
     def _sort_key(self, fg) -> tuple[int, int, int, int]:
         f, g = fg
@@ -92,8 +148,9 @@ class Correspondence(_Combination):
 
 
 def transpose(alpha: Correspondence) -> Correspondence:
-    return Correspondence(alpha.target, alpha.source,
-                          {(g, f): v for (f, g), v in alpha.terms.items()})
+    keys = _keys(alpha.target, alpha.source)
+    return Correspondence._of(alpha.target, alpha.source,
+                              {keys[g][f]: v for (f, g), v in alpha.terms.items()})
 
 
 def compose(beta: Correspondence, alpha: Correspondence) -> Correspondence:
@@ -104,20 +161,22 @@ def compose(beta: Correspondence, alpha: Correspondence) -> Correspondence:
     beta_by_first: dict = {}
     for (f_b, g_b), vb in beta.terms.items():
         beta_by_first.setdefault(f_b, []).append((g_b, vb))
+    keys = _keys(alpha.source, beta.target)
     acc: dict = {}
-    try:
-        for (f_a, g_a), va in alpha.terms.items():
-            for g_b, vb in beta_by_first.get(dual[g_a], ()):
-                key = (f_a, g_b)
+    for (f_a, g_a), va in alpha.terms.items():
+        matches = beta_by_first.get(dual[g_a])
+        if matches:
+            row = keys[f_a]
+            for g_b, vb in matches:
+                key = row[g_b]
                 acc[key] = acc.get(key, 0) + va * vb
-    except KeyError:
-        raise ValueError("class does not belong to the middle ring") from None
-    return Correspondence(alpha.source, beta.target, acc)
+    return Correspondence._of(alpha.source, beta.target, _drop_zeros(acc))
 
 
 def intersect(alpha: Correspondence, beta: Correspondence) -> Correspondence:
     """Cup product on X x Y, factorwise via the Chow ring products."""
     alpha._check(beta)
+    keys = _keys(alpha.source, alpha.target)
     acc: dict = {}
     for (f_a, g_a), va in alpha.terms.items():
         for (f_b, g_b), vb in beta.terms.items():
@@ -126,8 +185,9 @@ def intersect(alpha: Correspondence, beta: Correspondence) -> Correspondence:
                 continue
             gg = alpha.target.pair_product(g_a, g_b)
             for cf, vf in ff.terms.items():
+                row = keys[cf]
                 for cg, vg in gg.terms.items():
-                    key = (cf, cg)
+                    key = row[cg]
                     v = acc.get(key, 0) + va * vb * vf * vg
                     if v:
                         acc[key] = v
@@ -138,8 +198,9 @@ def intersect(alpha: Correspondence, beta: Correspondence) -> Correspondence:
 
 def diagonal(ring: ChowRing) -> Correspondence:
     """Diagonal cycle: sum over the basis of [X_w] x [dual of X_w]."""
-    terms = {(cls, ring.dual_class(cls)): 1 for cls in ring.classes}
-    return Correspondence(ring, ring, terms)
+    keys, dual = _keys(ring, ring), ring.duality
+    return Correspondence._of(ring, ring,
+                              {keys[cls][dual[cls]]: 1 for cls in ring.classes})
 
 
 def mod_reduce(alpha: Correspondence, m: Modulus) -> Correspondence:
@@ -190,9 +251,10 @@ def realize(p: Correspondence, x: ChowElement) -> ChowElement:
     ring = p.source
     if x.ring is not ring:
         raise ValueError("cycle lives on the wrong variety")
+    dual = ring.duality
     acc: dict = {}
     for (f, g), v in p.terms.items():
-        vx = x.terms.get(ring.dual_class(g))
+        vx = x.terms.get(dual[g])
         if vx:
             acc[f] = acc.get(f, 0) + v * vx
     return ChowElement(ring, acc)

@@ -74,6 +74,7 @@ from functools import lru_cache
 from itertools import islice
 from math import lcm, prod
 from types import MappingProxyType
+from weakref import WeakKeyDictionary
 
 from . import weyl as _weyl
 from .poly import (RationalPolynomial, _calculus, _Combination, _raw_add_into, _raw_delta,
@@ -539,6 +540,10 @@ class ChowRing:
         self._chevalley_betas: dict[int, tuple[tuple[int, int, int], ...]] = {}
         self._chevalley_rows: dict[tuple[int, SchubertClass],
                                    dict[SchubertClass, int]] = {}
+        # target ring -> the canonical (f, g) term keys of correspondences
+        # from this ring to it (``correspondence._keys``); weak, so that a
+        # target ring is not kept alive by its sources
+        self._pair_keys: WeakKeyDictionary = WeakKeyDictionary()
 
     # -- basis bookkeeping ---------------------------------------------------
 

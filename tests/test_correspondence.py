@@ -1,11 +1,14 @@
+import gc
 import random
+import weakref
 
 import pytest
 
 from chowring import correspondence as corr
 from chowring import f4pipeline
 from chowring.correspondence import Correspondence
-from chowring.schubert import ChowRing
+from chowring.rootsystem import root_system
+from chowring.schubert import ChowElement, ChowRing
 from chowring.weyl import WeylElement
 
 
@@ -299,3 +302,82 @@ def test_mod_reduce_is_hom_for_intersect(x1, x4):
     reduced = corr.mod_reduce(
         corr.intersect(corr.mod_reduce(r_scaled, 3), corr.mod_reduce(r_scaled, 3)), 3)
     assert direct == reduced
+
+
+def test_a_foreign_class_is_rejected_when_a_correspondence_is_built(x1, x4):
+    """A class of the wrong ring fails at construction, naming its factor,
+    instead of later inside repr or sorted_terms."""
+    h, g = x1.unit_class, x4.point_class
+    with pytest.raises(ValueError, match="first factor .* source ring"):
+        Correspondence.from_pairs(x1, x4, [(g, h, 1)])
+    with pytest.raises(ValueError, match="second factor .* target ring"):
+        Correspondence.from_pairs(x1, x4, [(h, g, 1), (h, h, 1)])
+    with pytest.raises(ValueError, match="first factor .* source ring"):
+        Correspondence(x1, x1, {(g, h): 1})
+    with pytest.raises(ValueError, match="second factor .* target ring"):
+        Correspondence(x1, x1, {(h, g): 1})
+    with pytest.raises(ValueError, match="first factor .* source ring"):
+        Correspondence.from_product(ChowElement(x1, {g: 1}), x4.unit)
+    with pytest.raises(ValueError, match="second factor .* target ring"):
+        Correspondence.from_product(x1.unit, ChowElement(x4, {h: 1}))
+
+
+def _assert_canonical(alpha):
+    keys = corr._keys(alpha.source, alpha.target)
+    for key in alpha.terms:
+        f, g = key
+        assert key is keys[f][g]
+
+
+def test_every_operation_keys_terms_by_the_canonical_objects(x1, x4, p0):
+    """One key object per class pair and ring pair: no operation leaves a
+    term keyed by a tuple of its own."""
+    r, J = f4pipeline.build_r(1), f4pipeline.build_J(1)
+    Jt = corr.transpose(J)
+    delta1, delta4 = corr.diagonal(x1), corr.diagonal(x4)
+    h8, g4 = _label(x1, "h1^8"), _label(x4, "g1^4")
+    results = [
+        r, J, Jt, delta1, delta4,
+        Correspondence(x1, x4, {(h8, g4): 2, (x1.unit_class, x4.point_class): -1}),
+        Correspondence.from_pairs(x1, x1, [(h8, _label(x1, "h1^7"), 1)]),
+        corr.compose(r, delta1), corr.compose(Jt, J), corr.compose(delta1, p0),
+        Correspondence.from_product(x1.element(h8) + x1.unit, x4.element(g4)),
+        corr.intersect(r, r), corr.intersect(p0, delta1),
+        corr.mod_reduce(4 * r, 3), r + r, delta1 - p0, -p0, 3 * p0,
+        f4pipeline.build_rho(2, -1)]
+    for alpha in results:
+        assert alpha.terms
+        _assert_canonical(alpha)
+
+
+def test_random_compositions_share_at_most_one_key_per_class_pair(x1, x4):
+    rng = random.Random(29)
+    square = [(u, v) for u in x1.classes for v in x1.classes
+              if u.codim + v.codim == x1.dim]
+    cross = [(u, v) for u in x1.classes for v in x4.classes
+             if u.codim + v.codim == x1.dim]
+    results = []
+    for _ in range(300):
+        a = Correspondence(x1, x1, {fg: rng.randint(1, 3) for fg in rng.sample(square, 12)})
+        b = Correspondence(x1, x4, {fg: rng.randint(1, 3) for fg in rng.sample(cross, 12)})
+        results.append(corr.compose(b, a))
+    for alpha in results:
+        _assert_canonical(alpha)
+    # the results stay alive, so a fresh tuple per term would show here
+    ids = {id(key) for alpha in results for key in alpha.terms}
+    assert sum(len(alpha.terms) for alpha in results) > len(x1.classes) * len(x4.classes)
+    assert len(ids) <= len(x1.classes) * len(x4.classes)
+
+
+def test_key_table_fills_used_rows_and_lets_the_target_ring_go():
+    system = root_system("B2")
+    source, target = ChowRing(system), ChowRing(system)
+    f, g = source.point_class, target.unit_class
+    alpha = Correspondence.from_pairs(source, target, [(f, g, 1)])
+    keys = corr._keys(source, target)
+    assert list(keys) == [f] and len(keys[f]) == len(target.classes)
+    gone = weakref.ref(target)
+    del alpha, keys, target, g
+    gc.collect()
+    assert gone() is None
+    assert len(source._pair_keys) == 0
