@@ -27,9 +27,8 @@ from __future__ import annotations
 import itertools
 import json
 import time
-from dataclasses import dataclass, field
 from functools import lru_cache
-from importlib import resources
+from pathlib import Path
 
 from . import correspondence as corr
 from . import linalg
@@ -49,8 +48,12 @@ NODE_P4 = 4
 # fixtures
 
 
+# the package's fixture files, installed beside the modules
+_DATA = Path(__file__).with_name("data")
+
+
 def _data_text(name: str) -> str:
-    return resources.files("chowring.data").joinpath(name).read_text()
+    return (_DATA / name).read_text()
 
 
 @lru_cache(maxsize=None)
@@ -259,14 +262,21 @@ def build_J(eps: int) -> Correspondence:
 # verification report plumbing
 
 
-@dataclass
 class CheckResult:
-    name: str
-    passed: bool
-    detail: str
-    witness: object | None = None
-    elapsed: float = 0.0
-    error: bool = False    # the check raised instead of deciding
+    """The verdict of one check; ``error`` means the check raised instead of
+    deciding.  The fields are immutable by contract; a result compares by
+    identity."""
+
+    __slots__ = ("name", "passed", "detail", "witness", "elapsed", "error")
+
+    def __init__(self, name: str, passed: bool, detail: str, witness: object | None = None,
+                 elapsed: float = 0.0, error: bool = False):
+        self.name = name
+        self.passed = passed
+        self.detail = detail
+        self.witness = witness
+        self.elapsed = elapsed
+        self.error = error
 
     @property
     def status(self) -> str:
@@ -275,9 +285,14 @@ class CheckResult:
         return "PASS" if self.passed else "FAIL"
 
 
-@dataclass
 class VerificationReport:
-    checks: list[CheckResult] = field(default_factory=list)
+    """The checks of one run, in the order they ran; each report owns its
+    list, which the run appends to."""
+
+    __slots__ = ("checks",)
+
+    def __init__(self, checks: list[CheckResult] | None = None):
+        self.checks = [] if checks is None else checks
 
     @property
     def passed(self) -> bool:

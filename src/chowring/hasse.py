@@ -20,27 +20,31 @@ regenerates the hyperplane multiplication table.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 from . import weyl as _weyl
 from .schubert import ChowRing
 from .weyl import CosetOrbit, WeylElement, WeylGroup
 
 
-@dataclass(frozen=True)
 class HasseDiagram:
     """Graded diagram on the minimal coset representatives, the points of
     ``orbit``; vertex k is ``orbit.minimal[k]``, named ``orbit.names[k]``.
 
+    ``edges`` holds (source index, target index, tag) triples, and
     ``edge_tag`` names the third entry of each edge.  With "label", edges
     increase length by one and label i means target = s_i * source.  With
     "weight" (the Pieri diagram), edges follow increasing codimension of
-    the basis classes, i.e. decreasing vertex length.
+    the basis classes, i.e. decreasing vertex length.  The fields are
+    immutable by contract; a diagram compares by identity.
     """
 
-    orbit: CosetOrbit
-    edges: tuple[tuple[int, int, int], ...]   # (source idx, target idx, tag)
-    edge_tag: str
+    __slots__ = ("orbit", "edges", "edge_tag")
+
+    def __init__(self, orbit: CosetOrbit, edges: tuple[tuple[int, int, int], ...],
+                 edge_tag: str):
+        self.orbit = orbit
+        self.edges = edges
+        self.edge_tag = edge_tag
 
     @property
     def theta(self) -> tuple[int, ...]:
@@ -92,13 +96,27 @@ def export_dot(diagram, by_codim: bool = False) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _json_list(items: list[str]) -> str:
+    """A list value at the top level of an ``indent=2`` document, from its
+    items already indented by four spaces."""
+    return "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
+
+
 def export_json(diagram) -> str:
-    payload = {
-        "theta": list(diagram.theta),
-        "vertices": [{"word": name, "length": v.length}
-                     for name, v in zip(diagram.orbit.names, diagram.vertices)],
-        "edges": [
-            {"source": s, "target": t, diagram.edge_tag: tag}
-            for s, t, tag in diagram.edges],
-    }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """Deterministic JSON text, byte for byte ``json.dumps(payload,
+    indent=2, sort_keys=True) + "\n"`` of the payload {"edges", "theta",
+    "vertices"}, written directly: with ``indent`` set, ``json`` falls
+    back to its pure-Python encoder.  Keys come out sorted, and words go
+    through ``json.dumps`` for escaping."""
+    tag = diagram.edge_tag
+    slot = {"source": 0, "target": 1, tag: 2}
+    # one str.format template per edge: its three keys in sorted order
+    edge = ("    {{\n"
+            + ",\n".join(f"      {json.dumps(k)}: {{{slot[k]}}}" for k in sorted(slot))
+            + "\n    }}")
+    edges = [edge.format(*e) for e in diagram.edges]
+    theta = [f"    {t}" for t in diagram.theta]
+    vertices = [f'    {{\n      "length": {v.length},\n      "word": {json.dumps(name)}\n    }}'
+                for name, v in zip(diagram.orbit.names, diagram.vertices)]
+    return (f'{{\n  "edges": {_json_list(edges)},\n  "theta": {_json_list(theta)},'
+            f'\n  "vertices": {_json_list(vertices)}\n}}\n')

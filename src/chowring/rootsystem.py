@@ -21,7 +21,6 @@ construction time and guards against feeding a transposed matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
@@ -49,25 +48,40 @@ class InfiniteRootSystemError(ValueError):
     """The Cartan matrix is not of finite type."""
 
 
-@dataclass(frozen=True)
 class CartanMatrix:
-    """Square integer matrix with 2 on the diagonal and <= 0 off it."""
+    """Square integer matrix with 2 on the diagonal and <= 0 off it.
 
-    entries: tuple[tuple[int, ...], ...]
+    A value: two matrices with the same ``entries`` are equal and hash
+    alike.  ``entries`` is immutable by contract.
+    """
 
-    def __post_init__(self) -> None:
-        n = len(self.entries)
-        for row in self.entries:
+    __slots__ = ("entries",)
+
+    def __init__(self, entries: tuple[tuple[int, ...], ...]):
+        self.entries = entries
+        n = len(entries)
+        for row in entries:
             if len(row) != n:
                 raise ValueError("Cartan matrix must be square")
         for i in range(n):
-            if self.entries[i][i] != 2:
+            if entries[i][i] != 2:
                 raise ValueError("Cartan matrix diagonal entries must be 2")
             for j in range(n):
-                if i != j and self.entries[i][j] > 0:
+                if i != j and entries[i][j] > 0:
                     raise ValueError("off-diagonal Cartan entries must be <= 0")
-                if (self.entries[i][j] == 0) != (self.entries[j][i] == 0):
+                if (entries[i][j] == 0) != (entries[j][i] == 0):
                     raise ValueError("zero pattern of a Cartan matrix is symmetric")
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, CartanMatrix):
+            return NotImplemented
+        return self.entries == other.entries
+
+    def __hash__(self) -> int:
+        return hash(self.entries)
+
+    def __repr__(self) -> str:
+        return f"CartanMatrix(entries={self.entries!r})"
 
     @property
     def rank(self) -> int:
@@ -281,7 +295,9 @@ def build_root_system(cartan: CartanMatrix) -> RootSystem:
     definite (D from :func:`_symmetrizer`), or
     :class:`InfiniteRootSystemError` is raised before any closure runs.
     The closure starts from the simple roots and applies simple
-    reflections until no new positive root appears.
+    reflections until no new positive root appears.  Each root carries its
+    pairings with the simple coroots, updated through the column of the
+    reflecting node, so a reflection costs the coordinates it moves.
     """
     d = _symmetrizer(cartan)
     if not _positive_definite([[d_i * x for x in row]
@@ -290,21 +306,34 @@ def build_root_system(cartan: CartanMatrix) -> RootSystem:
             "infinite root system: the symmetrized Cartan matrix is not "
             "positive definite")
     n = cartan.rank
-    c = cartan.entries
-    simple = [tuple(1 if k == i else 0 for k in range(n)) for i in range(n)]
-    known: set[Root] = set(simple)
-    frontier: list[Root] = list(simple)
+    # per node i, the nonzero coordinates (k, C[k][i]) of alpha_i in the
+    # fundamental weights
+    support = [tuple((k, row[i]) for k, row in enumerate(cartan.entries) if row[i])
+               for i in range(n)]
+    # positive root -> its weight coordinates, the pairings <alpha_i^vee, root>;
+    # s_i moves coordinate i of the root and only the weight coordinates
+    # where alpha_i is nonzero
+    known: dict[Root, list[int]] = {
+        tuple(1 if k == i else 0 for k in range(n)): [row[i] for row in cartan.entries]
+        for i in range(n)}
+    frontier: list[Root] = list(known)
     while frontier:
         new_frontier: list[Root] = []
         for root in frontier:
-            for i in range(n):
-                pairing = sum(c[i][j] * root[j] for j in range(n))
+            weight = known[root]
+            for i, pairing in enumerate(weight):
                 if pairing == 0:
                     continue
-                image = tuple(root[j] - (pairing if j == i else 0)
-                              for j in range(n))
-                if all(x >= 0 for x in image) and image not in known:
-                    known.add(image)
+                image = list(root)
+                image[i] -= pairing
+                if image[i] < 0:
+                    continue
+                image = tuple(image)
+                if image not in known:
+                    moved = weight.copy()
+                    for k, x in support[i]:
+                        moved[k] -= pairing * x
+                    known[image] = moved
                     new_frontier.append(image)
         frontier = new_frontier
     ordered = tuple(sorted(known, key=lambda r: (sum(r), r)))

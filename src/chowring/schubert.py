@@ -68,7 +68,6 @@ elements.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
@@ -92,7 +91,6 @@ class LatticeError(ValueError):
     image lattice of c."""
 
 
-@dataclass(frozen=True, eq=False)
 class SchubertClass:
     """Basis cycle [X_w] of one ring; ``rep`` is the indexing Weyl element,
     ``position`` the class's index in its ring's ``classes`` and ``point``
@@ -102,13 +100,17 @@ class SchubertClass:
     Only ``ChowRing.__init__`` builds classes, and each ring owns its own.
     A class compares and hashes by identity: the classes of two rings that
     are indexed by the same Weyl element are different classes, and a ring
-    raises ``ValueError`` when it is handed a class of another ring.
+    raises ``ValueError`` when it is handed a class of another ring.  The
+    fields are immutable by contract.
     """
 
-    rep: WeylElement
-    codim: int
-    position: int
-    point: int
+    __slots__ = ("rep", "codim", "position", "point")
+
+    def __init__(self, rep: WeylElement, codim: int, position: int, point: int):
+        self.rep = rep
+        self.codim = codim
+        self.position = position
+        self.point = point
 
     def __repr__(self) -> str:
         return f"SchubertClass({_weyl.serialize(self.rep)!r}, codim={self.codim})"

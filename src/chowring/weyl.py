@@ -25,7 +25,6 @@ word, e.g. ``"s3 s2 s1"``, with the identity written ``"e"``.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from math import prod
 
@@ -37,11 +36,17 @@ from .rootsystem import Root, RootSystem, Weight
 MAX_ENUMERATION = 100_000
 
 
-@dataclass(frozen=True, eq=False, slots=True)
 class WeylElement:
-    system: RootSystem
-    images: tuple[Root, ...]
-    length: int
+    """An element of W(system): ``images[i]`` is the image of the simple root
+    alpha_(i+1) and ``length`` the element's length.  Equal elements have
+    equal images; the fields are immutable by contract."""
+
+    __slots__ = ("system", "images", "length")
+
+    def __init__(self, system: RootSystem, images: tuple[Root, ...], length: int):
+        self.system = system
+        self.images = images
+        self.length = length
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, WeylElement)
@@ -190,20 +195,24 @@ def _opposition(system: RootSystem) -> tuple[int, ...]:
                  for img in longest_element(system).images)
 
 
-@dataclass(frozen=True, eq=False)
 class RootIndex:
     """The roots of one system by index: the positive roots in the system's
     order, then their negatives in the same order, so index r is positive
     exactly when r < ``positive``.  Per index, ``roots[r]`` is the root
     (one shared tuple) and ``weights[r]`` its expansion in the fundamental
-    weights; ``steps[a - 1][r]`` is the index of s_a roots[r].
+    weights; ``steps[a - 1][r]`` is the index of s_a roots[r].  The tables
+    are immutable by contract; an index compares by identity.
     """
 
-    roots: tuple[Root, ...]
-    index: dict[Root, int]
-    positive: int
-    weights: tuple[Weight, ...]
-    steps: tuple[tuple[int, ...], ...]
+    __slots__ = ("roots", "index", "positive", "weights", "steps")
+
+    def __init__(self, roots: tuple[Root, ...], index: dict[Root, int], positive: int,
+                 weights: tuple[Weight, ...], steps: tuple[tuple[int, ...], ...]):
+        self.roots = roots
+        self.index = index
+        self.positive = positive
+        self.weights = weights
+        self.steps = steps
 
 
 @lru_cache(maxsize=None)

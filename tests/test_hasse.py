@@ -1,10 +1,13 @@
 import json
 
+import pytest
+
 from chowring import hasse, weyl
 from chowring.rootsystem import CartanMatrix, build_root_system, root_system
 from chowring.schubert import get_chow_ring
 from chowring.weyl import get_weyl_group
 import weyl_oracle
+from test_weyl import A5
 
 
 def test_full_theta_single_vertex(f4_group):
@@ -135,3 +138,38 @@ def test_f4_p1_exports_name_each_vertex_once(x1, monkeypatch):
     shared = hasse.build_hasse(get_weyl_group(root_system("F4")), (2, 3, 4))
     assert texts == [hasse.export_dot(shared), hasse.export_json(shared),
                      hasse.export_json(hasse.build_pieri_diagram(x1, 1))]
+
+
+def _json_module_export(diagram):
+    """``export_json`` as the json module writes it."""
+    payload = {
+        "theta": list(diagram.theta),
+        "vertices": [{"word": name, "length": v.length}
+                     for name, v in zip(diagram.orbit.names, diagram.vertices)],
+        "edges": [{"source": s, "target": t, diagram.edge_tag: tag}
+                  for s, t, tag in diagram.edges],
+    }
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+# every maximal parabolic of F4, B3 and A5, the B3 flag variety, and B3
+# itself (one vertex, no edges)
+EXPORT_CASES = [(name, tuple(i for i in range(1, rank + 1) if i != node))
+                for name, rank in (("F4", 4), ("B3", 3), ("A5", 5))
+                for node in range(1, rank + 1)] + [("B3", ()), ("B3", (1, 2, 3))]
+
+
+@pytest.mark.parametrize("name,theta", EXPORT_CASES)
+def test_json_export_matches_the_json_module(name, theta):
+    """The Hasse diagram ("label" edges, sorting before "source") and the
+    Pieri diagram of every node outside theta ("weight" edges, sorting
+    after "target"), byte for byte."""
+    system = build_root_system(CartanMatrix(A5)) if name == "A5" else root_system(name)
+    ring = get_chow_ring(system, theta)
+    diagrams = [hasse.build_hasse(get_weyl_group(system), theta)]
+    diagrams += [hasse.build_pieri_diagram(ring, node)
+                 for node in range(1, system.rank + 1) if node not in theta]
+    assert {d.edge_tag for d in diagrams} == ({"label", "weight"} if len(theta) < system.rank
+                                              else {"label"})
+    for diagram in diagrams:
+        assert hasse.export_json(diagram) == _json_module_export(diagram)

@@ -51,6 +51,11 @@ ALLOWED = {
     "poly.RationalPolynomial.__repr__": "debugging aid; the CLI prints polynomials "
                                         "with format_polynomial",
     "rootsystem.RootSystem.__repr__": "debugging aid; no command prints a system",
+    "rootsystem.CartanMatrix.__repr__": "debugging aid; no command prints a matrix",
+    "rootsystem.CartanMatrix.__eq__": "public value type: matrices built from the same "
+                                      "rows are equal; no command compares two",
+    "rootsystem.CartanMatrix.__hash__": "public value type: hashes alike when equal; no "
+                                        "command hashes a matrix",
     "schubert.ChowRing.__repr__": "debugging aid; no command prints a ring",
     "schubert.SchubertClass.__repr__": "debugging aid; reports print class labels",
     "weyl.WeylElement.__repr__": "debugging aid; the CLI prints elements with serialize",

@@ -8,6 +8,7 @@ from chowring.rootsystem import (BUILTIN_CARTAN, CartanMatrix,
                                  root_system)
 from chowring.weyl import coset_orbit
 import weyl_oracle
+from test_e6 import E6
 
 
 def _omega(system, j):
@@ -182,3 +183,46 @@ def test_coroot_and_root_coroot_pairing_reject_non_roots(f4):
         f4.coroot((1, 0, 0, 1))
     with pytest.raises(ValueError):
         f4.coroot_pairing((2, 0, 0, 0), f4.root_to_weight(f4.simple_root(1)))
+
+
+def _closure_by_full_pairings(cartan):
+    """The positive roots by reflection closure, every pairing
+    <alpha_i^vee, root> summed over the whole row of the Cartan matrix."""
+    n = cartan.rank
+    c = cartan.entries
+    simple = [tuple(1 if k == i else 0 for k in range(n)) for i in range(n)]
+    known = set(simple)
+    frontier = list(simple)
+    while frontier:
+        new_frontier = []
+        for root in frontier:
+            for i in range(n):
+                pairing = sum(c[i][j] * root[j] for j in range(n))
+                if pairing == 0:
+                    continue
+                image = tuple(root[j] - (pairing if j == i else 0) for j in range(n))
+                if all(x >= 0 for x in image) and image not in known:
+                    known.add(image)
+                    new_frontier.append(image)
+        frontier = new_frontier
+    return tuple(sorted(known, key=lambda r: (sum(r), r)))
+
+
+def _cartan_a(n):
+    return CartanMatrix.from_rows([[2 if i == j else -1 if abs(i - j) == 1 else 0
+                                    for j in range(n)] for i in range(n)])
+
+
+def test_a30_positive_roots_are_the_intervals():
+    """The positive roots of A_n are the sums alpha_i + ... + alpha_j."""
+    roots = build_root_system(_cartan_a(30)).positive_roots
+    intervals = {tuple(1 if i <= k <= j else 0 for k in range(30))
+                 for i in range(30) for j in range(i, 30)}
+    assert len(roots) == len(intervals) == 465
+    assert set(roots) == intervals
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_CARTAN) + ["E6"])
+def test_closure_matches_the_full_pairing_closure(name):
+    cartan = CartanMatrix(E6) if name == "E6" else CartanMatrix.from_name(name)
+    assert build_root_system(cartan).positive_roots == _closure_by_full_pairings(cartan)
