@@ -26,9 +26,9 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
 import time
 from functools import lru_cache
-from pathlib import Path
 
 from . import correspondence as corr
 from . import linalg
@@ -49,11 +49,12 @@ NODE_P4 = 4
 
 
 # the package's fixture files, installed beside the modules
-_DATA = Path(__file__).with_name("data")
+_DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
 def _data_text(name: str) -> str:
-    return (_DATA / name).read_text()
+    with open(os.path.join(_DATA, name)) as f:
+        return f.read()
 
 
 @lru_cache(maxsize=None)

@@ -24,7 +24,6 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from pathlib import Path
 
 Root = tuple[int, ...]
 Weight = tuple[int, ...]
@@ -103,7 +102,9 @@ class CartanMatrix:
     def from_file(cls, path) -> "CartanMatrix":
         """Read rows of space-separated integers, one matrix row per line."""
         rows = []
-        for line in Path(path).read_text().splitlines():
+        with open(path) as f:
+            text = f.read()
+        for line in text.splitlines():
             line = line.strip()
             if line:
                 rows.append([int(tok) for tok in line.split()])
@@ -153,7 +154,11 @@ class RootSystem:
     2 and 3).  Positive roots are ordered by height, then lexicographically.
     """
 
-    def __init__(self, cartan: CartanMatrix, positive_roots: tuple[Root, ...]):
+    def __init__(self, cartan: CartanMatrix, positive_roots: tuple[Root, ...],
+                 pairings: dict[Root, list[int]]):
+        """``pairings`` maps each positive root beta to its pairings
+        <alpha_i^vee, beta>, i = 1..rank, as :func:`build_root_system`'s
+        closure carries them."""
         self.cartan = cartan
         self.rank = cartan.rank
         self.positive_roots = positive_roots
@@ -164,7 +169,7 @@ class RootSystem:
         self.alpha_support: tuple[tuple[tuple[int, int], ...], ...] = tuple(
             tuple((k, x) for k, x in enumerate(col) if x) for col in self.alpha_weights)
         self._check_reflection_convention()
-        self._coroots = self._coroot_table()
+        self._coroots = self._coroot_table(pairings)
 
     # -- construction helpers -------------------------------------------
 
@@ -177,22 +182,22 @@ class RootSystem:
                     "reflection convention broken: s_i(alpha_i) != -alpha_i "
                     "(transposed Cartan matrix?)")
 
-    def _coroot_table(self) -> dict[Root, Root]:
+    def _coroot_table(self, pairings: dict[Root, list[int]]) -> dict[Root, Root]:
         """root -> beta^vee in the simple coroots, for every root, positive
         or negative.  alpha_k = d_k alpha_k^vee, so the k-th coordinate of
         beta^vee = 2 beta / (beta, beta) is 2 d_k beta_k / (beta, beta).
         The form is scaled to integers, d_k = e_k / m, and each coordinate
-        is asserted to be an integer."""
+        is asserted to be an integer.  (beta, beta) is the sum of
+        d_i beta_i <alpha_i^vee, beta> over the nodes, read off the
+        closure's pairings."""
         sym = _symmetrizer(self.cartan)
         m = lcm(*(d.denominator for d in sym))
         e = [int(d * m) for d in sym]
-        c = self.cartan.entries
         n = self.rank
         table: dict[Root, Root] = {}
         for beta in self.positive_roots:
             # m (beta, beta)
-            norm = sum(beta[i] * e[i] * c[i][j] * beta[j]
-                       for i in range(n) if beta[i] for j in range(n) if beta[j])
+            norm = sum(b * e_i * x for b, e_i, x in zip(beta, e, pairings[beta]) if b)
             coroot = []
             for k in range(n):
                 q, r = divmod(2 * e[k] * beta[k], norm)
@@ -337,7 +342,7 @@ def build_root_system(cartan: CartanMatrix) -> RootSystem:
                     new_frontier.append(image)
         frontier = new_frontier
     ordered = tuple(sorted(known, key=lambda r: (sum(r), r)))
-    return RootSystem(cartan, ordered)
+    return RootSystem(cartan, ordered, known)
 
 
 @lru_cache(maxsize=None)

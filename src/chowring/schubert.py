@@ -41,12 +41,15 @@ Four multiplication routes are implemented:
   Each divided-difference chain starts at a parabolic base instead of at
   d: for J the right-descent set of w and w_J the longest element of
   W_J, delta_{w_J}(d) = |W_J| d_{P_J}, where d_{P_J} is the product of
-  the positive roots outside Phi_J.  Chain values stay factored, a set S
-  of positive roots times a small cofactor Q: the roots of S that s_i
-  permutes among themselves have an s_i-invariant product, which passes
-  through delta_i, so each step expands only the others into Q.  A lift
-  is expanded from its chain value each time it is asked for (see
-  :class:`_GiambelliEngine`).
+  the positive roots outside Phi_J.  Values stay factored, a multiset S
+  of positive roots times a small cofactor Q: the part of S that s_i
+  maps to itself has an s_i-invariant product, which passes through
+  delta_i, so each step expands only the rest into Q.  Chains and the
+  c map take that one step; a product of two lifts reaches the c map as
+  the sum of their root multisets and the product of their cofactors,
+  never expanded, and the two lifts' common right descents enter K
+  without a probe.  A lift is expanded from its chain value only when it
+  is asked for itself (see :class:`_GiambelliEngine`).
   It works inside the full flag ring and asserts that the product lands
   back in the subring.  The paper states its hyperplane tables and squares
   through this route, and the tests use it as an oracle; all parabolic
@@ -162,6 +165,17 @@ class _GiambelliEngine:
     roots d are kept unscaled, and all divisions by |W| happen at the very
     end of the c map, with exactness asserted.
 
+    Values are kept factored, Q prod_S beta with S a multiset of positive
+    roots (root index -> multiplicity) and Q a raw polynomial, the
+    cofactor; a plain polynomial is the case S empty.  ``_step`` is the one
+    divided difference on such values.  s_i permutes the positive roots
+    other than alpha_i, so the roots of S that s_i fixes, min(m(beta),
+    m(s_i beta)) copies each of a pair beta != s_i beta, and the pairs of
+    copies of alpha_i (alpha_i^2 = (s_i alpha_i)^2) have an s_i-invariant
+    product G.  delta_i is linear over s_i-invariants, so
+    delta_i(G F) = G delta_i(F), with F the cofactor times the roots of S
+    left over: only F is ever expanded.
+
     ``delta_d`` never runs the top-degree divided differences from d.  Let
     J be the right-descent set of w and w_J the longest element of W_J;
     then w = y w_J with y in W^J and the lengths add.  Split d = d_J d_{P_J},
@@ -181,37 +195,55 @@ class _GiambelliEngine:
     otherwise.  J empty gives d itself at the identity, and J = all nodes
     gives |W| at w0.
 
-    The chain values are memoized factored, delta_x(d) = Q_x prod_{S_x}
-    beta with S_x a set of positive roots and Q_x a raw polynomial; the
-    base is (Phi+ minus Phi_J, |W_J|), never expanded.  For a step to
-    s_i x let T be the roots beta of S other than alpha_i with s_i beta
-    in S.  s_i permutes the positive roots other than alpha_i, so it
-    permutes T, and G = prod_T beta is s_i-invariant; delta_i is linear
-    over s_i-invariants, so delta_i(G F) = G delta_i(F) with F = Q times
-    the roots of S outside T, and the new value is (T, delta_i(F)).  Only
-    F, a few roots times a small cofactor, is ever expanded on a chain.
-    ``delta_d`` expands Q prod_S on every request; the memoized chain
-    values and bases are all the engine keeps.
+    The chain values are memoized factored, with every multiplicity 1: the
+    base is (Phi+ minus Phi_J, |W_J|), never expanded, and each step keeps
+    the roots of S whose image under s_i lies in S.  ``delta_d`` expands
+    Q prod_S on every request; the memoized chain values and bases are all
+    the engine keeps.  A product of two lifts is never expanded:
+    ``product_classes`` hands the c map the sum of the two root multisets
+    and the product of the two cofactors.
     """
 
     def __init__(self, group: WeylGroup):
         self.group = group
         self.system = group.system
-        # idx -> (S, Q), delta_{w_idx}(d) = Q times the positive roots indexed by S
-        self._factored: dict[int, tuple[frozenset[int], dict]] = {}
+        # s_i on root indices; index r is positive exactly when r < positive
+        table = _weyl.root_index(group.system)
+        self._moves, self._positive = table.steps, table.positive
+        # idx -> (S, Q), delta_{w_idx}(d) = Q times the positive roots of S
+        self._factored: dict[int, tuple[dict[int, int], dict]] = {}
         # J -> the base at w_J: the positive roots outside Phi_J, and |W_J|
-        self._bases: dict[tuple[int, ...], tuple[frozenset[int], dict]] = {}
+        self._bases: dict[tuple[int, ...], tuple[dict[int, int], dict]] = {}
 
-    def delta_d(self, idx: int) -> dict:
-        """delta_{w_idx}(d), expanded from its memoized factored chain value
+    def _step(self, i: int, roots: dict[int, int], cofactor: dict) -> tuple[dict, dict]:
+        """delta_i of the factored value Q prod_S beta, as (S', Q') with S'
+        the s_i-invariant part of S kept and Q' = delta_i of Q times the rest
         (see the class docstring)."""
-        system = self.system
-        calc = _calculus(system)
+        calc = _calculus(self.system)
         mul, forms = calc.mul, calc.root_forms
+        move, positive = self._moves[i - 1], self._positive
+        kept: dict[int, int] = {}
+        for b, m in roots.items():
+            image = move[b]
+            if image == b:
+                keep = m
+            elif image >= positive:
+                # b is alpha_i: its pairs are s_i-invariant
+                keep = m - m % 2
+            else:
+                keep = min(m, roots.get(image, 0))
+            if keep:
+                kept[b] = keep
+            for _ in range(m - keep):
+                cofactor = mul(cofactor, forms[b])
+        return kept, _raw_delta(self.system, i, cofactor)
+
+    def _chain(self, idx: int) -> tuple[dict[int, int], dict]:
+        """The memoized factored value of delta_{w_idx}(d), filling the
+        chain down to its parabolic base (see the class docstring)."""
+        system = self.system
         # the orbit of rho is W: the first lift walks it, no ring build does
         orbit = self.group.orbit
-        # s_i on root indices; s_i alpha_i is negative, so never in a set S
-        moves = orbit.roots.steps
         elements, weights, point_of = orbit.minimal, orbit.weights, orbit.point_of
         memo, bases = self._factored, self._bases
         top_length = len(system.positive_roots)
@@ -226,9 +258,8 @@ class _GiambelliEngine:
             J = _weyl.right_descents(w)
             base = bases.get(J)
             if base is None:
-                outside = frozenset(
-                    b for b, beta in enumerate(system.positive_roots)
-                    if any(c and i not in J for i, c in enumerate(beta, 1)))
+                outside = {b: 1 for b, beta in enumerate(system.positive_roots)
+                           if any(c and i not in J for i, c in enumerate(beta, 1))}
                 base = bases[J] = (outside, {0: _weyl.order_from_heights(system, J)})
             if w.length == top_length - len(base[0]):
                 # top is w_J itself, of length |Phi_J^+|: |W_J| times the
@@ -252,62 +283,75 @@ class _GiambelliEngine:
             if got is None:
                 stack.append(parent)
                 continue
-            roots, cofactor = got
-            move = moves[i - 1]
-            # s_i permutes the roots kept, so their product passes delta_i
-            kept = frozenset(b for b in roots if move[b] in roots)
-            for b in roots - kept:
-                cofactor = mul(cofactor, forms[b])
-            memo[top] = (kept, _raw_delta(system, i, cofactor))
+            memo[top] = self._step(i, *got)
             stack.pop()
-        roots, expanded = memo[idx]
+        return memo[idx]
+
+    def delta_d(self, idx: int) -> dict:
+        """delta_{w_idx}(d), expanded from its memoized factored chain value
+        (see the class docstring)."""
+        calc = _calculus(self.system)
+        roots, expanded = self._chain(idx)
         for b in roots:
-            expanded = mul(expanded, forms[b])
+            expanded = calc.mul(expanded, calc.root_forms[b])
         return expanded
 
+    def _lift_index(self, w: WeylElement) -> int:
+        """The index of w^{-1}, the point of weight w^{-1} rho: |W| times the
+        canonical lift of [X_w] is delta_{w^{-1}}(d)."""
+        return self.group.orbit.point_of[_weyl.inverse_rho(w)]
+
     def lift_raw(self, w: WeylElement) -> dict:
-        """|W| times the canonical lift of [X_w]; w^{-1} is the point of
-        weight w^{-1} rho."""
-        return self.delta_d(self.group.orbit.point_of[_weyl.inverse_rho(w)])
+        """|W| times the canonical lift of [X_w]."""
+        return self.delta_d(self._lift_index(w))
 
-    def c_raw(self, u_raw: dict, degree: int) -> dict[WeylElement, object]:
-        """delta_v(u) for every v of the given length, keyed by w0 v.
+    def c_raw(self, u_raw: dict, degree: int, roots: dict[int, int] | None = None,
+              known: frozenset[int] = frozenset()) -> dict[WeylElement, object]:
+        """delta_v(u) for every v of the given length, keyed by w0 v, where
+        u = Q prod_S beta is given factored: ``u_raw`` is the cofactor Q and
+        ``roots`` the multiset S (none: u = Q).
 
-        Let K be the nodes i with delta_i(u) = 0, read off u.  A v with a
-        right descent j in K has delta_v(u) = delta_{v s_j}(delta_j u) = 0,
-        so the support lies in W^K and the walk runs over the coset orbit
-        of K in its stored order, delta_v = delta_a delta_{parent} with a
-        the first letter of v's word.  Zero polynomials are pruned so dead
-        branches cost nothing.  The leaf at point k is the class of w0 v,
-        the maximal representative at ``opposite[k]``.
+        Let K be the nodes i with delta_i(u) = 0.  A v with a right descent
+        j in K has delta_v(u) = delta_{v s_j}(delta_j u) = 0, so the support
+        lies in W^K and the walk runs over the coset orbit of K in its
+        stored order, delta_v = delta_a delta_{parent} with a the first
+        letter of v's word, each step ``_step`` on factored values.  The
+        nodes of ``known`` are taken as zero; K is them and the other nodes
+        whose probe delta_i(u) comes back zero.  Zero values are pruned so
+        dead branches cost nothing.  The leaf at point k is the class of
+        w0 v, the maximal representative at ``opposite[k]``; a leaf must
+        be a constant with no roots left.
 
         Returns w0 v -> constant (int or Fraction).
         """
         system = self.system
         if not u_raw or degree > len(system.positive_roots):
             return {}
+        roots = roots or {}
         nodes = range(1, system.rank + 1)
         # level 1; degree 0 walks nothing and K is every node
-        firsts = {i: _raw_delta(system, i, u_raw) for i in nodes} if degree else {}
-        orbit = _weyl.coset_orbit(system, [i for i in nodes if not firsts.get(i)])
-        values: dict[int, dict] = {0: u_raw}
-        for k in range(1, len(orbit.words)):
-            word = orbit.words[k]
+        firsts = {i: self._step(i, roots, u_raw) for i in nodes
+                  if i not in known} if degree else {}
+        orbit = _weyl.coset_orbit(
+            system, [i for i in nodes if i not in firsts or not firsts[i][1]])
+        words, parents = orbit.words, orbit.parents
+        values: dict[int, tuple[dict[int, int], dict]] = {0: (roots, u_raw)}
+        for k in range(1, len(words)):
+            word = words[k]
             if len(word) > degree:
                 break
-            parent = values.get(orbit.parents[k])
+            parent = values.get(parents[k])
             if parent is None:
                 continue
-            val = firsts[word[0]] if len(word) == 1 else _raw_delta(system, word[0], parent)
-            if val:
+            val = firsts[word[0]] if len(word) == 1 else self._step(word[0], *parent)
+            if val[1]:
                 values[k] = val
         out: dict[WeylElement, object] = {}
-        for k, raw in values.items():
-            if len(orbit.words[k]) != degree:
+        for k, (left, raw) in values.items():
+            if len(words[k]) != degree:
                 continue
-            for e in raw:
-                if e:
-                    raise AssertionError("c map met a non-constant leaf")
+            if left or any(raw):
+                raise AssertionError("c map met a non-constant leaf")
             const = raw.get(0, 0)
             if const:
                 out[orbit.maximal[orbit.opposite[k]]] = const
@@ -315,16 +359,27 @@ class _GiambelliEngine:
 
     def product_classes(self, wa: WeylElement, wb: WeylElement) -> dict[WeylElement, int]:
         """[X_wa]*[X_wb] over the full flag ring, keyed like ``c_raw``:
-        the product of the two lifts, projected by the c map.  The division
-        by |W|^2 must be exact or the conventions are broken somewhere.
+        the product of the two lifts, projected by the c map.  The product
+        stays factored, the two chain values' root multisets added and their
+        cofactors multiplied.  delta_i of a lift delta_{w^{-1}}(d) is zero
+        exactly when i is a right descent of w, so by Leibniz every common
+        right descent of wa and wb annihilates the product, and the c map
+        takes those nodes as known.  The division by |W|^2 must be exact or
+        the conventions are broken somewhere.
         """
         top = len(self.system.positive_roots)
         codim = (top - wa.length) + (top - wb.length)
         result: dict[WeylElement, int] = {}
         if codim <= top:
-            u = _calculus(self.system).mul(self.lift_raw(wa), self.lift_raw(wb))
+            roots_a, cofactor_a = self._chain(self._lift_index(wa))
+            roots_b, cofactor_b = self._chain(self._lift_index(wb))
+            roots = dict(roots_a)
+            for b, m in roots_b.items():
+                roots[b] = roots.get(b, 0) + m
+            known = frozenset(_weyl.right_descents(wa)) & frozenset(_weyl.right_descents(wb))
+            u = _calculus(self.system).mul(cofactor_a, cofactor_b)
             order2 = self.group.order * self.group.order
-            for target, const in self.c_raw(u, codim).items():
+            for target, const in self.c_raw(u, codim, roots, known).items():
                 q, r = divmod(const, order2)
                 if r:
                     raise AssertionError("lift product left the integer lattice")

@@ -1,10 +1,13 @@
 """The c map against a walk over all of W.
 
 ``_GiambelliEngine.c_raw`` walks only the coset orbit of the invariance
-set K of u (the nodes i with delta_i(u) = 0).  The oracle below keeps the
-plain walk instead: every element of W level by level, each reached from
-its smallest left descent, and the leaf at v read as w0 * v by
-multiplying Weyl elements.
+set K of u (the nodes i with delta_i(u) = 0), on values kept factored as a
+cofactor times a multiset of positive roots; ``product_classes`` hands it
+the two lifts' chain values unexpanded and their common right descents as
+nodes known to be zero.  The oracle below keeps the plain walk instead,
+on the expanded polynomial: every element of W level by level, each
+reached from its smallest left descent, and the leaf at v read as w0 * v
+by multiplying Weyl elements.
 """
 
 import random
@@ -16,7 +19,7 @@ from chowring import f4pipeline as pipe
 from chowring import poly
 from chowring.rootsystem import root_system
 from chowring.schubert import _GiambelliEngine, get_chow_ring
-from chowring.weyl import get_weyl_group, longest_element
+from chowring.weyl import get_weyl_group, longest_element, right_descents, root_index
 from weyl_oracle import left_min_descent, listed_group, multiply
 
 
@@ -58,6 +61,24 @@ def _check(engine, u_raw, degree):
     return got
 
 
+def _check_product(engine, a, b, u_raw):
+    """``product_classes`` on the factored lifts of a and b against the
+    oracle on their expanded product ``u_raw``, divided by |W|^2; and every
+    common right descent of the two, the nodes the factored path takes as
+    zero, annihilates the expanded product."""
+    common = set(right_descents(a.rep)) & set(right_descents(b.rep))
+    assert common <= set(invariance_set(engine.system, u_raw))
+    want = {}
+    order2 = engine.group.order ** 2
+    for w, const in _check(engine, u_raw, a.codim + b.codim).items():
+        q, r = divmod(const, order2)
+        assert not r
+        if q:
+            want[w] = q
+    assert engine.product_classes(a.rep, b.rep) == want
+    return want
+
+
 @pytest.mark.parametrize("name,theta", [
     ("A2", ()), ("B2", ()), ("G2", ()), ("B3", ()),
     ("B3", (1,)), ("B3", (2,)), ("B3", (3,)),
@@ -71,7 +92,7 @@ def test_c_raw_matches_oracle_on_every_lift_product(name, theta):
     walked = 0
     for a, b in combinations_with_replacement(ring.classes, 2):
         if a.codim + b.codim <= ring.dim:
-            walked += bool(_check(engine, mul(lifts[a], lifts[b]), a.codim + b.codim))
+            walked += bool(_check_product(engine, a, b, mul(lifts[a], lifts[b])))
     assert walked
 
 
@@ -88,7 +109,7 @@ def test_c_raw_matches_oracle_on_the_f4_verify_products(x1, x4):
         for a, b in pairs:
             u = mul(engine.lift_raw(a.rep), engine.lift_raw(b.rep))
             assert set(ring.theta) <= set(invariance_set(ring.system, u))
-            assert _check(engine, u, a.codim + b.codim)
+            assert _check_product(engine, a, b, u)
             count += 1
     assert count == 46
 
@@ -141,3 +162,22 @@ def test_c_raw_in_degree_zero(name):
     engine = _GiambelliEngine(group)
     assert _check(engine, {0: 7}, 0) == {group.longest: 7}
     assert engine.c_raw({}, 0) == {}
+
+
+@pytest.mark.parametrize("name", ["A2", "F4"])
+def test_c_raw_on_factored_roots(name):
+    """u = alpha_1, given as the cofactor 1 times the root: in degree 1 the
+    factored walk matches the oracle on the expanded root.  A leaf reached
+    with roots still left over is refused: alpha_1 itself read in degree 0,
+    and alpha_1^2 alpha_2 read in degree 1, where delta_1 keeps the pair
+    alpha_1^2 beside the constant delta_1(alpha_2)."""
+    system = root_system(name)
+    engine = _GiambelliEngine(get_weyl_group(system))
+    index = root_index(system).index
+    a1, a2 = index[system.simple_root(1)], index[system.simple_root(2)]
+    alpha = poly._calculus(system).root_forms[a1]
+    assert engine.c_raw({0: 1}, 1, {a1: 1}) == oracle_c_raw(system, alpha, 1)
+    with pytest.raises(AssertionError, match="non-constant leaf"):
+        engine.c_raw({0: 1}, 0, {a1: 1})
+    with pytest.raises(AssertionError, match="non-constant leaf"):
+        engine.c_raw({0: 1}, 1, {a1: 2, a2: 1})

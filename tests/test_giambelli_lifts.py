@@ -6,10 +6,15 @@ keeps the plain rule instead: strip the smallest left descent, all the
 way up from d, the product of every positive root.
 """
 
+import json
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
+from chowring import f4pipeline as pipe
 from chowring import poly, schubert
 from chowring.poly import RationalPolynomial
 from chowring.rootsystem import BUILTIN_CARTAN, root_system
@@ -204,3 +209,87 @@ def test_factored_chains_halve_the_divided_difference_input(f4_group, monkeypatc
     for idx in indices:
         oracle_delta_d(f4_group.system, idx, memo)
     assert 0 < 2 * engine_terms < sum(sizes)
+
+
+def _verify_products(x1, x4):
+    """The 46 Giambelli products of ``verify f4``: the 44 hyperplane table
+    rows and the two squares."""
+    products = []
+    for ring, node, table, square in ((x1, pipe.NODE_P1, "p1", "h1^4"),
+                                      (x4, pipe.NODE_P4, "p4", "g1^4")):
+        h = ring.hyperplane_class(node)
+        products += [(h, ring.class_by_label(rhs)) for _, rhs, _ in pipe.load_table(table)]
+        products.append((ring.class_by_label(square),) * 2)
+    return products
+
+
+def test_factored_c_map_reads_fewer_monomials(x1, x4, monkeypatch):
+    """On a fresh F4 engine with the chains warm, verify's 46 products feed
+    the divided differences fewer monomials through the factored c map than
+    through the c map of the expanded lift products, and each makes exactly
+    one level-1 probe: the two factors' common right descents hold theta,
+    which leaves one node of F4 to probe on X1 and X4."""
+    system = x1.system
+    products = _verify_products(x1, x4)
+    assert len(products) == 46
+    engine = _GiambelliEngine(x1.group)
+    mul = poly._calculus(system).mul
+    expanded = [(mul(engine.lift_raw(a.rep), engine.lift_raw(b.rep)), a.codim + b.codim)
+                for a, b in products]
+    sizes = []
+    kernel = schubert._raw_delta
+
+    def counted(*args):
+        sizes.append(len(args[2]))
+        return kernel(*args)
+
+    inputs, probes = [], []
+    c_raw, step = engine.c_raw, engine._step
+
+    def watched_c_raw(u_raw, degree, *rest):
+        inputs.append(u_raw)
+        return c_raw(u_raw, degree, *rest)
+
+    def watched_step(i, roots, cofactor):
+        if cofactor is inputs[-1]:
+            probes.append(i)
+        return step(i, roots, cofactor)
+
+    monkeypatch.setattr(schubert, "_raw_delta", counted)
+    monkeypatch.setattr(engine, "c_raw", watched_c_raw)
+    monkeypatch.setattr(engine, "_step", watched_step)
+    for a, b in products:
+        probes.clear()
+        assert engine.product_classes(a.rep, b.rep)
+        assert len(probes) == 1, (a, b)
+    factored_terms = sum(sizes)
+    sizes.clear()
+    for u, degree in expanded:
+        assert engine.c_raw(u, degree)
+    assert 0 < factored_terms < sum(sizes)
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def test_verify_pins_the_divided_difference_work():
+    """A whole ``verify f4 --eps both``, from a fresh process, makes at most
+    923 divided differences on at most 66,418 input monomials (1061 on
+    77,422 with the lift products expanded)."""
+    code = (f"import json, sys; sys.path.insert(0, {str(SRC)!r})\n"
+            "from chowring import schubert\n"
+            "from chowring.f4pipeline import run_f4_verification\n"
+            "kernel, work = schubert._raw_delta, [0, 0]\n"
+            "def counted(system, i, a):\n"
+            "    work[0] += 1\n"
+            "    work[1] += len(a)\n"
+            "    return kernel(system, i, a)\n"
+            "schubert._raw_delta = counted\n"
+            "report = run_f4_verification('both')\n"
+            "print(json.dumps([sum(c.passed for c in report.checks)] + work))")
+    child = subprocess.run([sys.executable, "-c", code],
+                           capture_output=True, text=True, check=True)
+    passed, calls, terms = json.loads(child.stdout)
+    assert passed == 21
+    assert 0 < calls <= 923
+    assert 0 < terms <= 66418

@@ -1,5 +1,6 @@
 """What starting chowring costs: ``import chowring`` loads none of
-``dataclasses``, ``inspect`` and ``argparse``, and ``import chowring.cli``
+``dataclasses``, ``inspect``, ``argparse`` and ``pathlib`` (the fixture
+files are read with ``open`` and ``os.path``), and ``import chowring.cli``
 neither ``dataclasses`` nor ``inspect``.  Each check starts a fresh
 interpreter, isolated (``-I``) and without ``site`` (``-S``), so that only
 what the package itself imports is counted; the set differs between
@@ -17,7 +18,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.mark.parametrize("module,absent", [
-    ("chowring", ("dataclasses", "inspect", "argparse")),
+    ("chowring", ("dataclasses", "inspect", "argparse", "pathlib")),
     ("chowring.cli", ("dataclasses", "inspect")),
 ])
 def test_import_leaves_out(module, absent):

@@ -1,5 +1,6 @@
 import time
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -226,3 +227,25 @@ def test_a30_positive_roots_are_the_intervals():
 def test_closure_matches_the_full_pairing_closure(name):
     cartan = CartanMatrix(E6) if name == "E6" else CartanMatrix.from_name(name)
     assert build_root_system(cartan).positive_roots == _closure_by_full_pairings(cartan)
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_CARTAN) + ["E6", "A60"])
+def test_coroot_table_matches_the_double_sum_norm(name):
+    """The coroot table reads m (beta, beta) off the closure's pairings, one
+    sum over the nodes; the oracle sums beta_i beta_j m (alpha_i, alpha_j)
+    over the whole support, in integers, for every root, positive or
+    negative."""
+    cartan = {"E6": CartanMatrix(E6), "A60": _cartan_a(60)}.get(name) \
+        or CartanMatrix.from_name(name)
+    system = build_root_system(cartan)
+    n = system.rank
+    form = weyl_oracle._form(system)
+    m = lcm(*(x.denominator for row in form for x in row))
+    form = [[int(x * m) for x in row] for row in form]
+    for beta in system.positive_roots:
+        support = [i for i in range(n) if beta[i]]
+        norm = sum(beta[i] * beta[j] * form[i][j] for i in support for j in support)
+        want = tuple(Fraction(b * form[k][k], norm) for k, b in enumerate(beta))
+        assert all(x.denominator == 1 for x in want), beta
+        assert system.coroot(beta) == want
+        assert system.coroot(tuple(-x for x in beta)) == tuple(-x for x in want)
