@@ -244,7 +244,12 @@ def _f4_variety(tag: str):
 
 def _load_corr(path: str):
     with open(path) as fh:
-        payload = json.load(fh)
+        try:
+            payload = json.load(fh)
+        except ValueError as exc:   # JSONDecodeError, or bytes that are not UTF-8
+            raise UsageError(f"{path}: not a JSON file ({exc})") from None
+    if not isinstance(payload, dict):
+        raise UsageError(f"{path}: expected a JSON object with source, target and terms")
     try:
         source = _f4_variety(payload["source"])
         target = _f4_variety(payload["target"])
@@ -387,10 +392,7 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         _refuse_unread(args)
         return args.fn(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, json.JSONDecodeError) as exc:
+    except (UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

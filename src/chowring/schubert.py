@@ -420,7 +420,9 @@ class _LocalizationEngine:
             sigma^u|_x sigma^v|_x sigma^w|_x / e(x),
         e(x) = product over gamma in Phi+ minus Phi+_theta of (-x gamma),
 
-    with every root evaluated exactly at an integer point alpha_i -> p_i.
+    with every root evaluated exactly at two integer points alpha_i -> p_i,
+    so a restriction is one integer per evaluation point, held in two fixed
+    lanes: the table maps each point x to a dict v -> (int, int).
     Roots are handled by their index in the system's
     :class:`~chowring.weyl.RootIndex`, each evaluated once: the r_j of x
     follow from its parent's by one table step, and the images x gamma are
@@ -449,6 +451,8 @@ class _LocalizationEngine:
         n = system.rank
         self.ring = ring
         self.up = orbit.up
+        # exactly two evaluation points, alpha_i -> i and alpha_i -> i^2 + 1:
+        # every restriction and weight below is a pair, one lane per point
         self.points = (tuple(range(1, n + 1)),
                        tuple(k * k + 1 for k in range(1, n + 1)))
         table = orbit.roots
@@ -487,22 +491,22 @@ class _LocalizationEngine:
         # that class's dual lives at opposite[opposite[v]] = v
         self.classes = ring._at_point
 
-    def _restrictions(self, word, roots) -> dict[int, tuple[int, ...]]:
-        """sigma^v|_x at each point for every v <= x, keyed by v's index;
+    def _restrictions(self, word, roots) -> dict[int, tuple[int, int]]:
+        """sigma^v|_x at both points for every v <= x, keyed by v's index;
         ``roots`` are the r_j of x as root-table indices."""
-        values = [self.values[r] for r in roots]
-        states = {0: (1,) * len(self.points)}
-        for a, r in zip(reversed(word), reversed(values)):
+        up, values = self.up, self.values
+        states = {0: (1, 1)}
+        for a, r in zip(reversed(word), reversed(roots)):
+            r0, r1 = values[r]
             # s_a only moves states with <lambda, alpha_a^vee> > 0 to states
             # with < 0, so no state is both read and written in one step.
-            for k, val in list(states.items()):
-                target = self.up[k].get(a)
+            for k, (v0, v1) in list(states.items()):
+                target = up[k].get(a)
                 if target is None:
                     continue
-                add = tuple(v * f for v, f in zip(val, r))
                 old = states.get(target)
-                states[target] = add if old is None else tuple(
-                    o + x for o, x in zip(old, add))
+                states[target] = (v0 * r0, v1 * r1) if old is None else (
+                    old[0] + v0 * r0, old[1] + v1 * r1)
         return states
 
     def _index(self, cls: SchubertClass) -> int:

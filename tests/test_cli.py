@@ -128,6 +128,20 @@ def test_malformed_input_is_usage_error(argv, file_text, tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("content", [b"not json\n", b"\xff\xfe{", b'[{"source": "x1"}]\n',
+                                     b'"x1"\n'],
+                         ids=["not-json", "not-utf8", "json-array", "json-string"])
+def test_corr_file_that_is_no_json_object_is_named(content, tmp_path, capsys):
+    """A correspondence file that is not JSON, or whose JSON is not an
+    object, is a one-line usage error that names the file."""
+    path = tmp_path / "input.json"
+    path.write_bytes(content)
+    code, out, err = run_cli("corr", "transpose", str(path), capsys=capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+    assert "indices" not in err
+
+
 def test_chow_mult_above_the_localization_bound_is_usage_error(monkeypatch, capsys):
     """An engine whose table would exceed the bound ends ``chow mult`` with
     one error line and exit code 2; the ring is built fresh, so no cached

@@ -19,6 +19,7 @@ from chowring.correspondence import Correspondence
 from chowring.rootsystem import BUILTIN_CARTAN, CartanMatrix, build_root_system, root_system
 from chowring.schubert import ChowElement, ChowRing, get_chow_ring
 from chowring.weyl import WeylGroup
+import weyl_oracle
 from localization_oracle import integrals, oracle_product
 
 # Every quotient of every built-in type, except the F4 quotients with fewer
@@ -147,6 +148,90 @@ def test_engine_matches_basis_scanning_oracle(quotient):
         pairs = random.Random(2).sample(pairs, 50)
     for a, b in pairs:
         assert ring.localization.product(a, b) == oracle_product(ring, a, b)
+
+
+def _chain(rank, short=False):
+    """The Cartan matrix of A_rank, or of B_rank with node ``rank`` short."""
+    rows = [[2 if i == j else -1 if abs(i - j) == 1 else 0 for j in range(rank)]
+            for i in range(rank)]
+    if short:
+        rows[-1][-2] = -2
+    return build_root_system(CartanMatrix(tuple(map(tuple, rows))))
+
+
+def _billey_table(ring):
+    """sigma^v|_x for every point x, keyed by v's point, from Billey's
+    formula by brute force: every subword of x's word a_1 ... a_l whose
+    product s_aj1 ... s_ajk is reduced and lands on a point v adds the
+    product of its r_j = s_a1 ... s_a(j-1)(alpha_aj) at both evaluation
+    points.  Products, lengths and root images come from the element-level
+    oracle; only the points and their words are read from the ring."""
+    system = ring.system
+    simple = [system.simple_root(i) for i in range(1, system.rank + 1)]
+    s = {i: weyl_oracle.reflection(system, alpha) for i, alpha in enumerate(simple, 1)}
+    e = weyl_oracle.element(system, tuple(simple))
+    steps = {}
+
+    def times(u, a):
+        if (u.images, a) not in steps:
+            steps[u.images, a] = weyl_oracle.multiply(u, s[a])
+        return steps[u.images, a]
+
+    points = (tuple(range(1, system.rank + 1)),
+              tuple(k * k + 1 for k in range(1, system.rank + 1)))
+    point_of = {v.images: k for k, v in enumerate(ring.orbit.minimal)}
+    table = []
+    for x, word in zip(ring.orbit.minimal, ring.orbit.words):
+        prefix, roots = e, []
+        for a in word:
+            root = weyl_oracle.act_root(prefix, simple[a - 1])
+            roots.append(tuple(sum(c * p for c, p in zip(root, pt)) for pt in points))
+            prefix = times(prefix, a)
+        # the orbit's word is a reduced word of x
+        assert (prefix.images, prefix.length) == (x.images, len(word))
+        row = {}
+
+        def walk(j, u, value):
+            if j == len(word):
+                k = point_of.get(u.images)
+                if k is not None:
+                    row[k] = tuple(map(sum, zip(row.get(k, (0, 0)), value)))
+                return
+            walk(j + 1, u, value)
+            v = times(u, word[j])
+            if v.length == u.length + 1:
+                walk(j + 1, v, tuple(f * r for f, r in zip(value, roots[j])))
+
+        walk(0, e, (1, 1))
+        table.append(row)
+    return points, table
+
+
+@pytest.mark.parametrize("system, theta", [
+    (root_system("G2"), ()), (root_system("B3"), ()), (_chain(3), ()),
+    (root_system("B3"), (2, 3))], ids=["G2-flag", "B3-flag", "A3-flag", "B3-23"])
+def test_restrictions_match_billey_subword_oracle(system, theta):
+    """The engine's table against Billey's formula summed over reduced
+    subwords, entry by entry at both evaluation points: the same points v
+    below each x, the same two integers, and every one positive."""
+    ring = ChowRing(system, theta)
+    engine = ring.localization
+    points, table = _billey_table(ring)
+    assert engine.points == points
+    assert engine.restrictions == table
+    assert all(u > 0 for row in engine.restrictions for pair in row.values() for u in pair)
+
+
+@pytest.mark.parametrize("system, theta, entries", [
+    (root_system("G2"), (), 73), (root_system("B3"), (), 847),
+    (_chain(5), (1, 2, 4, 5), 175), (_chain(4, short=True), (1, 2, 3), 126),
+    (root_system("F4"), (1, 3, 4), 3776)],
+    ids=["G2-flag", "B3-flag", "A5-P3", "B4-P4", "F4-P2"])
+def test_restriction_table_sizes(system, theta, entries):
+    """The restriction entries each engine builds, as deterministic work:
+    one per pair v <= x of points, on the rings the benchmark tables."""
+    engine = ChowRing(system, theta).localization
+    assert sum(map(len, engine.restrictions)) == entries
 
 
 def _fresh_b3_flag():
