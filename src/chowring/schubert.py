@@ -55,12 +55,13 @@ Four multiplication routes are implemented:
   through this route, and the tests use it as an oracle; all parabolic
   rings over one Weyl group share one cached engine.
 
-Every product of two basis classes by either general route is
-cross-checked against the Chevalley formula when a factor has codimension
-1 and against the duality table in complementary codimensions.  Both
-routes are one bilinear extension, ``ChowRing._extend``, of their pair
-products.  Chow elements, correspondences and polynomials share one
-arithmetic, their base :class:`chowring.poly._Combination`.
+Every product of two basis classes by localization is cross-checked
+against the Chevalley formula when a factor has codimension 1 and against
+the duality table in complementary codimensions.  The Giambelli route
+consults no other route, so the checks that read it judge it on its own.
+Both general routes are one bilinear extension, ``ChowRing._extend``, of
+their pair products.  Chow elements, correspondences and polynomials
+share one arithmetic, their base :class:`chowring.poly._Combination`.
 
 A :class:`SchubertClass` belongs to exactly one ring, the one whose
 constructor built it, and compares and hashes by identity; the rings'
@@ -149,12 +150,6 @@ class ChowElement(_Combination):
         if isinstance(other, ChowElement):
             return self.ring.multiply(self, other)
         return super().__mul__(other)
-
-    def codims(self) -> tuple[int, ...]:
-        return tuple(sorted({c.codim for c in self.terms}))
-
-    def is_homogeneous(self) -> bool:
-        return len(self.codims()) <= 1
 
 
 class _GiambelliEngine:
@@ -674,22 +669,6 @@ class ChowRing:
         except KeyError:
             raise ValueError("class does not belong to this ring") from None
 
-    def duality_pair(self, x: ChowElement, y: ChowElement) -> int:
-        """Coefficient of the point class in x*y for complementary degrees."""
-        if x.is_zero() or y.is_zero():
-            return 0
-        if not (x.is_homogeneous() and y.is_homogeneous()):
-            raise ValueError("duality pairing needs homogeneous arguments")
-        if x.codims()[0] + y.codims()[0] != self.dim:
-            raise ValueError("duality pairing needs complementary codimensions")
-        total = 0
-        duals = {self.dual_class(cy): vy for cy, vy in y.terms.items()}
-        for cx, vx in x.terms.items():
-            vy = duals.get(cx)
-            if vy:
-                total += vx * vy
-        return total
-
     # -- Chevalley multiplication ----------------------------------------------
 
     def codim1_node(self, cls: SchubertClass) -> int:
@@ -839,47 +818,44 @@ class ChowRing:
         if a.codim + b.codim > self.dim:
             result = self.zero()
         else:
-            result = ChowElement(self, self.localization.product(a, b))
-            self._cross_check(a, b, result, "localization")
+            terms = self.localization.product(a, b)
+            self._cross_check(a, b, terms)
+            result = ChowElement(self, terms)
         self._pair_products[key] = result
         return result
 
+    def _cross_check(self, a: SchubertClass, b: SchubertClass,
+                     terms: dict[SchubertClass, int]) -> None:
+        """Localization's terms of [X_a]*[X_b] against Chevalley's row when a
+        factor has codimension 1, and against the duality table in
+        complementary codimensions."""
+        if b.codim == 1 or a.codim == 1:
+            one, other = (b, a) if b.codim == 1 else (a, b)
+            if self._chevalley_row(self.codim1_node(one), other) != terms:
+                raise AssertionError(
+                    f"localization and Chevalley products disagree on "
+                    f"{self.label_of(a)} * {self.label_of(b)}")
+        if a.codim + b.codim == self.dim:
+            if terms != ({self.point_class: 1} if self.pair_degree(a, b) else {}):
+                raise AssertionError(
+                    f"localization product disagrees with the duality pairing on "
+                    f"{self.label_of(a)} * {self.label_of(b)}")
+
     def _giambelli_pair_product(self, a: SchubertClass, b: SchubertClass) -> ChowElement:
         """[X_a]*[X_b] in the full flag ring, asserted to land back in the
-        subring and cross-checked like ``pair_product``."""
+        subring."""
         if a.codim + b.codim > self.dim:
             return self.zero()
-        product = self._subring_element(
-            self.engine.product_classes(a.rep, b.rep), "product")
-        self._cross_check(a, b, product, "Giambelli")
-        return product
+        return self._subring_element(self.engine.product_classes(a.rep, b.rep), "product")
 
     def giambelli_multiply(self, x: ChowElement, y: ChowElement) -> ChowElement:
         """x*y by the Giambelli route (lift, multiply, project with c).
 
-        Each product of basis classes is computed in the full flag ring,
-        asserted to land back in the subring and cross-checked like
-        ``pair_product``; nothing but the shared engine's lifts is cached.
+        Each product of basis classes is computed in the full flag ring and
+        asserted to land back in the subring; no other route is consulted,
+        and nothing but the shared engine's lifts is cached.
         """
         return self._extend(x, y, self._giambelli_pair_product)
-
-    def _cross_check(self, a: SchubertClass, b: SchubertClass,
-                     result: ChowElement, route: str) -> None:
-        if b.codim == 1 or a.codim == 1:
-            one, other = (b, a) if b.codim == 1 else (a, b)
-            node = self.codim1_node(one)
-            alt = self.chevalley_mult(node, self.element(other))
-            if alt != result:
-                raise AssertionError(
-                    f"{route} and Chevalley products disagree on "
-                    f"{self.label_of(a)} * {self.label_of(b)}")
-        if a.codim + b.codim == self.dim:
-            pairing = self.duality_pair(self.element(a), self.element(b))
-            if result.terms.get(self.point_class, 0) != pairing or \
-                    len(result.terms) > (1 if pairing else 0):
-                raise AssertionError(
-                    f"{route} product disagrees with the duality pairing on "
-                    f"{self.label_of(a)} * {self.label_of(b)}")
 
     def multiply(self, x: ChowElement, y: ChowElement) -> ChowElement:
         """Bilinear extension of ``pair_product``."""

@@ -206,13 +206,14 @@ def test_criterion_09_property_suites(x1, x4, a2_flag, b2_flag):
         assert ring.multiply(a, b + c) == ring.multiply(a, b) + ring.multiply(a, c)
         cases += 1
 
-    # Poincare pairing is a permutation matrix in every degree
+    # Poincare pairing is a permutation matrix in every degree: the point
+    # coefficients of the localization products
     for ring in (x1, x4):
         for s in range(ring.dim + 1):
             rows = ring.basis(s)
             cols = ring.basis(ring.dim - s)
-            matrix = [[ring.duality_pair(ring.element(a), ring.element(b))
-                       for b in cols] for a in rows]
+            matrix = [[ring.multiply(ring.element(a), ring.element(b)).terms.get(
+                           ring.point_class, 0) for b in cols] for a in rows]
             assert all(sorted(r) == [0] * (len(cols) - 1) + [1] for r in matrix)
             assert all(sorted(c) == [0] * (len(rows) - 1) + [1]
                        for c in zip(*matrix))

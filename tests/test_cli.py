@@ -323,6 +323,23 @@ def test_verify_writes_report(tmp_path, capsys):
     assert len(payload["checks"]) == 21
 
 
+def test_verify_timings_go_to_stderr(tmp_path, capsys):
+    """--timings prints one line per check to stderr; stdout and the
+    report stay byte-identical to the goldens."""
+    golden = Path(__file__).parent / "golden"
+    path = tmp_path / "report.json"
+    code, out, err = run_cli("verify", "f4", "--eps", "both", "--timings", "--report",
+                             str(path), capsys=capsys)
+    assert code == 0
+    assert out.encode() == (golden / "verify_f4.txt").read_bytes()
+    assert path.read_bytes() == (golden / "verify_f4.json").read_bytes()
+    lines = err.splitlines()
+    assert len(lines) == 21
+    names = [c["name"] for c in json.loads(path.read_text())["checks"]]
+    assert [line.split(" ", 1)[1] for line in lines] == names
+    assert all(float(line.split(" ", 1)[0]) >= 0 for line in lines)
+
+
 def test_verify_reports_internal_error_apart_from_failure(monkeypatch, capsys):
     """A check that raises is an ERROR with exit code 3, not a FAIL."""
     from chowring import f4pipeline

@@ -103,15 +103,21 @@ def test_labels_load_without_solving_or_chevalley(fresh_pipeline, x1):
 
 def test_table_checks_take_separate_routes(x1, monkeypatch):
     """pieri-tables-chevalley passes without a product in the full flag
-    ring; pieri-tables-giambelli computes its products there (and, through
-    the cross-check, compares each with Chevalley's rule)."""
+    ring; pieri-tables-giambelli computes its products there, and passes
+    without a Chevalley row."""
     def refuse(a, b):
         raise AssertionError("product in the full flag ring")
 
-    monkeypatch.setattr(x1.engine, "product_classes", refuse)
-    assert pipe.check_table_labels()[0]
-    with pytest.raises(AssertionError, match="full flag ring"):
-        pipe.check_tables()
+    def refuse_row(*args):
+        raise AssertionError("Chevalley row")
+
+    with monkeypatch.context() as m:
+        m.setattr(x1.engine, "product_classes", refuse)
+        assert pipe.check_table_labels()[0]
+        with pytest.raises(AssertionError, match="full flag ring"):
+            pipe.check_tables()
+    monkeypatch.setattr(ChowRing, "_chevalley_row", refuse_row)
+    assert pipe.check_tables()[0]
 
 
 def test_labels_not_aligned_with_duality_fail(x1, monkeypatch):
@@ -456,6 +462,59 @@ def test_corrupted_table_fails_both_table_checks_with_witness(fresh_pipeline, ca
         "p1": {"assignments": 0, "missed": [row], "unaligned": []}}
     assert failing["pieri-tables-giambelli"]["witness"] == {"p1": [row]}
     assert rc == 1
+
+
+def test_wrong_chevalley_row_fails_only_the_chevalley_table_check(x1, fresh_pipeline,
+                                                                   capsys):
+    """X1's Chevalley row h1^1*h1^5 off by one: pieri-tables-chevalley
+    FAILs with the row as witness, pieri-tables-giambelli still PASSes, and
+    the checks whose localization products meet the row in the
+    cross-check read ERROR."""
+    real = ChowRing._chevalley_row
+    h15 = x1.class_by_label("h1^5")
+
+    def corrupt(self, node, cls):
+        row = real(self, node, cls)
+        return {c: v + 1 for c, v in row.items()} if self is x1 and cls is h15 else row
+
+    fresh_pipeline.setattr(ChowRing, "_chevalley_row", corrupt)
+    # no product memoized by an earlier test hides the row from the cross-check
+    fresh_pipeline.setattr(x1, "_pair_products", {})
+    rc = main(["verify", "f4", "--eps", "both", "--format", "json"])
+    checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    got = {name: "ERROR" if c.get("error") else "PASS" if c["passed"] else "FAIL"
+           for name, c in checks.items()}
+    errors = [*_both_eps("rho-congruences", "idempotent-congruences"),
+              "idempotent-eps-independence",
+              *_both_eps("isomorphism-shape", "isomorphism-inverse")]
+    want = {name: "ERROR" if name in errors else "PASS" for name in CHECK_NAMES}
+    want["pieri-tables-chevalley"] = "FAIL"
+    assert got == want
+    row = {"row": "h1^1*h1^5", "got": {"h1^6": 3}, "want": {"h1^6": 2}}
+    assert checks["pieri-tables-chevalley"]["witness"] == {
+        "p1": {"assignments": 0, "missed": [row], "unaligned": []}}
+    detail = "AssertionError: localization and Chevalley products disagree on h1^5 * h1^1"
+    assert all(checks[name]["detail"] == detail for name in errors)
+    assert rc == 3
+
+
+def test_wrong_giambelli_product_fails_the_giambelli_table_check(x1, monkeypatch):
+    """3 added to the one-term Giambelli product h1^1*h1^1: check_tables
+    FAILs with the row as witness instead of raising."""
+    real = x1.engine.product_classes
+    h11 = x1.class_by_label("h1^1").rep
+
+    def corrupt(wa, wb):
+        got = real(wa, wb)
+        if wa == h11 and wb == h11:
+            (w, v), = got.items()
+            return {w: v + 3}
+        return got
+
+    monkeypatch.setattr(x1.engine, "product_classes", corrupt)
+    passed, _, witness = pipe.check_tables()
+    assert not passed
+    assert witness == {"p1": [{"row": "h1^1*h1^1", "got": {"h1^2": 4}, "want": {"h1^2": 1}}]}
 
 
 @pytest.mark.parametrize("pairs,unaligned", [

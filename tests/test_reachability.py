@@ -72,7 +72,6 @@ ALLOWED = {
     "correspondence.are_orthogonal": "public check; the benchmark's corr-algebra "
                                      "workload calls it",
     "hasse.HasseDiagram.lengths": "the benchmark's group-diagrams workload reads it",
-    "schubert.ChowRing.pair_degree": "the benchmark's corr-algebra workload warms it",
     "schubert.ChowElement.__mul__": "public x * y, the ring product; the CLI calls "
                                     "ChowRing.multiply itself",
     "weyl.WeylGroup.maximal_coset_reps": "the benchmark's group-diagrams workload "

@@ -4,10 +4,10 @@
 roots by index; the tests hold it, and the engines that read it, to the
 coordinate group law instead: elements act linearly on simple-root
 coordinates, products compose the images of the simple roots, and every
-length is recounted from the inversions.  W itself is listed by a
-breadth-first search over w -> w s_j from the identity.  The invariant
-form is kept here in Fractions, apart from the system's integer coroot
-table.
+length is recounted from the inversions, once per element.  W itself is
+listed by a breadth-first search over w -> w s_j from the identity.  The
+invariant form is kept here in Fractions, apart from the system's integer
+coroot table.
 """
 
 from fractions import Fraction
@@ -54,10 +54,16 @@ def act_root(w, root):
 def element(system, images):
     """The element with these simple-root images, its length counted from
     the inversions."""
+    return WeylElement(system, images, _inversions(system, images))
+
+
+@lru_cache(maxsize=None)
+def _inversions(system, images):
+    """The number of positive roots that the element with these simple-root
+    images sends to negative roots, counted once per element."""
     probe = WeylElement(system, images, -1)
-    length = sum(1 for beta in system.positive_roots
-                 if not system.is_positive(act_root(probe, beta)))
-    return WeylElement(system, images, length)
+    return sum(1 for beta in system.positive_roots
+               if not system.is_positive(act_root(probe, beta)))
 
 
 def multiply(u, v):
