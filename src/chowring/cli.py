@@ -3,8 +3,10 @@
 Sub-commands mirror the library layers: ``roots`` and ``weyl`` for the
 combinatorial substrate, ``hasse`` for diagram export, ``chow`` for basis
 and product queries, ``corr`` for correspondence arithmetic, and
-``verify f4`` for the full verification pipeline.  Every command is
-deterministic: repeated invocations print identical bytes.
+``verify f4`` for the full verification pipeline.  Each query of ``weyl``,
+``chow`` and ``corr`` is a subcommand that declares only the options it
+reads, so argparse refuses any other.  Every command is deterministic:
+repeated invocations print identical bytes.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 a
 verification check raised an internal error (reported as ERROR).
@@ -37,7 +39,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _system(args) -> RootSystem:
-    if getattr(args, "cartan_file", None):
+    if args.cartan_file:
         try:
             return build_root_system(CartanMatrix.from_file(args.cartan_file))
         except ValueError as exc:
@@ -64,23 +66,6 @@ def _theta(args, system: RootSystem | None = None) -> tuple[int, ...]:
         except ValueError as exc:
             raise UsageError(str(exc)) from None
     return theta
-
-
-# command -> option -> the queries that read it; any other query refuses it
-_READERS = {
-    "weyl": {"theta": ("longest", "cosets"), "maximal": ("cosets",)},
-    "chow": {"codim": ("basis",), "lhs": ("mult",), "rhs": ("mult",),
-             "cls": ("giambelli-lift",), "node": ("table",)},
-    "corr": {"variety": ("diagonal",), "mod": ("compose",)},
-}
-
-
-def _refuse_unread(args) -> None:
-    """A usage error for an option given to a query that would ignore it."""
-    for dest, queries in _READERS.get(args.command, {}).items():
-        if getattr(args, dest) not in (None, False) and args.query not in queries:
-            flag = "--class" if dest == "cls" else f"--{dest}"
-            raise UsageError(f"{args.command} {args.query} does not take {flag}")
 
 
 def _emit(text: str, path: str | None) -> None:
@@ -185,9 +170,6 @@ def cmd_hasse(args) -> int:
 
 
 def cmd_chow(args) -> int:
-    if args.format != "text" and args.query != "table":
-        raise UsageError(f"chow {args.query} prints text only, not "
-                         f"--format {args.format}")
     ring = _ring(args)
     if args.query == "basis":
         if args.codim is not None and not 0 <= args.codim <= ring.dim:
@@ -200,8 +182,6 @@ def cmd_chow(args) -> int:
                              f"[{weylmod.serialize(cls.rep)}]")
         _emit("\n".join(lines) + "\n", args.output)
     elif args.query == "mult":
-        if not args.lhs or not args.rhs:
-            raise UsageError("chow mult needs --lhs and --rhs")
         x = _parse_chow(ring, args.lhs)
         y = _parse_chow(ring, args.rhs)
         try:
@@ -216,8 +196,6 @@ def cmd_chow(args) -> int:
         else:
             _emit(format_table_text(rows), args.output)
     elif args.query == "giambelli-lift":
-        if not args.cls:
-            raise UsageError("chow giambelli-lift needs --class")
         x = _parse_chow(ring, args.cls)
         (cls, coeff), = x.terms.items()
         try:
@@ -266,24 +244,16 @@ def _dump_corr(alpha) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-# the number of JSON files each corr query reads
-_CORR_FILES = {"diagonal": 0, "transpose": 1, "compose": 2}
-
-
 def cmd_corr(args) -> int:
-    wanted = _CORR_FILES[args.query]
-    if len(args.inputs) != wanted:
-        raise UsageError(f"corr {args.query} takes {wanted} input file(s), "
-                         f"not {len(args.inputs)}")
     if args.query == "diagonal":
-        ring = _f4_variety(args.variety or "x1")
+        ring = _f4_variety(args.variety)
         _emit(_dump_corr(corr.diagonal(ring)), args.output)
     elif args.query == "transpose":
-        alpha = _load_corr(args.inputs[0])
+        alpha = _load_corr(args.alpha)
         _emit(_dump_corr(corr.transpose(alpha)), args.output)
     elif args.query == "compose":
-        beta = _load_corr(args.inputs[0])
-        alpha = _load_corr(args.inputs[1])
+        beta = _load_corr(args.beta)
+        alpha = _load_corr(args.alpha)
         try:
             composed = corr.compose(beta, alpha)
         except ValueError as exc:   # the middle varieties differ
@@ -295,8 +265,6 @@ def cmd_corr(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.what != "f4":
-        raise UsageError(f"unknown verification target {args.what!r}")
     report = f4pipeline.run_f4_verification(args.eps)
     _emit(report.to_json() if args.format == "json" else report.to_text(), None)
     if args.report:
@@ -321,9 +289,12 @@ def build_parser() -> argparse.ArgumentParser:
                     "verification pipeline for the two F4 varieties")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def output(p):
+        p.add_argument("-o", "--output", help="write to a file instead of stdout")
+
     def common(p, formats=(), theta=True):
-        """The system options, and --format when the command prints more
-        than one format; the first of ``formats`` is the default."""
+        """The system options, and --format when the command or query prints
+        more than one format; the first of ``formats`` is the default."""
         p.add_argument("--type", help="named root system (A1, A2, B2, B3, G2, F4)")
         p.add_argument("--cartan-file", help="plain-text integer Cartan matrix")
         if theta:
@@ -332,18 +303,26 @@ def build_parser() -> argparse.ArgumentParser:
                                 "e.g. 2,3,4")
         if formats:
             p.add_argument("--format", choices=formats, default=formats[0])
-        p.add_argument("-o", "--output", help="write to a file instead of stdout")
+        output(p)
+
+    def queries(name, help, fn):
+        """A command whose queries are subcommands, each declaring only the
+        options it reads."""
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(fn=fn)
+        return p.add_subparsers(dest="query", required=True)
 
     p = sub.add_parser("roots", help="list positive roots")
     common(p, ("text", "json"), theta=False)
     p.set_defaults(fn=cmd_roots)
 
-    p = sub.add_parser("weyl", help="Weyl group queries")
-    p.add_argument("query", choices=("order", "longest", "cosets"))
-    common(p)
-    p.add_argument("--maximal", action="store_true",
+    weyl_queries = queries("weyl", "Weyl group queries", cmd_weyl)
+    common(weyl_queries.add_parser("order", help="the order of W"), theta=False)
+    common(weyl_queries.add_parser("longest", help="the longest element of W or W_theta"))
+    q = weyl_queries.add_parser("cosets", help="coset representatives of W/W_theta")
+    common(q)
+    q.add_argument("--maximal", action="store_true",
                    help="maximal instead of minimal coset representatives")
-    p.set_defaults(fn=cmd_weyl)
 
     p = sub.add_parser("hasse", help="export Hasse or Pieri diagrams")
     common(p, ("dot", "json"))
@@ -356,26 +335,36 @@ def build_parser() -> argparse.ArgumentParser:
                    help="flip edge orientation to increasing codimension")
     p.set_defaults(fn=cmd_hasse)
 
-    p = sub.add_parser("chow", help="Chow ring queries")
-    p.add_argument("query", choices=("basis", "mult", "table", "giambelli-lift"))
-    # only table prints json
-    common(p, ("text", "json"))
-    p.add_argument("--codim", type=int)
-    p.add_argument("--lhs")
-    p.add_argument("--rhs")
-    p.add_argument("--class", dest="cls")
-    p.add_argument("--node", type=int)
-    p.set_defaults(fn=cmd_chow)
+    a_class = "a class label like h1^4, or a reduced word in brackets"
+    chow_queries = queries("chow", "Chow ring queries", cmd_chow)
+    q = chow_queries.add_parser("basis", help="the Schubert basis, by codimension")
+    common(q)
+    q.add_argument("--codim", type=int, help="list this codimension only")
+    q = chow_queries.add_parser("mult", help="the product of two classes")
+    common(q)
+    q.add_argument("--lhs", required=True, help=a_class)
+    q.add_argument("--rhs", required=True, help=a_class)
+    q = chow_queries.add_parser("table", help="the hyperplane multiplication table")
+    common(q, ("text", "json"))
+    q.add_argument("--node", type=int,
+                   help="hyperplane node (defaults to the complement of theta "
+                        "when unique)")
+    q = chow_queries.add_parser("giambelli-lift", help="the Giambelli polynomial of a class")
+    common(q)
+    q.add_argument("--class", dest="cls", required=True, help=a_class)
 
-    p = sub.add_parser("corr", help="correspondence arithmetic on the F4 pair")
-    p.add_argument("query", choices=("diagonal", "transpose", "compose"))
-    p.add_argument("inputs", nargs="*",
-                   help="JSON files; compose takes BETA ALPHA for beta o alpha")
-    p.add_argument("--variety", help="x1 or x4 (for diagonal; default x1)")
-    p.add_argument("--mod", type=int, choices=(3,),
-                   help="reduce the composite mod 3 (for compose)")
-    p.add_argument("-o", "--output")
-    p.set_defaults(fn=cmd_corr)
+    corr_queries = queries("corr", "correspondence arithmetic on the F4 pair", cmd_corr)
+    q = corr_queries.add_parser("diagonal", help="the diagonal of X1 or X4")
+    q.add_argument("--variety", default="x1", help="x1 or x4 (default x1)")
+    output(q)
+    q = corr_queries.add_parser("transpose", help="the transpose of a correspondence")
+    q.add_argument("alpha", help="correspondence JSON file")
+    output(q)
+    q = corr_queries.add_parser("compose", help="the composite beta o alpha")
+    q.add_argument("beta", help="correspondence JSON file, applied second")
+    q.add_argument("alpha", help="correspondence JSON file, applied first")
+    q.add_argument("--mod", type=int, choices=(3,), help="reduce the composite mod 3")
+    output(q)
 
     p = sub.add_parser("verify", help="run a verification pipeline")
     p.add_argument("what", choices=("f4",))
@@ -392,7 +381,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        _refuse_unread(args)
         return args.fn(args)
     except (UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -44,20 +44,29 @@ def _system(name):
     return root_system(name)
 
 
-def weyl_chevalley(ring, node, cls):
-    """[X_w] * H_node as the sum of <beta^vee, omega_node> [X_{w s_beta}]
-    over positive roots beta with l(w s_beta) = l(w) - 1.  The coefficient
-    is beta_node (alpha_node, alpha_node) / (beta, beta) by the Fraction
-    form, apart from the ring's integer coroot table."""
-    system = ring.system
+@lru_cache(maxsize=None)
+def _coefficients(system, node):
+    """(beta, <beta^vee, omega_node>) for the positive roots beta with a
+    nonzero coefficient: beta_node (alpha_node, alpha_node) / (beta, beta)
+    by the Fraction form, apart from the ring's integer coroot table."""
     alpha = system.simple_root(node)
-    acc = {}
+    out = []
     for beta in system.positive_roots:
         coeff = (Fraction(beta[node - 1]) * weyl_oracle.norm2(system, alpha)
                  / weyl_oracle.norm2(system, beta))
         assert coeff.denominator == 1
-        coeff = int(coeff)
-        if not coeff or system.is_positive(weyl_oracle.act_root(cls.rep, beta)):
+        if coeff:
+            out.append((beta, int(coeff)))
+    return tuple(out)
+
+
+def weyl_chevalley(ring, node, cls):
+    """[X_w] * H_node as the sum of <beta^vee, omega_node> [X_{w s_beta}]
+    over positive roots beta with l(w s_beta) = l(w) - 1."""
+    system = ring.system
+    acc = {}
+    for beta, coeff in _coefficients(system, node):
+        if system.is_positive(weyl_oracle.act_root(cls.rep, beta)):
             continue
         w = weyl_oracle.multiply(cls.rep, weyl_oracle.reflection(system, beta))
         if w.length != cls.rep.length - 1:

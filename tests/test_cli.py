@@ -103,6 +103,9 @@ def _corr_with_coeff(coeff: str) -> str:
      '{"source": "x1", "target": "x4", "terms": '
      '[{"f": "h1^0", "g": "g1^15", "coeff": 1}]}'),
     (["corr", "compose", "{file}", "{file}", "--mod", "0"], _corr_with_coeff("1")),
+    (["chow", "basis", "--type", "F4", "--theta", "2,3,4", "--format", "text"], None),
+    (["chow", "mult", "--type", "F4", "--theta", "2,3,4", "--lhs", "h1^1"], None),
+    (["chow", "--type", "F4", "--theta", "2,3,4", "basis"], None),
 ], ids=["node-out-of-range", "not-a-basis-class", "bad-token",
         "corr-missing-target", "ragged-cartan", "codim-out-of-range",
         "table-node-in-theta", "pieri-node-out-of-range",
@@ -116,7 +119,8 @@ def _corr_with_coeff(coeff: str) -> str:
         "pieri-by-codim", "hasse-node-without-pieri", "chow-mult-codim",
         "chow-basis-lhs", "chow-table-rhs", "chow-basis-class", "chow-basis-node",
         "corr-diagonal-mod", "corr-transpose-variety",
-        "corr-compose-middle-mismatch", "corr-compose-mod-0"])
+        "corr-compose-middle-mismatch", "corr-compose-mod-0",
+        "chow-basis-format-text", "chow-mult-no-rhs", "option-before-query"])
 def test_malformed_input_is_usage_error(argv, file_text, tmp_path, capsys):
     path = tmp_path / "input"
     if file_text is not None:
