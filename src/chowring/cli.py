@@ -212,8 +212,8 @@ def _f4_tags() -> dict:
     return {"x1": x1, "x4": x4}
 
 
-def _f4_variety(tag: str):
-    ring = _f4_tags().get(tag)
+def _f4_variety(tag):
+    ring = _f4_tags().get(tag) if isinstance(tag, str) else None
     if ring is None:
         raise UsageError(f"unknown variety {tag!r}; use x1 or x4")
     return ring
@@ -233,7 +233,7 @@ def _load_corr(path: str):
         return corr.from_jsonable(source, target, payload["terms"])
     except KeyError as exc:
         raise UsageError(f"{path}: missing key {exc}") from None
-    except (TypeError, ValueError) as exc:
+    except (UsageError, ValueError) as exc:
         raise UsageError(f"{path}: {exc}") from None
 
 
@@ -266,10 +266,10 @@ def cmd_corr(args) -> int:
 
 def cmd_verify(args) -> int:
     report = f4pipeline.run_f4_verification(args.eps)
-    _emit(report.to_json() if args.format == "json" else report.to_text(), None)
     if args.report:
-        with open(args.report, "w") as fh:
-            fh.write(report.to_json())
+        # first, so that an unwritable path leaves stdout empty
+        _emit(report.to_json(), args.report)
+    _emit(report.to_json() if args.format == "json" else report.to_text(), None)
     if args.timings:
         # kept off stdout and the report, which stay byte-identical
         for c in report.checks:

@@ -94,8 +94,7 @@ def solve_labels(ring: ChowRing, node: int, letter: str, table) -> list[dict]:
     """Every label assignment, ``{letter}i^s`` naming the i-th class of an
     ordering of each codimension s, under which Chevalley's rule reproduces
     the hyperplane table."""
-    chev = {cls: ring.chevalley_mult(node, ring.element(cls)).terms
-            for cls in ring.classes}
+    chev = {cls: ring.chevalley_product(node, cls).terms for cls in ring.classes}
     orders = (itertools.permutations(ring.basis(s)) for s in range(ring.dim + 1))
     labels = ({f"{letter}{i}^{s}": cls for s, basis in enumerate(choice)
                for i, cls in enumerate(basis, 1)} for choice in itertools.product(*orders))
@@ -385,7 +384,7 @@ def check_table_labels():
                      != (_parse_label(lab)[0], ring.dim - cls.codim)]
         if solutions != [ring.labels] or unaligned:
             missed = list(_table_misses(
-                lambda cls: ring.chevalley_mult(node, ring.element(cls)).terms,
+                lambda cls: ring.chevalley_product(node, cls).terms,
                 ring.labels, table))
             witness[which] = {"assignments": len(solutions), "missed": missed,
                               "unaligned": unaligned}
@@ -397,9 +396,9 @@ def check_tables():
     x1, x4 = get_f4_varieties()
     witness = {}
     for ring, node, which in ((x1, NODE_P1, "p1"), (x4, NODE_P4, "p4")):
-        h = ring.element(ring.hyperplane_class(node))
+        h = ring.hyperplane_class(node)
         missed = list(_table_misses(
-            lambda cls: ring.giambelli_multiply(h, ring.element(cls)).terms,
+            lambda cls: ring.giambelli_product(h, cls).terms,
             ring.labels, load_table(which)))
         if missed:
             witness[which] = missed
@@ -420,7 +419,7 @@ def check_squares():
     failures = []
     for ring, a in ((x1, "h1^4"), (x4, "g1^4")):
         cls = ring.class_by_label(a)
-        got = ring.giambelli_multiply(ring.element(cls), ring.element(cls))
+        got = ring.giambelli_product(cls, cls)
         if got != _square(ring, a):
             failures.append({"square": a, "got": repr(got)})
     return (not failures, "h1^4*h1^4 = 8h1^8+6h2^8 and g1^4*g1^4 = 4g1^8+3g2^8",

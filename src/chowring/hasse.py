@@ -71,8 +71,7 @@ def build_pieri_diagram(ring: ChowRing, node: int) -> HasseDiagram:
     for cls in ring.classes:
         if cls.codim >= ring.dim:
             continue
-        product = ring.chevalley_mult(node, ring.element(cls))
-        for target, weight in product.terms.items():
+        for target, weight in ring.chevalley_product(node, cls).terms.items():
             edges.append((cls.point, target.point, weight))
     edges.sort()
     return HasseDiagram(ring.orbit, tuple(edges), "weight")

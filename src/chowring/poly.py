@@ -161,7 +161,6 @@ class _Calculus:
         self.root_forms: tuple[RawPoly, ...] = tuple(
             {self.units[k]: c for k, c in enumerate(system.root_to_weight(beta)) if c}
             for beta in system.positive_roots)
-        self._lin_pows: list[list[RawPoly]] = [[{0: 1}] for _ in range(n)]
         self._diff_pows: list[list[RawPoly]] = [[{}] for _ in range(n)]
 
     def pack(self, exponents) -> int:
@@ -202,24 +201,16 @@ class _Calculus:
                 out[e] = get(e, 0) + ca * cb
         return {e: c for e, c in out.items() if c}
 
-    def lin_pow(self, i0: int, e: int) -> RawPoly:
-        pows = self._lin_pows[i0]
-        while len(pows) <= e:
-            pows.append(self.mul(pows[-1], self.lin[i0]))
-        return pows[e]
-
     def diff_pow(self, i0: int, e: int) -> RawPoly:
-        """delta_i(w_i^e) = sum_{a+b=e-1} w_i^a L_i^b, cached."""
+        """delta_i(w_i^e), cached.  delta_i(w_i^k) is the sum over
+        a + b = k - 1 of w_i^a L_i^b, so
+        delta_i(w_i^k) = w_i^(k-1) + L_i delta_i(w_i^(k-1))."""
         pows = self._diff_pows[i0]
-        unit = self.units[i0]
         while len(pows) <= e:
             k = len(pows)  # building delta_i(w_i^k)
-            acc: RawPoly = {}
-            for a in range(k):
-                w_i_a = a * unit  # the key of w_i^a
-                for eb, cb in self.lin_pow(i0, k - 1 - a).items():
-                    key = eb + w_i_a
-                    acc[key] = acc.get(key, 0) + cb
+            acc = self.mul(self.lin[i0], pows[-1])
+            top = (k - 1) * self.units[i0]  # the key of w_i^(k-1)
+            acc[top] = acc.get(top, 0) + 1
             pows.append({e: c for e, c in acc.items() if c})
         return pows[e]
 

@@ -100,16 +100,22 @@ class CartanMatrix:
 
     @classmethod
     def from_file(cls, path) -> "CartanMatrix":
-        """Read rows of space-separated integers, one matrix row per line."""
+        """Read rows of space-separated integers, one matrix row per line;
+        a ValueError names the line of a token that is no integer."""
         rows = []
         with open(path) as f:
             text = f.read()
-        for line in text.splitlines():
-            line = line.strip()
-            if line:
-                rows.append([int(tok) for tok in line.split()])
+        for number, line in enumerate(text.splitlines(), 1):
+            row = []
+            for tok in line.split():
+                try:
+                    row.append(int(tok))
+                except ValueError:
+                    raise ValueError(f"line {number}: {tok!r} is not an integer") from None
+            if row:
+                rows.append(row)
         if not rows:
-            raise ValueError(f"no matrix rows found in {path}")
+            raise ValueError("no matrix rows found")
         return cls.from_rows(rows)
 
 

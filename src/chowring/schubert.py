@@ -10,7 +10,7 @@ Four multiplication routes are implemented:
   codimensions from the closed formula
   [X_w]*[X_w'] = delta_{w, w0*w'*w_theta} * [pt], read from a duality
   table built once per ring from the orbit's ``opposite`` involution;
-* ``chevalley_mult`` multiplies by the codimension-1 class through
+* ``chevalley_product`` multiplies by the codimension-1 class through
   Chevalley's rule, the sum over positive roots beta with
   l(w*s_beta) = l(w) - 1, weighted by the coroot pairing
   <beta^vee, omega_alpha>.  It is read off integer tables, without
@@ -20,15 +20,15 @@ Four multiplication routes are implemented:
   w(beta) < 0 the coset of w*s_beta is the point of the weight
   w rho_P - <rho_P, beta^vee> w(beta), kept when that point lies one step
   nearer rho_P than w's.  The pairings are integer dot products with the
-  root system's coroot table.  One row is memoized per (node, class); the
-  tests hold the rows to the Weyl-element products w*s_beta;
-* ``pair_product``, ``multiply`` and ``power`` handle arbitrary products by
+  root system's coroot table.  One product is memoized per (node, class);
+  the tests hold them to the Weyl-element products w*s_beta;
+* ``pair_product`` handles arbitrary products of two classes by
   localization on the fixed points W^theta of G/P (orbit of rho_P, Billey's
   restriction formula, Atiyah-Bott integration by support in exact
   integers; see :class:`_LocalizationEngine`).  No polynomial is built and
   the Weyl group is never enumerated; each ring builds its engine on the
   first product, and refuses above ``MAX_LOCALIZATION_TABLE``;
-* ``giambelli_multiply`` lifts both factors to the weight polynomial ring
+* ``giambelli_product`` lifts both factors to the weight polynomial ring
   along  lift([X_w]) = delta_{w^{-1}}(d / |W|)  (Bernstein-Gelfand-Gelfand
   1973; d is the product of the positive roots), multiplies there and
   projects back with the linear map
@@ -59,9 +59,10 @@ Every product of two basis classes by localization is cross-checked
 against the Chevalley formula when a factor has codimension 1 and against
 the duality table in complementary codimensions.  The Giambelli route
 consults no other route, so the checks that read it judge it on its own.
-Both general routes are one bilinear extension, ``ChowRing._extend``, of
-their pair products.  Chow elements, correspondences and polynomials
-share one arithmetic, their base :class:`chowring.poly._Combination`.
+Each route answers for one pair of basis classes.  Only ``multiply``
+(and ``power``, which uses it) extends to whole elements, bilinearly over
+``pair_product``.  Chow elements, correspondences and polynomials share
+one arithmetic, their base :class:`chowring.poly._Combination`.
 
 A :class:`SchubertClass` belongs to exactly one ring, the one whose
 constructor built it, and compares and hashes by identity; the rings'
@@ -591,11 +592,10 @@ class ChowRing:
         self._hyperplane_nodes = {c: a for a, c in self._hyperplanes.items()}
         # node -> (index of w_theta beta, <beta^vee, omega_node>,
         # <rho_P, beta^vee>) per positive root beta with a nonzero
-        # coefficient, and (node, class) -> Chevalley row, both filled on
-        # first use
+        # coefficient, and (node, class) -> Chevalley product, both filled
+        # on first use
         self._chevalley_betas: dict[int, tuple[tuple[int, int, int], ...]] = {}
-        self._chevalley_rows: dict[tuple[int, SchubertClass],
-                                   dict[SchubertClass, int]] = {}
+        self._chevalley_products: dict[tuple[int, SchubertClass], ChowElement] = {}
         # target ring -> the canonical (f, g) term keys of correspondences
         # from this ring to it (``correspondence._keys``); weak, so that a
         # target ring is not kept alive by its sources
@@ -688,8 +688,9 @@ class ChowRing:
             raise ValueError(f"node index {node} out of range 1..{self.system.rank}")
         return cls
 
-    def chevalley_mult(self, node: int, x: ChowElement) -> ChowElement:
-        """Product with the codimension-1 class of ``node``.
+    def chevalley_product(self, node: int, cls: SchubertClass) -> ChowElement:
+        """[X_w] * H_node, the product of ``cls`` with the codimension-1
+        class of ``node``.
 
         Chevalley's rule: [X_w] * H_node is the sum of <beta^vee, omega_node>
         [X_{w s_beta}] over positive roots beta with l(w s_beta) = l(w) - 1.
@@ -703,24 +704,16 @@ class ChowRing:
         below the number of positive roots.  For such beta the coset of
         w s_beta is the point of lambda - <rho_P, beta^vee> w(beta); the
         term is kept when that point lies one step closer to rho_P than p.
-        Rows are memoized per (node, class).  The test suite holds this
+        Products are memoized per (node, class).  The test suite holds this
         route to the Weyl-element products w s_beta on every quotient of
         rank <= 3, of A4 and of D4, and on the F4 quotients with at least
         two nodes in theta.
         """
-        if node in self.theta:
-            raise ValueError(f"node {node} lies in theta")
-        acc: dict[SchubertClass, int] = {}
-        for cls, v in x.terms.items():
-            _raw_add_into(acc, self._chevalley_row(node, cls), v)
-        return ChowElement(self, acc)
-
-    def _chevalley_row(self, node: int, cls: SchubertClass) -> dict[SchubertClass, int]:
-        """[X_w] * H_node as class -> coefficient, for one basis class."""
         key = (node, cls)
-        row = self._chevalley_rows.get(key)
-        if row is not None:
-            return row
+        product = self._chevalley_products.get(key)
+        if product is not None:
+            return product
+        self.hyperplane_class(node)   # ValueError for a node in theta or out of range
         self.class_position(cls)
         orbit = self.orbit
         table = orbit.roots
@@ -755,8 +748,8 @@ class ChowRing:
             if len(words[q]) == target_depth:
                 target = self._at_point[q]
                 row[target] = row.get(target, 0) + coeff
-        self._chevalley_rows[key] = row
-        return row
+        product = self._chevalley_products[key] = ChowElement(self, row)
+        return product
 
     # -- Giambelli route ---------------------------------------------------------
 
@@ -831,7 +824,7 @@ class ChowRing:
         complementary codimensions."""
         if b.codim == 1 or a.codim == 1:
             one, other = (b, a) if b.codim == 1 else (a, b)
-            if self._chevalley_row(self.codim1_node(one), other) != terms:
+            if self.chevalley_product(self.codim1_node(one), other).terms != terms:
                 raise AssertionError(
                     f"localization and Chevalley products disagree on "
                     f"{self.label_of(a)} * {self.label_of(b)}")
@@ -841,36 +834,25 @@ class ChowRing:
                     f"localization product disagrees with the duality pairing on "
                     f"{self.label_of(a)} * {self.label_of(b)}")
 
-    def _giambelli_pair_product(self, a: SchubertClass, b: SchubertClass) -> ChowElement:
-        """[X_a]*[X_b] in the full flag ring, asserted to land back in the
-        subring."""
+    def giambelli_product(self, a: SchubertClass, b: SchubertClass) -> ChowElement:
+        """[X_a]*[X_b] by the Giambelli route (lift, multiply, project with
+        c), computed in the full flag ring and asserted to land back in the
+        subring; no other route is consulted, and nothing but the shared
+        engine's lifts is cached."""
         if a.codim + b.codim > self.dim:
             return self.zero()
         return self._subring_element(self.engine.product_classes(a.rep, b.rep), "product")
 
-    def giambelli_multiply(self, x: ChowElement, y: ChowElement) -> ChowElement:
-        """x*y by the Giambelli route (lift, multiply, project with c).
-
-        Each product of basis classes is computed in the full flag ring and
-        asserted to land back in the subring; no other route is consulted,
-        and nothing but the shared engine's lifts is cached.
-        """
-        return self._extend(x, y, self._giambelli_pair_product)
-
     def multiply(self, x: ChowElement, y: ChowElement) -> ChowElement:
-        """Bilinear extension of ``pair_product``."""
-        return self._extend(x, y, self.pair_product)
-
-    def _extend(self, x: ChowElement, y: ChowElement, pair_product) -> ChowElement:
-        """x*y as the sum of va vb pair_product(a, b) over the terms va a of
-        x and vb b of y, both elements of this ring."""
+        """x*y, the sum of va vb pair_product(a, b) over the terms va a of x
+        and vb b of y, both elements of this ring."""
         x._check(y)
         if x.ring is not self:
             raise ValueError("elements belong to a different ring")
         acc: dict[SchubertClass, int] = {}
         for a, va in x.terms.items():
             for b, vb in y.terms.items():
-                _raw_add_into(acc, pair_product(a, b).terms, va * vb)
+                _raw_add_into(acc, self.pair_product(a, b).terms, va * vb)
         return x._with(acc)
 
     def pair_degree(self, a: SchubertClass, b: SchubertClass) -> int:
@@ -912,9 +894,8 @@ def hyperplane_table(ring: ChowRing, node: int) -> list[dict]:
     lhs = names[ring.hyperplane_class(node)]
     for codim in range(1, ring.dim):
         for cls in sorted(ring.basis(codim), key=names.__getitem__):
-            product = ring.chevalley_mult(node, ring.element(cls))
             entries = sorted(({"class": names[c], "coeff": v}
-                              for c, v in product.terms.items()),
+                              for c, v in ring.chevalley_product(node, cls).terms.items()),
                              key=lambda e: e["class"])
             rows.append({"lhs": lhs, "rhs": names[cls], "product": entries})
     return rows

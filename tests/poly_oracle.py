@@ -8,8 +8,19 @@ w_i -> L_i = w_i - alpha_i, and to d, the product of all positive roots,
 expanded here in full.
 """
 
+from functools import lru_cache
+
 from chowring.poly import RationalPolynomial, _calculus, _raw_delta
 from chowring.weyl import reduced_word
+
+
+@lru_cache(maxsize=None)
+def _lin_pow(system, i0, k):
+    """L_i^k as a raw term dict, i = i0 + 1; callers must not mutate it."""
+    if not k:
+        return {0: 1}
+    calc = _calculus(system)
+    return calc.mul(_lin_pow(system, i0, k - 1), calc.lin[i0])
 
 
 def _raw_reflect(system, i, a):
@@ -25,7 +36,7 @@ def _raw_reflect(system, i, a):
             out[e] = get(e, 0) + c
             continue
         rest = e - k * unit
-        for el, cl in calc.lin_pow(i0, k).items():
+        for el, cl in _lin_pow(system, i0, k).items():
             key = rest + el
             out[key] = get(key, 0) + c * cl
     return {e: c for e, c in out.items() if c}

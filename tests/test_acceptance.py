@@ -40,13 +40,13 @@ def test_criterion_01_structure(f4, f4_group, x1, x4):
 def test_criterion_02_pieri_tables(x1, x4):
     checked = 0
     for ring, node, which in ((x1, 1, "p1"), (x4, 4, "p4")):
-        h = ring.element(ring.hyperplane_class(node))
+        h = ring.hyperplane_class(node)
         for _, rhs, product in pipe.load_table(which):
-            x = ring.element(ring.class_by_label(rhs))
+            x = ring.class_by_label(rhs)
             want = ChowElement(ring, {ring.class_by_label(c): v
                                       for c, v in product})
-            assert ring.chevalley_mult(node, x) == want
-            assert ring.giambelli_multiply(h, x) == want
+            assert ring.chevalley_product(node, x) == want
+            assert ring.giambelli_product(h, x) == want
             checked += 1
     assert checked == 44
     _report(2, "all 44 hyperplane products reproduce exactly via both the "
@@ -54,14 +54,14 @@ def test_criterion_02_pieri_tables(x1, x4):
 
 
 def test_criterion_03_giambelli_squares(x1, x4):
-    h14 = x1.element(x1.class_by_label("h1^4"))
+    h14 = x1.class_by_label("h1^4")
     want1 = ChowElement(x1, {x1.class_by_label("h1^8"): 8,
                              x1.class_by_label("h2^8"): 6})
-    assert x1.giambelli_multiply(h14, h14) == want1
-    g14 = x4.element(x4.class_by_label("g1^4"))
+    assert x1.giambelli_product(h14, h14) == want1
+    g14 = x4.class_by_label("g1^4")
     want4 = ChowElement(x4, {x4.class_by_label("g1^8"): 4,
                              x4.class_by_label("g2^8"): 3})
-    assert x4.giambelli_multiply(g14, g14) == want4
+    assert x4.giambelli_product(g14, g14) == want4
     _report(3, "h1^4*h1^4 = 8h1^8+6h2^8 and g1^4*g1^4 = 4g1^8+3g2^8, exact")
 
 
@@ -220,10 +220,9 @@ def test_criterion_09_property_suites(x1, x4, a2_flag, b2_flag):
 
     # Chevalley vs Giambelli on every basis class of both F4 quotients
     for ring, node in ((x1, 1), (x4, 4)):
-        h = ring.element(ring.hyperplane_class(node))
+        h = ring.hyperplane_class(node)
         for cls in ring.classes:
-            x = ring.element(cls)
-            assert ring.giambelli_multiply(h, x) == ring.chevalley_mult(node, x)
+            assert ring.giambelli_product(h, cls) == ring.chevalley_product(node, cls)
 
     # unit laws on the whole morphism-degree basis
     delta = corr.diagonal(x1)
@@ -261,8 +260,7 @@ def test_criterion_10_small_rank_oracle(a2_flag, b2_flag):
     for ring in (a2_flag, b2_flag):
         table = chevalley_only_table(ring)
         for (a, b), bootstrap in table.items():
-            assert (ring.giambelli_multiply(ring.element(a), ring.element(b))
-                    == bootstrap)
+            assert ring.giambelli_product(a, b) == bootstrap
     _report(10, "A2 and B2 full-flag structure constants agree between the "
                 "Chevalley-only bootstrap and the Giambelli route, "
                 "exhaustively")

@@ -30,7 +30,11 @@ MOVED_METHODS = (
     (weyl.WeylGroup, "element_at"),
     (weyl.WeylGroup, "identity"),
     (weyl.WeylGroup, "index_of"),
-    (RootSystem, "root_coroot_pairing"))
+    (RootSystem, "root_coroot_pairing"),
+    (schubert.ChowRing, "chevalley_mult"),
+    (schubert.ChowRing, "giambelli_multiply"),
+    (schubert.ChowRing, "_extend"),
+    (poly._Calculus, "lin_pow"))
 # Attributes that instances no longer carry: the Giambelli product memo,
 # the per-J longest lengths and the expanded-lift memo, the W element index,
 # and unread names.

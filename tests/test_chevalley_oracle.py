@@ -1,7 +1,7 @@
 """Chevalley's rule by Weyl-element products, held against the ring's
 orbit route.
 
-``ChowRing.chevalley_mult`` reads each product off the orbit of rho_P,
+``ChowRing.chevalley_product`` reads each product off the orbit of rho_P,
 the orbit the localization engine walks too, so the two are no longer
 independent routes.  The oracle here forms w s_beta for every positive
 root beta with w(beta) < 0 and keeps the terms with l(w s_beta) =
@@ -87,5 +87,5 @@ def test_orbit_chevalley_matches_weyl_products(name, theta):
         if node in ring.theta:
             continue
         for cls in ring.classes:
-            assert ring.chevalley_mult(node, ring.element(cls)) == \
+            assert ring.chevalley_product(node, cls) == \
                 weyl_chevalley(ring, node, cls), (node, cls)

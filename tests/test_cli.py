@@ -132,18 +132,38 @@ def test_malformed_input_is_usage_error(argv, file_text, tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("content", [b"not json\n", b"\xff\xfe{", b'[{"source": "x1"}]\n',
-                                     b'"x1"\n'],
-                         ids=["not-json", "not-utf8", "json-array", "json-string"])
+@pytest.mark.parametrize("content", [
+    b"not json\n", b"\xff\xfe{", b'[{"source": "x1"}]\n', b'"x1"\n',
+    b'{"source": "x1", "target": "x1", "terms": {"f": "h1^0"}}\n',
+    b'{"source": "x1", "target": "x1", "terms": [1]}\n',
+    b'{"source": ["x1"], "target": "x1", "terms": []}\n',
+    b'{"source": "x1", "target": "x1", "terms": [{"f": ["h1^0"], "g": "h1^15", "coeff": 1}]}\n',
+], ids=["not-json", "not-utf8", "json-array", "json-string", "terms-object",
+        "terms-of-integers", "source-list", "label-list"])
 def test_corr_file_that_is_no_json_object_is_named(content, tmp_path, capsys):
-    """A correspondence file that is not JSON, or whose JSON is not an
-    object, is a one-line usage error that names the file."""
+    """A correspondence file that is not JSON, whose JSON is not an
+    object, or whose source, terms or labels have the wrong shape is a
+    one-line usage error that names the file, not a Python internal."""
     path = tmp_path / "input.json"
     path.write_bytes(content)
     code, out, err = run_cli("corr", "transpose", str(path), capsys=capsys)
     assert (code, out) == (2, "")
     assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
-    assert "indices" not in err
+    assert not any(leak in err for leak in ("indices", "subscriptable", "unhashable"))
+
+
+@pytest.mark.parametrize("text, message", [
+    ("2 x\n-1 2\n", "line 1: 'x' is not an integer"),
+    ("2 -1\n\n-1 2.0\n", "line 3: '2.0' is not an integer"),
+    ("", "no matrix rows found"),
+], ids=["letter", "decimal-after-blank-line", "empty"])
+def test_cartan_file_error_names_line_and_token(text, message, tmp_path, capsys):
+    """A Cartan file with a token that is no integer names its line and the
+    token; an empty file is named once."""
+    path = tmp_path / "e.txt"
+    path.write_text(text)
+    code, out, err = run_cli("roots", "--cartan-file", str(path), capsys=capsys)
+    assert (code, out, err) == (2, "", f"error: {path}: {message}\n")
 
 
 def test_chow_mult_above_the_localization_bound_is_usage_error(monkeypatch, capsys):
@@ -325,6 +345,16 @@ def test_verify_writes_report(tmp_path, capsys):
     payload = json.loads(path.read_text())
     assert payload["passed"] is True
     assert len(payload["checks"]) == 21
+
+
+def test_verify_report_to_unwritable_path_prints_nothing(tmp_path, capsys):
+    """An unwritable --report ends with exit code 2, one error line and an
+    empty stdout: the report is written before anything is printed."""
+    path = tmp_path / "missing" / "r.json"
+    code, out, err = run_cli("verify", "f4", "--eps", "both", "--report", str(path),
+                             capsys=capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: [Errno 2] ") and err.count("\n") == 1
 
 
 def test_verify_timings_go_to_stderr(tmp_path, capsys):

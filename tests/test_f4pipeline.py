@@ -95,7 +95,7 @@ def test_labels_load_without_solving_or_chevalley(fresh_pipeline, x1):
         raise AssertionError("label solving at load")
 
     fresh_pipeline.setattr(pipe, "solve_labels", refuse)
-    fresh_pipeline.setattr(ChowRing, "chevalley_mult", refuse)
+    fresh_pipeline.setattr(ChowRing, "chevalley_product", refuse)
     assert pipe.get_f4_varieties()[0] is x1
     frozen = json.loads(pipe._data_text("labels_p1.json"))
     assert {lab: weyl.serialize(cls.rep) for lab, cls in x1.labels.items()} == frozen
@@ -104,19 +104,19 @@ def test_labels_load_without_solving_or_chevalley(fresh_pipeline, x1):
 def test_table_checks_take_separate_routes(x1, monkeypatch):
     """pieri-tables-chevalley passes without a product in the full flag
     ring; pieri-tables-giambelli computes its products there, and passes
-    without a Chevalley row."""
+    without a Chevalley product."""
     def refuse(a, b):
         raise AssertionError("product in the full flag ring")
 
-    def refuse_row(*args):
-        raise AssertionError("Chevalley row")
+    def refuse_chevalley(*args):
+        raise AssertionError("Chevalley product")
 
     with monkeypatch.context() as m:
         m.setattr(x1.engine, "product_classes", refuse)
         assert pipe.check_table_labels()[0]
         with pytest.raises(AssertionError, match="full flag ring"):
             pipe.check_tables()
-    monkeypatch.setattr(ChowRing, "_chevalley_row", refuse_row)
+    monkeypatch.setattr(ChowRing, "chevalley_product", refuse_chevalley)
     assert pipe.check_tables()[0]
 
 
@@ -470,14 +470,16 @@ def test_wrong_chevalley_row_fails_only_the_chevalley_table_check(x1, fresh_pipe
     FAILs with the row as witness, pieri-tables-giambelli still PASSes, and
     the checks whose localization products meet the row in the
     cross-check read ERROR."""
-    real = ChowRing._chevalley_row
+    real = ChowRing.chevalley_product
     h15 = x1.class_by_label("h1^5")
 
     def corrupt(self, node, cls):
         row = real(self, node, cls)
-        return {c: v + 1 for c, v in row.items()} if self is x1 and cls is h15 else row
+        if self is x1 and cls is h15:
+            return self.element({c: v + 1 for c, v in row.terms.items()})
+        return row
 
-    fresh_pipeline.setattr(ChowRing, "_chevalley_row", corrupt)
+    fresh_pipeline.setattr(ChowRing, "chevalley_product", corrupt)
     # no product memoized by an earlier test hides the row from the cross-check
     fresh_pipeline.setattr(x1, "_pair_products", {})
     rc = main(["verify", "f4", "--eps", "both", "--format", "json"])

@@ -73,7 +73,7 @@ def test_pieri_diagram_regenerates_table(x1):
         if cls.codim >= x1.dim:
             continue
         vertex = index[weyl_oracle.multiply(cls.rep, x1.w_theta)]
-        product = x1.chevalley_mult(1, x1.element(cls))
+        product = x1.chevalley_product(1, cls)
         expected = {}
         for target, coeff in product.terms.items():
             expected[index[weyl_oracle.multiply(target.rep, x1.w_theta)]] = coeff

@@ -126,7 +126,7 @@ def test_products_never_build_a_polynomial(f4, x1, monkeypatch):
     assert ring.pair_product(h14, h14) == ChowElement(
         ring, {cls("h1^8"): 8, cls("h2^8"): 6})
     # a hyperplane factor: the product is cross-checked against Chevalley
-    assert ring.pair_product(cls("h1^1"), h14) == ring.chevalley_mult(1, ring.element(h14))
+    assert ring.pair_product(cls("h1^1"), h14) == ring.chevalley_product(1, h14)
     alpha = Correspondence(ring, ring, {(h14, ring.unit_class): 1})
     beta = Correspondence(ring, ring, {(h14, cls("h1^1")): 2})
     assert corr.intersect(alpha, beta) == Correspondence(

@@ -64,18 +64,19 @@ def chevalley_only_table(ring):
             result = ring.element(a)
         elif b.codim == 1:
             node = ring.codim1_node(b)
-            result = ring.chevalley_mult(node, ring.element(a))
+            result = ring.chevalley_product(node, a)
         else:
             k = b.codim - 1
             lower = ring.basis(k)
             columns = [(i, w) for i in nodes for w in lower]
-            matrix = [as_vector(ring.chevalley_mult(i, ring.element(w)), k + 1)
+            matrix = [as_vector(ring.chevalley_product(i, w), k + 1)
                       for i, w in columns]
             lam = _solve(matrix, as_vector(ring.element(b), k + 1))
             acc = ring.zero()
             for coeff, (i, w) in zip(lam, columns):
                 if coeff:
-                    piece = ring.chevalley_mult(i, mult(a, w))
+                    piece = sum((v * ring.chevalley_product(i, c)
+                                 for c, v in mult(a, w).terms.items()), ring.zero())
                     scaled = ChowElement(
                         ring, {c: coeff * v for c, v in piece.terms.items()})
                     acc = acc + scaled
@@ -94,8 +95,7 @@ def test_two_routes_agree_exhaustively(name):
     ring = get_chow_ring(root_system(name), ())
     table = chevalley_only_table(ring)
     for (a, b), bootstrap in table.items():
-        giambelli = ring.giambelli_multiply(ring.element(a), ring.element(b))
-        assert giambelli == bootstrap, (a, b)
+        assert ring.giambelli_product(a, b) == bootstrap, (a, b)
 
 
 @pytest.mark.parametrize("name", ["A2", "B2"])
@@ -113,5 +113,4 @@ def test_localization_matches_giambelli_exhaustively(ring_name, x1, x4):
         get_chow_ring(root_system(ring_name), ())
     for i, a in enumerate(ring.classes):
         for b in ring.classes[i:]:
-            giambelli = ring.giambelli_multiply(ring.element(a), ring.element(b))
-            assert ring.pair_product(a, b) == giambelli, (a, b)
+            assert ring.pair_product(a, b) == ring.giambelli_product(a, b), (a, b)

@@ -135,18 +135,21 @@ def test_pair_degree_matches_giambelli_degree(x1, x4, a2_flag, b2_flag):
     for ring in (x1, x4, a2_flag, b2_flag, g2_flag):
         for a in ring.classes:
             for b in ring.basis(ring.dim - a.codim):
-                product = ring.giambelli_multiply(ring.element(a), ring.element(b))
-                assert ring.pair_degree(a, b) == _degree(ring, product)
+                assert ring.pair_degree(a, b) == _degree(ring, ring.giambelli_product(a, b))
 
 
 def test_chevalley_of_unit_is_hyperplane(x1, x4):
-    assert x1.chevalley_mult(1, x1.unit) == _by_label(x1, "h1^1")
-    assert x4.chevalley_mult(4, x4.unit) == _by_label(x4, "g1^1")
+    assert x1.chevalley_product(1, x1.unit_class) == _by_label(x1, "h1^1")
+    assert x4.chevalley_product(4, x4.unit_class) == _by_label(x4, "g1^1")
 
 
 def test_chevalley_rejects_theta_nodes(x1):
-    with pytest.raises(ValueError):
-        x1.chevalley_mult(2, x1.unit)
+    with pytest.raises(ValueError, match="lies in theta"):
+        x1.chevalley_product(2, x1.unit_class)
+    # node 0 would read the last coroot coordinate, node 5 past the end
+    for node in (0, 5):
+        with pytest.raises(ValueError, match="out of range"):
+            x1.chevalley_product(node, x1.unit_class)
     with pytest.raises(ValueError):
         x1.hyperplane_class(3)
 
@@ -167,9 +170,9 @@ def test_hyperplane_classes_and_nodes(x1, x4):
 
 
 def test_published_product_examples(x1, x4):
-    assert (x1.chevalley_mult(1, _by_label(x1, "h1^3"))
+    assert (x1.chevalley_product(1, x1.class_by_label("h1^3"))
             == _by_label(x1, "h1^4") + 2 * _by_label(x1, "h2^4"))
-    assert x4.chevalley_mult(4, _by_label(x4, "g2^8")) == _by_label(x4, "g2^9")
+    assert x4.chevalley_product(4, x4.class_by_label("g2^8")) == _by_label(x4, "g2^9")
     # bilinear duality combination
     got = x1.multiply(_by_label(x1, "h1^4"),
                       _by_label(x1, "h1^11") + _by_label(x1, "h2^11"))
@@ -179,11 +182,11 @@ def test_published_product_examples(x1, x4):
 
 
 def test_giambelli_squares(x1, x4):
-    h14 = _by_label(x1, "h1^4")
-    assert (x1.giambelli_multiply(h14, h14)
+    h14 = x1.class_by_label("h1^4")
+    assert (x1.giambelli_product(h14, h14)
             == 8 * _by_label(x1, "h1^8") + 6 * _by_label(x1, "h2^8"))
-    g14 = _by_label(x4, "g1^4")
-    assert (x4.giambelli_multiply(g14, g14)
+    g14 = x4.class_by_label("g1^4")
+    assert (x4.giambelli_product(g14, g14)
             == 4 * _by_label(x4, "g1^8") + 3 * _by_label(x4, "g2^8"))
 
 
@@ -233,7 +236,7 @@ def test_multiply_truncates_above_dimension(x1):
     assert x1.multiply(h18, x1.multiply(h18, h18)).is_zero()
 
 
-def test_giambelli_multiply_above_dimension_skips_the_flag_ring(x1, monkeypatch):
+def test_giambelli_product_above_dimension_skips_the_flag_ring(x1, monkeypatch):
     """Codimensions summing past the dimension give zero by the Giambelli
     route without a product in the full flag ring; one summing to the
     dimension still reaches it."""
@@ -241,18 +244,17 @@ def test_giambelli_multiply_above_dimension_skips_the_flag_ring(x1, monkeypatch)
         raise AssertionError("product in the full flag ring")
 
     monkeypatch.setattr(x1.engine, "product_classes", refuse)
-    h18 = _by_label(x1, "h1^8")
-    assert x1.giambelli_multiply(h18, h18) == x1.zero()
+    h18 = x1.class_by_label("h1^8")
+    assert x1.giambelli_product(h18, h18) == x1.zero()
     with pytest.raises(AssertionError, match="full flag ring"):
-        x1.giambelli_multiply(h18, _by_label(x1, "h1^7"))
+        x1.giambelli_product(h18, x1.class_by_label("h1^7"))
 
 
 def test_chevalley_agrees_with_giambelli_everywhere(x1, x4):
     for ring, node in ((x1, 1), (x4, 4)):
-        h = ring.element(ring.hyperplane_class(node))
+        h = ring.hyperplane_class(node)
         for cls in ring.classes:
-            x = ring.element(cls)
-            assert ring.giambelli_multiply(h, x) == ring.chevalley_mult(node, x)
+            assert ring.giambelli_product(h, cls) == ring.chevalley_product(node, cls)
 
 
 def test_ring_axioms_on_random_f4_triples(x1):
