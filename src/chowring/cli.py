@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 
 from . import correspondence as corr
 from . import f4pipeline, hasse, poly
@@ -265,10 +266,11 @@ def cmd_corr(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    report = f4pipeline.run_f4_verification(args.eps)
-    if args.report:
-        # first, so that an unwritable path leaves stdout empty
-        _emit(report.to_json(), args.report)
+    # opened first: an unwritable path is refused before any check runs
+    with open(args.report, "w") if args.report else nullcontext() as sink:
+        report = f4pipeline.run_f4_verification(args.eps)
+        if sink is not None:
+            sink.write(report.to_json())
     _emit(report.to_json() if args.format == "json" else report.to_text(), None)
     if args.timings:
         # kept off stdout and the report, which stay byte-identical

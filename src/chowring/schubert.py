@@ -24,10 +24,11 @@ Four multiplication routes are implemented:
   the tests hold them to the Weyl-element products w*s_beta;
 * ``pair_product`` handles arbitrary products of two classes by
   localization on the fixed points W^theta of G/P (orbit of rho_P, Billey's
-  restriction formula, Atiyah-Bott integration by support in exact
-  integers; see :class:`_LocalizationEngine`).  No polynomial is built and
-  the Weyl group is never enumerated; each ring builds its engine on the
-  first product, and refuses above ``MAX_LOCALIZATION_TABLE``;
+  restriction formula, forward substitution in exact integers over the
+  points between the factors' and the product's codimension; see
+  :class:`_LocalizationEngine`).  No polynomial is built and the Weyl
+  group is never enumerated; each ring builds its engine on the first
+  product, and refuses above ``MAX_LOCALIZATION_TABLE``;
 * ``giambelli_product`` lifts both factors to the weight polynomial ring
   along  lift([X_w]) = delta_{w^{-1}}(d / |W|)  (Bernstein-Gelfand-Gelfand
   1973; d is the product of the positive roots), multiplies there and
@@ -72,11 +73,11 @@ elements.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache
-from itertools import islice
-from math import lcm, prod
+from math import lcm
 from types import MappingProxyType
 from weakref import WeakKeyDictionary
 
@@ -410,27 +411,38 @@ class _LocalizationEngine:
     run right to left as a dynamic program over orbit points along the
     orbit's upward moves: every suffix of an element of W^P lies in W^P,
     so no state leaves the orbit.
-    Degrees of triple products follow from Atiyah-Bott (1984),
-
-        deg(sigma^u sigma^v sigma^w) = sum over x of
-            sigma^u|_x sigma^v|_x sigma^w|_x / e(x),
-        e(x) = product over gamma in Phi+ minus Phi+_theta of (-x gamma),
-
-    with every root evaluated exactly at two integer points alpha_i -> p_i,
+    Every root is evaluated exactly at two integer points alpha_i -> p_i,
     so a restriction is one integer per evaluation point, held in two fixed
     lanes: the table maps each point x to a dict v -> (int, int).
     Roots are handled by their index in the system's
     :class:`~chowring.weyl.RootIndex`, each evaluated once: the r_j of x
-    follow from its parent's by one table step, and the images x gamma are
-    the orbit's ``root_images``.
+    follow from its parent's by one table step.
     Both points are positive, so no root vanishes on them and each
     restriction is positive on the Bruhat interval below x.
-    A product a*b integrates by support, in integers: one pass over the x
-    where neither factor vanishes adds scale(x) sigma^a|_x sigma^b|_x
-    sigma^v|_x, with scale(x) / lcm = 1 / e(x), into one sum per point and
-    per v of the complementary length.  In the top degree the integral is
-    the same integer at every point, so a coefficient is returned only if
-    both sums divide by their lcm to that one integer.
+
+    A product is solved by forward substitution.  Equivariantly
+    sigma^a sigma^b = sum over w of c_w sigma^w, c_w a polynomial with
+    integer coefficients in the simple roots, of degree
+    l(a) + l(b) - l(w), and c_w = 0 unless w >= a and w >= b.  The table is
+    upper triangular (Knutson-Tao, Duke 2003): sigma^w|_x = 0 unless
+    w <= x, and the diagonal sigma^x|_x is the product of the r_j of x.
+    Restricting both sides to x therefore gives
+
+        c_x = (sigma^a|_x sigma^b|_x - sum over v < x of c_v sigma^v|_x)
+              / sigma^x|_x,
+
+    solved in orbit order, (length, images), which puts every v < x before
+    x, over the points of length max(l(a), l(b)) .. l(a) + l(b).  A point
+    whose row lacks sigma^a|_x or sigma^b|_x is not above both factors, so
+    its coefficient is 0 and it is skipped.  The structure constants are
+    the c_x of length l(a) + l(b).  Two assertions guard the table:
+
+    * "integer lattice": each c_x is an integer polynomial at an integer
+      point, so every division must be exact; a restriction that is wrong
+      in both lanes, such as a diagonal entry, leaves it;
+    * "different products at the two evaluation points": the top c_x are
+      constants, so both lanes must give the same one; a restriction that
+      is wrong in one lane only, while its divisions stay exact, shows here.
 
     The table holds up to |W^P|^2 restrictions; above
     ``MAX_LOCALIZATION_TABLE`` the engine refuses before it builds any.
@@ -448,15 +460,13 @@ class _LocalizationEngine:
         self.ring = ring
         self.up = orbit.up
         # exactly two evaluation points, alpha_i -> i and alpha_i -> i^2 + 1:
-        # every restriction and weight below is a pair, one lane per point
+        # every restriction below is a pair, one lane per point
         self.points = (tuple(range(1, n + 1)),
                        tuple(k * k + 1 for k in range(1, n + 1)))
         table = orbit.roots
         # every root, by its index in the root table, at each evaluation point
         self.values = tuple(tuple(sum(c * x for c, x in zip(r, p)) for p in self.points)
                             for r in table.roots)
-        tangent = tuple(b for b, g in enumerate(system.positive_roots)
-                        if any(g[i - 1] for i in range(1, n + 1) if i not in ring.theta))
         # The roots r_j of each point, by index, from its parent's: parents
         # are one step shorter, so they come first in orbit order.
         factors: list[tuple[int, ...]] = []
@@ -469,22 +479,11 @@ class _LocalizationEngine:
                 map(table.steps[a - 1].__getitem__, factors[parent])))
         self.restrictions = [self._restrictions(word, roots)
                              for word, roots in zip(orbit.words, factors)]
-        # Atiyah-Bott weights: 1/e(x) = scale[x] / lcms, per point, with the
-        # tangent images x(gamma) read off the orbit's root-image table.
-        values = self.values
-        euler = [tuple(prod(-values[img[b]][t] for b in tangent)
-                       for t in range(len(self.points)))
-                 for img in orbit.root_images]
-        self.lcms = tuple(lcm(*(abs(e[t]) for e in euler))
-                          for t in range(len(self.points)))
-        self.scales = [tuple(m // e_t for m, e_t in zip(self.lcms, e)) for e in euler]
         self.opposite = orbit.opposite
-        # the keys v of each length; points are in (length, images) order
-        self.by_length: list[list[int]] = [[] for _ in range(ring.dim + 1)]
-        for k, word in enumerate(orbit.words):
-            self.by_length[len(word)].append(k)
-        # deg(X_a X_b sigma^v) is the coefficient of the class at point v:
-        # that class's dual lives at opposite[opposite[v]] = v
+        # the first point of each length 0 .. dim + 1, in orbit order
+        lengths = [len(word) for word in orbit.words]
+        self.starts = [bisect_left(lengths, k) for k in range(ring.dim + 2)]
+        # sigma^x lives at point x; its class is the one at point opposite[x]
         self.classes = ring._at_point
 
     def _restrictions(self, word, roots) -> dict[int, tuple[int, int]]:
@@ -511,37 +510,36 @@ class _LocalizationEngine:
         return self.opposite[cls.point]
 
     def product(self, a: SchubertClass, b: SchubertClass) -> dict[SchubertClass, int]:
-        """[X_a]*[X_b] as class -> coefficient, integrated by support."""
+        """[X_a]*[X_b] as class -> coefficient, by forward substitution."""
         ka, kb = self._index(a), self._index(b)
-        need = self.ring.dim - a.codim - b.codim
-        if need < 0:
+        top = a.codim + b.codim
+        if top > self.ring.dim:
             return {}
-        keys = self.by_length[need]
-        sums0, sums1 = [0] * len(keys), [0] * len(keys)
-        # only x >= a, b and v contribute, so no point shorter than those
-        lo = self.by_length[max(need, a.codim, b.codim)][0]
-        for restriction, (c0, c1) in islice(zip(self.restrictions, self.scales), lo, None):
-            ra, rb = restriction.get(ka), restriction.get(kb)
+        rows, first = self.restrictions, self.starts[top]
+        # x -> c_x at both points, for every solved x with c_x != 0
+        solved: dict[int, tuple[int, int]] = {}
+        for x in range(self.starts[max(a.codim, b.codim)], self.starts[top + 1]):
+            row = rows[x]
+            ra, rb = row.get(ka), row.get(kb)
             if ra is None or rb is None:
                 continue
-            t0, t1 = c0 * ra[0] * rb[0], c1 * ra[1] * rb[1]
-            for j, v in enumerate(keys):
-                rv = restriction.get(v)
+            s0, s1 = ra[0] * rb[0], ra[1] * rb[1]
+            for v, (c0, c1) in solved.items():
+                rv = row.get(v)
                 if rv is not None:
-                    sums0[j] += t0 * rv[0]
-                    sums1[j] += t1 * rv[1]
-        m0, m1 = self.lcms
-        out = {}
-        for v, s0, s1 in zip(keys, sums0, sums1):
-            (q0, r0), (q1, r1) = divmod(s0, m0), divmod(s1, m1)
-            if q0 != q1 or r0 * m1 != r1 * m0:   # s0/m0 != s1/m1
-                raise AssertionError("localization gives different products at "
-                                     "the two evaluation points")
-            if r0:
+                    s0 -= c0 * rv[0]
+                    s1 -= c1 * rv[1]
+            d0, d1 = row[x]
+            (c0, r0), (c1, r1) = divmod(s0, d0), divmod(s1, d1)
+            if r0 or r1:
                 raise AssertionError("localization product left the integer lattice")
-            if q0:
-                out[self.classes[v]] = q0
-        return out
+            if c0 or c1:
+                if x >= first and c0 != c1:
+                    raise AssertionError("localization gives different products at "
+                                         "the two evaluation points")
+                solved[x] = (c0, c1)
+        return {self.classes[self.opposite[x]]: c0
+                for x, (c0, _) in solved.items() if x >= first}
 
 
 class ChowRing:

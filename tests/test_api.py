@@ -37,9 +37,11 @@ MOVED_METHODS = (
     (poly._Calculus, "lin_pow"))
 # Attributes that instances no longer carry: the Giambelli product memo,
 # the per-J longest lengths and the expanded-lift memo, the W element index,
-# and unread names.
+# unread names, and the localization engine's Atiyah-Bott weights (the
+# oracle computes its own Euler classes).
 MOVED_ATTRIBUTES = (
     (schubert._GiambelliEngine, ("_products", "_longest_lengths", "_delta_d")),
+    (schubert._LocalizationEngine, ("euler", "lcms", "scales", "by_length")),
     (weyl.WeylGroup, ("_index", "_orbit", "rank")),
     (RootSystem, ("labels",)))
 
@@ -64,7 +66,8 @@ def test_moved_names_are_not_defined_in_the_package():
     system = root_system("A1")
     group = weyl.WeylGroup(system)
     instances = {RootSystem: system, weyl.WeylGroup: group,
-                 schubert._GiambelliEngine: schubert._GiambelliEngine(group)}
+                 schubert._GiambelliEngine: schubert._GiambelliEngine(group),
+                 schubert._LocalizationEngine: schubert.ChowRing(system).localization}
     found += [f"{cls.__name__}().{name}" for cls, names in MOVED_ATTRIBUTES
               for name in names if hasattr(instances[cls], name)]
     assert found == []

@@ -347,14 +347,21 @@ def test_verify_writes_report(tmp_path, capsys):
     assert len(payload["checks"]) == 21
 
 
-def test_verify_report_to_unwritable_path_prints_nothing(tmp_path, capsys):
+def test_verify_report_to_unwritable_path_prints_nothing(tmp_path, monkeypatch, capsys):
     """An unwritable --report ends with exit code 2, one error line and an
-    empty stdout: the report is written before anything is printed."""
+    empty stdout, before any check runs: the report file is opened first."""
+    from chowring import f4pipeline
+
+    runs = []
+    verify = f4pipeline.run_f4_verification
+    monkeypatch.setattr(f4pipeline, "run_f4_verification",
+                        lambda eps: runs.append(eps) or verify(eps))
     path = tmp_path / "missing" / "r.json"
     code, out, err = run_cli("verify", "f4", "--eps", "both", "--report", str(path),
                              capsys=capsys)
     assert (code, out) == (2, "")
     assert err.startswith("error: [Errno 2] ") and err.count("\n") == 1
+    assert runs == []
 
 
 def test_verify_timings_go_to_stderr(tmp_path, capsys):

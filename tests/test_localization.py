@@ -1,13 +1,11 @@
 """The localization product engine: properties on random parabolic
-quotients, the basis-scanning rule and Weyl's degree formula as
-independent oracles, failure injection into its exactness checks, its
-table-size guard, and the promise that products never build a polynomial
-nor read a Weyl group table."""
+quotients, Atiyah-Bott integration class by class (with Euler classes of
+its own) and Weyl's degree formula as independent oracles, failure
+injection into its exactness checks, its table-size guard, and the promise
+that products never build a polynomial nor read a Weyl group table."""
 
 import random
-from fractions import Fraction
 from itertools import combinations
-from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +18,8 @@ from chowring.rootsystem import BUILTIN_CARTAN, CartanMatrix, build_root_system,
 from chowring.schubert import ChowElement, ChowRing, get_chow_ring
 from chowring.weyl import WeylGroup
 import weyl_oracle
-from localization_oracle import integrals, oracle_product
+from e8_p1_degree import E8, maximal, weyl_degree
+from localization_oracle import euler, integrals, oracle_product
 
 # Every quotient of every built-in type, except the F4 quotients with fewer
 # than two nodes in theta: their 576 and 1152 fixed points take 1-3 s per
@@ -59,30 +58,14 @@ def test_triple_degrees_integral_and_point_independent(quotient, data):
     if rest < 0:
         return
     c = data.draw(st.sampled_from(ring.basis(rest)))
-    values = integrals(ring.localization, (a, b, c))
+    values = integrals(ring, (a, b, c))
     assert len(values) == 2 and values[0] == values[1]
     assert values[0].denominator == 1
     assert values[0] == ring.pair_product(a, b).terms.get(ring.dual_class(c), 0)
     if rest > 0:
         # below the top degree the equivariant integral is 0 at each point
         for d in ring.basis(rest - 1):
-            assert integrals(ring.localization, (a, b, d)) == (0, 0)
-
-
-def _weyl_degree(system, theta):
-    """dim! * prod over beta > 0 outside Phi_theta of
-    <rho_P, beta^vee> / <rho, beta^vee>."""
-    n = system.rank
-    rho = (1,) * n
-    rho_p = tuple(0 if i in theta else 1 for i in range(1, n + 1))
-    outside = [beta for beta in system.positive_roots
-               if any(beta[i - 1] for i in range(1, n + 1) if i not in theta)]
-    value = Fraction(factorial(len(outside)))
-    for beta in outside:
-        value *= Fraction(system.coroot_pairing(beta, rho_p),
-                          system.coroot_pairing(beta, rho))
-    assert value.denominator == 1
-    return int(value)
+            assert integrals(ring, (a, b, d)) == (0, 0)
 
 
 @pytest.mark.parametrize("name", ["G2", "B3", "F4"])
@@ -95,7 +78,7 @@ def test_hyperplane_degree_matches_weyl_formula(name):
         top = ring.power(ring.hyperplane_class(node), ring.dim)
         assert set(top.terms) <= {ring.point_class}
         degrees[node] = top.terms.get(ring.point_class, 0)
-        assert degrees[node] == _weyl_degree(system, theta)
+        assert degrees[node] == weyl_degree(system, theta)
     if name == "F4":
         assert degrees[2] == 59440103424
 
@@ -137,10 +120,11 @@ def test_products_never_build_a_polynomial(f4, x1, monkeypatch):
 @pytest.mark.parametrize("quotient", QUOTIENTS,
                          ids=lambda q: f"{q[0]}-" + ("".join(map(str, q[1])) or "flag"))
 def test_engine_matches_basis_scanning_oracle(quotient):
-    """Integration by support against the old rule, class by class: every
-    pair on the rings of at most 96 classes (F4/P1, F4/P2 and F4/P4
-    among them), 50 seeded pairs on the F4 quotients of 144-288 classes,
-    whose full tables take minutes by either rule."""
+    """Forward substitution against Atiyah-Bott integration, class by
+    class, which shares only the Billey table: every pair on the rings of
+    at most 96 classes (F4/P1, F4/P2 and F4/P4 among them), 50 seeded
+    pairs on the F4 quotients of 144-288 classes, whose full tables take
+    minutes by the oracle."""
     ring = _ring(quotient)
     pairs = [(a, b) for i, a in enumerate(ring.classes) for b in ring.classes[i:]
              if a.codim + b.codim <= ring.dim]
@@ -234,24 +218,29 @@ def test_restriction_table_sizes(system, theta, entries):
     assert sum(map(len, engine.restrictions)) == entries
 
 
-def _fresh_b3_flag():
-    """An uncached B3 flag ring and its engine, free to tamper with."""
-    ring = ChowRing(root_system("B3"), ())
-    return ring, ring.localization
+def _fresh_b2_square():
+    """An uncached B2 flag ring, free to tamper with, its hyperplane class h
+    of node 1, and the length-2 point x of h*h = 2 sigma^x.  The ring has
+    dimension 4, so both rules read the row of x: the substitution for h*h
+    itself, Atiyah-Bott for its dual class, sigma^x."""
+    ring = ChowRing(root_system("B2"), ())
+    engine = ring.localization
+    h = ring.hyperplane_class(1)
+    assert engine.product(h, h) == oracle_product(ring, h, h)
+    (cls,) = engine.product(h, h)
+    return ring, engine, h, engine.opposite[cls.point]
 
 
 def test_tampered_restriction_gives_different_products():
-    """One restriction value changed at one evaluation point: the two
-    Atiyah-Bott sums no longer agree, and the product is refused."""
-    ring, engine = _fresh_b3_flag()
-    h = ring.hyperplane_class(1)
-    assert engine.product(h, h) == oracle_product(ring, h, h)
-    # the longest point lies above every class, so sigma^h|_top feeds every
-    # coefficient of h*h
-    top = engine.restrictions[-1]
+    """sigma^h|_x changed at one evaluation point only, by a multiple of
+    both sigma^x|_x and e(x): every division of the substitution and every
+    Atiyah-Bott sum stays integral, so only the comparison of the two
+    points refuses the product."""
+    ring, engine, h, x = _fresh_b2_square()
+    row = engine.restrictions[x]
     k = engine.opposite[h.point]
-    u0, u1 = top[k]
-    top[k] = (u0 + 1, u1)
+    u0, u1 = row[k]
+    row[k] = (u0 + row[x][0] * abs(euler(ring)[x][0]), u1)
     for rule in (engine.product, lambda a, b: oracle_product(ring, a, b)):
         with pytest.raises(AssertionError, match="different products at the two "
                                                  "evaluation points"):
@@ -259,44 +248,26 @@ def test_tampered_restriction_gives_different_products():
 
 
 def test_broken_integrality_leaves_the_lattice():
-    """Both Atiyah-Bott denominators doubled: the points still agree, but
-    the unit times a class is half that class, off the integer lattice."""
-    ring, engine = _fresh_b3_flag()
-    h = ring.hyperplane_class(2)
-    assert engine.product(ring.unit_class, h) == {h: 1}
-    engine.lcms = tuple(2 * m for m in engine.lcms)
+    """The diagonal sigma^x|_x raised by 1 at both evaluation points: the
+    division by it is no longer exact, and x's Atiyah-Bott term is no
+    longer an integer."""
+    ring, engine, h, x = _fresh_b2_square()
+    row = engine.restrictions[x]
+    row[x] = tuple(u + 1 for u in row[x])
     for rule in (engine.product, lambda a, b: oracle_product(ring, a, b)):
         with pytest.raises(AssertionError, match="integer lattice"):
-            rule(ring.unit_class, h)
+            rule(h, h)
 
 
-# Bourbaki numbering: 1-3-4-...-n is the long chain and 2 hangs off 4.
-E7 = ((2, 0, -1, 0, 0, 0, 0),
-      (0, 2, 0, -1, 0, 0, 0),
-      (-1, 0, 2, -1, 0, 0, 0),
-      (0, -1, -1, 2, -1, 0, 0),
-      (0, 0, 0, -1, 2, -1, 0),
-      (0, 0, 0, 0, -1, 2, -1),
-      (0, 0, 0, 0, 0, -1, 2))
-
-E8 = ((2, 0, -1, 0, 0, 0, 0, 0),
-      (0, 2, 0, -1, 0, 0, 0, 0),
-      (-1, 0, 2, -1, 0, 0, 0, 0),
-      (0, -1, -1, 2, -1, 0, 0, 0),
-      (0, 0, 0, -1, 2, -1, 0, 0),
-      (0, 0, 0, 0, -1, 2, -1, 0),
-      (0, 0, 0, 0, 0, -1, 2, -1),
-      (0, 0, 0, 0, 0, 0, -1, 2))
+# E7 is E8 without node 8 (Bourbaki numbering)
+E7 = tuple(row[:7] for row in E8[:7])
 
 
-def _maximal(rows, node):
-    system = build_root_system(CartanMatrix(rows))
-    return system, tuple(i for i in range(1, system.rank + 1) if i != node)
-
-
-def test_e7_p7_degree_by_localization(monkeypatch):
-    """E7/P7, 56 classes: deg H^27 by localization equals Weyl's formula,
-    and W(E7) is never enumerated."""
+@pytest.mark.parametrize("node, classes, dim", [(7, 56, 27), (2, 576, 42)],
+                         ids=["P7", "P2"])
+def test_e7_degree_by_localization(monkeypatch, node, classes, dim):
+    """E7/P7 (56 classes) and E7/P2 (576): deg H^dim by localization
+    equals Weyl's formula, and W(E7) is never enumerated."""
     walk = weyl._coset_orbit
 
     def refuse_regular(system, theta):
@@ -305,18 +276,18 @@ def test_e7_p7_degree_by_localization(monkeypatch):
         return walk(system, theta)
 
     monkeypatch.setattr(weyl, "_coset_orbit", refuse_regular)
-    system, theta = _maximal(E7, 7)
+    system, theta = maximal(E7, node)
     ring = ChowRing(system, theta)
-    assert (len(ring.classes), ring.dim) == (56, 27)
-    top = ring.power(ring.hyperplane_class(7), 27)
+    assert (len(ring.classes), ring.dim) == (classes, dim)
+    top = ring.power(ring.hyperplane_class(node), dim)
     assert ring._localization is not None
-    assert top.terms == {ring.point_class: _weyl_degree(system, theta)}
+    assert top.terms == {ring.point_class: weyl_degree(system, theta)}
 
 
 def test_table_bound_builds_e8_p1_and_refuses_e8_p2():
     """The stated bound, on the orbit sizes alone: E8/P1 has 2160 fixed
     points, E8/P2 has 17280."""
-    p1, p2 = (weyl._orbit_size(*_maximal(E8, node)) for node in (1, 2))
+    p1, p2 = (weyl._orbit_size(*maximal(E8, node)) for node in (1, 2))
     assert (p1, p2) == (2160, 17280)
     assert p1 * p1 <= schubert.MAX_LOCALIZATION_TABLE < p2 * p2
 
