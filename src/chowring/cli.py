@@ -22,7 +22,8 @@ from contextlib import nullcontext
 from . import correspondence as corr
 from . import f4pipeline, hasse, poly
 from . import weyl as weylmod
-from .rootsystem import CartanMatrix, RootSystem, build_root_system, root_system
+from .rootsystem import (BUILTIN_CARTAN, CartanMatrix, RootSystem, build_root_system,
+                         root_system)
 from .schubert import format_table_text, get_chow_ring, hyperplane_table
 from .weyl import get_weyl_group
 
@@ -53,7 +54,7 @@ def _system(args) -> RootSystem:
         raise UsageError(str(exc)) from None
 
 
-def _theta(args, system: RootSystem | None = None) -> tuple[int, ...]:
+def _theta(args, system: RootSystem) -> tuple[int, ...]:
     raw = getattr(args, "theta", None)
     if not raw:
         return ()
@@ -61,12 +62,10 @@ def _theta(args, system: RootSystem | None = None) -> tuple[int, ...]:
         theta = tuple(int(tok) for tok in raw.split(",") if tok != "")
     except ValueError:
         raise UsageError(f"cannot parse theta {raw!r}; expected e.g. 2,3,4") from None
-    if system is not None:
-        try:
-            theta = weylmod.normalize_theta(system, theta)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
-    return theta
+    try:
+        return weylmod.normalize_theta(system, theta)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def _emit(text: str, path: str | None) -> None:
@@ -297,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, formats=(), theta=True):
         """The system options, and --format when the command or query prints
         more than one format; the first of ``formats`` is the default."""
-        p.add_argument("--type", help="named root system (A1, A2, B2, B3, G2, F4)")
+        p.add_argument("--type", help=f"named root system ({', '.join(BUILTIN_CARTAN)})")
         p.add_argument("--cartan-file", help="plain-text integer Cartan matrix")
         if theta:
             p.add_argument("--theta",

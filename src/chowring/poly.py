@@ -371,10 +371,5 @@ def parse_polynomial(system: RootSystem, text: str) -> RationalPolynomial:
                 expo[idx - 1] += int(power) if power else 1
             else:
                 coeff *= Fraction(factor)
-        e = pack(expo)
-        v = terms.get(e, 0) + (int(coeff) if coeff.denominator == 1 else coeff)
-        if v:
-            terms[e] = v
-        elif e in terms:
-            del terms[e]
+        _raw_add_into(terms, {pack(expo): int(coeff) if coeff.denominator == 1 else coeff})
     return RationalPolynomial._from_raw(system, terms)

@@ -5,63 +5,28 @@ points and about 2.3 million restrictions.  The script builds the ring and
 its engine, raises the hyperplane class to the top degree with ``power``,
 and checks the degree against Weyl's formula.  It prints both times and
 fails when the product chain takes longer than ``POWER_BOUND_S``.  The
-build alone takes several seconds, so pytest does not collect the file;
-it uses the standard library only:
+build alone takes several seconds, so pytest does not collect the file,
+and it runs without pytest:
 
     PYTHONPATH=src python tests/e8_p1_degree.py
 
-tests/test_localization.py reads the E8 Cartan matrix and Weyl's formula
-from here.
+The E8 Cartan matrix and Weyl's formula come from tests/dynkin.py, which
+the tests share.
 """
 
 import sys
 import time
-from fractions import Fraction
-from math import factorial
 
-from chowring.rootsystem import CartanMatrix, build_root_system
 from chowring.schubert import ChowRing
-
-# Bourbaki numbering: 1-3-4-...-8 is the long chain and 2 hangs off 4.
-E8 = ((2, 0, -1, 0, 0, 0, 0, 0),
-      (0, 2, 0, -1, 0, 0, 0, 0),
-      (-1, 0, 2, -1, 0, 0, 0, 0),
-      (0, -1, -1, 2, -1, 0, 0, 0),
-      (0, 0, 0, -1, 2, -1, 0, 0),
-      (0, 0, 0, 0, -1, 2, -1, 0),
-      (0, 0, 0, 0, 0, -1, 2, -1),
-      (0, 0, 0, 0, 0, 0, -1, 2))
+from dynkin import cartan, maximal, weyl_degree
 
 # the target for the power (ROADMAP item 4); it has taken 0.2-0.3 s, and
 # Atiyah-Bott sums over every fixed point took 51-62 s
 POWER_BOUND_S = 10
 
 
-def maximal(rows, node):
-    """The root system of a Cartan matrix and theta of its maximal
-    parabolic at ``node``."""
-    system = build_root_system(CartanMatrix(rows))
-    return system, tuple(i for i in range(1, system.rank + 1) if i != node)
-
-
-def weyl_degree(system, theta):
-    """dim! * prod over beta > 0 outside Phi_theta of
-    <rho_P, beta^vee> / <rho, beta^vee>."""
-    n = system.rank
-    rho = (1,) * n
-    rho_p = tuple(0 if i in theta else 1 for i in range(1, n + 1))
-    outside = [beta for beta in system.positive_roots
-               if any(beta[i - 1] for i in range(1, n + 1) if i not in theta)]
-    value = Fraction(factorial(len(outside)))
-    for beta in outside:
-        value *= Fraction(system.coroot_pairing(beta, rho_p),
-                          system.coroot_pairing(beta, rho))
-    assert value.denominator == 1
-    return int(value)
-
-
 def main() -> int:
-    system, theta = maximal(E8, 1)
+    system, theta = maximal(cartan("E8"), 1)
     start = time.perf_counter()
     ring = ChowRing(system, theta)
     ring.localization

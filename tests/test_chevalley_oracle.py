@@ -15,16 +15,9 @@ from itertools import combinations
 import pytest
 
 from chowring import weyl
-from chowring.rootsystem import CartanMatrix, build_root_system, root_system
 from chowring.schubert import ChowElement, SubringError, get_chow_ring
+import dynkin
 import weyl_oracle
-
-# Simply-laced types the built-in ones lack, Bourbaki numbering; D4 has
-# node 2 in the middle.
-DECLARED = {
-    "A4": ((2, -1, 0, 0), (-1, 2, -1, 0), (0, -1, 2, -1), (0, 0, -1, 2)),
-    "D4": ((2, -1, 0, 0), (-1, 2, -1, -1), (0, -1, 2, 0), (0, -1, 0, 2)),
-}
 
 # Every quotient of the rank <= 3 types, the F4 quotients with at least
 # two nodes in theta, and every quotient of A4 and of D4; F4/B and the F4
@@ -35,13 +28,6 @@ QUOTIENTS = [(name, theta)
                                 ("B3", 3), ("F4", 4), ("A4", 4), ("D4", 4))
              for size in range(2 if name == "F4" else 0, rank)
              for theta in combinations(range(1, rank + 1), size)]
-
-
-@lru_cache(maxsize=None)
-def _system(name):
-    if name in DECLARED:
-        return build_root_system(CartanMatrix(DECLARED[name]))
-    return root_system(name)
 
 
 @lru_cache(maxsize=None)
@@ -82,7 +68,7 @@ def weyl_chevalley(ring, node, cls):
 
 @pytest.mark.parametrize("name,theta", QUOTIENTS)
 def test_orbit_chevalley_matches_weyl_products(name, theta):
-    ring = get_chow_ring(_system(name), theta)
+    ring = get_chow_ring(dynkin.system(name), theta)
     for node in range(1, ring.system.rank + 1):
         if node in ring.theta:
             continue

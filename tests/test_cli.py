@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from chowring.cli import main
+from golden_runs import GOLDEN_RUNS
 
 
 def run_cli(*argv, capsys=None):
@@ -48,9 +49,10 @@ def test_bad_theta_is_usage_error(capsys):
     assert code == 2
 
 
-def _corr_with_coeff(coeff: str) -> str:
-    return ('{"source": "x1", "target": "x1", "terms": '
-            '[{"f": "h1^0", "g": "h1^15", "coeff": %s}]}' % coeff)
+def _corr(coeff="1", f="h1^0", g="h1^15") -> str:
+    """A one-term correspondence on X1 with JSON ``coeff``, or none."""
+    term = f'"f": "{f}", "g": "{g}"' + ("" if coeff is None else f', "coeff": {coeff}')
+    return '{"source": "x1", "target": "x1", "terms": [{%s}]}' % term
 
 
 @pytest.mark.parametrize("argv, file_text", [
@@ -66,14 +68,14 @@ def _corr_with_coeff(coeff: str) -> str:
     (["chow", "basis", "--type", "F4", "--theta", "2,3,4", "--codim", "99"], None),
     (["chow", "table", "--type", "F4", "--theta", "2,3,4", "--node", "2"], None),
     (["hasse", "--type", "F4", "--theta", "2,3,4", "--pieri", "--node", "9"], None),
-    (["corr", "transpose", "{file}"], _corr_with_coeff("1.5")),
-    (["corr", "transpose", "{file}"], _corr_with_coeff("true")),
-    (["corr", "transpose", "{file}"], _corr_with_coeff('"1"')),
+    (["corr", "transpose", "{file}"], _corr("1.5")),
+    (["corr", "transpose", "{file}"], _corr("true")),
+    (["corr", "transpose", "{file}"], _corr('"1"')),
     (["corr", "transpose"], None),
     (["corr", "compose"], None),
-    (["corr", "compose", "{file}"], _corr_with_coeff("1")),
-    (["corr", "compose", "{file}", "{file}", "{file}"], _corr_with_coeff("1")),
-    (["corr", "diagonal", "{file}"], _corr_with_coeff("1")),
+    (["corr", "compose", "{file}"], _corr()),
+    (["corr", "compose", "{file}", "{file}", "{file}"], _corr()),
+    (["corr", "diagonal", "{file}"], _corr()),
     (["weyl", "order", "--type", "F4", "--format", "json"], None),
     (["weyl", "longest", "--type", "F4", "--format", "dot"], None),
     (["weyl", "cosets", "--type", "F4", "--theta", "2,3,4", "--format", "text"], None),
@@ -98,14 +100,25 @@ def _corr_with_coeff(coeff: str) -> str:
     (["chow", "basis", "--type", "F4", "--theta", "2,3,4", "--class", "h1^1"], None),
     (["chow", "basis", "--type", "F4", "--theta", "2,3,4", "--node", "1"], None),
     (["corr", "diagonal", "--mod", "3"], None),
-    (["corr", "transpose", "{file}", "--variety", "x4"], _corr_with_coeff("1")),
+    (["corr", "transpose", "{file}", "--variety", "x4"], _corr()),
     (["corr", "compose", "{file}", "{file}"],
      '{"source": "x1", "target": "x4", "terms": '
      '[{"f": "h1^0", "g": "g1^15", "coeff": 1}]}'),
-    (["corr", "compose", "{file}", "{file}", "--mod", "0"], _corr_with_coeff("1")),
+    (["corr", "compose", "{file}", "{file}", "--mod", "0"], _corr()),
     (["chow", "basis", "--type", "F4", "--theta", "2,3,4", "--format", "text"], None),
     (["chow", "mult", "--type", "F4", "--theta", "2,3,4", "--lhs", "h1^1"], None),
     (["chow", "--type", "F4", "--theta", "2,3,4", "basis"], None),
+    (["roots", "--cartan-file", "{file}"], "2 -2\n-2 2\n"),
+    (["roots", "--cartan-file", "{file}"], "3 -1\n-1 2\n"),
+    (["roots", "--cartan-file", "{file}"], "2 1\n1 2\n"),
+    (["roots", "--cartan-file", "{file}"], "2 -1\n0 2\n"),
+    (["roots", "--cartan-file", "{file}"], "2 -%d\n-1 2\n" % 10 ** 30),
+    (["roots", "--cartan-file", "{dir}"], None),
+    (["roots", "--cartan-file", "{file}"], None),
+    (["corr", "transpose", "{file}"], _corr(f="zz")),
+    (["corr", "transpose", "{file}"], _corr(g="g1^15")),
+    (["corr", "transpose", "{file}"], _corr(coeff=None)),
+    (["corr", "diagonal", "-o", "{file}/x.json"], None),
 ], ids=["node-out-of-range", "not-a-basis-class", "bad-token",
         "corr-missing-target", "ragged-cartan", "codim-out-of-range",
         "table-node-in-theta", "pieri-node-out-of-range",
@@ -120,12 +133,18 @@ def _corr_with_coeff(coeff: str) -> str:
         "chow-basis-lhs", "chow-table-rhs", "chow-basis-class", "chow-basis-node",
         "corr-diagonal-mod", "corr-transpose-variety",
         "corr-compose-middle-mismatch", "corr-compose-mod-0",
-        "chow-basis-format-text", "chow-mult-no-rhs", "option-before-query"])
+        "chow-basis-format-text", "chow-mult-no-rhs", "option-before-query",
+        "cartan-affine", "cartan-diagonal-3", "cartan-positive-off-diagonal",
+        "cartan-asymmetric-zeros", "cartan-huge-entry", "cartan-directory",
+        "cartan-missing", "corr-unknown-label", "corr-foreign-label",
+        "corr-missing-coeff", "output-to-missing-directory"])
 def test_malformed_input_is_usage_error(argv, file_text, tmp_path, capsys):
+    """Exit code 2, nothing on stdout and one ``error:`` line; with no
+    ``file_text``, ``{file}`` names a path that does not exist."""
     path = tmp_path / "input"
     if file_text is not None:
         path.write_text(file_text)
-    argv = [str(path) if a == "{file}" else a for a in argv]
+    argv = [a.replace("{file}", str(path)).replace("{dir}", str(tmp_path)) for a in argv]
     code, out, err = run_cli(*argv, capsys=capsys)
     assert code == 2
     assert out == ""
@@ -285,46 +304,6 @@ def test_verify_f4_report_matches_golden_copy(capsys):
                            capsys=capsys)
     assert code == 0
     assert out.encode() == golden.read_bytes()
-
-
-_P1, _P4 = ["--type", "F4", "--theta", "2,3,4"], ["--type", "F4", "--theta", "1,2,3"]
-
-
-# (golden file, argv): the CLI runs whose output is pinned byte for byte;
-# tests/test_reachability.py traces the same runs
-GOLDEN_RUNS = [
-    ("weyl_cosets_f4_p1.txt", ["weyl", "cosets", *_P1]),
-    ("weyl_cosets_f4_p1_maximal.txt", ["weyl", "cosets", *_P1, "--maximal"]),
-    ("weyl_cosets_b3_theta2.txt", ["weyl", "cosets", "--type", "B3", "--theta", "2"]),
-    ("hasse_f4_p1.dot", ["hasse", *_P1, "--format", "dot"]),
-    ("hasse_f4_p1_by_codim.dot", ["hasse", *_P1, "--format", "dot", "--by-codim"]),
-    ("hasse_f4_p1.json", ["hasse", *_P1, "--format", "json"]),
-    ("hasse_f4_p4.dot", ["hasse", *_P4, "--format", "dot"]),
-    ("hasse_f4_p4_by_codim.dot", ["hasse", *_P4, "--format", "dot", "--by-codim"]),
-    ("hasse_f4_p4.json", ["hasse", *_P4, "--format", "json"]),
-    ("pieri_f4_p1.json", ["hasse", *_P1, "--pieri", "--format", "json"]),
-    ("pieri_f4_p4.json", ["hasse", *_P4, "--pieri", "--format", "json"]),
-    ("chow_basis_f4_p1.txt", ["chow", "basis", *_P1]),
-    ("chow_basis_f4_p4.txt", ["chow", "basis", *_P4]),
-    ("chow_table_f4_p1.txt", ["chow", "table", *_P1]),
-    ("chow_table_f4_p4.txt", ["chow", "table", *_P4]),
-    ("giambelli_lift_f4_p1_h1_4.txt", ["chow", "giambelli-lift", *_P1, "--class", "h1^4"]),
-    ("giambelli_lift_f4_p1_h2_8.txt", ["chow", "giambelli-lift", *_P1, "--class", "h2^8"]),
-    ("giambelli_lift_f4_p1_h1_15.txt", ["chow", "giambelli-lift", *_P1, "--class", "h1^15"]),
-    ("giambelli_lift_f4_p4_g1_4.txt", ["chow", "giambelli-lift", *_P4, "--class", "g1^4"]),
-    ("giambelli_lift_f4_p4_g2_8.txt", ["chow", "giambelli-lift", *_P4, "--class", "g2^8"]),
-    ("giambelli_lift_b3_point.txt", ["chow", "giambelli-lift", "--type", "B3", "--class", "[]"]),
-    ("hasse_f4_p1.dot", ["hasse", *_P1]),
-    ("chow_mult_f4_p1_h1_4_h1_4.txt", ["chow", "mult", *_P1, "--lhs", "h1^4", "--rhs", "h1^4"]),
-    ("chow_mult_f4_p4_g1_4_g1_4.txt", ["chow", "mult", *_P4, "--lhs", "g1^4", "--rhs", "g1^4"]),
-    ("chow_mult_b3_flag.txt", ["chow", "mult", "--type", "B3", "--lhs", "[s2 s3 s2 s1 s2 s3 s2]",
-                               "--rhs", "[s1 s2 s3 s2 s1 s2 s3]"]),
-    ("chow_mult_f4_p2_codim5_codim6.txt", [
-        "chow", "mult", "--type", "F4", "--theta", "1,3,4",
-        "--lhs", "[s2 s3 s1 s2 s3 s4 s3 s2 s3 s1 s2 s3 s4 s3 s1 s2 s3 s2 s1]",
-        "--rhs", "[s3 s1 s2 s3 s4 s3 s2 s3 s1 s2 s3 s4 s3 s1 s2 s3 s2 s1]"]),
-    ("verify_f4.txt", ["verify", "f4", "--eps", "both"]),
-]
 
 
 @pytest.mark.parametrize("golden, argv", GOLDEN_RUNS)

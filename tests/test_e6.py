@@ -6,44 +6,23 @@ import pytest
 
 from chowring import weyl
 from chowring.cli import main
-from chowring.rootsystem import CartanMatrix, build_root_system
 from chowring.schubert import ChowRing
 from chowring.weyl import longest_element, serialize
+import dynkin
 from weyl_oracle import multiply, stripped_word
-
-# Bourbaki numbering: 1-3-4-5-6 is the long chain and 2 hangs off 4.
-E6 = ((2, 0, -1, 0, 0, 0),
-      (0, 2, 0, -1, 0, 0),
-      (-1, 0, 2, -1, 0, 0),
-      (0, -1, -1, 2, -1, 0),
-      (0, 0, 0, -1, 2, -1),
-      (0, 0, 0, 0, -1, 2))
-
-
-@pytest.fixture
-def no_enumeration(monkeypatch):
-    """Refuse the orbit of theta = (), the one walk of all of W."""
-    walk = weyl._coset_orbit
-
-    def refuse_regular(system, theta):
-        if not theta:
-            raise AssertionError("W(E6) was enumerated")
-        return walk(system, theta)
-
-    monkeypatch.setattr(weyl, "_coset_orbit", refuse_regular)
 
 
 @pytest.fixture
 def e6_file(tmp_path):
     path = tmp_path / "e6.txt"
-    path.write_text("".join(" ".join(map(str, row)) + "\n" for row in E6))
+    path.write_text("".join(" ".join(map(str, row)) + "\n" for row in dynkin.cartan("E6")))
     return str(path)
 
 
 @pytest.mark.parametrize("node", [1, 6])
-def test_cayley_plane_degree(no_enumeration, node):
+def test_cayley_plane_degree(no_weyl_enumeration, node):
     """E6/P1 and E6/P6: 27 classes and deg H^16 = 78 (Weyl's formula)."""
-    system = build_root_system(CartanMatrix(E6))
+    system = dynkin.system("E6")
     ring = ChowRing(system, [i for i in range(1, 7) if i != node])
     assert (len(ring.classes), ring.dim) == (27, 16)
     h = ring.hyperplane_class(node)
@@ -51,10 +30,10 @@ def test_cayley_plane_degree(no_enumeration, node):
 
 
 @pytest.mark.parametrize("node", [1, 6])
-def test_cayley_plane_degree_by_chevalley(no_enumeration, node):
+def test_cayley_plane_degree_by_chevalley(no_weyl_enumeration, node):
     """H^16 = 78 [pt] by the Chevalley rule alone, which reads the orbit
     and never builds the localization engine."""
-    system = build_root_system(CartanMatrix(E6))
+    system = dynkin.system("E6")
     ring = ChowRing(system, [i for i in range(1, 7) if i != node])
     x = ring.unit
     for _ in range(16):
@@ -65,12 +44,12 @@ def test_cayley_plane_degree_by_chevalley(no_enumeration, node):
 
 
 @pytest.mark.parametrize("node", [1, 6])
-def test_orbit_representatives_match_element_products(no_enumeration, node):
+def test_orbit_representatives_match_element_products(no_weyl_enumeration, node):
     """E6/P1 and E6/P6: each maximal representative is v w_theta, images
     and the length multiply recounts, and the opposite point's is w0 v.
     On E6, w0 is not -1 on the weights, so a lookup of -lambda would
     find the wrong point."""
-    system = build_root_system(CartanMatrix(E6))
+    system = dynkin.system("E6")
     theta = tuple(i for i in range(1, 7) if i != node)
     orbit = weyl.coset_orbit(system, theta)
     w_theta = longest_element(system, theta)
@@ -82,10 +61,10 @@ def test_orbit_representatives_match_element_products(no_enumeration, node):
 
 
 @pytest.mark.parametrize("node", [1, 6])
-def test_coset_rep_words_match_stripping_oracle(no_enumeration, node):
+def test_coset_rep_words_match_stripping_oracle(no_weyl_enumeration, node):
     """Both representatives of every point of E6/P1 and E6/P6, words up to
     36 letters, against the word stripped by element products."""
-    system = build_root_system(CartanMatrix(E6))
+    system = dynkin.system("E6")
     orbit = weyl.coset_orbit(system, [i for i in range(1, 7) if i != node])
     reps = orbit.minimal + orbit.maximal
     assert max(w.length for w in reps) == 36
@@ -95,7 +74,7 @@ def test_coset_rep_words_match_stripping_oracle(no_enumeration, node):
 
 @pytest.mark.parametrize("argv", [
     ["weyl", "cosets"], ["weyl", "cosets", "--maximal"], ["chow", "basis"]])
-def test_cli_lists_27_classes(no_enumeration, e6_file, argv, capsys):
+def test_cli_lists_27_classes(no_weyl_enumeration, e6_file, argv, capsys):
     code = main([*argv, "--cartan-file", e6_file, "--theta", "2,3,4,5,6"])
     out = capsys.readouterr().out.splitlines()
     assert code == 0
@@ -105,7 +84,7 @@ def test_cli_lists_27_classes(no_enumeration, e6_file, argv, capsys):
     assert len(out) == len(set(out)) == 27
 
 
-def test_weyl_order_from_heights(no_enumeration, e6_file, capsys):
+def test_weyl_order_from_heights(no_weyl_enumeration, e6_file, capsys):
     assert main(["weyl", "order", "--cartan-file", e6_file]) == 0
     assert capsys.readouterr().out == "51840\n"
 
@@ -115,7 +94,7 @@ def test_giambelli_lift_above_the_bound_is_usage_error(e6_file, monkeypatch, cap
     lift ends with a one-line error and exit code 2 instead."""
     monkeypatch.setattr(weyl, "MAX_ENUMERATION", 50_000)
     theta = (2, 3, 4, 5, 6)
-    point = serialize(longest_element(build_root_system(CartanMatrix(E6)), theta))
+    point = serialize(longest_element(dynkin.system("E6"), theta))
     code = main(["chow", "giambelli-lift", "--cartan-file", e6_file,
                  "--theta", "2,3,4,5,6", "--class", f"[{point}]"])
     out, err = capsys.readouterr()

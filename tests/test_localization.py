@@ -14,11 +14,11 @@ from hypothesis import strategies as st
 from chowring import correspondence as corr
 from chowring import poly, schubert, weyl
 from chowring.correspondence import Correspondence
-from chowring.rootsystem import BUILTIN_CARTAN, CartanMatrix, build_root_system, root_system
+from chowring.rootsystem import BUILTIN_CARTAN, root_system
 from chowring.schubert import ChowElement, ChowRing, get_chow_ring
 from chowring.weyl import WeylGroup
+import dynkin
 import weyl_oracle
-from e8_p1_degree import E8, maximal, weyl_degree
 from localization_oracle import euler, integrals, oracle_product
 
 # Every quotient of every built-in type, except the F4 quotients with fewer
@@ -78,7 +78,7 @@ def test_hyperplane_degree_matches_weyl_formula(name):
         top = ring.power(ring.hyperplane_class(node), ring.dim)
         assert set(top.terms) <= {ring.point_class}
         degrees[node] = top.terms.get(ring.point_class, 0)
-        assert degrees[node] == weyl_degree(system, theta)
+        assert degrees[node] == dynkin.weyl_degree(system, theta)
     if name == "F4":
         assert degrees[2] == 59440103424
 
@@ -134,15 +134,6 @@ def test_engine_matches_basis_scanning_oracle(quotient):
         assert ring.localization.product(a, b) == oracle_product(ring, a, b)
 
 
-def _chain(rank, short=False):
-    """The Cartan matrix of A_rank, or of B_rank with node ``rank`` short."""
-    rows = [[2 if i == j else -1 if abs(i - j) == 1 else 0 for j in range(rank)]
-            for i in range(rank)]
-    if short:
-        rows[-1][-2] = -2
-    return build_root_system(CartanMatrix(tuple(map(tuple, rows))))
-
-
 def _billey_table(ring):
     """sigma^v|_x for every point x, keyed by v's point, from Billey's
     formula by brute force: every subword of x's word a_1 ... a_l whose
@@ -192,7 +183,7 @@ def _billey_table(ring):
 
 
 @pytest.mark.parametrize("system, theta", [
-    (root_system("G2"), ()), (root_system("B3"), ()), (_chain(3), ()),
+    (root_system("G2"), ()), (root_system("B3"), ()), (dynkin.system("A3"), ()),
     (root_system("B3"), (2, 3))], ids=["G2-flag", "B3-flag", "A3-flag", "B3-23"])
 def test_restrictions_match_billey_subword_oracle(system, theta):
     """The engine's table against Billey's formula summed over reduced
@@ -208,7 +199,7 @@ def test_restrictions_match_billey_subword_oracle(system, theta):
 
 @pytest.mark.parametrize("system, theta, entries", [
     (root_system("G2"), (), 73), (root_system("B3"), (), 847),
-    (_chain(5), (1, 2, 4, 5), 175), (_chain(4, short=True), (1, 2, 3), 126),
+    (dynkin.system("A5"), (1, 2, 4, 5), 175), (dynkin.system("B4"), (1, 2, 3), 126),
     (root_system("F4"), (1, 3, 4), 3776)],
     ids=["G2-flag", "B3-flag", "A5-P3", "B4-P4", "F4-P2"])
 def test_restriction_table_sizes(system, theta, entries):
@@ -259,35 +250,24 @@ def test_broken_integrality_leaves_the_lattice():
             rule(h, h)
 
 
-# E7 is E8 without node 8 (Bourbaki numbering)
-E7 = tuple(row[:7] for row in E8[:7])
-
-
 @pytest.mark.parametrize("node, classes, dim", [(7, 56, 27), (2, 576, 42)],
                          ids=["P7", "P2"])
-def test_e7_degree_by_localization(monkeypatch, node, classes, dim):
+def test_e7_degree_by_localization(no_weyl_enumeration, node, classes, dim):
     """E7/P7 (56 classes) and E7/P2 (576): deg H^dim by localization
     equals Weyl's formula, and W(E7) is never enumerated."""
-    walk = weyl._coset_orbit
-
-    def refuse_regular(system, theta):
-        if not theta:
-            raise AssertionError("W(E7) was enumerated")
-        return walk(system, theta)
-
-    monkeypatch.setattr(weyl, "_coset_orbit", refuse_regular)
-    system, theta = maximal(E7, node)
+    system, theta = dynkin.maximal(dynkin.cartan("E7"), node)
     ring = ChowRing(system, theta)
     assert (len(ring.classes), ring.dim) == (classes, dim)
     top = ring.power(ring.hyperplane_class(node), dim)
     assert ring._localization is not None
-    assert top.terms == {ring.point_class: weyl_degree(system, theta)}
+    assert top.terms == {ring.point_class: dynkin.weyl_degree(system, theta)}
 
 
 def test_table_bound_builds_e8_p1_and_refuses_e8_p2():
     """The stated bound, on the orbit sizes alone: E8/P1 has 2160 fixed
     points, E8/P2 has 17280."""
-    p1, p2 = (weyl._orbit_size(*maximal(E8, node)) for node in (1, 2))
+    p1, p2 = (weyl._orbit_size(*dynkin.maximal(dynkin.cartan("E8"), node))
+              for node in (1, 2))
     assert (p1, p2) == (2160, 17280)
     assert p1 * p1 <= schubert.MAX_LOCALIZATION_TABLE < p2 * p2
 

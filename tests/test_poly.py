@@ -5,7 +5,8 @@ import pytest
 
 from chowring import poly, weyl
 from chowring.poly import RationalPolynomial as RP
-from chowring.rootsystem import CartanMatrix, build_root_system, root_system
+from chowring.rootsystem import root_system
+import dynkin
 import poly_oracle
 
 
@@ -101,20 +102,9 @@ def test_zero_polynomial(f4):
 # -- packed monomials: the largest degree a field holds, and overflow
 
 
+# E6: 2N = 72 needs 7-bit fields, and six of them plus the degree no
+# longer fit one 30-bit digit of an int.
 PACKED_SYSTEMS = ["A1", "G2", "F4", "E6"]
-
-# E6 in Bourbaki numbering (not built in): 2N = 72 needs 7-bit fields, and
-# six of them plus the degree no longer fit one 30-bit digit of an int.
-E6 = ((2, 0, -1, 0, 0, 0),
-      (0, 2, 0, -1, 0, 0),
-      (-1, 0, 2, -1, 0, 0),
-      (0, -1, -1, 2, -1, 0),
-      (0, 0, 0, -1, 2, -1),
-      (0, 0, 0, 0, -1, 2))
-
-
-def _system(name):
-    return build_root_system(CartanMatrix(E6)) if name == "E6" else root_system(name)
 
 
 def _top(rs) -> int:
@@ -124,7 +114,7 @@ def _top(rs) -> int:
 
 @pytest.mark.parametrize("name", PACKED_SYSTEMS)
 def test_largest_exponent_round_trips(name):
-    rs = _system(name)
+    rs = dynkin.system(name)
     top = _top(rs)
     assert top >= 2 * len(rs.positive_roots)
     for i in range(1, rs.rank + 1):
@@ -140,7 +130,7 @@ def test_largest_exponent_round_trips(name):
 
 @pytest.mark.parametrize("name", PACKED_SYSTEMS)
 def test_product_reaching_the_top_degree_does_not_wrap(name):
-    rs = _system(name)
+    rs = dynkin.system(name)
     top = _top(rs)
     assert poly.format_polynomial(_power(rs, 1, top - 1) * _power(rs, 1, 1)) == f"w1^{top}"
     if rs.rank > 1:
@@ -164,7 +154,7 @@ def test_top_degree_reflection_fills_the_next_field(f4):
 
 @pytest.mark.parametrize("name", PACKED_SYSTEMS)
 def test_overflowing_monomials_raise(name):
-    rs = _system(name)
+    rs = dynkin.system(name)
     top = _top(rs)
     w1, wn, one = _power(rs, 1, 1), _power(rs, rs.rank, 1), _power(rs, 1, 0)
     with pytest.raises(ValueError):

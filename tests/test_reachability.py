@@ -1,6 +1,6 @@
 """src/chowring holds what the program's own traffic reaches.
 
-The traffic is every golden CLI run of ``test_cli``, ``verify f4`` as JSON
+The traffic is every golden CLI run (``golden_runs``), ``verify f4`` as JSON
 and as text, and the commands that no golden pins: ``roots``, ``corr``,
 ``weyl order`` and ``longest``, a ``--cartan-file`` system and a malformed
 command line.  It runs in a fresh interpreter, so that no cache an earlier
@@ -25,6 +25,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+from golden_runs import GOLDEN_RUNS
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 PACKAGE = SRC / "chowring"
@@ -123,8 +125,6 @@ def _traced_child() -> None:
 
 
 def test_src_holds_what_its_traffic_reaches(tmp_path):
-    from test_cli import GOLDEN_RUNS
-
     (tmp_path / "b2.txt").write_text("2 -1\n-2 2\n")
     runs = [(argv, 0) for _, argv in GOLDEN_RUNS] + EXTRA_RUNS
     argvs = [[a.replace("{tmp}", str(tmp_path)) for a in argv] for argv, _ in runs]

@@ -7,9 +7,9 @@ import pytest
 from chowring.rootsystem import (BUILTIN_CARTAN, CartanMatrix,
                                  InfiniteRootSystemError, build_root_system,
                                  root_system)
-from chowring.weyl import coset_orbit
+from chowring.weyl import coset_orbit, order_from_heights
+import dynkin
 import weyl_oracle
-from test_e6 import E6
 
 
 def _omega(system, j):
@@ -23,6 +23,20 @@ def _omega(system, j):
 ])
 def test_positive_root_counts(name, count):
     assert len(root_system(name).positive_roots) == count
+
+
+def test_dynkin_generator_matches_published_data():
+    """tests/dynkin.py against the package's own matrices and against the
+    published orders of the Weyl groups and numbers of positive roots
+    (Bourbaki, Lie Groups and Lie Algebras, Ch. VI, Plates I-VII)."""
+    for name in ("A1", "A2", "B2", "B3"):
+        assert dynkin.cartan(name) == BUILTIN_CARTAN[name]
+    orders = {"A5": 720, "B4": 384, "D4": 192, "D5": 1920, "E6": 51840,
+              "E7": 2903040, "E8": 696729600}
+    for name, order in orders.items():
+        assert order_from_heights(dynkin.system(name)) == order, name
+    assert [len(dynkin.system(name).positive_roots) for name in ("E6", "E7", "E8")] \
+        == [36, 63, 120]
 
 
 def test_a1_positive_roots_is_the_simple_root():
@@ -43,12 +57,10 @@ def test_infinite_type_rejected():
     affine = CartanMatrix.from_rows([[2, -2], [-2, 2]])
     with pytest.raises(InfiniteRootSystemError):
         build_root_system(affine)
-    rows = [[2 if i == j else 0 for j in range(10)] for i in range(10)]
-    for i, j in [(k, k + 1) for k in range(8)] + [(4, 9)]:
-        rows[i][j] = rows[j][i] = -1
+    rows = dynkin.from_edges(10, [(k, k + 1) for k in range(1, 9)] + [(5, 10)])
     start = time.perf_counter()
     with pytest.raises(InfiniteRootSystemError):
-        build_root_system(CartanMatrix.from_rows(rows))
+        build_root_system(CartanMatrix(rows))
     assert time.perf_counter() - start < 1.0
 
 
@@ -209,14 +221,9 @@ def _closure_by_full_pairings(cartan):
     return tuple(sorted(known, key=lambda r: (sum(r), r)))
 
 
-def _cartan_a(n):
-    return CartanMatrix.from_rows([[2 if i == j else -1 if abs(i - j) == 1 else 0
-                                    for j in range(n)] for i in range(n)])
-
-
 def test_a30_positive_roots_are_the_intervals():
     """The positive roots of A_n are the sums alpha_i + ... + alpha_j."""
-    roots = build_root_system(_cartan_a(30)).positive_roots
+    roots = dynkin.system("A30").positive_roots
     intervals = {tuple(1 if i <= k <= j else 0 for k in range(30))
                  for i in range(30) for j in range(i, 30)}
     assert len(roots) == len(intervals) == 465
@@ -225,8 +232,8 @@ def test_a30_positive_roots_are_the_intervals():
 
 @pytest.mark.parametrize("name", sorted(BUILTIN_CARTAN) + ["E6"])
 def test_closure_matches_the_full_pairing_closure(name):
-    cartan = CartanMatrix(E6) if name == "E6" else CartanMatrix.from_name(name)
-    assert build_root_system(cartan).positive_roots == _closure_by_full_pairings(cartan)
+    system = dynkin.system(name)
+    assert system.positive_roots == _closure_by_full_pairings(system.cartan)
 
 
 @pytest.mark.parametrize("name", sorted(BUILTIN_CARTAN) + ["E6", "A60"])
@@ -235,9 +242,7 @@ def test_coroot_table_matches_the_double_sum_norm(name):
     sum over the nodes; the oracle sums beta_i beta_j m (alpha_i, alpha_j)
     over the whole support, in integers, for every root, positive or
     negative."""
-    cartan = {"E6": CartanMatrix(E6), "A60": _cartan_a(60)}.get(name) \
-        or CartanMatrix.from_name(name)
-    system = build_root_system(cartan)
+    system = dynkin.system(name)
     n = system.rank
     form = weyl_oracle._form(system)
     m = lcm(*(x.denominator for row in form for x in row))

@@ -10,6 +10,7 @@ from chowring.rootsystem import (BUILTIN_CARTAN, CartanMatrix, build_root_system
                                   root_system)
 from chowring.schubert import ChowRing
 from chowring.weyl import get_weyl_group
+import dynkin
 import weyl_oracle
 from weyl_oracle import listed_group
 
@@ -112,32 +113,11 @@ def test_reduced_word_small_groups_exhaustive():
             assert weyl.word_to_element(group.system, word) == w
 
 
-# Bourbaki numbering: 1-2-3 is the chain, 4 and 5 both hang off 3.
-D5 = ((2, -1, 0, 0, 0),
-      (-1, 2, -1, 0, 0),
-      (0, -1, 2, -1, -1),
-      (0, 0, -1, 2, 0),
-      (0, 0, -1, 0, 2))
-
-
-# Bourbaki numbering: the chain 1-2-3-4-5.
-A5 = ((2, -1, 0, 0, 0),
-      (-1, 2, -1, 0, 0),
-      (0, -1, 2, -1, 0),
-      (0, 0, -1, 2, -1),
-      (0, 0, 0, -1, 2))
-
-
-def _system(name):
-    rows = {"D5": D5, "A5": A5}.get(name)
-    return build_root_system(CartanMatrix(rows)) if rows else root_system(name)
-
-
 @pytest.mark.parametrize("name", ["A2", "B2", "G2", "B3", "F4", "D5", "A5"])
 def test_reduced_word_matches_stripping_oracle(name):
     """Every element's word is the stripped one, whether the group is named
     from the longest elements down or from the shortest up."""
-    elements = weyl.WeylGroup(_system(name)).elements
+    elements = weyl.WeylGroup(dynkin.system(name)).elements
     oracle = {w: weyl_oracle.stripped_word(w) for w in elements}
     for order in (elements[::-1], elements):
         for w in order:
@@ -310,7 +290,7 @@ def test_group_tables_match_element_products(name):
     lengths: the listing order, and the moves the Giambelli engine makes,
     s_i w by weight lookup, right descents and w^{-1} by the weight of the
     coroot heights of w(alpha_i)."""
-    system = _system(name)
+    system = dynkin.system(name)
     group = weyl.WeylGroup(system)
     orbit = group.orbit
     elements = group.elements
