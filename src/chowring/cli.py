@@ -76,12 +76,19 @@ def _emit(text: str, path: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _pipeline_ring(matches):
+    """The F4 pipeline's labeled ring whose variety record ``matches``, or
+    None; builds nothing of the pipeline when no record does."""
+    k = next((k for k, v in enumerate(f4pipeline.VARIETIES) if matches(v)), None)
+    return None if k is None else f4pipeline.get_f4_varieties()[k]
+
+
 def _ring(args):
     system = _system(args)
     theta = _theta(args, system)
-    if system is root_system("F4"):
-        # labels the shared F4 rings that get_chow_ring returns
-        f4pipeline.get_f4_varieties()
+    ring = _pipeline_ring(lambda v: system is root_system("F4") and v.theta == theta)
+    if ring is not None:
+        return ring
     try:
         return get_chow_ring(system, theta)
     except ValueError as exc:   # W^theta too large to walk
@@ -206,14 +213,9 @@ def cmd_chow(args) -> int:
     return 0
 
 
-def _f4_tags() -> dict:
-    """Tag -> labeled F4 ring, the only varieties a correspondence file names."""
-    x1, x4 = f4pipeline.get_f4_varieties()
-    return {"x1": x1, "x4": x4}
-
-
 def _f4_variety(tag):
-    ring = _f4_tags().get(tag) if isinstance(tag, str) else None
+    """The labeled F4 ring tagged ``tag``, the only rings a correspondence names."""
+    ring = _pipeline_ring(lambda v: v.tag == tag)
     if ring is None:
         raise UsageError(f"unknown variety {tag!r}; use x1 or x4")
     return ring
@@ -238,7 +240,7 @@ def _load_corr(path: str):
 
 
 def _dump_corr(alpha) -> str:
-    tag = {ring: name for name, ring in _f4_tags().items()}
+    tag = {ring: v.tag for v, ring in zip(f4pipeline.VARIETIES, f4pipeline.get_f4_varieties())}
     payload = {"source": tag[alpha.source], "target": tag[alpha.target],
                "terms": corr.to_jsonable(alpha)}
     return json.dumps(payload, indent=2) + "\n"
@@ -384,6 +386,8 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         return args.fn(args)
     except (UsageError, OSError) as exc:
+        if isinstance(exc, OSError) and exc.filename is not None:
+            exc = f"{exc.filename}: {exc.strerror}"
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

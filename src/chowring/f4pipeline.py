@@ -28,6 +28,7 @@ import itertools
 import json
 import os
 import time
+from collections import namedtuple
 from functools import lru_cache
 
 from . import correspondence as corr
@@ -36,12 +37,20 @@ from . import poly
 from . import weyl as _weyl
 from .correspondence import Correspondence
 from .rootsystem import root_system
-from .schubert import ChowElement, ChowRing, LatticeError, SubringError, get_chow_ring
+from .schubert import ChowElement, ChowRing, LatticeError, SubringError
 
-THETA_P1 = (2, 3, 4)   # omits node 1
-THETA_P4 = (1, 2, 3)   # omits node 4
-NODE_P1 = 1
-NODE_P4 = 4
+# Per variety: its tag in correspondence files, theta, the node of its
+# hyperplane class, its label letter and fixture stem, the class whose
+# square the paper displays with that square, the preimage file of that
+# class, and its idempotent family.
+Variety = namedtuple("Variety", "tag theta node letter stem squared square preimage family")
+
+VARIETIES = (
+    Variety("x1", (2, 3, 4), 1, "h", "p1", "h1^4", (("h1^8", 8), ("h2^8", 6)),
+            "h14_preimage.txt", "p"),
+    Variety("x4", (1, 2, 3), 4, "g", "p4", "g1^4", (("g1^8", 4), ("g2^8", 3)),
+            "g14_preimage.txt", "q"),
+)
 
 
 # ---------------------------------------------------------------------------
@@ -108,23 +117,26 @@ def _parse_label(lab: str) -> tuple[int, int]:
 
 @lru_cache(maxsize=None)
 def get_f4_varieties() -> tuple[ChowRing, ChowRing]:
-    """The two F4 rings, labeled by the frozen reduced-word fixtures, which
-    must name each basis class once, in the codimension of its label (that
-    the tables pin the labels is the ``pieri-tables-chevalley`` check)."""
+    """The rings of ``VARIETIES``, built here and labeled by the frozen
+    reduced-word fixtures, which must name each basis class once, in the
+    codimension of its label (that the tables pin the labels is the
+    ``pieri-tables-chevalley`` check).  They are the only labeled rings:
+    the shared rings of ``get_chow_ring`` carry none."""
     system = root_system("F4")
-    x1 = get_chow_ring(system, THETA_P1)
-    x4 = get_chow_ring(system, THETA_P4)
-    for ring, letter, which in ((x1, "h", "p1"), (x4, "g", "p4")):
-        words = json.loads(_data_text(f"labels_{which}.json"))
+    rings = []
+    for v in VARIETIES:
+        ring = ChowRing(system, v.theta)
+        words = json.loads(_data_text(f"labels_{v.stem}.json"))
         labels = {lab: ring.class_of(_weyl.parse_element(system, word))
                   for lab, word in words.items()}
         if (len(labels) != len(ring.classes) or len(set(labels.values())) != len(labels)
-                or any(lab != f"{letter}{_parse_label(lab)[0]}^{cls.codim}"
+                or any(lab != f"{v.letter}{_parse_label(lab)[0]}^{cls.codim}"
                        for lab, cls in labels.items())):
-            raise RuntimeError(f"label fixture error: labels_{which}.json does not "
+            raise RuntimeError(f"label fixture error: labels_{v.stem}.json does not "
                                "name each basis class once, in its codimension")
         ring.attach_labels(labels)
-    return x1, x4
+        rings.append(ring)
+    return tuple(rings)
 
 
 # ---------------------------------------------------------------------------
@@ -132,10 +144,10 @@ def get_f4_varieties() -> tuple[ChowRing, ChowRing]:
 
 
 @lru_cache(maxsize=None)
-def hyperplane_power(which: str, n: int) -> ChowElement:
-    x1, x4 = get_f4_varieties()
-    ring, label = (x1, "h1^1") if which == "h" else (x4, "g1^1")
-    return ring.power(ring.class_by_label(label), n)
+def hyperplane_power(k: int, n: int) -> ChowElement:
+    """H^n on the variety ``VARIETIES[k]``, H its hyperplane class."""
+    ring = get_f4_varieties()[k]
+    return ring.power(ring.hyperplane_class(VARIETIES[k].node), n)
 
 
 def _check_eps(eps: int) -> int:
@@ -167,18 +179,16 @@ def build_rho(i: int, eps: int) -> Correspondence:
     if not 0 <= i <= 7:
         raise ValueError("rho index must lie in 0..7")
     _check_eps(eps)
-    powers = Correspondence.from_product(hyperplane_power("h", i),
-                                         hyperplane_power("g", 7 - i))
+    powers = Correspondence.from_product(hyperplane_power(0, i), hyperplane_power(1, 7 - i))
     return corr.intersect(r_squared(eps), powers)
 
 
 @lru_cache(maxsize=None)
 def fixture_idempotents() -> tuple[tuple[Correspondence, ...], tuple[Correspondence, ...]]:
-    x1, x4 = get_f4_varieties()
+    """The displayed families p' on X1 and q' on X4."""
     data = json.loads(_data_text("idempotent_cycles.json"))
-    p = tuple(corr.from_jsonable(x1, x1, cycle) for cycle in data["p"])
-    q = tuple(corr.from_jsonable(x4, x4, cycle) for cycle in data["q"])
-    return p, q
+    return tuple(tuple(corr.from_jsonable(ring, ring, cycle) for cycle in data[v.family])
+                 for v, ring in zip(VARIETIES, get_f4_varieties()))
 
 
 @lru_cache(maxsize=None)
@@ -219,24 +229,20 @@ def compute_idempotents(eps: int) -> tuple[tuple[Correspondence, ...], tuple[Cor
     what downstream consumers get via :func:`fixture_idempotents`.
     """
     _check_eps(eps)
-    p_fix, q_fix = fixture_idempotents()
-    p_out, q_out = [], []
+    fixtures = fixture_idempotents()
+    found: tuple[list, list] = ([], [])
     for i in range(4):
-        rho_i = build_rho(i, eps)
-        rho_mate_t = corr.transpose(build_rho(7 - i, eps))
-        p_cand = corr.mod_reduce(corr.compose(rho_mate_t, rho_i), 3)
-        q_cand = corr.mod_reduce(corr.compose(rho_i, rho_mate_t), 3)
-        if not corr.congruent(p_cand, p_fix[i], 3):
-            raise IdempotentMismatch(f"composition rho_{7-i}^t o rho_{i} is not "
-                                     f"congruent to the displayed cycle p'_{i}",
-                                     i, "p'", p_cand)
-        if not corr.congruent(q_cand, q_fix[i], 3):
-            raise IdempotentMismatch(f"composition rho_{i} o rho_{7-i}^t is not "
-                                     f"congruent to the displayed cycle q'_{i}",
-                                     i, "q'", q_cand)
-        p_out.append(p_cand)
-        q_out.append(q_cand)
-    return tuple(p_out), tuple(q_out)
+        rho, mate_t = build_rho(i, eps), corr.transpose(build_rho(7 - i, eps))
+        # p'_i on X1 from rho_{7-i}^t o rho_i, q'_i on X4 from rho_i o rho_{7-i}^t
+        for k, (beta, alpha, shown) in enumerate(((mate_t, rho, f"rho_{7-i}^t o rho_{i}"),
+                                                  (rho, mate_t, f"rho_{i} o rho_{7-i}^t"))):
+            reduced = corr.mod_reduce(corr.compose(beta, alpha), 3)
+            cycle = f"{VARIETIES[k].family}'"
+            if not corr.congruent(reduced, fixtures[k][i], 3):
+                raise IdempotentMismatch(f"composition {shown} is not congruent to the "
+                                         f"displayed cycle {cycle}_{i}", i, cycle, reduced)
+            found[k].append(reduced)
+    return tuple(found[0]), tuple(found[1])
 
 
 @lru_cache(maxsize=None)
@@ -350,20 +356,18 @@ def _run(report: VerificationReport, name: str, fn) -> CheckResult:
 
 def check_structure():
     system = root_system("F4")
-    x1, x4 = get_f4_varieties()
-    group = x1.group
+    rings = get_f4_varieties()
+    group = rings[0].group
     expected_ranks = (1, 1, 1, 1) + (2,) * 8 + (1, 1, 1, 1)
     facts = {
         "positive roots": (len(system.positive_roots), 24),
         "|W|": (len(group.elements), 1152),
         "l(w0)": (group.longest.length, 24),
-        "|W^theta| P1": (len(group.minimal_coset_reps(THETA_P1)), 24),
-        "|W^theta| P4": (len(group.minimal_coset_reps(THETA_P4)), 24),
-        "dim X1": (x1.dim, 15),
-        "dim X4": (x4.dim, 15),
-        "ranks X1": (x1.ranks(), expected_ranks),
-        "ranks X4": (x4.ranks(), expected_ranks),
     }
+    for v, ring in zip(VARIETIES, rings):
+        facts[f"|W^theta| {v.stem.upper()}"] = (len(group.minimal_coset_reps(v.theta)), 24)
+        facts[f"dim {v.tag.upper()}"] = (ring.dim, 15)
+        facts[f"ranks {v.tag.upper()}"] = (ring.ranks(), expected_ranks)
     bad = {k: [list(got), list(want)] if isinstance(want, tuple) else [got, want]
            for k, (got, want) in facts.items() if got != want}
     return (not bad, "root count, group order, coset sizes and codimension "
@@ -374,71 +378,62 @@ def check_table_labels():
     """The hyperplane tables pin the frozen labels: under Chevalley's rule
     exactly one assignment reproduces each table, it is the frozen one, and
     the dual of h_i^s (g_i^s) is h_i^(15-s) (g_i^(15-s))."""
-    x1, x4 = get_f4_varieties()
     witness = {}
-    for ring, node, letter, which in ((x1, NODE_P1, "h", "p1"), (x4, NODE_P4, "g", "p4")):
-        table = load_table(which)
-        solutions = solve_labels(ring, node, letter, table)
+    for v, ring in zip(VARIETIES, get_f4_varieties()):
+        table = load_table(v.stem)
+        solutions = solve_labels(ring, v.node, v.letter, table)
         unaligned = [lab for lab, cls in sorted(ring.labels.items())
                      if _parse_label(ring.label_of(ring.dual_class(cls)))
                      != (_parse_label(lab)[0], ring.dim - cls.codim)]
         if solutions != [ring.labels] or unaligned:
             missed = list(_table_misses(
-                lambda cls: ring.chevalley_product(node, cls).terms,
+                lambda cls: ring.chevalley_product(v.node, cls).terms,
                 ring.labels, table))
-            witness[which] = {"assignments": len(solutions), "missed": missed,
-                              "unaligned": unaligned}
+            witness[v.stem] = {"assignments": len(solutions), "missed": missed,
+                               "unaligned": unaligned}
     return (not witness, "all 44 hyperplane products via chevalley", witness or None)
 
 
 def check_tables():
     """Each hyperplane table, reproduced by the Giambelli route."""
-    x1, x4 = get_f4_varieties()
     witness = {}
-    for ring, node, which in ((x1, NODE_P1, "p1"), (x4, NODE_P4, "p4")):
-        h = ring.hyperplane_class(node)
+    for v, ring in zip(VARIETIES, get_f4_varieties()):
+        h = ring.hyperplane_class(v.node)
         missed = list(_table_misses(
             lambda cls: ring.giambelli_product(h, cls).terms,
-            ring.labels, load_table(which)))
+            ring.labels, load_table(v.stem)))
         if missed:
-            witness[which] = missed
+            witness[v.stem] = missed
     return (not witness, "all 44 hyperplane products via giambelli", witness or None)
 
 
-# the paper's squares h1^4*h1^4 on X1 and g1^4*g1^4 on X4
-SQUARES = {"h1^4": {"h1^8": 8, "h2^8": 6}, "g1^4": {"g1^8": 4, "g2^8": 3}}
-
-
-def _square(ring: ChowRing, label: str) -> ChowElement:
-    """The paper's square of the class ``label`` of ``ring``."""
-    return ChowElement(ring, {ring.class_by_label(c): v for c, v in SQUARES[label].items()})
+def _square(ring: ChowRing, v: Variety) -> ChowElement:
+    """The paper's square of the class ``v.squared`` of ``ring``."""
+    return ChowElement(ring, {ring.class_by_label(c): n for c, n in v.square})
 
 
 def check_squares():
-    x1, x4 = get_f4_varieties()
     failures = []
-    for ring, a in ((x1, "h1^4"), (x4, "g1^4")):
-        cls = ring.class_by_label(a)
+    for v, ring in zip(VARIETIES, get_f4_varieties()):
+        cls = ring.class_by_label(v.squared)
         got = ring.giambelli_product(cls, cls)
-        if got != _square(ring, a):
-            failures.append({"square": a, "got": repr(got)})
-    return (not failures, "h1^4*h1^4 = 8h1^8+6h2^8 and g1^4*g1^4 = 4g1^8+3g2^8",
-            failures or None)
+        if got != _square(ring, v):
+            failures.append({"square": v.squared, "got": repr(got)})
+    shown = " and ".join(f"{v.squared}*{v.squared} = " + "+".join(f"{n}{c}" for c, n in v.square)
+                         for v in VARIETIES)
+    return not failures, shown, failures or None
 
 
 def check_preimages():
-    system = root_system("F4")
-    x1, x4 = get_f4_varieties()
     failures = []
-    for ring, fname, target in ((x1, "h14_preimage.txt", "h1^4"),
-                                (x4, "g14_preimage.txt", "g1^4")):
-        u = poly.parse_polynomial(system, _data_text(fname))
-        for what, v, want in ((fname, u, ring.element(ring.class_by_label(target))),
-                              (fname + " squared", u * u, _square(ring, target))):
+    for v, ring in zip(VARIETIES, get_f4_varieties()):
+        u = poly.parse_polynomial(ring.system, _data_text(v.preimage))
+        for what, f, want in ((v.preimage, u, ring.element(ring.class_by_label(v.squared))),
+                              (v.preimage + " squared", u * u, _square(ring, v))):
             # a transcription error can leave the image lattice or the
             # subring: a FAIL of the data, not a fault of the program
             try:
-                got = ring.c_map(v)
+                got = ring.c_map(f)
             except (LatticeError, SubringError) as exc:
                 failures.append({"poly": what, "error": str(exc)})
                 continue
@@ -481,56 +476,48 @@ def check_eps_independence():
         plus, minus = compute_idempotents(1), compute_idempotents(-1)
     except IdempotentMismatch as exc:
         return False, str(exc), exc.witness
-    witness = next(({"family": family, "i": i, "eps=+1": corr.to_jsonable(a),
+    witness = next(({"family": f"{v.family}'", "i": i, "eps=+1": corr.to_jsonable(a),
                      "eps=-1": corr.to_jsonable(b)}
-                    for family, fa, fb in (("p'", plus[0], minus[0]),
-                                           ("q'", plus[1], minus[1]))
+                    for v, fa, fb in zip(VARIETIES, plus, minus)
                     for i, (a, b) in enumerate(zip(fa, fb)) if a != b), None)
     return (witness is None, "the mod-3 idempotent candidates are identical "
             "for both values of eps", witness)
 
 
-def _all_eight(which: str):
-    p, q = fixture_idempotents()
-    family = p if which == "p" else q
+def _all_eight(family: tuple[Correspondence, ...]) -> list[Correspondence]:
     return list(family) + [corr.transpose(c) for c in family]
 
 
 def check_idempotent_exactness():
     failures = []
-    for which in ("p", "q"):
-        for k, cycle in enumerate(_all_eight(which)):
+    for v, family in zip(VARIETIES, fixture_idempotents()):
+        for k, cycle in enumerate(_all_eight(family)):
             if not corr.is_idempotent(cycle, 0):
-                failures.append(f"{which}{k % 4}{'t' if k >= 4 else ''}")
+                failures.append(f"{v.family}{k % 4}{'t' if k >= 4 else ''}")
     return (not failures, "all eight displayed cycles and transposes are "
             "idempotent over the integers", failures or None)
 
 
 def check_orthogonality():
     failures = []
-    for which in ("p", "q"):
-        cycles = _all_eight(which)
+    for v, family in zip(VARIETIES, fixture_idempotents()):
+        cycles = _all_eight(family)
         for a in range(len(cycles)):
             for b in range(len(cycles)):
                 if a == b:
                     continue
                 if not corr.compose(cycles[a], cycles[b]).is_zero():
-                    failures.append({"family": which, "pair": [a, b]})
+                    failures.append({"family": v.family, "pair": [a, b]})
     return (not failures, "the 8x8 composition table is diagonal on each "
             "variety (integral orthogonality)", failures or None)
 
 
 def check_completeness():
-    x1, x4 = get_f4_varieties()
-    p, q = fixture_idempotents()
     failures = []
-    for ring, family, name in ((x1, p, "p"), (x4, q, "q")):
-        total = None
-        for cycle in family:
-            piece = cycle + corr.transpose(cycle)
-            total = piece if total is None else total + piece
-        if total != corr.diagonal(ring):
-            failures.append(name)
+    for v, ring, family in zip(VARIETIES, get_f4_varieties(), fixture_idempotents()):
+        cycles = _all_eight(family)
+        if sum(cycles[1:], cycles[0]) != corr.diagonal(ring):
+            failures.append(v.family)
     return (not failures, "sum of the idempotents and transposes equals the "
             "diagonal cycle on each variety", failures or None)
 
@@ -552,18 +539,17 @@ def _support_ranks(p: Correspondence) -> dict[int, int]:
 
 
 def check_twist_support():
-    p, q = fixture_idempotents()
     failures = []
-    for which, family in (("p", p), ("q", q)):
+    for v, family in zip(VARIETIES, fixture_idempotents()):
         for i, cycle in enumerate(family):
             want = {i: 1, i + 4: 1, i + 8: 1}
             got = _support_ranks(cycle)
             if got != want:
-                failures.append({"idempotent": f"{which}'_{i}", "ranks": got})
+                failures.append({"idempotent": f"{v.family}'_{i}", "ranks": got})
             want_t = {15 - i - 8: 1, 15 - i - 4: 1, 15 - i: 1}
             got_t = _support_ranks(corr.transpose(cycle))
             if got_t != want_t:
-                failures.append({"idempotent": f"{which}'_{i}^t", "ranks": got_t})
+                failures.append({"idempotent": f"{v.family}'_{i}^t", "ranks": got_t})
     return (not failures, "each idempotent realizes rank 1 exactly in "
             "codimensions {i, i+4, i+8} and its transpose in the "
             "complementary ones", failures or None)

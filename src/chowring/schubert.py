@@ -532,14 +532,24 @@ class _LocalizationEngine:
             d0, d1 = row[x]
             (c0, r0), (c1, r1) = divmod(s0, d0), divmod(s1, d1)
             if r0 or r1:
-                raise AssertionError("localization product left the integer lattice")
+                raise AssertionError("localization product left the integer lattice"
+                                     + self._witness(a, b, x, f"{s0}/{d0}", f"{s1}/{d1}"))
             if c0 or c1:
                 if x >= first and c0 != c1:
                     raise AssertionError("localization gives different products at "
-                                         "the two evaluation points")
+                                         "the two evaluation points"
+                                         + self._witness(a, b, x, c0, c1))
                 solved[x] = (c0, c1)
         return {self.classes[self.opposite[x]]: c0
                 for x, (c0, _) in solved.items() if x >= first}
+
+    def _witness(self, a: SchubertClass, b: SchubertClass, x: int, lane0, lane1) -> str:
+        """Where a product was refused: theta, both factors, the point x
+        with its length and word, and the value c_x took in each lane."""
+        ring = self.ring
+        return (f": theta {ring.theta}, {ring.label_of(a)} * {ring.label_of(b)} at "
+                f"x = [{ring.orbit.names[x]}] (point {x}, length {len(ring.orbit.words[x])}); "
+                f"lanes {lane0} and {lane1}")
 
 
 class ChowRing:

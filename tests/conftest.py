@@ -17,12 +17,14 @@ def f4_group(f4):
     return get_weyl_group(f4)
 
 
-@pytest.fixture(scope="session")
+# Per test: a test that clears the pipeline's caches gets the rings built
+# after the clear, not those of an earlier test.
+@pytest.fixture
 def x1():
     return get_f4_varieties()[0]
 
 
-@pytest.fixture(scope="session")
+@pytest.fixture
 def x4():
     return get_f4_varieties()[1]
 

@@ -37,15 +37,15 @@ def test_criterion_01_structure(f4, f4_group, x1, x4):
                "theta, dim 15, ranks 1,1,1,1,2,...,2,1,1,1,1")
 
 
-def test_criterion_02_pieri_tables(x1, x4):
+def test_criterion_02_pieri_tables():
     checked = 0
-    for ring, node, which in ((x1, 1, "p1"), (x4, 4, "p4")):
-        h = ring.hyperplane_class(node)
-        for _, rhs, product in pipe.load_table(which):
+    for variety, ring in zip(pipe.VARIETIES, pipe.get_f4_varieties()):
+        h = ring.hyperplane_class(variety.node)
+        for _, rhs, product in pipe.load_table(variety.stem):
             x = ring.class_by_label(rhs)
             want = ChowElement(ring, {ring.class_by_label(c): v
                                       for c, v in product})
-            assert ring.chevalley_product(node, x) == want
+            assert ring.chevalley_product(variety.node, x) == want
             assert ring.giambelli_product(h, x) == want
             checked += 1
     assert checked == 44
@@ -85,12 +85,11 @@ def test_criterion_05_congruences():
                "mod 3 (balanced representatives), both eps values")
 
 
-def test_criterion_06_idempotent_suite(x1, x4):
+def test_criterion_06_idempotent_suite():
     for eps in (1, -1):
         pipe.compute_idempotents.cache_clear()
         pipe.compute_idempotents(eps)   # raises when a congruence fails
-    p, q = pipe.fixture_idempotents()
-    for family, ring in ((p, x1), (q, x4)):
+    for family, ring in zip(pipe.fixture_idempotents(), pipe.get_f4_varieties()):
         cycles = list(family) + [corr.transpose(c) for c in family]
         for a in range(8):
             assert corr.is_idempotent(cycles[a], 0)
@@ -219,10 +218,10 @@ def test_criterion_09_property_suites(x1, x4, a2_flag, b2_flag):
                        for c in zip(*matrix))
 
     # Chevalley vs Giambelli on every basis class of both F4 quotients
-    for ring, node in ((x1, 1), (x4, 4)):
-        h = ring.hyperplane_class(node)
+    for variety, ring in zip(pipe.VARIETIES, pipe.get_f4_varieties()):
+        h = ring.hyperplane_class(variety.node)
         for cls in ring.classes:
-            assert ring.giambelli_product(h, cls) == ring.chevalley_product(node, cls)
+            assert ring.giambelli_product(h, cls) == ring.chevalley_product(variety.node, cls)
 
     # unit laws on the whole morphism-degree basis
     delta = corr.diagonal(x1)

@@ -96,16 +96,15 @@ def test_c_raw_matches_oracle_on_every_lift_product(name, theta):
     assert walked
 
 
-def test_c_raw_matches_oracle_on_the_f4_verify_products(x1, x4):
+def test_c_raw_matches_oracle_on_the_f4_verify_products():
     """The 44 table products and the two squares of ``verify f4``."""
     count = 0
-    for ring, node, table, square in ((x1, pipe.NODE_P1, "p1", "h1^4"),
-                                      (x4, pipe.NODE_P4, "p4", "g1^4")):
+    for v, ring in zip(pipe.VARIETIES, pipe.get_f4_varieties()):
         engine = _GiambelliEngine(ring.group)
         mul = poly._calculus(ring.system).mul
-        h = ring.hyperplane_class(node)
-        pairs = [(h, ring.class_by_label(rhs)) for _, rhs, _ in pipe.load_table(table)]
-        pairs.append((ring.class_by_label(square),) * 2)
+        h = ring.hyperplane_class(v.node)
+        pairs = [(h, ring.class_by_label(rhs)) for _, rhs, _ in pipe.load_table(v.stem)]
+        pairs.append((ring.class_by_label(v.squared),) * 2)
         for a, b in pairs:
             u = mul(engine.lift_raw(a.rep), engine.lift_raw(b.rep))
             assert set(ring.theta) <= set(invariance_set(ring.system, u))

@@ -55,6 +55,14 @@ def _corr(coeff="1", f="h1^0", g="h1^15") -> str:
     return '{"source": "x1", "target": "x1", "terms": [{%s}]}' % term
 
 
+# the inputs below whose file cannot be opened, with their whole error line
+PATH_ERRORS = {
+    "cartan-directory": "{dir}: Is a directory",
+    "cartan-missing": "{file}: No such file or directory",
+    "output-to-missing-directory": "{file}/x.json: No such file or directory",
+}
+
+
 @pytest.mark.parametrize("argv, file_text", [
     (["chow", "mult", "--type", "F4", "--theta", "2,3,4",
       "--lhs", "[s9]", "--rhs", "h1^1"], None),
@@ -138,17 +146,24 @@ def _corr(coeff="1", f="h1^0", g="h1^15") -> str:
         "cartan-asymmetric-zeros", "cartan-huge-entry", "cartan-directory",
         "cartan-missing", "corr-unknown-label", "corr-foreign-label",
         "corr-missing-coeff", "output-to-missing-directory"])
-def test_malformed_input_is_usage_error(argv, file_text, tmp_path, capsys):
+def test_malformed_input_is_usage_error(argv, file_text, tmp_path, capsys, request):
     """Exit code 2, nothing on stdout and one ``error:`` line; with no
-    ``file_text``, ``{file}`` names a path that does not exist."""
+    ``file_text``, ``{file}`` names a path that does not exist.  A file that
+    cannot be opened is named first, then the reason."""
     path = tmp_path / "input"
     if file_text is not None:
         path.write_text(file_text)
-    argv = [a.replace("{file}", str(path)).replace("{dir}", str(tmp_path)) for a in argv]
-    code, out, err = run_cli(*argv, capsys=capsys)
+
+    def fill(text):
+        return text.replace("{file}", str(path)).replace("{dir}", str(tmp_path))
+
+    code, out, err = run_cli(*map(fill, argv), capsys=capsys)
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+    opened = PATH_ERRORS.get(request.node.callspec.id)
+    if opened is not None:
+        assert err == f"error: {fill(opened)}\n"
 
 
 @pytest.mark.parametrize("content", [
@@ -339,7 +354,7 @@ def test_verify_report_to_unwritable_path_prints_nothing(tmp_path, monkeypatch, 
     code, out, err = run_cli("verify", "f4", "--eps", "both", "--report", str(path),
                              capsys=capsys)
     assert (code, out) == (2, "")
-    assert err.startswith("error: [Errno 2] ") and err.count("\n") == 1
+    assert err == f"error: {path}: No such file or directory\n"
     assert runs == []
 
 

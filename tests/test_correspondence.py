@@ -16,8 +16,8 @@ def _label(ring, text):
     return ring.class_by_label(text)
 
 
-@pytest.fixture(scope="module")
-def p0(x1):
+@pytest.fixture
+def p0():
     return f4pipeline.fixture_idempotents()[0][0]
 
 

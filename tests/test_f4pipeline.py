@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -11,6 +13,7 @@ from chowring.schubert import ChowRing, SubringError
 
 CHECK_NAMES = [c["name"] for c in json.loads(
     (Path(__file__).parent / "golden" / "verify_f4.json").read_text())["checks"]]
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def test_labeled_rings_dimensions(x1, x4):
@@ -20,11 +23,40 @@ def test_labeled_rings_dimensions(x1, x4):
     assert x4.class_by_label("g1^15") == x4.point_class
 
 
-def test_label_solve_is_stable(x1, x4):
+def test_label_solve_is_stable():
     """Exactly one assignment reproduces each hyperplane table under
     Chevalley's rule, and it is the frozen one the rings carry."""
-    assert pipe.solve_labels(x1, pipe.NODE_P1, "h", pipe.load_table("p1")) == [x1.labels]
-    assert pipe.solve_labels(x4, pipe.NODE_P4, "g", pipe.load_table("p4")) == [x4.labels]
+    for v, ring in zip(pipe.VARIETIES, pipe.get_f4_varieties()):
+        assert pipe.solve_labels(ring, v.node, v.letter, pipe.load_table(v.stem)) == [ring.labels]
+
+
+def test_shared_rings_carry_no_labels():
+    """In a fresh interpreter, the shared ring of F4/P1 from get_chow_ring
+    stays unlabeled: after a CLI query on another theta of F4, which builds
+    nothing of the pipeline, and after the pipeline built its own rings."""
+    code = f"""
+import contextlib, io, json, sys
+sys.path.insert(0, {str(SRC)!r})
+from chowring import cli, f4pipeline, get_chow_ring, root_system
+
+ring = get_chow_ring(root_system("F4"), (2, 3, 4))
+seen = []
+
+def look(what):
+    seen.append([what, ring.labels is None, ring.label_of(ring.classes[5]),
+                 f4pipeline.get_f4_varieties.cache_info().currsize])
+
+with contextlib.redirect_stdout(io.StringIO()):
+    look(cli.main(["chow", "basis", "--type", "F4", "--theta", "1,3,4"]))
+look(f4pipeline.get_f4_varieties()[0] is ring)
+print(json.dumps(seen))
+"""
+    child = subprocess.run([sys.executable, "-I", "-S", "-c", code],
+                           capture_output=True, text=True, check=True)
+    (rc, unlabeled, label, built), after = json.loads(child.stdout)
+    assert (rc, unlabeled, built) == (0, True, 0)
+    assert label.startswith("[s") and label.endswith("]")
+    assert after == [False, True, label, 1]
 
 
 def _clear_pipeline_caches():
@@ -35,15 +67,13 @@ def _clear_pipeline_caches():
 
 @pytest.fixture
 def fresh_pipeline(monkeypatch):
-    """monkeypatch, with every cache of f4pipeline cleared before the test.
-    Afterwards the patches are undone, the caches cleared again and the
-    shared rings relabeled from the checked-in data, so that no later test
-    sees labels that an edit attached."""
+    """monkeypatch, with every cache of f4pipeline cleared before the test,
+    and again once its patches are undone: the rings and cycles an edit
+    built die with the caches, and a later test builds its own."""
     _clear_pipeline_caches()
     yield monkeypatch
     monkeypatch.undo()
     _clear_pipeline_caches()
-    pipe.get_f4_varieties()
 
 
 def _edit_data(monkeypatch, fname, edit):
@@ -169,9 +199,8 @@ def test_idempotent_candidates_equal_for_both_eps():
     assert pipe.compute_idempotents(1) == pipe.compute_idempotents(-1)
 
 
-def test_displayed_cycles_idempotent_orthogonal_complete(x1, x4):
-    p, q = pipe.fixture_idempotents()
-    for family, ring in ((p, x1), (q, x4)):
+def test_displayed_cycles_idempotent_orthogonal_complete():
+    for family, ring in zip(pipe.fixture_idempotents(), pipe.get_f4_varieties()):
         cycles = list(family) + [corr.transpose(c) for c in family]
         for a in range(8):
             assert corr.is_idempotent(cycles[a], 0)
@@ -464,12 +493,14 @@ def test_corrupted_table_fails_both_table_checks_with_witness(fresh_pipeline, ca
     assert rc == 1
 
 
-def test_wrong_chevalley_row_fails_only_the_chevalley_table_check(x1, fresh_pipeline,
+def test_wrong_chevalley_row_fails_only_the_chevalley_table_check(fresh_pipeline, x1,
                                                                    capsys):
     """X1's Chevalley row h1^1*h1^5 off by one: pieri-tables-chevalley
     FAILs with the row as witness, pieri-tables-giambelli still PASSes, and
     the checks whose localization products meet the row in the
-    cross-check read ERROR."""
+    cross-check read ERROR.  ``x1`` is built after the caches are cleared,
+    so no product memoized by an earlier test hides the row from the
+    cross-check."""
     real = ChowRing.chevalley_product
     h15 = x1.class_by_label("h1^5")
 
@@ -480,8 +511,6 @@ def test_wrong_chevalley_row_fails_only_the_chevalley_table_check(x1, fresh_pipe
         return row
 
     fresh_pipeline.setattr(ChowRing, "chevalley_product", corrupt)
-    # no product memoized by an earlier test hides the row from the cross-check
-    fresh_pipeline.setattr(x1, "_pair_products", {})
     rc = main(["verify", "f4", "--eps", "both", "--format", "json"])
     checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
     got = {name: "ERROR" if c.get("error") else "PASS" if c["passed"] else "FAIL"

@@ -211,26 +211,25 @@ def test_factored_chains_halve_the_divided_difference_input(f4_group, monkeypatc
     assert 0 < 2 * engine_terms < sum(sizes)
 
 
-def _verify_products(x1, x4):
+def _verify_products():
     """The 46 Giambelli products of ``verify f4``: the 44 hyperplane table
     rows and the two squares."""
     products = []
-    for ring, node, table, square in ((x1, pipe.NODE_P1, "p1", "h1^4"),
-                                      (x4, pipe.NODE_P4, "p4", "g1^4")):
-        h = ring.hyperplane_class(node)
-        products += [(h, ring.class_by_label(rhs)) for _, rhs, _ in pipe.load_table(table)]
-        products.append((ring.class_by_label(square),) * 2)
+    for v, ring in zip(pipe.VARIETIES, pipe.get_f4_varieties()):
+        h = ring.hyperplane_class(v.node)
+        products += [(h, ring.class_by_label(rhs)) for _, rhs, _ in pipe.load_table(v.stem)]
+        products.append((ring.class_by_label(v.squared),) * 2)
     return products
 
 
-def test_factored_c_map_reads_fewer_monomials(x1, x4, monkeypatch):
+def test_factored_c_map_reads_fewer_monomials(x1, monkeypatch):
     """On a fresh F4 engine with the chains warm, verify's 46 products feed
     the divided differences fewer monomials through the factored c map than
     through the c map of the expanded lift products, and each makes exactly
     one level-1 probe: the two factors' common right descents hold theta,
     which leaves one node of F4 to probe on X1 and X4."""
     system = x1.system
-    products = _verify_products(x1, x4)
+    products = _verify_products()
     assert len(products) == 46
     engine = _GiambelliEngine(x1.group)
     mul = poly._calculus(system).mul

@@ -222,32 +222,47 @@ def _fresh_b2_square():
     return ring, engine, h, engine.opposite[cls.point]
 
 
+def _witness(ring, h, x, lanes):
+    """The text the engine appends to a refused h * h."""
+    return (f": theta (), {ring.label_of(h)} * {ring.label_of(h)} at x = "
+            f"[{ring.orbit.names[x]}] (point {x}, length 2); lanes {lanes}")
+
+
 def test_tampered_restriction_gives_different_products():
     """sigma^h|_x changed at one evaluation point only, by a multiple of
     both sigma^x|_x and e(x): every division of the substitution and every
     Atiyah-Bott sum stays integral, so only the comparison of the two
-    points refuses the product."""
+    points refuses the product.  The engine's witness names x and both
+    lanes' c_x: the untouched lane keeps h * h = 2 sigma^x."""
     ring, engine, h, x = _fresh_b2_square()
     row = engine.restrictions[x]
     k = engine.opposite[h.point]
     u0, u1 = row[k]
     row[k] = (u0 + row[x][0] * abs(euler(ring)[x][0]), u1)
-    for rule in (engine.product, lambda a, b: oracle_product(ring, a, b)):
-        with pytest.raises(AssertionError, match="different products at the two "
-                                                 "evaluation points"):
-            rule(h, h)
+    with pytest.raises(AssertionError) as refused:
+        engine.product(h, h)
+    assert str(refused.value) == ("localization gives different products at the two "
+                                  "evaluation points" + _witness(ring, h, x, "9272 and 2"))
+    with pytest.raises(AssertionError, match="different products at the two "
+                                             "evaluation points"):
+        oracle_product(ring, h, h)
 
 
 def test_broken_integrality_leaves_the_lattice():
     """The diagonal sigma^x|_x raised by 1 at both evaluation points: the
     division by it is no longer exact, and x's Atiyah-Bott term is no
-    longer an integer."""
+    longer an integer.  The engine's witness names x and both lanes'
+    quotients, 2 d / (d + 1) for the diagonal d, since h * h = 2 sigma^x."""
     ring, engine, h, x = _fresh_b2_square()
     row = engine.restrictions[x]
-    row[x] = tuple(u + 1 for u in row[x])
-    for rule in (engine.product, lambda a, b: oracle_product(ring, a, b)):
-        with pytest.raises(AssertionError, match="integer lattice"):
-            rule(h, h)
+    d0, d1 = row[x]
+    row[x] = (d0 + 1, d1 + 1)
+    with pytest.raises(AssertionError) as refused:
+        engine.product(h, h)
+    assert str(refused.value) == ("localization product left the integer lattice" + _witness(
+        ring, h, x, f"{2 * d0}/{d0 + 1} and {2 * d1}/{d1 + 1}"))
+    with pytest.raises(AssertionError, match="integer lattice"):
+        oracle_product(ring, h, h)
 
 
 @pytest.mark.parametrize("node, classes, dim", [(7, 56, 27), (2, 576, 42)],

@@ -64,6 +64,8 @@ ALLOWED = {
     "correspondence.Correspondence._label": "only repr reads it; the CLI prints "
                                             "correspondences as JSON",
     "f4pipeline.IdempotentMismatch.__init__": "raised only when an idempotent check FAILs",
+    "schubert._LocalizationEngine._witness": "the message of a refused localization "
+                                             "product; runs only when one is refused",
     "poly._Combination.__hash__": "public arithmetic: combinations are values and hash "
                                   "by their terms",
     "poly._Combination.__neg__": "public arithmetic: the negation beside + and -",

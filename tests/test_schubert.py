@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from chowring import f4pipeline as pipe
 from chowring import weyl
 from chowring.poly import parse_polynomial
 from chowring.rootsystem import BUILTIN_CARTAN, root_system
@@ -86,9 +87,10 @@ def test_duality_pairing_is_permutation_matrix(x1, x4):
                        for col in zip(*matrix))
 
 
-def test_duality_delta_in_labels(x1, x4):
+def test_duality_delta_in_labels():
     """h_i^s h_j^(15-s) = delta_ij h1^15 and the same for g."""
-    for ring, letter in ((x1, "h"), (x4, "g")):
+    for variety, ring in zip(pipe.VARIETIES, pipe.get_f4_varieties()):
+        letter = variety.letter
         point = ring.element(ring.class_by_label(f"{letter}1^15"))
         for s in range(16):
             for i in (1, 2):
@@ -250,11 +252,11 @@ def test_giambelli_product_above_dimension_skips_the_flag_ring(x1, monkeypatch):
         x1.giambelli_product(h18, x1.class_by_label("h1^7"))
 
 
-def test_chevalley_agrees_with_giambelli_everywhere(x1, x4):
-    for ring, node in ((x1, 1), (x4, 4)):
-        h = ring.hyperplane_class(node)
+def test_chevalley_agrees_with_giambelli_everywhere():
+    for variety, ring in zip(pipe.VARIETIES, pipe.get_f4_varieties()):
+        h = ring.hyperplane_class(variety.node)
         for cls in ring.classes:
-            assert ring.giambelli_product(h, cls) == ring.chevalley_product(node, cls)
+            assert ring.giambelli_product(h, cls) == ring.chevalley_product(variety.node, cls)
 
 
 def test_ring_axioms_on_random_f4_triples(x1):
@@ -297,12 +299,12 @@ def test_c_map_subring_error(x1):
         x1.c_map(lift)
 
 
-def test_lift_word_invariance_for_codim4_reps(x1, x4):
+def test_lift_word_invariance_for_codim4_reps():
     """The canonical lift agrees with the chain built from a different
     reduced word of the same element (here for the degree-4 generators)."""
     from fractions import Fraction as F
-    for ring, label in ((x1, "h1^4"), (x4, "g1^4")):
-        cls = ring.class_by_label(label)
+    for variety, ring in zip(pipe.VARIETIES, pipe.get_f4_varieties()):
+        cls = ring.class_by_label(variety.squared)
         inv = weyl_oracle.inverse(cls.rep)
         # alternative reduced word: strip the largest right descent first
         other = []

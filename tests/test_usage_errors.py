@@ -7,7 +7,10 @@ another query reads, moves an option in front of the query, gives
 ``corr`` query the wrong number of files.  Each line runs through
 ``chowring.cli.main`` in process and must end with exit code 2, nothing on
 stdout, and exactly one stderr line that starts with ``error: ``, names
-the offending option, value or argument, and shows no traceback.
+the offending option, value or argument, and shows no traceback.  A
+second generator points each query's ``-o`` (``verify``'s ``--report``)
+into a directory that does not exist: the error line names that path
+first.
 
 The file uses the standard library only, so ``python tests/test_usage_errors.py``
 runs the same checks on an interpreter without pytest.
@@ -34,7 +37,7 @@ QUERIES = [
      ["--theta", "1", "--format", "json", "--pieri", "--node", "2", "--by-codim",
       "-o", "{file}"]),
     (["chow", "basis"], ["--type", "A2"], ["--theta", "1", "--codim", "1", "-o", "{file}"]),
-    (["chow", "mult"], ["--type", "A2", "--lhs", "[s1]", "--rhs", "[s2]"],
+    (["chow", "mult"], ["--type", "A2", "--lhs", "[s1]", "--rhs", "[s2 s1]"],
      ["--theta", "1", "-o", "{file}"]),
     (["chow", "table"], ["--type", "A2"],
      ["--theta", "1", "--format", "json", "--node", "2", "-o", "{file}"]),
@@ -46,6 +49,12 @@ QUERIES = [
     (["verify", "f4"], [], ["--eps", "1", "--format", "json", "--report", "{file}",
                             "--timings"]),
 ]
+
+# the options that name a file the query writes
+OUTPUTS = ("-o", "--report")
+
+# a correspondence file that the corr queries read
+CORR = '{"source": "x4", "target": "x4", "terms": [{"f": "g1^0", "g": "g1^15", "coeff": 1}]}'
 
 # values that no query takes
 BAD_VALUES = {
@@ -115,6 +124,18 @@ def malformed_lines(seed, path):
             yield [command, *query, *files] + [tok for g in groups for tok in g], named
 
 
+def missing_directory_lines(path, missing):
+    """(argv, the path its error line must start with) for every query: its
+    required options and --theta, with its output option set to
+    ``missing``, a path in a directory that does not exist."""
+    for words, required, optional in QUERIES:
+        groups = options(required + optional)
+        kept = [g for g in groups if g[0] == "--theta"]
+        kept += [[g[0], missing] for g in groups if g[0] in OUTPUTS]
+        argv = words + required + [tok for g in kept for tok in g]
+        yield [path if t == "{file}" else t for t in argv], missing
+
+
 def test_every_query_line_is_valid():
     """The lines the generator breaks parse as they stand."""
     parser = build_parser()
@@ -144,7 +165,29 @@ def test_generated_malformed_lines_exit_2():
     assert bad == []
 
 
+def test_outputs_into_a_missing_directory_exit_2():
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "input")
+        with open(path, "w") as fh:
+            fh.write(CORR)
+        missing = os.path.join(tmp, "missing", "out")
+        bad = []
+        lines = list(missing_directory_lines(path, missing))
+        for argv, named in lines:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+            err = err.getvalue()
+            if (code != 2 or out.getvalue() or not err.startswith(f"error: {named}: ")
+                    or err.count("\n") != 1 or not err.endswith("\n")):
+                bad.append((argv, code, out.getvalue(), err))
+        assert len(lines) == len(QUERIES)
+        assert os.listdir(tmp) == ["input"]
+    assert bad == []
+
+
 if __name__ == "__main__":
     test_every_query_line_is_valid()
     test_generated_malformed_lines_exit_2()
+    test_outputs_into_a_missing_directory_exit_2()
     print(f"ok on Python {sys.version.split()[0]}")
