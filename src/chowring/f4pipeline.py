@@ -156,7 +156,6 @@ def _check_eps(eps: int) -> int:
     return eps
 
 
-@lru_cache(maxsize=None)
 def build_r(eps: int) -> Correspondence:
     """r = h1^4 x 1 + eps (1 x g1^4) on X1 x X4."""
     _check_eps(eps)
@@ -191,7 +190,6 @@ def fixture_idempotents() -> tuple[tuple[Correspondence, ...], tuple[Corresponde
                  for v, ring in zip(VARIETIES, get_f4_varieties()))
 
 
-@lru_cache(maxsize=None)
 def fixture_congruence(kind: str, eps: int) -> Correspondence | tuple:
     """r^2 / rho fixtures with the symbolic eps substituted."""
     _check_eps(eps)

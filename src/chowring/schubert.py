@@ -9,19 +9,21 @@ Four multiplication routes are implemented:
 * ``dual_class`` and ``pair_degree`` evaluate products in complementary
   codimensions from the closed formula
   [X_w]*[X_w'] = delta_{w, w0*w'*w_theta} * [pt], read from a duality
-  table built once per ring from the orbit's ``opposite`` involution;
+  table built once per ring: the dual of the class at orbit point p is the
+  class whose sigma-point is p;
 * ``chevalley_product`` multiplies by the codimension-1 class through
-  Chevalley's rule, the sum over positive roots beta with
-  l(w*s_beta) = l(w) - 1, weighted by the coroot pairing
-  <beta^vee, omega_alpha>.  It is read off integer tables, without
-  multiplying Weyl elements or applying them to roots: w(beta) =
-  v(w_theta beta) is one entry of the orbit's root-image table
+  Chevalley's rule in minimal-representative form: with [X_w] = sigma^v,
+  v = w0*w in W^P, the sum over positive roots beta with v*s_beta in W^P
+  one step longer than v, weighted by the coroot pairing
+  <beta^vee, omega_alpha>.  It is read off integer tables at the class's
+  sigma-point, without multiplying Weyl elements or applying them to
+  roots: v(beta) is one entry of the orbit's root-image table
   (``CosetOrbit.root_images``), whose index also gives its sign, and for
-  w(beta) < 0 the coset of w*s_beta is the point of the weight
-  w rho_P - <rho_P, beta^vee> w(beta), kept when that point lies one step
-  nearer rho_P than w's.  The pairings are integer dot products with the
-  root system's coroot table.  One product is memoized per (node, class);
-  the tests hold them to the Weyl-element products w*s_beta;
+  v(beta) > 0 the coset of v*s_beta is the point of the weight
+  v rho_P - <rho_P, beta^vee> v(beta), kept when that point lies one step
+  farther from rho_P than v's.  The pairings are integer dot products with
+  the root system's coroot table.  One product is memoized per (node,
+  class); the tests hold them to the Weyl-element products w*s_beta;
 * ``pair_product`` handles arbitrary products of two classes by
   localization on the fixed points W^theta of G/P (orbit of rho_P, Billey's
   restriction formula, forward substitution in exact integers over the
@@ -101,7 +103,9 @@ class SchubertClass:
     """Basis cycle [X_w] of one ring; ``rep`` is the indexing Weyl element,
     ``position`` the class's index in its ring's ``classes`` and ``point``
     the index of its coset in the ring's :class:`~chowring.weyl.CosetOrbit`
-    (``rep`` is that point's maximal representative).
+    (``rep`` is that point's maximal representative).  The class is
+    sigma^v with v = w0 w the minimal representative at ``sigma``, the
+    orbit point opposite ``point``: every product addresses it there.
 
     Only ``ChowRing.__init__`` builds classes, and each ring owns its own.
     A class compares and hashes by identity: the classes of two rings that
@@ -110,13 +114,14 @@ class SchubertClass:
     fields are immutable by contract.
     """
 
-    __slots__ = ("rep", "codim", "position", "point")
+    __slots__ = ("rep", "codim", "position", "point", "sigma")
 
-    def __init__(self, rep: WeylElement, codim: int, position: int, point: int):
+    def __init__(self, rep: WeylElement, codim: int, position: int, point: int, sigma: int):
         self.rep = rep
         self.codim = codim
         self.position = position
         self.point = point
+        self.sigma = sigma
 
     def __repr__(self) -> str:
         return f"SchubertClass({_weyl.serialize(self.rep)!r}, codim={self.codim})"
@@ -237,51 +242,43 @@ class _GiambelliEngine:
 
     def _chain(self, idx: int) -> tuple[dict[int, int], dict]:
         """The memoized factored value of delta_{w_idx}(d), filling the
-        chain down to its parabolic base (see the class docstring)."""
+        chain down to its parabolic base (see the class docstring); the
+        recursion is at most |Phi+| deep."""
+        memo = self._factored
+        if idx in memo:
+            return memo[idx]
         system = self.system
         # the orbit of rho is W: the first lift walks it, no ring build does
         orbit = self.group.orbit
-        elements, weights, point_of = orbit.minimal, orbit.weights, orbit.point_of
-        memo, bases = self._factored, self._bases
-        top_length = len(system.positive_roots)
-        nodes = range(1, system.rank + 1)
-        stack = [idx]
-        while stack:
-            top = stack[-1]
-            if top in memo:
-                stack.pop()
-                continue
-            w = elements[top]
-            J = _weyl.right_descents(w)
-            base = bases.get(J)
-            if base is None:
-                outside = {b: 1 for b, beta in enumerate(system.positive_roots)
-                           if any(c and i not in J for i, c in enumerate(beta, 1))}
-                base = bases[J] = (outside, {0: _weyl.order_from_heights(system, J)})
-            if w.length == top_length - len(base[0]):
-                # top is w_J itself, of length |Phi_J^+|: |W_J| times the
-                # roots outside Phi_J
-                memo[top] = base
-                stack.pop()
-                continue
-            # i is a left descent of y exactly when s_i w = (s_i y) w_J: one
-            # step down the orbit (<w rho, alpha_i^vee> < 0) to an element
-            # whose right descents still contain J, i.e. that sends each
-            # alpha_j, j in J, to a root of negative height
-            weight = weights[top]
-            steps = []
-            for i in nodes:
-                if weight[i - 1] < 0:
-                    p = point_of[system.reflect_weight(i, weight)]
-                    if all(sum(elements[p].images[j - 1]) < 0 for j in J):
-                        steps.append((i, p))
-            i, parent = next(((i, p) for i, p in steps if p in memo), steps[0])
-            got = memo.get(parent)
-            if got is None:
-                stack.append(parent)
-                continue
-            memo[top] = self._step(i, *got)
-            stack.pop()
+        elements, point_of = orbit.minimal, orbit.point_of
+        w = elements[idx]
+        J = _weyl.right_descents(w)
+        base = self._bases.get(J)
+        if base is None:
+            outside = {b: 1 for b, beta in enumerate(system.positive_roots)
+                       if any(c and i not in J for i, c in enumerate(beta, 1))}
+            base = self._bases[J] = (outside, {0: _weyl.order_from_heights(system, J)})
+        if w.length == len(system.positive_roots) - len(base[0]):
+            # w is w_J itself, of length |Phi_J^+|: |W_J| times the roots
+            # outside Phi_J
+            memo[idx] = base
+            return base
+        # i is a left descent of y exactly when s_i w = (s_i y) w_J: one step
+        # down the orbit (<w rho, alpha_i^vee> < 0) to an element whose right
+        # descents still contain J, i.e. that sends each alpha_j, j in J, to a
+        # root of negative height
+        weight = orbit.weights[idx]
+        steps = []
+        for i in range(1, system.rank + 1):
+            if weight[i - 1] < 0:
+                p = point_of[system.reflect_weight(i, weight)]
+                if all(sum(elements[p].images[j - 1]) < 0 for j in J):
+                    steps.append((i, p))
+        i, parent = next(((i, p) for i, p in steps if p in memo), steps[0])
+        if parent not in memo:
+            self._chain(parent)
+            i, parent = next((i, p) for i, p in steps if p in memo)
+        memo[idx] = self._step(i, *memo[parent])
         return memo[idx]
 
     def delta_d(self, idx: int) -> dict:
@@ -400,9 +397,9 @@ class _LocalizationEngine:
 
     The torus-fixed points of G/P are the minimal coset representatives
     x in W^P, the points of the ring's :class:`~chowring.weyl.CosetOrbit`,
-    each with a reduced word a_1 ... a_l, left letter first.  The class of
-    the ring at orbit point p, indexed by the maximal representative w, is
-    sigma^v with v = w0 w in W^P, the point ``opposite[p]``, and sigma^v
+    each with a reduced word a_1 ... a_l, left letter first.  Each class of
+    the ring is sigma^v, addressed by its sigma-point v (``sigma``; the
+    ring's ``_at_sigma`` maps each point back to its class), and sigma^v
     restricts to x by Billey's formula (Duke 1999),
 
         sigma^v|_x = sum over reduced subwords of a_1 ... a_l spelling v
@@ -479,12 +476,11 @@ class _LocalizationEngine:
                 map(table.steps[a - 1].__getitem__, factors[parent])))
         self.restrictions = [self._restrictions(word, roots)
                              for word, roots in zip(orbit.words, factors)]
-        self.opposite = orbit.opposite
         # the first point of each length 0 .. dim + 1, in orbit order
         lengths = [len(word) for word in orbit.words]
         self.starts = [bisect_left(lengths, k) for k in range(ring.dim + 2)]
-        # sigma^x lives at point x; its class is the one at point opposite[x]
-        self.classes = ring._at_point
+        # sigma^x lives at point x
+        self.classes = ring._at_sigma
 
     def _restrictions(self, word, roots) -> dict[int, tuple[int, int]]:
         """sigma^v|_x at both points for every v <= x, keyed by v's index;
@@ -504,15 +500,12 @@ class _LocalizationEngine:
                     old[0] + v0 * r0, old[1] + v1 * r1)
         return states
 
-    def _index(self, cls: SchubertClass) -> int:
-        """The point sigma^v of ``cls`` lives at; ValueError for a foreign class."""
-        self.ring.class_position(cls)
-        return self.opposite[cls.point]
-
     def product(self, a: SchubertClass, b: SchubertClass) -> dict[SchubertClass, int]:
-        """[X_a]*[X_b] as class -> coefficient, by forward substitution."""
-        ka, kb = self._index(a), self._index(b)
-        top = a.codim + b.codim
+        """[X_a]*[X_b] as class -> coefficient, by forward substitution;
+        ValueError for a class of another ring."""
+        for cls in (a, b):
+            self.ring.class_position(cls)
+        ka, kb, top = a.sigma, b.sigma, a.codim + b.codim
         if top > self.ring.dim:
             return {}
         rows, first = self.restrictions, self.starts[top]
@@ -540,8 +533,7 @@ class _LocalizationEngine:
                                          "the two evaluation points"
                                          + self._witness(a, b, x, c0, c1))
                 solved[x] = (c0, c1)
-        return {self.classes[self.opposite[x]]: c0
-                for x, (c0, _) in solved.items() if x >= first}
+        return {self.classes[x]: c0 for x, (c0, _) in solved.items() if x >= first}
 
     def _witness(self, a: SchubertClass, b: SchubertClass, x: int, lane0, lane1) -> str:
         """Where a product was refused: theta, both factors, the point x
@@ -567,11 +559,11 @@ class ChowRing:
         self.w0 = self.orbit.maximal[-1]
         self.dim = self.w0.length - self.w_theta.length
         # basis order: by codimension, ties broken on the image tuples
-        maximal = self.orbit.maximal
+        maximal, opposite = self.orbit.maximal, self.orbit.opposite
         points = sorted(range(len(maximal)),
                         key=lambda p: (-maximal[p].length, maximal[p].images))
         self.classes: tuple[SchubertClass, ...] = tuple(
-            SchubertClass(maximal[p], self.w0.length - maximal[p].length, k, p)
+            SchubertClass(maximal[p], self.w0.length - maximal[p].length, k, p, opposite[p])
             for k, p in enumerate(points))
         self._position = {c.rep: c.position for c in self.classes}
         self._by_codim: list[list[SchubertClass]] = [[] for _ in range(self.dim + 1)]
@@ -581,11 +573,11 @@ class ChowRing:
         self._label_of: dict[SchubertClass, str] = {}
         self._pair_products: dict[tuple[SchubertClass, SchubertClass], ChowElement] = {}
         self._localization: _LocalizationEngine | None = None
-        # [X_w] pairs with [X_{w0 w w_theta}]; w0 w w_theta is the maximal
-        # representative of the point opposite to w's
-        self._at_point = at_point = tuple(sorted(self.classes, key=lambda c: c.point))
-        opposite = self.orbit.opposite
-        dual = {c: at_point[opposite[c.point]] for c in self.classes}
+        # sigma-point -> class, the one table every product reads
+        self._at_sigma = at_sigma = tuple(sorted(self.classes, key=lambda c: c.sigma))
+        # [X_w] pairs with [X_{w0 w w_theta}] = sigma^{w w_theta}, and w w_theta
+        # is the minimal representative at w's own point
+        dual = {c: at_sigma[c.point] for c in self.classes}
         for c, d in dual.items():
             if d.codim != self.dim - c.codim or dual[d] is not c:
                 raise AssertionError("duality map is not an involution reversing "
@@ -593,15 +585,12 @@ class ChowRing:
         # class -> Poincare dual class, read-only; correspondence composition
         # reads it directly, once per call
         self.duality: Mapping[SchubertClass, SchubertClass] = MappingProxyType(dual)
-        # node -> [X_{w0 s_node}]: s_node is the point one move above rho_P
-        # and w0 s_node the maximal representative of its opposite
-        self._hyperplanes = {a: at_point[opposite[p]]
-                             for a, p in self.orbit.up[0].items()}
+        # node -> [X_{w0 s_node}] = sigma^{s_node}, at the point one move above rho_P
+        self._hyperplanes = {a: at_sigma[p] for a, p in self.orbit.up[0].items()}
         self._hyperplane_nodes = {c: a for a, c in self._hyperplanes.items()}
-        # node -> (index of w_theta beta, <beta^vee, omega_node>,
-        # <rho_P, beta^vee>) per positive root beta with a nonzero
-        # coefficient, and (node, class) -> Chevalley product, both filled
-        # on first use
+        # node -> (index of beta, <beta^vee, omega_node>, <rho_P, beta^vee>)
+        # per positive root beta with a nonzero coefficient, and
+        # (node, class) -> Chevalley product, both filled on first use
         self._chevalley_betas: dict[int, tuple[tuple[int, int, int], ...]] = {}
         self._chevalley_products: dict[tuple[int, SchubertClass], ChowElement] = {}
         # target ring -> the canonical (f, g) term keys of correspondences
@@ -700,22 +689,25 @@ class ChowRing:
         """[X_w] * H_node, the product of ``cls`` with the codimension-1
         class of ``node``.
 
-        Chevalley's rule: [X_w] * H_node is the sum of <beta^vee, omega_node>
-        [X_{w s_beta}] over positive roots beta with l(w s_beta) = l(w) - 1.
-        It is read off the orbit of rho_P by index, without Weyl-element
-        arithmetic.  Per node, one tuple holds, for each positive root beta
-        with <beta^vee, omega_node> != 0, the index of w_theta beta, that
-        coefficient and <rho_P, beta^vee>, integer dot products with the
-        coroot table.  The class at point p, w = v w_theta, has weight
-        lambda = w rho_P, and w(beta) = v(w_theta beta) is an entry of the
-        orbit's ``root_images[p]``, negative exactly when its index is not
+        Chevalley's rule in minimal-representative form (Fulton-Woodward,
+        J. Algebraic Geom. 2004): with [X_w] = sigma^v, v = w0 w in W^P,
+        sigma^v * H_node is the sum of <beta^vee, omega_node> sigma^{v s_beta}
+        over positive roots beta with v s_beta in W^P and
+        l(v s_beta) = l(v) + 1.  It is read off the orbit of rho_P by index,
+        at the class's sigma-point, without Weyl-element arithmetic.  Per
+        node, one tuple holds, for each positive root beta with
+        <beta^vee, omega_node> != 0, its index, that coefficient and
+        <rho_P, beta^vee>, integer dot products with the coroot table.  The
+        point of v has weight lambda = v rho_P, and v(beta) is an entry of
+        the orbit's ``root_images``, positive exactly when its index is
         below the number of positive roots.  For such beta the coset of
-        w s_beta is the point of lambda - <rho_P, beta^vee> w(beta); the
-        term is kept when that point lies one step closer to rho_P than p.
-        Products are memoized per (node, class).  The test suite holds this
-        route to the Weyl-element products w s_beta on every quotient of
-        rank <= 3, of A4 and of D4, and on the F4 quotients with at least
-        two nodes in theta.
+        v s_beta is the point of lambda - <rho_P, beta^vee> v(beta); the
+        term is kept when that point lies one step farther from rho_P than
+        v's.  Products are memoized per (node, class).  The test suite holds
+        this route to the Weyl-element products w s_beta on every quotient
+        of rank <= 3, of A4 and of D4, and on the F4 quotients with at least
+        two nodes in theta, and to localization on the maximal parabolics
+        of D5 and E6.
         """
         key = (node, cls)
         product = self._chevalley_products.get(key)
@@ -724,37 +716,26 @@ class ChowRing:
         self.hyperplane_class(node)   # ValueError for a node in theta or out of range
         self.class_position(cls)
         orbit = self.orbit
-        table = orbit.roots
         betas = self._chevalley_betas.get(node)
         if betas is None:
-            system = self.system
-            # w_theta = s_a1 ... s_ak acts on a root index right letter first
-            word = _weyl.reduced_word(self.w_theta)[::-1]
-            rho_p = orbit.weights[0]
-            out = []
-            for b, beta in enumerate(system.positive_roots):
-                coeff = system.coroot(beta)[node - 1]
-                if coeff:
-                    shift = system.coroot_pairing(beta, rho_p)
-                    for a in word:
-                        b = table.steps[a - 1][b]
-                    out.append((b, coeff, shift))
-            betas = self._chevalley_betas[node] = tuple(out)
-        p = cls.point
-        lam = orbit.weights[p]
-        # w(beta) = v(w_theta beta), v the minimal representative at p
-        image = orbit.root_images[p]
-        positive, weights = table.positive, table.weights
+            system, rho_p = self.system, orbit.weights[0]
+            betas = self._chevalley_betas[node] = tuple(
+                (b, system.coroot(beta)[node - 1], system.coroot_pairing(beta, rho_p))
+                for b, beta in enumerate(system.positive_roots)
+                if system.coroot(beta)[node - 1])
+        v = cls.sigma
+        lam, image = orbit.weights[v], orbit.root_images[v]
+        positive, weights = orbit.roots.positive, orbit.roots.weights
         point_of, words = orbit.point_of, orbit.words
-        target_depth = len(words[p]) - 1
+        target_length = len(words[v]) + 1
         row = {}
         for b, coeff, shift in betas:
             r = image[b]
-            if r < positive:
+            if r >= positive:
                 continue
-            q = point_of[tuple(x - shift * y for x, y in zip(lam, weights[r]))]
-            if len(words[q]) == target_depth:
-                target = self._at_point[q]
+            u = point_of[tuple(x - shift * y for x, y in zip(lam, weights[r]))]
+            if len(words[u]) == target_length:
+                target = self._at_sigma[u]
                 row[target] = row.get(target, 0) + coeff
         product = self._chevalley_products[key] = ChowElement(self, row)
         return product

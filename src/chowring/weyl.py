@@ -254,8 +254,7 @@ class CosetOrbit:
     ``opposite[k]``, the point of w0 v, whose weight is w0 v rho_P.
     ``roots`` is the system's :class:`RootIndex`, and ``root_images[k]``,
     built on first read, holds the index of v(beta) for every positive
-    root beta; the image under the maximal representative is
-    v w_theta(beta) = v(w_theta beta), the entry at the index of w_theta beta.
+    root beta.
     ``names[k]``, also built on first read, is ``serialize(minimal[k])``,
     the canonical word of v as text: every export of the orbit's points
     reads these names instead of naming the points again.

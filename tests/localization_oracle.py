@@ -56,7 +56,7 @@ def integrals(ring, classes):
     evaluation point of the ring's engine."""
     engine = ring.localization
     scales, lcms = _weights(ring)
-    ks = [engine.opposite[c.point] for c in classes]
+    ks = [ring.orbit.opposite[c.point] for c in classes]
     sums = [0] * len(lcms)
     for restriction, scale in zip(engine.restrictions, scales):
         if all(k in restriction for k in ks):
@@ -73,7 +73,7 @@ def oracle_product(ring, a, b):
     if a.codim + b.codim > ring.dim:
         return {}
     scales, lcms = _weights(ring)
-    ka, kb = (engine.opposite[c.point] for c in (a, b))
+    ka, kb = (ring.orbit.opposite[c.point] for c in (a, b))
     support = []
     for restriction, scale in zip(engine.restrictions, scales):
         if ka in restriction and kb in restriction:
@@ -81,7 +81,7 @@ def oracle_product(ring, a, b):
                 s * u * v for s, u, v in zip(scale, restriction[ka], restriction[kb]))))
     out = {}
     for c in ring.basis(a.codim + b.codim):
-        k = engine.opposite[ring.dual_class(c).point]
+        k = ring.orbit.opposite[ring.dual_class(c).point]
         sums = [sum(col) for col in zip(*(
             tuple(t * v for t, v in zip(terms, restriction[k]))
             for restriction, terms in support if k in restriction))]

@@ -219,7 +219,7 @@ def _fresh_b2_square():
     h = ring.hyperplane_class(1)
     assert engine.product(h, h) == oracle_product(ring, h, h)
     (cls,) = engine.product(h, h)
-    return ring, engine, h, engine.opposite[cls.point]
+    return ring, engine, h, ring.orbit.opposite[cls.point]
 
 
 def _witness(ring, h, x, lanes):
@@ -236,7 +236,7 @@ def test_tampered_restriction_gives_different_products():
     lanes' c_x: the untouched lane keeps h * h = 2 sigma^x."""
     ring, engine, h, x = _fresh_b2_square()
     row = engine.restrictions[x]
-    k = engine.opposite[h.point]
+    k = ring.orbit.opposite[h.point]
     u0, u1 = row[k]
     row[k] = (u0 + row[x][0] * abs(euler(ring)[x][0]), u1)
     with pytest.raises(AssertionError) as refused:
@@ -263,6 +263,20 @@ def test_broken_integrality_leaves_the_lattice():
         ring, h, x, f"{2 * d0}/{d0 + 1} and {2 * d1}/{d1 + 1}"))
     with pytest.raises(AssertionError, match="integer lattice"):
         oracle_product(ring, h, h)
+
+
+@pytest.mark.parametrize("name, node", [("D5", node) for node in range(1, 6)]
+                         + [("E6", node) for node in range(1, 7)])
+def test_chevalley_matches_localization_under_the_diagram_twist(
+        no_weyl_enumeration, name, node):
+    """Every hyperplane product of a maximal parabolic of D5 and of E6,
+    whose ``opposite`` applies the diagram twist: localization and
+    Chevalley's rule give the same terms for every class."""
+    system, theta = dynkin.maximal(dynkin.cartan(name), node)
+    ring = ChowRing(system, theta)
+    h = ring.hyperplane_class(node)
+    for cls in ring.classes:
+        assert ring.pair_product(h, cls).terms == ring.chevalley_product(node, cls).terms
 
 
 @pytest.mark.parametrize("node, classes, dim", [(7, 56, 27), (2, 576, 42)],

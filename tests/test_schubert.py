@@ -156,6 +156,27 @@ def test_chevalley_rejects_theta_nodes(x1):
         x1.hyperplane_class(3)
 
 
+def test_chevalley_rows_walk_no_reduced_word(monkeypatch):
+    """Chevalley's rule reads the sigma-points: every row of a fresh F4/P1
+    ring comes out with ``reduced_word`` refused, equal to the rows of a
+    ring built before."""
+    system = root_system("F4")
+
+    def rows(ring):
+        return [ring.chevalley_product(1, cls).terms for cls in ring.classes]
+
+    want = rows(ChowRing(system, (2, 3, 4)))
+
+    def refuse(w):
+        raise AssertionError("a reduced word was walked")
+
+    monkeypatch.setattr(weyl, "reduced_word", refuse)
+    ring = ChowRing(system, (2, 3, 4))
+    got = rows(ring)
+    assert [{c.position: v for c, v in row.items()} for row in got] == \
+        [{c.position: v for c, v in row.items()} for row in want]
+
+
 def test_hyperplane_classes_and_nodes(x1, x4):
     for ring in (x1, x4, get_chow_ring(root_system("B3"), ())):
         for node in range(1, ring.system.rank + 1):
