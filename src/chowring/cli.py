@@ -8,8 +8,9 @@ and product queries, ``corr`` for correspondence arithmetic, and
 reads, so argparse refuses any other.  Every command is deterministic:
 repeated invocations print identical bytes.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error, 3 a
-verification check raised an internal error (reported as ERROR).
+Exit codes: 0 success, 1 verification failure, 2 usage error (a size
+bound counts as one), 3 a check or a command raised an internal error: a
+raising check is reported as ERROR, any other fault as a traceback.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from . import weyl as weylmod
 from .rootsystem import (BUILTIN_CARTAN, CartanMatrix, RootSystem, build_root_system,
                          root_system)
 from .schubert import format_table_text, get_chow_ring, hyperplane_table
-from .weyl import get_weyl_group
+from .weyl import SizeLimitError, get_weyl_group
 
 
 class UsageError(Exception):
@@ -83,16 +84,9 @@ def _pipeline_ring(matches):
     return None if k is None else f4pipeline.get_f4_varieties()[k]
 
 
-def _ring(args):
-    system = _system(args)
-    theta = _theta(args, system)
+def _ring(system: RootSystem, theta: tuple[int, ...]):
     ring = _pipeline_ring(lambda v: system is root_system("F4") and v.theta == theta)
-    if ring is not None:
-        return ring
-    try:
-        return get_chow_ring(system, theta)
-    except ValueError as exc:   # W^theta too large to walk
-        raise UsageError(str(exc)) from None
+    return ring if ring is not None else get_chow_ring(system, theta)
 
 
 def _parse_chow(ring, text):
@@ -143,10 +137,7 @@ def cmd_weyl(args) -> int:
         w = weylmod.longest_element(system, theta or None)
         _emit(f"{weylmod.serialize(w)}\nlength {w.length}\n", args.output)
     elif args.query == "cosets":
-        try:
-            orbit = weylmod.coset_orbit(system, theta)
-        except ValueError as exc:   # W^theta too large to walk
-            raise UsageError(str(exc)) from None
+        orbit = weylmod.coset_orbit(system, theta)
         names = (tuple(map(weylmod.serialize, orbit.maximal)) if args.maximal
                  else orbit.names)
         _emit("\n".join(names) + f"\ncount {len(names)}\n", args.output)
@@ -159,16 +150,12 @@ def cmd_hasse(args) -> int:
         raise UsageError("--by-codim flips the edges of a dot Hasse diagram only")
     if args.node is not None and not args.pieri:
         raise UsageError("--node picks the hyperplane of --pieri only")
-    group = get_weyl_group(system)
     theta = _theta(args, system)
     if args.pieri:
-        ring = _ring(args)
+        ring = _ring(system, theta)
         diagram = hasse.build_pieri_diagram(ring, _node(args, ring, "a Pieri diagram"))
     else:
-        try:
-            diagram = hasse.build_hasse(group, theta)
-        except ValueError as exc:   # W^theta too large to walk
-            raise UsageError(str(exc)) from None
+        diagram = hasse.build_hasse(get_weyl_group(system), theta)
     if args.format == "json":
         _emit(hasse.export_json(diagram), args.output)
     else:
@@ -177,7 +164,8 @@ def cmd_hasse(args) -> int:
 
 
 def cmd_chow(args) -> int:
-    ring = _ring(args)
+    system = _system(args)
+    ring = _ring(system, _theta(args, system))
     if args.query == "basis":
         if args.codim is not None and not 0 <= args.codim <= ring.dim:
             raise UsageError(f"--codim {args.codim} is out of range 0..{ring.dim}")
@@ -191,11 +179,7 @@ def cmd_chow(args) -> int:
     elif args.query == "mult":
         x = _parse_chow(ring, args.lhs)
         y = _parse_chow(ring, args.rhs)
-        try:
-            product = ring.multiply(x, y)
-        except ValueError as exc:   # localization table too large to build
-            raise UsageError(str(exc)) from None
-        _emit(repr(product) + "\n", args.output)
+        _emit(repr(ring.multiply(x, y)) + "\n", args.output)
     elif args.query == "table":
         rows = hyperplane_table(ring, _node(args, ring, "a table"))
         if args.format == "json":
@@ -205,11 +189,7 @@ def cmd_chow(args) -> int:
     elif args.query == "giambelli-lift":
         x = _parse_chow(ring, args.cls)
         (cls, coeff), = x.terms.items()
-        try:
-            lift = coeff * ring.giambelli_lift(cls)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
-        _emit(poly.format_polynomial(lift) + "\n", args.output)
+        _emit(poly.format_polynomial(coeff * ring.giambelli_lift(cls)) + "\n", args.output)
     return 0
 
 
@@ -385,11 +365,15 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.fn(args)
-    except (UsageError, OSError) as exc:
+    except (UsageError, SizeLimitError, OSError) as exc:
         if isinstance(exc, OSError) and exc.filename is not None:
             exc = f"{exc.filename}: {exc.strerror}"
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception:
+        import traceback   # here, not at the top: the import adds ~0.3 MiB to every run
+        traceback.print_exc()
+        return 3
 
 
 if __name__ == "__main__":

@@ -27,7 +27,7 @@ key object per class pair: every operation takes its keys from the pair's
 table (``_keys``), which the source ring holds, so a term costs no fresh
 tuple for the garbage collector to walk.  The table fills one row per first
 factor f, when f first appears.  A factor that is not a class of its ring
-misses the table and raises ``ValueError``.
+misses the table or its row and raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -37,13 +37,21 @@ from .schubert import ChowElement, ChowRing, SchubertClass
 
 Modulus = int  # 0 means integral coefficients
 
-_NOT_SECOND = "second factor {!r} does not belong to the target ring"
+
+class _Row(dict):
+    """g -> (f, g) for one first factor f and every class g of the target;
+    a g that is not one raises ``ValueError``."""
+
+    __slots__ = ()
+
+    def __missing__(self, g):
+        raise ValueError(f"second factor {g!r} does not belong to the target ring")
 
 
 class _PairKeys(dict):
-    """f -> {g: (f, g) for every class g of the target}: the canonical term
-    keys of one ordered pair of rings.  It holds the target's classes, not
-    the target ring, so the source's weak table can let the target go."""
+    """f -> its :class:`_Row`: the canonical term keys of one ordered pair
+    of rings.  It holds the target's classes, not the target ring, so the
+    source's weak table can let the target go."""
 
     __slots__ = ("_sources", "_targets")
 
@@ -55,7 +63,7 @@ class _PairKeys(dict):
     def __missing__(self, f):
         if f not in self._sources:
             raise ValueError(f"first factor {f!r} does not belong to the source ring")
-        row = self[f] = {g: (f, g) for g in self._targets}
+        row = self[f] = _Row((g, (f, g)) for g in self._targets)
         return row
 
 
@@ -83,11 +91,8 @@ class Correspondence(_Combination):
         self.source = source
         self.target = target
         keys = _keys(source, target)
-        try:
-            self.terms: dict[tuple[SchubertClass, SchubertClass], int] = \
-                {keys[f][g]: v for (f, g), v in (terms or {}).items() if v}
-        except KeyError as exc:
-            raise ValueError(_NOT_SECOND.format(exc.args[0])) from None
+        self.terms: dict[tuple[SchubertClass, SchubertClass], int] = \
+            {keys[f][g]: v for (f, g), v in (terms or {}).items() if v}
 
     @classmethod
     def _of(cls, source: ChowRing, target: ChowRing, terms: dict) -> "Correspondence":
@@ -100,12 +105,9 @@ class Correspondence(_Combination):
     def from_pairs(cls, source: ChowRing, target: ChowRing, pairs) -> "Correspondence":
         keys = _keys(source, target)
         terms: dict = {}
-        try:
-            for f, g, v in pairs:
-                key = keys[f][g]
-                terms[key] = terms.get(key, 0) + v
-        except KeyError as exc:
-            raise ValueError(_NOT_SECOND.format(exc.args[0])) from None
+        for f, g, v in pairs:
+            key = keys[f][g]
+            terms[key] = terms.get(key, 0) + v
         return cls._of(source, target, _drop_zeros(terms))
 
     @classmethod
@@ -113,13 +115,10 @@ class Correspondence(_Combination):
         """Outer product of a cycle on X and a cycle on Y."""
         keys = _keys(x.ring, y.ring)
         terms = {}
-        try:
-            for f, vf in x.terms.items():
-                row = keys[f]
-                for g, vg in y.terms.items():
-                    terms[row[g]] = vf * vg
-        except KeyError as exc:
-            raise ValueError(_NOT_SECOND.format(exc.args[0])) from None
+        for f, vf in x.terms.items():
+            row = keys[f]
+            for g, vg in y.terms.items():
+                terms[row[g]] = vf * vg
         return cls._of(x.ring, y.ring, terms)
 
     # -- structure -----------------------------------------------------------
@@ -188,12 +187,8 @@ def intersect(alpha: Correspondence, beta: Correspondence) -> Correspondence:
                 row = keys[cf]
                 for cg, vg in gg.terms.items():
                     key = row[cg]
-                    v = acc.get(key, 0) + va * vb * vf * vg
-                    if v:
-                        acc[key] = v
-                    elif key in acc:
-                        del acc[key]
-    return alpha._with(acc)
+                    acc[key] = acc.get(key, 0) + va * vb * vf * vg
+    return alpha._with(_drop_zeros(acc))
 
 
 def diagonal(ring: ChowRing) -> Correspondence:

@@ -15,8 +15,7 @@ Convention: ``cartan.entries[i][j]`` is the pairing of simple root j
 against simple coroot i.  Consequently the expansion of the simple root
 ``alpha_j`` in fundamental weights is column j of the matrix, and the
 simple reflection acts on a weight by subtracting its i-th coordinate
-times that column.  The self-check ``s_i(alpha_i) = -alpha_i`` is run at
-construction time and guards against feeding a transposed matrix.
+times that column.
 """
 
 from __future__ import annotations
@@ -174,19 +173,9 @@ class RootSystem:
         self.alpha_weights: tuple[Weight, ...] = tuple(zip(*cartan.entries))
         self.alpha_support: tuple[tuple[tuple[int, int], ...], ...] = tuple(
             tuple((k, x) for k, x in enumerate(col) if x) for col in self.alpha_weights)
-        self._check_reflection_convention()
         self._coroots = self._coroot_table(pairings)
 
     # -- construction helpers -------------------------------------------
-
-    def _check_reflection_convention(self) -> None:
-        # s_i(alpha_i) = -alpha_i, with alpha_i expanded in the weight basis.
-        for i in range(1, self.rank + 1):
-            alpha = self.simple_root_weight(i)
-            if self.reflect_weight(i, alpha) != tuple(-x for x in alpha):
-                raise ValueError(
-                    "reflection convention broken: s_i(alpha_i) != -alpha_i "
-                    "(transposed Cartan matrix?)")
 
     def _coroot_table(self, pairings: dict[Root, list[int]]) -> dict[Root, Root]:
         """root -> beta^vee in the simple coroots, for every root, positive

@@ -442,16 +442,18 @@ class _LocalizationEngine:
       is wrong in one lane only, while its divisions stay exact, shows here.
 
     The table holds up to |W^P|^2 restrictions; above
-    ``MAX_LOCALIZATION_TABLE`` the engine refuses before it builds any.
+    ``MAX_LOCALIZATION_TABLE`` the engine raises :class:`SizeLimitError`
+    before it builds any.
     """
 
     def __init__(self, ring: "ChowRing"):
         orbit = ring.orbit
         size = len(orbit.words)
         if size * size > MAX_LOCALIZATION_TABLE:
-            raise ValueError(f"localization on {size} fixed points needs a table of "
-                             f"{size * size} entries, more than the "
-                             f"{MAX_LOCALIZATION_TABLE} this program builds")
+            raise _weyl.SizeLimitError(
+                f"localization on {size} fixed points needs a table of "
+                f"{size * size} entries, more than the "
+                f"{MAX_LOCALIZATION_TABLE} this program builds")
         system = ring.system
         n = system.rank
         self.ring = ring

@@ -36,6 +36,11 @@ from .rootsystem import Root, RootSystem, Weight
 MAX_ENUMERATION = 100_000
 
 
+class SizeLimitError(ValueError):
+    """A walk or table larger than this program's size bound, refused
+    before any of it is built."""
+
+
 class WeylElement:
     """An element of W(system): ``images[i]`` is the image of the simple root
     alpha_(i+1) and ``length`` the element's length.  Equal elements have
@@ -343,14 +348,14 @@ def _coset_orbit(system: RootSystem, theta: tuple[int, ...]) -> CosetOrbit:
 def coset_orbit(system: RootSystem, theta=()) -> CosetOrbit:
     """The shared :class:`CosetOrbit` of W^theta; theta in any order.
 
-    ValueError, before anything is walked, when |W| / |W_theta| exceeds
-    ``MAX_ENUMERATION``.
+    :class:`SizeLimitError`, before anything is walked, when
+    |W| / |W_theta| exceeds ``MAX_ENUMERATION``.
     """
     theta = normalize_theta(system, theta)
     size = _orbit_size(system, theta)
     if size > MAX_ENUMERATION:
-        raise ValueError(f"W^theta has {size} points, more than the "
-                         f"{MAX_ENUMERATION} this program walks")
+        raise SizeLimitError(f"W^theta has {size} points, more than the "
+                             f"{MAX_ENUMERATION} this program walks")
     return _coset_orbit(system, theta)
 
 
@@ -361,8 +366,9 @@ class WeylGroup:
     Elements are listed by length, ties broken lexicographically on the
     image tuples; this order fixes every downstream basis enumeration.
     The group is walked only when something asks for its elements, and
-    only up to ``MAX_ENUMERATION`` elements (ValueError beyond).  It keeps
-    no table of its own: every read goes to the shared cached orbit.
+    only up to ``MAX_ENUMERATION`` elements (:class:`SizeLimitError`
+    beyond).  It keeps no table of its own: every read goes to the shared
+    cached orbit.
     """
 
     def __init__(self, system: RootSystem):
@@ -373,8 +379,8 @@ class WeylGroup:
         """The orbit of rho, one point per element; the first call walks it."""
         order = _orbit_size(self.system, ())
         if order > MAX_ENUMERATION:
-            raise ValueError(f"the Weyl group has {order} elements, more than the "
-                             f"{MAX_ENUMERATION} this program enumerates")
+            raise SizeLimitError(f"the Weyl group has {order} elements, more than "
+                                 f"the {MAX_ENUMERATION} this program enumerates")
         return _coset_orbit(self.system, ())
 
     @property

@@ -31,6 +31,7 @@ MOVED_METHODS = (
     (weyl.WeylGroup, "identity"),
     (weyl.WeylGroup, "index_of"),
     (RootSystem, "root_coroot_pairing"),
+    (RootSystem, "_check_reflection_convention"),
     (schubert.ChowRing, "chevalley_mult"),
     (schubert.ChowRing, "giambelli_multiply"),
     (schubert.ChowRing, "_extend"),

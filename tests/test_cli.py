@@ -246,6 +246,24 @@ def test_hasse_pieri_json(capsys):
     assert len(payload["edges"]) == 32
 
 
+def test_hasse_pieri_reads_the_cartan_file_once(tmp_path, monkeypatch, capsys):
+    """The system and theta of ``hasse --pieri`` are parsed once: one root
+    system is built, and the Pieri ring is built on it."""
+    from chowring import cli
+
+    built = []
+    build = cli.build_root_system
+    monkeypatch.setattr(cli, "build_root_system",
+                        lambda cartan: built.append(cartan) or build(cartan))
+    path = tmp_path / "b2.txt"
+    path.write_text("2 -1\n-2 2\n")
+    code, out, _ = run_cli("hasse", "--cartan-file", str(path), "--theta", "1",
+                           "--pieri", "--format", "json", capsys=capsys)
+    assert code == 0
+    assert len(built) == 1
+    assert len(json.loads(out)["vertices"]) == 4
+
+
 def test_chow_basis(capsys):
     code, out, _ = run_cli("chow", "basis", "--type", "F4",
                            "--theta", "2,3,4", "--codim", "4", capsys=capsys)
@@ -395,6 +413,23 @@ def test_verify_reports_internal_error_apart_from_failure(monkeypatch, capsys):
     assert code == 3
     assert out.startswith("ERROR structure: TypeError: unsupported operand\n")
     assert "ERROR overall (" in out
+
+
+@pytest.mark.parametrize("fault", [ValueError("boom"), AssertionError("boom")])
+def test_command_fault_is_internal_error(fault, monkeypatch, capsys):
+    """A fault inside a command is no usage error: its traceback goes to
+    stderr, nothing to stdout, and the exit code is 3."""
+    from chowring import schubert
+
+    def broken(self, x, y):
+        raise fault
+
+    monkeypatch.setattr(schubert.ChowRing, "multiply", broken)
+    code, out, err = run_cli("chow", "mult", "--type", "F4", "--theta", "2,3,4",
+                             "--lhs", "h1^4", "--rhs", "h1^4", capsys=capsys)
+    assert (code, out) == (3, "")
+    assert err.startswith("Traceback (most recent call last):\n")
+    assert err.endswith(f"{type(fault).__name__}: boom\n")
 
 
 def test_cli_subprocess_deterministic():

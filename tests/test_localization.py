@@ -310,8 +310,8 @@ def test_engine_above_the_table_bound_is_refused(monkeypatch):
     ring = ChowRing(root_system("B3"), ())   # uncached, engine not built
     monkeypatch.setattr(schubert, "MAX_LOCALIZATION_TABLE", 48 * 48 - 1)
     monkeypatch.setattr(schubert._LocalizationEngine, "_restrictions", refuse)
-    with pytest.raises(ValueError, match="48 fixed points needs a table of 2304 "
-                                         "entries, more than the 2303"):
+    with pytest.raises(weyl.SizeLimitError, match="48 fixed points needs a table of "
+                                                  "2304 entries, more than the 2303"):
         ring.localization
     assert ring._localization is None
     monkeypatch.undo()

@@ -63,6 +63,8 @@ ALLOWED = {
     "weyl.WeylElement.__repr__": "debugging aid; the CLI prints elements with serialize",
     "correspondence.Correspondence._label": "only repr reads it; the CLI prints "
                                             "correspondences as JSON",
+    "correspondence._Row.__missing__": "the CLI names classes only by the labels of "
+                                       "the right ring",
     "f4pipeline.IdempotentMismatch.__init__": "raised only when an idempotent check FAILs",
     "schubert._LocalizationEngine._witness": "the message of a refused localization "
                                              "product; runs only when one is refused",

@@ -273,7 +273,7 @@ def test_enumeration_above_the_bound_is_refused(f4, monkeypatch):
                         lambda system, theta: walked.append(theta) or cached(system, theta))
     monkeypatch.setattr(weyl, "MAX_ENUMERATION", 1000)
     group = weyl.WeylGroup(f4)
-    with pytest.raises(ValueError, match="1152 elements, more than the 1000"):
+    with pytest.raises(weyl.SizeLimitError, match="1152 elements, more than the 1000"):
         group.elements
     assert walked == []
     assert group.order == 1152
@@ -324,13 +324,16 @@ def test_group_tables_match_element_products(name):
 
 def test_orbit_above_the_bound_is_refused(f4, monkeypatch):
     """|W| / |W_theta| above MAX_ENUMERATION raises before the orbit is
-    walked or read from the cache."""
+    walked or read from the cache.  The size limit is a ValueError, so
+    library callers that catch ValueError still catch it."""
+    assert issubclass(weyl.SizeLimitError, ValueError)
     walked = []
     cached = weyl._coset_orbit
     monkeypatch.setattr(weyl, "_coset_orbit",
                         lambda system, theta: walked.append(theta) or cached(system, theta))
     monkeypatch.setattr(weyl, "MAX_ENUMERATION", 1000)
-    with pytest.raises(ValueError, match="^W\\^theta has 1152 points, more than the 1000"):
+    with pytest.raises(weyl.SizeLimitError,
+                       match="^W\\^theta has 1152 points, more than the 1000"):
         weyl.coset_orbit(f4, ())
     assert walked == []
     assert len(weyl.coset_orbit(f4, (2, 3, 4)).minimal) == 24
@@ -341,8 +344,15 @@ def test_orbit_above_the_bound_is_refused(f4, monkeypatch):
     ["weyl", "cosets", "--type", "F4", "--maximal"],
     ["hasse", "--type", "F4"],
     ["chow", "basis", "--type", "F4"],
+    ["hasse", "--type", "F4", "--pieri", "--node", "1"],
+    ["chow", "table", "--type", "F4", "--node", "1"],
+    ["chow", "mult", "--type", "F4", "--lhs", "h1^4", "--rhs", "h1^4"],
+    ["chow", "giambelli-lift", "--type", "F4", "--class", "h1^1"],
 ])
 def test_orbit_above_the_bound_is_usage_error(argv, monkeypatch, capsys):
+    """Every command that builds W^theta of F4/B refuses it above the bound
+    with one error line and exit code 2; F4/P1, 24 points, is under it,
+    but the Giambelli route walks all of W, so a lift is refused there too."""
     monkeypatch.setattr(weyl, "MAX_ENUMERATION", 1000)
     # a fresh ring, so a cached F4/B ring of another test is not reused
     monkeypatch.setattr(cli, "get_chow_ring", ChowRing)
@@ -351,31 +361,22 @@ def test_orbit_above_the_bound_is_usage_error(argv, monkeypatch, capsys):
     assert captured.out == ""
     assert captured.err == ("error: W^theta has 1152 points, more than the 1000 "
                             "this program walks\n")
-    assert main(argv + ["--theta", "2,3,4"]) == 0
-    assert capsys.readouterr().err == ""
+    theta_err = ("error: the Weyl group has 1152 elements, more than the 1000 "
+                 "this program enumerates\n") if "giambelli-lift" in argv else ""
+    assert main(argv + ["--theta", "2,3,4"]) == (2 if theta_err else 0)
+    assert capsys.readouterr().err == theta_err
 
 
 @pytest.mark.parametrize("name", sorted(BUILTIN_CARTAN))
 def test_root_images_match_act_root(name):
     """On every point of every quotient, the orbit's root-image table read
-    for the minimal representative v at beta, and for the maximal one v
-    w_theta at w_theta beta, against ``act_root``."""
+    for the minimal representative v at beta, against ``act_root``."""
     system = root_system(name)
-    table = weyl.root_index(system)
-    roots, count = table.roots, table.positive
+    roots = weyl.root_index(system).roots
     n = system.rank
     for size in range(n + 1):
         for theta in itertools.combinations(range(1, n + 1), size):
             orbit = weyl.coset_orbit(system, theta)
-            w_theta = weyl.longest_element(system, theta)
-            flipped = [table.index[weyl_oracle.act_root(w_theta, beta)]
-                       for beta in system.positive_roots]
-            for k, image in enumerate(orbit.root_images):
-                v, w = orbit.minimal[k], orbit.maximal[k]
+            for v, image in zip(orbit.minimal, orbit.root_images):
                 for b, beta in enumerate(system.positive_roots):
                     assert roots[image[b]] == weyl_oracle.act_root(v, beta)
-                    # w_theta beta < 0 for beta in Phi_theta: v(-gamma) = -v(gamma)
-                    r = flipped[b]
-                    got = roots[image[r]] if r < count else \
-                        tuple(-x for x in roots[image[r - count]])
-                    assert got == weyl_oracle.act_root(w, beta)
