@@ -8,9 +8,10 @@ and product queries, ``corr`` for correspondence arithmetic, and
 reads, so argparse refuses any other.  Every command is deterministic:
 repeated invocations print identical bytes.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error (a size
-bound counts as one), 3 a check or a command raised an internal error: a
-raising check is reported as ERROR, any other fault as a traceback.
+Exit codes: 0 success, 1 verification failure, 2 usage error: an
+``InputError`` (a size bound is one) or a path that cannot be read or
+written, 3 a check or a command raised an internal error: a raising check
+is reported as ERROR, any other fault as a traceback.
 """
 
 from __future__ import annotations
@@ -23,14 +24,10 @@ from contextlib import nullcontext
 from . import correspondence as corr
 from . import f4pipeline, hasse, poly
 from . import weyl as weylmod
-from .rootsystem import (BUILTIN_CARTAN, CartanMatrix, RootSystem, build_root_system,
-                         root_system)
+from .rootsystem import (BUILTIN_CARTAN, CartanMatrix, InputError, RootSystem,
+                         build_root_system, root_system)
 from .schubert import format_table_text, get_chow_ring, hyperplane_table
-from .weyl import SizeLimitError, get_weyl_group
-
-
-class UsageError(Exception):
-    pass
+from .weyl import get_weyl_group
 
 
 class _Parser(argparse.ArgumentParser):
@@ -38,21 +35,18 @@ class _Parser(argparse.ArgumentParser):
     stderr and exit code 2, as for the errors the commands find."""
 
     def error(self, message):
-        raise UsageError(f"{self.prog}: {message}")
+        raise InputError(f"{self.prog}: {message}")
 
 
 def _system(args) -> RootSystem:
     if args.cartan_file:
         try:
             return build_root_system(CartanMatrix.from_file(args.cartan_file))
-        except ValueError as exc:
-            raise UsageError(f"{args.cartan_file}: {exc}") from None
+        except InputError as exc:
+            raise InputError(f"{args.cartan_file}: {exc}") from None
     if not args.type:
-        raise UsageError("one of --type or --cartan-file is required")
-    try:
-        return root_system(args.type)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+        raise InputError("one of --type or --cartan-file is required")
+    return root_system(args.type)
 
 
 def _theta(args, system: RootSystem) -> tuple[int, ...]:
@@ -62,11 +56,8 @@ def _theta(args, system: RootSystem) -> tuple[int, ...]:
     try:
         theta = tuple(int(tok) for tok in raw.split(",") if tok != "")
     except ValueError:
-        raise UsageError(f"cannot parse theta {raw!r}; expected e.g. 2,3,4") from None
-    try:
-        return weylmod.normalize_theta(system, theta)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+        raise InputError(f"cannot parse theta {raw!r}; expected e.g. 2,3,4") from None
+    return weylmod.normalize_theta(system, theta)
 
 
 def _emit(text: str, path: str | None) -> None:
@@ -97,8 +88,8 @@ def _parse_chow(ring, text):
             w = weylmod.parse_element(ring.system, text[1:-1])
             return ring.element(ring.class_of(w))
         return ring.element(ring.class_by_label(text))
-    except ValueError as exc:
-        raise UsageError(f"{text}: {exc}") from None
+    except InputError as exc:
+        raise InputError(f"{text}: {exc}") from None
 
 
 def _node(args, ring, what: str) -> int:
@@ -106,10 +97,10 @@ def _node(args, ring, what: str) -> int:
     nodes = [i for i in range(1, ring.system.rank + 1) if i not in ring.theta]
     if args.node is None:
         if len(nodes) != 1:
-            raise UsageError(f"--node is required for {what} of this theta")
+            raise InputError(f"--node is required for {what} of this theta")
         return nodes[0]
     if args.node not in nodes:
-        raise UsageError(f"--node {args.node} is not one of {nodes}")
+        raise InputError(f"--node {args.node} is not one of {nodes}")
     return args.node
 
 
@@ -147,9 +138,9 @@ def cmd_weyl(args) -> int:
 def cmd_hasse(args) -> int:
     system = _system(args)
     if args.by_codim and (args.pieri or args.format == "json"):
-        raise UsageError("--by-codim flips the edges of a dot Hasse diagram only")
+        raise InputError("--by-codim flips the edges of a dot Hasse diagram only")
     if args.node is not None and not args.pieri:
-        raise UsageError("--node picks the hyperplane of --pieri only")
+        raise InputError("--node picks the hyperplane of --pieri only")
     theta = _theta(args, system)
     if args.pieri:
         ring = _ring(system, theta)
@@ -168,7 +159,7 @@ def cmd_chow(args) -> int:
     ring = _ring(system, _theta(args, system))
     if args.query == "basis":
         if args.codim is not None and not 0 <= args.codim <= ring.dim:
-            raise UsageError(f"--codim {args.codim} is out of range 0..{ring.dim}")
+            raise InputError(f"--codim {args.codim} is out of range 0..{ring.dim}")
         codims = [args.codim] if args.codim is not None else range(ring.dim + 1)
         lines = []
         for s in codims:
@@ -197,7 +188,7 @@ def _f4_variety(tag):
     """The labeled F4 ring tagged ``tag``, the only rings a correspondence names."""
     ring = _pipeline_ring(lambda v: v.tag == tag)
     if ring is None:
-        raise UsageError(f"unknown variety {tag!r}; use x1 or x4")
+        raise InputError(f"unknown variety {tag!r}; use x1 or x4")
     return ring
 
 
@@ -205,18 +196,19 @@ def _load_corr(path: str):
     with open(path) as fh:
         try:
             payload = json.load(fh)
-        except ValueError as exc:   # JSONDecodeError, or bytes that are not UTF-8
-            raise UsageError(f"{path}: not a JSON file ({exc})") from None
+        # JSONDecodeError, bytes that are not UTF-8, or nesting past the stack
+        except (ValueError, RecursionError) as exc:
+            raise InputError(f"{path}: not a JSON file ({exc})") from None
     if not isinstance(payload, dict):
-        raise UsageError(f"{path}: expected a JSON object with source, target and terms")
+        raise InputError(f"{path}: expected a JSON object with source, target and terms")
     try:
         source = _f4_variety(payload["source"])
         target = _f4_variety(payload["target"])
         return corr.from_jsonable(source, target, payload["terms"])
     except KeyError as exc:
-        raise UsageError(f"{path}: missing key {exc}") from None
-    except (UsageError, ValueError) as exc:
-        raise UsageError(f"{path}: {exc}") from None
+        raise InputError(f"{path}: missing key {exc}") from None
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from None
 
 
 def _dump_corr(alpha) -> str:
@@ -236,10 +228,9 @@ def cmd_corr(args) -> int:
     elif args.query == "compose":
         beta = _load_corr(args.beta)
         alpha = _load_corr(args.alpha)
-        try:
-            composed = corr.compose(beta, alpha)
-        except ValueError as exc:   # the middle varieties differ
-            raise UsageError(str(exc)) from None
+        if alpha.target is not beta.source:
+            raise InputError("middle varieties do not match")
+        composed = corr.compose(beta, alpha)
         if args.mod:
             composed = corr.mod_reduce(composed, args.mod)
         _emit(_dump_corr(composed), args.output)
@@ -365,7 +356,7 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.fn(args)
-    except (UsageError, SizeLimitError, OSError) as exc:
+    except (InputError, OSError) as exc:
         if isinstance(exc, OSError) and exc.filename is not None:
             exc = f"{exc.filename}: {exc.strerror}"
         print(f"error: {exc}", file=sys.stderr)

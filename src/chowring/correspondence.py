@@ -33,6 +33,7 @@ misses the table or its row and raises ``ValueError``.
 from __future__ import annotations
 
 from .poly import _Combination
+from .rootsystem import InputError
 from .schubert import ChowElement, ChowRing, SchubertClass
 
 Modulus = int  # 0 means integral coefficients
@@ -267,16 +268,16 @@ def to_jsonable(alpha: Correspondence) -> list[dict]:
 
 def from_jsonable(source: ChowRing, target: ChowRing, data) -> Correspondence:
     """Inverse of ``to_jsonable``: a list of objects with string labels f
-    and g and a JSON integer coeff; ValueError names the shape it missed."""
+    and g and a JSON integer coeff; InputError names the shape it missed."""
     shape = 'terms must be a list of {"f": label, "g": label, "coeff": integer} objects'
     if not isinstance(data, list) or not all(isinstance(item, dict) for item in data):
-        raise ValueError(shape)
+        raise InputError(shape)
     pairs = []
     for item in data:
         f, g, coeff = item["f"], item["g"], item["coeff"]
         if not (isinstance(f, str) and isinstance(g, str)):
-            raise ValueError(f"{shape}; labels {f!r} and {g!r}")
+            raise InputError(f"{shape}; labels {f!r} and {g!r}")
         if type(coeff) is not int:
-            raise ValueError(f"coefficient {coeff!r} is not an integer")
+            raise InputError(f"coefficient {coeff!r} is not an integer")
         pairs.append((source.class_by_label(f), target.class_by_label(g), coeff))
     return Correspondence.from_pairs(source, target, pairs)

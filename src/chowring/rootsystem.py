@@ -42,7 +42,11 @@ BUILTIN_CARTAN: dict[str, tuple[tuple[int, ...], ...]] = {
 }
 
 
-class InfiniteRootSystemError(ValueError):
+class InputError(ValueError):
+    """Outside input, refused by the code that parses it."""
+
+
+class InfiniteRootSystemError(InputError):
     """The Cartan matrix is not of finite type."""
 
 
@@ -60,15 +64,15 @@ class CartanMatrix:
         n = len(entries)
         for row in entries:
             if len(row) != n:
-                raise ValueError("Cartan matrix must be square")
+                raise InputError("Cartan matrix must be square")
         for i in range(n):
             if entries[i][i] != 2:
-                raise ValueError("Cartan matrix diagonal entries must be 2")
+                raise InputError("Cartan matrix diagonal entries must be 2")
             for j in range(n):
                 if i != j and entries[i][j] > 0:
-                    raise ValueError("off-diagonal Cartan entries must be <= 0")
+                    raise InputError("off-diagonal Cartan entries must be <= 0")
                 if (entries[i][j] == 0) != (entries[j][i] == 0):
-                    raise ValueError("zero pattern of a Cartan matrix is symmetric")
+                    raise InputError("zero pattern of a Cartan matrix is symmetric")
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CartanMatrix):
@@ -94,27 +98,30 @@ class CartanMatrix:
         try:
             return cls(BUILTIN_CARTAN[name])
         except KeyError:
-            raise ValueError(f"unknown root system type {name!r}; "
+            raise InputError(f"unknown root system type {name!r}; "
                              f"known types: {sorted(BUILTIN_CARTAN)}") from None
 
     @classmethod
     def from_file(cls, path) -> "CartanMatrix":
         """Read rows of space-separated integers, one matrix row per line;
-        a ValueError names the line of a token that is no integer."""
+        an InputError names the line of a token that is no integer."""
         rows = []
         with open(path) as f:
-            text = f.read()
+            try:
+                text = f.read()
+            except UnicodeDecodeError as exc:
+                raise InputError(str(exc)) from None
         for number, line in enumerate(text.splitlines(), 1):
             row = []
             for tok in line.split():
                 try:
                     row.append(int(tok))
                 except ValueError:
-                    raise ValueError(f"line {number}: {tok!r} is not an integer") from None
+                    raise InputError(f"line {number}: {tok!r} is not an integer") from None
             if row:
                 rows.append(row)
         if not rows:
-            raise ValueError("no matrix rows found")
+            raise InputError("no matrix rows found")
         return cls.from_rows(rows)
 
 
@@ -143,11 +150,11 @@ def _symmetrizer(cartan: CartanMatrix) -> tuple[Fraction, ...]:
                     d[j] = expected
                     stack.append(j)
                 elif d[j] != expected:
-                    raise ValueError("Cartan matrix is not symmetrizable")
+                    raise InputError("Cartan matrix is not symmetrizable")
     for i in range(n):
         for j in range(n):
             if d[i] * c[i][j] != d[j] * c[j][i]:
-                raise ValueError("Cartan matrix is not symmetrizable")
+                raise InputError("Cartan matrix is not symmetrizable")
     return tuple(d)  # type: ignore[arg-type]
 
 

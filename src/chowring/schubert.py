@@ -86,7 +86,7 @@ from weakref import WeakKeyDictionary
 from . import weyl as _weyl
 from .poly import (RationalPolynomial, _calculus, _Combination, _raw_add_into, _raw_delta,
                    _raw_scale)
-from .rootsystem import RootSystem
+from .rootsystem import InputError, RootSystem
 from .weyl import WeylElement, WeylGroup, get_weyl_group
 
 
@@ -503,10 +503,7 @@ class _LocalizationEngine:
         return states
 
     def product(self, a: SchubertClass, b: SchubertClass) -> dict[SchubertClass, int]:
-        """[X_a]*[X_b] as class -> coefficient, by forward substitution;
-        ValueError for a class of another ring."""
-        for cls in (a, b):
-            self.ring.class_position(cls)
+        """[X_a]*[X_b] as class -> coefficient, by forward substitution."""
         ka, kb, top = a.sigma, b.sigma, a.codim + b.codim
         if top > self.ring.dim:
             return {}
@@ -627,7 +624,7 @@ class ChowRing:
     def class_of(self, w: WeylElement) -> SchubertClass:
         pos = self._position.get(w)
         if pos is None:
-            raise ValueError("element does not index a basis class of this ring")
+            raise InputError("element does not index a basis class of this ring")
         return self.classes[pos]
 
     def element(self, terms) -> ChowElement:
@@ -656,7 +653,7 @@ class ChowRing:
 
     def class_by_label(self, label: str) -> SchubertClass:
         if self.labels is None or label not in self.labels:
-            raise ValueError(f"unknown class label {label!r}")
+            raise InputError(f"unknown class label {label!r}")
         return self.labels[label]
 
     # -- duality ---------------------------------------------------------------

@@ -28,7 +28,7 @@ from collections import Counter
 from functools import lru_cache
 from math import prod
 
-from .rootsystem import Root, RootSystem, Weight
+from .rootsystem import InputError, Root, RootSystem, Weight
 
 # The largest Weyl group :class:`WeylGroup` enumerates and the largest coset
 # orbit :func:`coset_orbit` walks: W(E6), 51840 elements, still runs;
@@ -36,7 +36,7 @@ from .rootsystem import Root, RootSystem, Weight
 MAX_ENUMERATION = 100_000
 
 
-class SizeLimitError(ValueError):
+class SizeLimitError(InputError):
     """A walk or table larger than this program's size bound, refused
     before any of it is built."""
 
@@ -141,7 +141,7 @@ def parse_element(system: RootSystem, text: str) -> WeylElement:
     for tok in text.split():
         node = int(tok[1:]) if tok[:1] == "s" and tok[1:].isdecimal() else 0
         if not 1 <= node <= system.rank:
-            raise ValueError(f"bad reflection token {tok!r}; expected s1.."
+            raise InputError(f"bad reflection token {tok!r}; expected s1.."
                              f"s{system.rank}")
         word.append(node)
     return word_to_element(system, word)
@@ -151,7 +151,7 @@ def normalize_theta(system: RootSystem, theta) -> tuple[int, ...]:
     theta = tuple(sorted(set(int(t) for t in theta)))
     for t in theta:
         if not 1 <= t <= system.rank:
-            raise ValueError(f"theta node {t} out of range 1..{system.rank}")
+            raise InputError(f"theta node {t} out of range 1..{system.rank}")
     return theta
 
 

@@ -172,8 +172,9 @@ def test_malformed_input_is_usage_error(argv, file_text, tmp_path, capsys, reque
     b'{"source": "x1", "target": "x1", "terms": [1]}\n',
     b'{"source": ["x1"], "target": "x1", "terms": []}\n',
     b'{"source": "x1", "target": "x1", "terms": [{"f": ["h1^0"], "g": "h1^15", "coeff": 1}]}\n',
+    b"[" * 100_000,
 ], ids=["not-json", "not-utf8", "json-array", "json-string", "terms-object",
-        "terms-of-integers", "source-list", "label-list"])
+        "terms-of-integers", "source-list", "label-list", "deep-nesting"])
 def test_corr_file_that_is_no_json_object_is_named(content, tmp_path, capsys):
     """A correspondence file that is not JSON, whose JSON is not an
     object, or whose source, terms or labels have the wrong shape is a

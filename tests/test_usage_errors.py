@@ -10,20 +10,29 @@ stdout, and exactly one stderr line that starts with ``error: ``, names
 the offending option, value or argument, and shows no traceback.  A
 second generator points each query's ``-o`` (``verify``'s ``--report``)
 into a directory that does not exist: the error line names that path
-first.
+first.  A third generator writes malformed input the commands parse:
+Cartan files, theta and node values, class strings and correspondence
+files; each line must fail the same way and name the file, token or value.
+Last, a plain ``ValueError`` raised inside the library where input is
+parsed is a fault, not a refusal: exit code 3 and a traceback.
 
-The file uses the standard library only, so ``python tests/test_usage_errors.py``
-runs the same checks on an interpreter without pytest.
+The file uses the standard library and the tests' ``dynkin`` module only, so
+``python tests/test_usage_errors.py`` runs the same checks on an
+interpreter without pytest.
 """
 
 import contextlib
 import io
+import json
 import os
 import random
 import sys
 import tempfile
 
+from chowring import cli, correspondence, weyl
 from chowring.cli import build_parser, main
+from chowring.schubert import ChowRing
+import dynkin
 
 # A valid command line per query: the words that name it, the options it
 # requires, then the other options it reads.  Every option of the program
@@ -64,6 +73,22 @@ BAD_VALUES = {
 }
 
 SEEDS = (0, 1, 2)
+
+
+def run(argv):
+    """(exit code, stdout, stderr) of one in-process run."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def refused_once(code, out, err, *named):
+    """Exit code 2, nothing on stdout, and one ``error:`` line on stderr
+    that contains every string of ``named`` and no traceback."""
+    return (code == 2 and out == "" and err.startswith("error: ")
+            and err.count("\n") == 1 and err.endswith("\n")
+            and all(n in err for n in named) and "Traceback" not in err)
 
 
 def options(tokens):
@@ -136,6 +161,154 @@ def missing_directory_lines(path, missing):
         yield [path if t == "{file}" else t for t in argv], missing
 
 
+def broken_cartan(kind, rng):
+    """The bytes of a Cartan file broken as ``kind`` says, and the token its
+    error line must name besides the path ("" for none)."""
+    n = rng.randint(3, 5)
+    rows = [list(row) for row in dynkin.cartan(f"A{n}")]
+    i = rng.randrange(n - 1)
+    token = ""
+    if kind == "empty":
+        return rng.choice(["", "\n", " \n\t\n"]).encode(), token
+    if kind == "token":
+        token = rng.choice(["x", "2.0", "1/2", "--1", "0x1", "two"])
+        rows[rng.randrange(n)][rng.randrange(n)] = token
+        token = repr(token)
+    elif kind == "ragged":
+        del rows[rng.randrange(n)][-1]
+    elif kind == "positive":
+        rows[i][i + 1] = rows[i + 1][i] = rng.randint(1, 3)
+    elif kind == "zeros":
+        j, k = rng.choice([(i, i + 1), (i + 1, i)])
+        rows[j][k] = 0
+    elif kind == "unsymmetrizable":   # a cycle 1-2-3 whose products differ
+        rows[0][2], rows[2][0] = -1, -rng.randint(2, 3)
+    elif kind == "infinite":          # affine or indefinite
+        if rng.random() < 0.5:
+            rows[0][n - 1] = rows[n - 1][0] = -1
+        else:
+            a = rng.randint(1, 4)
+            b = -(-4 // a) + rng.randint(0, 1)   # a * b >= 4
+            rows[i][i + 1], rows[i + 1][i] = -a, -b
+    text = "".join(" ".join(map(str, row)) + "\n" for row in rows).encode()
+    if kind == "bytes":
+        bad = rng.choice([b"\xff", b"\xfe", b"\x80", b"\xc3("])
+        return (bad + text if rng.random() < 0.5 else text + bad), token
+    return text, token
+
+
+def _labels(tag):
+    letter = "h" if tag == "x1" else "g"
+    return [f"{letter}1^{k}" for k in range(16)] + [f"{letter}2^{k}" for k in range(4, 12)]
+
+
+def broken_corr(kind, rng):
+    """The text of a correspondence file broken as ``kind`` says."""
+    if kind == "deep":
+        return "[" * 100_000
+    source, target = rng.choice("x1 x4".split()), rng.choice("x1 x4".split())
+    terms = [{"f": rng.choice(_labels(source)), "g": rng.choice(_labels(target)),
+              "coeff": rng.choice([-2, -1, 1, 3])} for _ in range(rng.randint(1, 3))]
+    payload = {"source": source, "target": target, "terms": terms}
+    term = rng.choice(terms)
+    if kind == "not-json":
+        text = json.dumps(payload)
+        return rng.choice(["", "nope", text[:rng.randrange(len(text))]])
+    if kind == "not-object":
+        return json.dumps(rng.choice([[payload], source, 3, None]))
+    if kind == "missing-key":
+        owner = rng.choice([payload, term])
+        del owner[rng.choice(sorted(owner))]
+    elif kind == "nesting":
+        payload["terms"] = rng.choice([term, [terms], [1, 2], term["f"]])
+    elif kind == "label-type":
+        key = rng.choice("fg")
+        term[key] = rng.choice([1, None, True, [term[key]], {"label": term[key]}])
+    elif kind == "coeff":
+        term["coeff"] = rng.choice([True, False, 1.0, 2.5, float("nan"), "1", None])
+    elif kind == "foreign-label":
+        term["f"] = rng.choice(_labels("x4" if source == "x1" else "x1"))
+    return json.dumps(payload)
+
+
+CARTAN_KINDS = ("empty", "token", "ragged", "positive", "zeros", "unsymmetrizable",
+                "infinite", "bytes")
+CORR_KINDS = ("not-json", "not-object", "missing-key", "nesting", "label-type", "coeff",
+              "foreign-label", "deep")
+# (--type, --theta) of the rings the class, theta and node lines query
+RINGS = [("F4", "2,3,4"), ("F4", "1,2,3"), ("B3", "1"), ("G2", "2"), ("A2", "1")]
+
+
+def malformed_input_lines(seed, tmp):
+    """(argv, strings its error line must contain) for one input of every
+    kind; the files are written under ``tmp``."""
+    rng = random.Random(seed)
+    for kind in CARTAN_KINDS:
+        path = os.path.join(tmp, f"cartan-{kind}-{seed}")
+        data, token = broken_cartan(kind, rng)
+        with open(path, "wb") as fh:
+            fh.write(data)
+        command = rng.choice([["roots"], ["weyl", "order"], ["weyl", "cosets"],
+                              ["chow", "basis"], ["hasse"]])
+        yield command + ["--cartan-file", path], (path, token)
+
+    valid = os.path.join(tmp, f"corr-{seed}")
+    with open(valid, "w") as fh:
+        fh.write(CORR)
+    for kind in CORR_KINDS:
+        path = os.path.join(tmp, f"corr-{kind}-{seed}")
+        with open(path, "w") as fh:
+            fh.write(broken_corr(kind, rng))
+        files = rng.choice([[path], [path, valid], [valid, path]])
+        yield ["corr", "transpose" if len(files) == 1 else "compose", *files], (path,)
+
+    for name, theta in rng.sample(RINGS, 2):
+        rank = int(name[1])
+        system = ["--type", name, "--theta=" + theta]
+        ring_query = rng.choice([["chow", "basis"], ["chow", "table"], ["hasse"],
+                                 ["weyl", "cosets"], ["weyl", "longest"]])
+        raw = f"{rng.randint(1, rank)},{rng.choice(['x', '1.5', 'one', '2;3', '0x1'])}"
+        yield ring_query + ["--type", name, "--theta=" + raw], (repr(raw),)
+        node = rng.choice([0, -1, rank + 1, rank + rng.randint(2, 99)])
+        yield ring_query + ["--type", name, f"--theta={node}"], (f"theta node {node} ",)
+
+        node_query = rng.choice([["chow", "table"], ["hasse", "--pieri"]])
+        bad = rng.choice(["x", "1.0", "", "one"])
+        yield node_query + system + ["--node", bad], ("--node", repr(bad))
+        node = rng.choice([int(theta[0]), 0, -1, rank + 1])   # in theta, or no node
+        yield node_query + system + [f"--node={node}"], (f"--node {node} ",)
+
+        # with theta nonempty, e and each s_i off theta index no class
+        outside = [f"[s{i}]" for i in range(1, rank + 1) if str(i) not in theta.split(",")]
+        other = "g" if theta == "2,3,4" else "h"   # a label of the other F4 variety
+        classes = [
+            f"[s1 {rng.choice(['s0', f's{rank + 1}', 'x1', 's', 't2', 's1.0'])}]",
+            rng.choice(["[e]", "[]", *outside]),
+            rng.choice([f"{other}1^1", "h1^16", "g2^3", "h3^1", "h1", "x"]),
+            rng.choice(["[s1", "s1]", "[[s1]", "[s1]]", "(s1)"]),
+        ]
+        for text in classes:
+            query = rng.choice([["--lhs", text, "--rhs", text], ["--class", text]])
+            words = ["chow", "mult" if len(query) == 4 else "giambelli-lift"]
+            yield words + system + query, (f"error: {text}: ",)
+
+
+def boom(*args, **kwargs):
+    raise ValueError("boom")
+
+
+# (owner, attribute, argv): a library call on the path of a query that
+# parses input; "{cartan}" and "{corr}" name valid files
+FAULTS = [
+    (cli, "build_root_system", ["roots", "--cartan-file", "{cartan}"]),
+    (cli, "root_system", ["roots", "--type", "A2"]),
+    (weyl, "normalize_theta", ["weyl", "cosets", "--type", "A2", "--theta", "1"]),
+    (ChowRing, "class_of", ["chow", "mult", "--type", "B3", "--lhs", "[s1]", "--rhs", "[s2]"]),
+    (correspondence, "from_jsonable", ["corr", "transpose", "{corr}"]),
+    (correspondence, "compose", ["corr", "compose", "{corr}", "{corr}"]),
+]
+
+
 def test_every_query_line_is_valid():
     """The lines the generator breaks parse as they stand."""
     parser = build_parser()
@@ -152,14 +325,9 @@ def test_generated_malformed_lines_exit_2():
         for seed in SEEDS:
             for argv, named in malformed_lines(seed, path):
                 count += 1
-                out, err = io.StringIO(), io.StringIO()
-                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                    code = main(argv)
-                err = err.getvalue()
-                if (code != 2 or out.getvalue() or not err.startswith("error: ")
-                        or err.count("\n") != 1 or not err.endswith("\n")
-                        or named not in err or "Traceback" in err):
-                    bad.append((argv, code, out.getvalue(), err))
+                result = run(argv)
+                if not refused_once(*result, named):
+                    bad.append((argv, *result))
         assert count > 100
         assert not os.listdir(tmp)
     assert bad == []
@@ -174,15 +342,49 @@ def test_outputs_into_a_missing_directory_exit_2():
         bad = []
         lines = list(missing_directory_lines(path, missing))
         for argv, named in lines:
-            out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = main(argv)
-            err = err.getvalue()
-            if (code != 2 or out.getvalue() or not err.startswith(f"error: {named}: ")
-                    or err.count("\n") != 1 or not err.endswith("\n")):
-                bad.append((argv, code, out.getvalue(), err))
+            result = run(argv)
+            if not (refused_once(*result) and result[2].startswith(f"error: {named}: ")):
+                bad.append((argv, *result))
         assert len(lines) == len(QUERIES)
         assert os.listdir(tmp) == ["input"]
+    assert bad == []
+
+
+def test_generated_malformed_input_exit_2():
+    with tempfile.TemporaryDirectory() as tmp:
+        bad = []
+        count = 0
+        for seed in SEEDS:
+            for argv, named in malformed_input_lines(seed, tmp):
+                count += 1
+                result = run(argv)
+                if not refused_once(*result, *named):
+                    bad.append((argv, *result))
+        assert count == len(SEEDS) * (len(CARTAN_KINDS) + len(CORR_KINDS) + 2 * 8)
+    assert bad == []
+
+
+def test_faults_where_input_is_parsed_exit_3():
+    """A ``ValueError`` that is no ``InputError`` is a fault of the program:
+    its traceback goes to stderr, nothing to stdout, and the exit code is 3."""
+    with tempfile.TemporaryDirectory() as tmp:
+        files = {"{cartan}": ("cartan", "2 -1\n-1 2\n"), "{corr}": ("corr", CORR)}
+        for name, text in files.values():
+            with open(os.path.join(tmp, name), "w") as fh:
+                fh.write(text)
+        bad = []
+        for owner, attribute, argv in FAULTS:
+            argv = [os.path.join(tmp, files[t][0]) if t in files else t for t in argv]
+            original = getattr(owner, attribute)
+            setattr(owner, attribute, boom)
+            try:
+                code, out, err = run(argv)
+            finally:
+                setattr(owner, attribute, original)
+            if (code, out) != (3, "") or not (
+                    err.startswith("Traceback (most recent call last):\n")
+                    and err.endswith("\nValueError: boom\n")):
+                bad.append((argv, code, out, err))
     assert bad == []
 
 
@@ -190,4 +392,6 @@ if __name__ == "__main__":
     test_every_query_line_is_valid()
     test_generated_malformed_lines_exit_2()
     test_outputs_into_a_missing_directory_exit_2()
+    test_generated_malformed_input_exit_2()
+    test_faults_where_input_is_parsed_exit_3()
     print(f"ok on Python {sys.version.split()[0]}")
