@@ -25,7 +25,7 @@ from . import correspondence as corr
 from . import f4pipeline, hasse, poly
 from . import weyl as weylmod
 from .rootsystem import (BUILTIN_CARTAN, CartanMatrix, InputError, RootSystem,
-                         build_root_system, root_system)
+                         build_root_system, parse_int, root_system)
 from .schubert import format_table_text, get_chow_ring, hyperplane_table
 from .weyl import get_weyl_group
 
@@ -195,18 +195,17 @@ def _f4_variety(tag):
 def _load_corr(path: str):
     with open(path) as fh:
         try:
-            payload = json.load(fh)
+            payload = json.load(fh, parse_int=parse_int)
+        except InputError as exc:   # an integer past the interpreter's digit limit
+            raise InputError(f"{path}: {exc}") from None
         # JSONDecodeError, bytes that are not UTF-8, or nesting past the stack
         except (ValueError, RecursionError) as exc:
             raise InputError(f"{path}: not a JSON file ({exc})") from None
     if not isinstance(payload, dict):
         raise InputError(f"{path}: expected a JSON object with source, target and terms")
     try:
-        source = _f4_variety(payload["source"])
-        target = _f4_variety(payload["target"])
-        return corr.from_jsonable(source, target, payload["terms"])
-    except KeyError as exc:
-        raise InputError(f"{path}: missing key {exc}") from None
+        source, target, terms = corr.read_keys(payload, "source", "target", "terms")
+        return corr.from_jsonable(_f4_variety(source), _f4_variety(target), terms)
     except InputError as exc:
         raise InputError(f"{path}: {exc}") from None
 
@@ -256,7 +255,7 @@ def cmd_verify(args) -> int:
 # -- parser -------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     parser = _Parser(
         prog="chowring",
         description="Schubert calculus for Chow rings of G/P and the "
@@ -281,22 +280,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     def queries(name, help, fn):
         """A command whose queries are subcommands, each declaring only the
-        options it reads."""
+        options it reads; None when ``command`` is given and is another."""
         p = sub.add_parser(name, help=help)
         p.set_defaults(fn=fn)
-        return p.add_subparsers(dest="query", required=True)
+        return p.add_subparsers(dest="query", required=True) if command in (None, name) else None
 
     p = sub.add_parser("roots", help="list positive roots")
     common(p, ("text", "json"), theta=False)
     p.set_defaults(fn=cmd_roots)
 
     weyl_queries = queries("weyl", "Weyl group queries", cmd_weyl)
-    common(weyl_queries.add_parser("order", help="the order of W"), theta=False)
-    common(weyl_queries.add_parser("longest", help="the longest element of W or W_theta"))
-    q = weyl_queries.add_parser("cosets", help="coset representatives of W/W_theta")
-    common(q)
-    q.add_argument("--maximal", action="store_true",
-                   help="maximal instead of minimal coset representatives")
+    if weyl_queries:
+        common(weyl_queries.add_parser("order", help="the order of W"), theta=False)
+        common(weyl_queries.add_parser("longest", help="the longest element of W or W_theta"))
+        q = weyl_queries.add_parser("cosets", help="coset representatives of W/W_theta")
+        common(q)
+        q.add_argument("--maximal", action="store_true",
+                       help="maximal instead of minimal coset representatives")
 
     p = sub.add_parser("hasse", help="export Hasse or Pieri diagrams")
     common(p, ("dot", "json"))
@@ -311,34 +311,36 @@ def build_parser() -> argparse.ArgumentParser:
 
     a_class = "a class label like h1^4, or a reduced word in brackets"
     chow_queries = queries("chow", "Chow ring queries", cmd_chow)
-    q = chow_queries.add_parser("basis", help="the Schubert basis, by codimension")
-    common(q)
-    q.add_argument("--codim", type=int, help="list this codimension only")
-    q = chow_queries.add_parser("mult", help="the product of two classes")
-    common(q)
-    q.add_argument("--lhs", required=True, help=a_class)
-    q.add_argument("--rhs", required=True, help=a_class)
-    q = chow_queries.add_parser("table", help="the hyperplane multiplication table")
-    common(q, ("text", "json"))
-    q.add_argument("--node", type=int,
-                   help="hyperplane node (defaults to the complement of theta "
-                        "when unique)")
-    q = chow_queries.add_parser("giambelli-lift", help="the Giambelli polynomial of a class")
-    common(q)
-    q.add_argument("--class", dest="cls", required=True, help=a_class)
+    if chow_queries:
+        q = chow_queries.add_parser("basis", help="the Schubert basis, by codimension")
+        common(q)
+        q.add_argument("--codim", type=int, help="list this codimension only")
+        q = chow_queries.add_parser("mult", help="the product of two classes")
+        common(q)
+        q.add_argument("--lhs", required=True, help=a_class)
+        q.add_argument("--rhs", required=True, help=a_class)
+        q = chow_queries.add_parser("table", help="the hyperplane multiplication table")
+        common(q, ("text", "json"))
+        q.add_argument("--node", type=int,
+                       help="hyperplane node (defaults to the complement of theta "
+                            "when unique)")
+        q = chow_queries.add_parser("giambelli-lift", help="the Giambelli polynomial of a class")
+        common(q)
+        q.add_argument("--class", dest="cls", required=True, help=a_class)
 
     corr_queries = queries("corr", "correspondence arithmetic on the F4 pair", cmd_corr)
-    q = corr_queries.add_parser("diagonal", help="the diagonal of X1 or X4")
-    q.add_argument("--variety", default="x1", help="x1 or x4 (default x1)")
-    output(q)
-    q = corr_queries.add_parser("transpose", help="the transpose of a correspondence")
-    q.add_argument("alpha", help="correspondence JSON file")
-    output(q)
-    q = corr_queries.add_parser("compose", help="the composite beta o alpha")
-    q.add_argument("beta", help="correspondence JSON file, applied second")
-    q.add_argument("alpha", help="correspondence JSON file, applied first")
-    q.add_argument("--mod", type=int, choices=(3,), help="reduce the composite mod 3")
-    output(q)
+    if corr_queries:
+        q = corr_queries.add_parser("diagonal", help="the diagonal of X1 or X4")
+        q.add_argument("--variety", default="x1", help="x1 or x4 (default x1)")
+        output(q)
+        q = corr_queries.add_parser("transpose", help="the transpose of a correspondence")
+        q.add_argument("alpha", help="correspondence JSON file")
+        output(q)
+        q = corr_queries.add_parser("compose", help="the composite beta o alpha")
+        q.add_argument("beta", help="correspondence JSON file, applied second")
+        q.add_argument("alpha", help="correspondence JSON file, applied first")
+        q.add_argument("--mod", type=int, choices=(3,), help="reduce the composite mod 3")
+        output(q)
 
     p = sub.add_parser("verify", help="run a verification pipeline")
     p.add_argument("what", choices=("f4",))
@@ -353,8 +355,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = build_parser().parse_args(argv)
+        # the top level reads no option but -h: its first other token is the command
+        args = build_parser(next((t for t in argv if t[:1] != "-"), "")).parse_args(argv)
         return args.fn(args)
     except (InputError, OSError) as exc:
         if isinstance(exc, OSError) and exc.filename is not None:

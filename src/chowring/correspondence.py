@@ -266,6 +266,14 @@ def to_jsonable(alpha: Correspondence) -> list[dict]:
             for (f, g), v in alpha.sorted_terms()]
 
 
+def read_keys(obj: dict, *keys: str) -> list:
+    """``obj[key]`` for each key; InputError names the first key ``obj`` lacks."""
+    for key in keys:
+        if key not in obj:
+            raise InputError(f"missing key {key!r}")
+    return [obj[key] for key in keys]
+
+
 def from_jsonable(source: ChowRing, target: ChowRing, data) -> Correspondence:
     """Inverse of ``to_jsonable``: a list of objects with string labels f
     and g and a JSON integer coeff; InputError names the shape it missed."""
@@ -274,7 +282,7 @@ def from_jsonable(source: ChowRing, target: ChowRing, data) -> Correspondence:
         raise InputError(shape)
     pairs = []
     for item in data:
-        f, g, coeff = item["f"], item["g"], item["coeff"]
+        f, g, coeff = read_keys(item, "f", "g", "coeff")
         if not (isinstance(f, str) and isinstance(g, str)):
             raise InputError(f"{shape}; labels {f!r} and {g!r}")
         if type(coeff) is not int:

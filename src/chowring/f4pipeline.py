@@ -102,12 +102,21 @@ def _table_misses(multiply, label: dict, table):
 def solve_labels(ring: ChowRing, node: int, letter: str, table) -> list[dict]:
     """Every label assignment, ``{letter}i^s`` naming the i-th class of an
     ordering of each codimension s, under which Chevalley's rule reproduces
-    the hyperplane table."""
-    chev = {cls: ring.chevalley_product(node, cls).terms for cls in ring.classes}
-    orders = (itertools.permutations(ring.basis(s)) for s in range(ring.dim + 1))
-    labels = ({f"{letter}{i}^{s}": cls for s, basis in enumerate(choice)
-               for i, cls in enumerate(basis, 1)} for choice in itertools.product(*orders))
-    return [label for label in labels if not any(_table_misses(chev.__getitem__, label, table))]
+    the hyperplane table, or what checking them all raises.  Searched by
+    codimension: a row is checked, in table order, once its classes are
+    named (from the first row that names no class on, once all are)."""
+    multiply = {cls: ring.chevalley_product(node, cls).terms for cls in ring.classes}.__getitem__
+    codim = {f"{letter}{i}^{s}": s for s, n in enumerate(ring.ranks()) for i in range(1, n + 1)}
+    head = next((k for k, row in enumerate(table) if row[1] not in codim), len(table))
+    stage = [min(codim[row[1]] + 1, ring.dim) if k < head else ring.dim
+             for k, row in enumerate(table)]
+    labels = [{}]
+    for s in range(ring.dim + 1):
+        rows = [row for row, t in zip(table, stage) if t == s]
+        labels = [label | {f"{letter}{i}^{s}": cls for i, cls in enumerate(order, 1)}
+                  for label in labels for order in itertools.permutations(ring.basis(s))]
+        labels = [label for label in labels if not any(_table_misses(multiply, label, rows))]
+    return labels
 
 
 def _parse_label(lab: str) -> tuple[int, int]:

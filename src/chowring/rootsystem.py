@@ -50,6 +50,18 @@ class InfiniteRootSystemError(InputError):
     """The Cartan matrix is not of finite type."""
 
 
+def parse_int(text: str) -> int:
+    """``int(text)``, or an InputError; past the digit limit, with the first digits only."""
+    try:
+        return int(text)
+    except ValueError:
+        digits = text[1:] if text[:1] in ("+", "-") else text
+        if digits.isdecimal():
+            raise InputError(f"{text[:12]}... has {len(digits)} digits, more than the "
+                             "interpreter's integer-conversion limit") from None
+        raise InputError(f"{text!r} is not an integer") from None
+
+
 class CartanMatrix:
     """Square integer matrix with 2 on the diagonal and <= 0 off it.
 
@@ -112,12 +124,10 @@ class CartanMatrix:
             except UnicodeDecodeError as exc:
                 raise InputError(str(exc)) from None
         for number, line in enumerate(text.splitlines(), 1):
-            row = []
-            for tok in line.split():
-                try:
-                    row.append(int(tok))
-                except ValueError:
-                    raise InputError(f"line {number}: {tok!r} is not an integer") from None
+            try:
+                row = [parse_int(tok) for tok in line.split()]
+            except InputError as exc:
+                raise InputError(f"line {number}: {exc}") from None
             if row:
                 rows.append(row)
         if not rows:

@@ -5,17 +5,17 @@ faithful representation giving canonical equality and hashing.  Reduced
 words are derived data, read off the integer weight w^{-1} rho without
 multiplying elements; they are not memoized, and each :class:`CosetOrbit`
 names its points once, on the first read of its ``names``.  Elements are
-built in two ways only: by right multiplication with a simple reflection
-(words, parsing, longest elements) and by the one-step-longer left moves
-of an orbit walk.  The parabolic quotient W^theta is one :class:`CosetOrbit` per
-(system, theta), found as the orbit of rho_P without enumerating W; it
-fixes the coset representatives, their order, reduced words, the Hasse
-edges and the Poincare-duality involution for every module that reads
-W^theta, and its :class:`RootIndex` tables apply elements to roots by
-index.  The order of W and of its parabolic subgroups follows from the
-root heights.  W itself is the orbit of theta = (), the orbit of rho: it
-is the one enumeration of W, and the :class:`WeylGroup` wrapper reads it
-as the canonical element list.
+built one way only, by left reflections on root indices: for words,
+parsing, longest elements and the moves of an orbit walk.  The parabolic
+quotient W^theta is one :class:`CosetOrbit` per (system, theta), found as
+the orbit of rho_P without enumerating W; it fixes the coset
+representatives, their order, reduced words, the Hasse edges and the
+Poincare-duality involution for every module that reads W^theta, and
+its :class:`RootIndex` tables apply elements to roots by index.  The
+order of W and of its parabolic subgroups follows from the root heights.
+W itself is the orbit of theta = (), the orbit of rho: it is the one
+enumeration of W, and the :class:`WeylGroup` wrapper reads it as the
+canonical element list.
 
 A word ``[a1, ..., ak]`` denotes ``s_a1 * s_a2 * ... * s_ak``, acting on
 roots right to left.  Elements serialize as the deterministic reduced
@@ -70,19 +70,6 @@ def identity(system: RootSystem) -> WeylElement:
     return WeylElement(system, images, 0)
 
 
-def mult_simple_right(w: WeylElement, i: int) -> WeylElement:
-    """w * s_i, with the length updated incrementally."""
-    system = w.system
-    col = tuple(system.cartan.entries[i - 1][j] for j in range(system.rank))
-    base = w.images[i - 1]
-    # only the rows with C[i][j] != 0 move; the others are shared with w
-    images = tuple(
-        tuple(a - c * b for a, b in zip(img, base)) if c else img
-        for img, c in zip(w.images, col))
-    delta = 1 if system.is_positive(base) else -1
-    return WeylElement(system, images, w.length + delta)
-
-
 def right_descents(w: WeylElement) -> tuple[int, ...]:
     """Nodes i with l(w s_i) = l(w) - 1, i.e. w(alpha_i) < 0."""
     return tuple(i for i in range(1, w.system.rank + 1)
@@ -122,9 +109,11 @@ def reduced_word(w: WeylElement) -> tuple[int, ...]:
 
 
 def word_to_element(system: RootSystem, word) -> WeylElement:
-    w = identity(system)
-    for i in word:
-        w = mult_simple_right(w, i)
+    """s_a1 ... s_ak, built from the right by left steps on root indices."""
+    table, w, lam = root_index(system), identity(system), (1,) * system.rank
+    for a in reversed(word):
+        w = _step_left(w, a, table, 1 if lam[a - 1] > 0 else -1)
+        lam = system.reflect_weight(a, lam)
     return w
 
 
@@ -157,19 +146,16 @@ def normalize_theta(system: RootSystem, theta) -> tuple[int, ...]:
 
 def longest_element(system: RootSystem, theta=None) -> WeylElement:
     """Longest element of the parabolic subgroup W_theta (full group if
-    theta covers every node).  Greedy ascent: keep multiplying by a
-    length-increasing generator from theta, smallest index first."""
+    theta covers every node).  Greedy ascent from u = e: while some a in
+    theta has (u rho)_a > 0, s_a u is longer; the smallest a is next."""
     if theta is None:
         theta = range(1, system.rank + 1)
     theta = normalize_theta(system, theta)
-    w = identity(system)
-    while True:
-        for i in theta:
-            if system.is_positive(w.images[i - 1]):
-                w = mult_simple_right(w, i)
-                break
-        else:
-            return w
+    lam, word = (1,) * system.rank, []
+    while a := next((a for a in theta if lam[a - 1] > 0), 0):
+        word.append(a)
+        lam = system.reflect_weight(a, lam)
+    return word_to_element(system, word[::-1])
 
 
 def order_from_heights(system: RootSystem, theta=None) -> int:
@@ -232,12 +218,12 @@ def root_index(system: RootSystem) -> RootIndex:
                      tuple(system.root_to_weight(r) for r in roots), steps)
 
 
-def _step_left(w: WeylElement, a: int, table: RootIndex) -> WeylElement:
-    """s_a w for s_a w one longer than w, s_a on w's images read off the
+def _step_left(w: WeylElement, a: int, table: RootIndex, delta: int = 1) -> WeylElement:
+    """s_a w for l(s_a w) = l(w) + delta, s_a on w's images read off the
     root index."""
     roots, index, step = table.roots, table.index, table.steps[a - 1]
     return WeylElement(w.system, tuple(roots[step[index[r]]] for r in w.images),
-                       w.length + 1)
+                       w.length + delta)
 
 
 class CosetOrbit:

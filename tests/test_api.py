@@ -20,7 +20,7 @@ MOVED_FUNCTIONS = {
     "weyl_act", "divided_difference", "divided_difference_word",
     "positive_root_product", "_raw_reflect", "_raw_root_product",
     "embed_diagram", "simple_reflection", "LabeledBasis",
-    "rank", "to_json", "load_root_system", "UsageError"}
+    "rank", "to_json", "load_root_system", "UsageError", "mult_simple_right"}
 # Module state that is gone: the reduced-word memo (words are read off
 # w^{-1} rho).
 MOVED_MODULE_STATE = ((weyl, "_WORDS"),)

@@ -1,4 +1,6 @@
+import itertools
 import json
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -28,6 +30,90 @@ def test_label_solve_is_stable():
     Chevalley's rule, and it is the frozen one the rings carry."""
     for v, ring in zip(pipe.VARIETIES, pipe.get_f4_varieties()):
         assert pipe.solve_labels(ring, v.node, v.letter, pipe.load_table(v.stem)) == [ring.labels]
+
+
+def brute_force_labels(ring, node, letter, table):
+    """The label search as an oracle: every ordering of every codimension's
+    basis, each complete assignment checked against the whole table, row by
+    row in table order, by Chevalley's rule."""
+    chev = {cls: ring.chevalley_product(node, cls).terms for cls in ring.classes}
+    orders = (itertools.permutations(ring.basis(s)) for s in range(ring.dim + 1))
+    found = []
+    for choice in itertools.product(*orders):
+        label = {f"{letter}{i}^{s}": cls for s, basis in enumerate(choice)
+                 for i, cls in enumerate(basis, 1)}
+        name = {cls: lab for lab, cls in label.items()}
+        if all({name[c]: v for c, v in chev[label[rhs]].items()} == dict(want)
+               for _, rhs, want in table):
+            found.append(label)
+    return found
+
+
+def outcome(search, *args):
+    """The list ``search`` returns, or the type and text of what it raises."""
+    try:
+        return search(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def tampered_tables(table, letter, rng):
+    """(kind, table) for one tamper of each kind: a changed coefficient, two
+    swapped rows, a right-hand side that names no class, a label past
+    codimension 15 (on either side of a row), and a changed coefficient
+    together with a right-hand side that names no class."""
+    def changed(rows):
+        k = rng.randrange(len(rows))
+        lhs, rhs, want = rows[k]
+        j = rng.randrange(len(want))
+        want = list(want)
+        want[j] = (want[j][0], want[j][1] + rng.choice([-2, -1, 1, 3]))
+        return rows[:k] + [(lhs, rhs, tuple(want))] + rows[k + 1:]
+
+    def no_class(rows):
+        k = rng.randrange(len(rows))
+        lhs, _, want = rows[k]
+        rhs = rng.choice([f"{letter}3^5", f"{letter}2^0", f"{letter}2^13", "x1^1", ""])
+        return rows[:k] + [(lhs, rhs, want)] + rows[k + 1:]
+
+    rows = list(table)
+    yield "coefficient", changed(rows)
+    i, j = rng.sample(range(len(rows)), 2)
+    swapped = list(rows)
+    swapped[i], swapped[j] = swapped[j], swapped[i]
+    yield "swap", swapped
+    yield "no-class", no_class(rows)
+    k = rng.randrange(len(rows))
+    lhs, rhs, want = rows[k]
+    past = (lhs, f"{letter}1^16", want) if rng.random() < 0.5 else \
+        (lhs, rhs, want + ((f"{letter}1^16", 1),))
+    yield "past-15", rows[:k] + [past] + rows[k + 1:]
+    yield "coefficient-and-no-class", no_class(changed(rows))
+
+
+def test_label_search_matches_brute_force(monkeypatch):
+    """On both frozen tables and on seeded tampered ones, the codimension by
+    codimension search returns the brute-force oracle's exact list, or
+    raises what the oracle raises; on a frozen table it evaluates at most 32
+    (partial) assignments, where the oracle checks all 256."""
+    real, calls = pipe._table_misses, []
+    monkeypatch.setattr(pipe, "_table_misses",
+                        lambda *args: calls.append(1) or real(*args))
+    kinds = set()
+    for v, ring in zip(pipe.VARIETIES, pipe.get_f4_varieties()):
+        table = pipe.load_table(v.stem)
+        args = (ring, v.node, v.letter)
+        calls.clear()
+        assert pipe.solve_labels(*args, table) == brute_force_labels(*args, table) == [ring.labels]
+        assert 0 < len(calls) <= 32
+        rng = random.Random(f"labels-{v.stem}")
+        for _ in range(6):
+            for kind, tampered in tampered_tables(table, v.letter, rng):
+                want = outcome(brute_force_labels, *args, tampered)
+                assert outcome(pipe.solve_labels, *args, tampered) == want, kind
+                kinds.add((kind, "raises" if isinstance(want, tuple) else len(want)))
+    # the tampers reach a raise, an empty result and the frozen labels
+    assert {n for _, n in kinds} >= {"raises", 0, 1}
 
 
 def test_shared_rings_carry_no_labels():

@@ -12,9 +12,11 @@ second generator points each query's ``-o`` (``verify``'s ``--report``)
 into a directory that does not exist: the error line names that path
 first.  A third generator writes malformed input the commands parse:
 Cartan files, theta and node values, class strings and correspondence
-files; each line must fail the same way and name the file, token or value.
-Last, a plain ``ValueError`` raised inside the library where input is
-parsed is a fault, not a refusal: exit code 3 and a traceback.
+files, among them integers past the interpreter's conversion limit; each
+line must fail the same way, name the file, token or value, and stay
+short.  Last, a plain ``ValueError`` raised inside the library where input
+is parsed, or a ``KeyError`` raised while a correspondence file is read,
+is a fault, not a refusal: exit code 3 and a traceback.
 
 The file uses the standard library and the tests' ``dynkin`` module only, so
 ``python tests/test_usage_errors.py`` runs the same checks on an
@@ -84,10 +86,11 @@ def run(argv):
 
 
 def refused_once(code, out, err, *named):
-    """Exit code 2, nothing on stdout, and one ``error:`` line on stderr
-    that contains every string of ``named`` and no traceback."""
+    """Exit code 2, nothing on stdout, and one ``error:`` line on stderr,
+    at most 400 characters long, that contains every string of ``named``
+    and no traceback."""
     return (code == 2 and out == "" and err.startswith("error: ")
-            and err.count("\n") == 1 and err.endswith("\n")
+            and err.count("\n") == 1 and err.endswith("\n") and len(err) <= 400
             and all(n in err for n in named) and "Traceback" not in err)
 
 
@@ -163,7 +166,8 @@ def missing_directory_lines(path, missing):
 
 def broken_cartan(kind, rng):
     """The bytes of a Cartan file broken as ``kind`` says, and the token its
-    error line must name besides the path ("" for none)."""
+    error line must name besides the path ("" for none; the line number of
+    a huge integer)."""
     n = rng.randint(3, 5)
     rows = [list(row) for row in dynkin.cartan(f"A{n}")]
     i = rng.randrange(n - 1)
@@ -174,6 +178,10 @@ def broken_cartan(kind, rng):
         token = rng.choice(["x", "2.0", "1/2", "--1", "0x1", "two"])
         rows[rng.randrange(n)][rng.randrange(n)] = token
         token = repr(token)
+    elif kind == "huge":   # an integer past the interpreter's conversion limit
+        r, digits = rng.randrange(n), rng.randint(4301, 6000)
+        rows[r][rng.randrange(n)] = rng.choice(["", "-"]) + "9" * digits
+        token = f"line {r + 1}: "
     elif kind == "ragged":
         del rows[rng.randrange(n)][-1]
     elif kind == "positive":
@@ -228,13 +236,19 @@ def broken_corr(kind, rng):
         term["coeff"] = rng.choice([True, False, 1.0, 2.5, float("nan"), "1", None])
     elif kind == "foreign-label":
         term["f"] = rng.choice(_labels("x4" if source == "x1" else "x1"))
+    elif kind == "huge-coeff":   # json.dumps cannot write an int past the limit
+        term["coeff"] = "HUGE"
+        return json.dumps(payload).replace('"HUGE"', "-" * rng.randint(0, 1)
+                                           + "7" * rng.randint(4301, 6000))
     return json.dumps(payload)
 
 
 CARTAN_KINDS = ("empty", "token", "ragged", "positive", "zeros", "unsymmetrizable",
-                "infinite", "bytes")
+                "infinite", "bytes", "huge")
 CORR_KINDS = ("not-json", "not-object", "missing-key", "nesting", "label-type", "coeff",
-              "foreign-label", "deep")
+              "foreign-label", "deep", "huge-coeff")
+# what the error line says of an integer past the interpreter's conversion limit
+LIMIT = "digits, more than the interpreter's integer-conversion limit"
 # (--type, --theta) of the rings the class, theta and node lines query
 RINGS = [("F4", "2,3,4"), ("F4", "1,2,3"), ("B3", "1"), ("G2", "2"), ("A2", "1")]
 
@@ -250,7 +264,7 @@ def malformed_input_lines(seed, tmp):
             fh.write(data)
         command = rng.choice([["roots"], ["weyl", "order"], ["weyl", "cosets"],
                               ["chow", "basis"], ["hasse"]])
-        yield command + ["--cartan-file", path], (path, token)
+        yield command + ["--cartan-file", path], (path, token) + (LIMIT,) * (kind == "huge")
 
     valid = os.path.join(tmp, f"corr-{seed}")
     with open(valid, "w") as fh:
@@ -260,7 +274,8 @@ def malformed_input_lines(seed, tmp):
         with open(path, "w") as fh:
             fh.write(broken_corr(kind, rng))
         files = rng.choice([[path], [path, valid], [valid, path]])
-        yield ["corr", "transpose" if len(files) == 1 else "compose", *files], (path,)
+        named = (path, LIMIT) if kind == "huge-coeff" else (path,)
+        yield ["corr", "transpose" if len(files) == 1 else "compose", *files], named
 
     for name, theta in rng.sample(RINGS, 2):
         rank = int(name[1])
@@ -297,15 +312,21 @@ def boom(*args, **kwargs):
     raise ValueError("boom")
 
 
-# (owner, attribute, argv): a library call on the path of a query that
-# parses input; "{cartan}" and "{corr}" name valid files
+def key_boom(*args, **kwargs):
+    raise KeyError("boom")
+
+
+# (owner, attribute, argv, fault): a library call on the path of a query
+# that parses input; "{cartan}" and "{corr}" name valid files
 FAULTS = [
-    (cli, "build_root_system", ["roots", "--cartan-file", "{cartan}"]),
-    (cli, "root_system", ["roots", "--type", "A2"]),
-    (weyl, "normalize_theta", ["weyl", "cosets", "--type", "A2", "--theta", "1"]),
-    (ChowRing, "class_of", ["chow", "mult", "--type", "B3", "--lhs", "[s1]", "--rhs", "[s2]"]),
-    (correspondence, "from_jsonable", ["corr", "transpose", "{corr}"]),
-    (correspondence, "compose", ["corr", "compose", "{corr}", "{corr}"]),
+    (cli, "build_root_system", ["roots", "--cartan-file", "{cartan}"], boom),
+    (cli, "root_system", ["roots", "--type", "A2"], boom),
+    (weyl, "normalize_theta", ["weyl", "cosets", "--type", "A2", "--theta", "1"], boom),
+    (ChowRing, "class_of", ["chow", "mult", "--type", "B3", "--lhs", "[s1]", "--rhs", "[s2]"],
+     boom),
+    (correspondence, "from_jsonable", ["corr", "transpose", "{corr}"], boom),
+    (correspondence, "compose", ["corr", "compose", "{corr}", "{corr}"], boom),
+    (correspondence.Correspondence, "from_pairs", ["corr", "transpose", "{corr}"], key_boom),
 ]
 
 
@@ -365,25 +386,27 @@ def test_generated_malformed_input_exit_2():
 
 
 def test_faults_where_input_is_parsed_exit_3():
-    """A ``ValueError`` that is no ``InputError`` is a fault of the program:
-    its traceback goes to stderr, nothing to stdout, and the exit code is 3."""
+    """A ``ValueError`` that is no ``InputError``, or a ``KeyError`` raised
+    while a correspondence file is read, is a fault of the program: its
+    traceback goes to stderr, nothing to stdout, and the exit code is 3."""
     with tempfile.TemporaryDirectory() as tmp:
         files = {"{cartan}": ("cartan", "2 -1\n-1 2\n"), "{corr}": ("corr", CORR)}
         for name, text in files.values():
             with open(os.path.join(tmp, name), "w") as fh:
                 fh.write(text)
         bad = []
-        for owner, attribute, argv in FAULTS:
+        for owner, attribute, argv, fault in FAULTS:
             argv = [os.path.join(tmp, files[t][0]) if t in files else t for t in argv]
-            original = getattr(owner, attribute)
-            setattr(owner, attribute, boom)
+            original = vars(owner)[attribute]   # a classmethod stays one
+            setattr(owner, attribute, fault)
             try:
                 code, out, err = run(argv)
             finally:
                 setattr(owner, attribute, original)
+            last = "KeyError: 'boom'" if fault is key_boom else "ValueError: boom"
             if (code, out) != (3, "") or not (
                     err.startswith("Traceback (most recent call last):\n")
-                    and err.endswith("\nValueError: boom\n")):
+                    and err.endswith(f"\n{last}\n")):
                 bad.append((argv, code, out, err))
     assert bad == []
 

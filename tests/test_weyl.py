@@ -6,8 +6,8 @@ import pytest
 
 from chowring import cli, weyl
 from chowring.cli import main
-from chowring.rootsystem import (BUILTIN_CARTAN, CartanMatrix, build_root_system,
-                                  root_system)
+from chowring.rootsystem import (BUILTIN_CARTAN, CartanMatrix, InputError,
+                                  build_root_system, root_system)
 from chowring.schubert import ChowRing
 from chowring.weyl import get_weyl_group
 import dynkin
@@ -141,13 +141,13 @@ def test_equal_elements_built_apart_get_one_word(f4_group):
 
 def test_naming_w_multiplies_no_element(monkeypatch):
     """Every word of W(F4) is read off w^{-1} rho: serializing the whole
-    group calls neither ``mult_simple_right`` nor ``right_descents``.  The
-    system is built apart from the shared one, so no earlier test can have
-    named its elements."""
+    group builds no element (``_step_left`` builds every element but e)
+    and calls no ``right_descents``.  The system is built apart from
+    the shared one, so no earlier test can have named its elements."""
     system = build_root_system(CartanMatrix.from_name("F4"))
     elements = weyl.WeylGroup(system).elements
     calls = []
-    for name in ("mult_simple_right", "right_descents"):
+    for name in ("_step_left", "right_descents"):
         real = getattr(weyl, name)
         monkeypatch.setattr(weyl, name, lambda *args, name=name, real=real:
                             calls.append(name) or real(*args))
@@ -162,10 +162,38 @@ def test_length_matches_word_on_random_f4_elements(f4_group):
     for _ in range(1000):
         w = weyl.identity(system)
         for _ in range(rng.randint(0, 40)):
-            w = weyl.mult_simple_right(w, rng.randint(1, 4))
+            w = weyl_oracle.mult_simple_right(w, rng.randint(1, 4))
         word = weyl.reduced_word(w)
         assert len(word) == w.length
         assert weyl.word_to_element(system, word) == w
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_CARTAN))
+def test_word_to_element_matches_the_right_product_fold(name):
+    """word_to_element, built by left steps on root indices, against the
+    oracle's fold of right products w s_i: the same images and length on
+    the empty word and on seeded words up to length 40, reduced and not;
+    parse_element refuses nodes 0 and rank + 1."""
+    system = root_system(name)
+    rng = random.Random(f"words-{name}")
+
+    def fold(word):
+        w = weyl.identity(system)
+        for i in word:
+            w = weyl_oracle.mult_simple_right(w, i)
+        return w
+
+    words = [()]
+    for _ in range(200):
+        word = tuple(rng.randint(1, system.rank) for _ in range(rng.randint(1, 40)))
+        words += [word, weyl.reduced_word(fold(word))]
+    for word in words:
+        w, want = weyl.word_to_element(system, word), fold(word)
+        assert (w.images, w.length) == (want.images, want.length), word
+    assert weyl.word_to_element(system, ()).length == 0
+    for node in (0, system.rank + 1):
+        with pytest.raises(InputError, match=f"bad reflection token 's{node}'"):
+            weyl.parse_element(system, f"s1 s{node}")
 
 
 def test_inverse(f4_group):
@@ -175,7 +203,7 @@ def test_inverse(f4_group):
     for _ in range(50):
         w = weyl.identity(system)
         for _ in range(rng.randint(0, 30)):
-            w = weyl.mult_simple_right(w, rng.randint(1, 4))
+            w = weyl_oracle.mult_simple_right(w, rng.randint(1, 4))
         assert weyl_oracle.multiply(w, weyl_oracle.inverse(w)) == e
         assert weyl_oracle.inverse(w).length == w.length
 
@@ -195,7 +223,7 @@ def test_positive_roots_stable_up_to_sign(f4_group):
     for _ in range(20):
         w = weyl.identity(system)
         for _ in range(rng.randint(0, 30)):
-            w = weyl.mult_simple_right(w, rng.randint(1, 4))
+            w = weyl_oracle.mult_simple_right(w, rng.randint(1, 4))
         for beta in system.positive_roots:
             image = weyl_oracle.act_root(w, beta)
             if image not in pos:
@@ -306,7 +334,7 @@ def test_group_tables_match_element_products(name):
         weight = orbit.weights[k]
         for i in nodes:
             right = weyl_oracle.multiply(w, reflections[i])
-            assert elements[index[weyl.mult_simple_right(w, i).images]] == right
+            assert elements[index[weyl_oracle.mult_simple_right(w, i).images]] == right
             assert elements[index[right.images]].length == right.length
             left = weyl_oracle.mult_simple_left(w, i)
             moved = orbit.point_of[system.reflect_weight(i, weight)]

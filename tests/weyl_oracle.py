@@ -1,11 +1,12 @@
 """Element-level Weyl group arithmetic, as an oracle for the tests.
 
-``chowring.weyl`` lists W as the orbit of rho and applies elements to
-roots by index; the tests hold it, and the engines that read it, to the
-coordinate group law instead: elements act linearly on simple-root
+``chowring.weyl`` lists W as the orbit of rho and builds and applies
+elements by root index; the tests hold it, and the engines that read it,
+to the coordinate group law instead: elements act linearly on simple-root
 coordinates, products compose the images of the simple roots, and every
 length is recounted from the inversions, once per element.  W itself is
-listed by a breadth-first search over w -> w s_j from the identity.  The
+listed by a breadth-first search over w -> w s_j (``mult_simple_right``)
+from the identity.  The
 invariant form is kept here in Fractions, apart from the system's integer
 coroot table.
 """
@@ -14,9 +15,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from chowring.rootsystem import _symmetrizer
-from chowring.weyl import (WeylElement, identity, mult_simple_right,
-                           reduced_word, right_descents, root_index,
-                           word_to_element)
+from chowring.weyl import (WeylElement, identity, reduced_word, right_descents,
+                           root_index, word_to_element)
 
 
 @lru_cache(maxsize=None)
@@ -88,6 +88,20 @@ def reflection(system, beta):
         assert k.denominator == 1
         images.append(tuple(a - int(k) * b for a, b in zip(alpha, beta)))
     return element(system, tuple(images))
+
+
+def mult_simple_right(w, i):
+    """w * s_i by the coordinate group law: w s_i(alpha_j) = w(alpha_j) -
+    C[i][j] w(alpha_i), and the length moves by one, up exactly when
+    w(alpha_i) > 0."""
+    system = w.system
+    col = tuple(system.cartan.entries[i - 1][j] for j in range(system.rank))
+    base = w.images[i - 1]
+    images = tuple(
+        tuple(a - c * b for a, b in zip(img, base)) if c else img
+        for img, c in zip(w.images, col))
+    delta = 1 if system.is_positive(base) else -1
+    return WeylElement(system, images, w.length + delta)
 
 
 def mult_simple_left(w, i):
