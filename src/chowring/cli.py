@@ -25,7 +25,7 @@ from . import correspondence as corr
 from . import f4pipeline, hasse, poly
 from . import weyl as weylmod
 from .rootsystem import (BUILTIN_CARTAN, CartanMatrix, InputError, RootSystem,
-                         build_root_system, parse_int, root_system)
+                         build_root_system, parse_int, root_system, shown)
 from .schubert import format_table_text, get_chow_ring, hyperplane_table
 from .weyl import get_weyl_group
 
@@ -36,6 +36,14 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise InputError(f"{self.prog}: {message}")
+
+
+def _int(text: str) -> int:
+    """argparse's ``type=int``, with a long value shown shortened."""
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {shown(text)}") from None
 
 
 def _system(args) -> RootSystem:
@@ -56,7 +64,7 @@ def _theta(args, system: RootSystem) -> tuple[int, ...]:
     try:
         theta = tuple(int(tok) for tok in raw.split(",") if tok != "")
     except ValueError:
-        raise InputError(f"cannot parse theta {raw!r}; expected e.g. 2,3,4") from None
+        raise InputError(f"cannot parse theta {shown(raw)}; expected e.g. 2,3,4") from None
     return weylmod.normalize_theta(system, theta)
 
 
@@ -89,7 +97,7 @@ def _parse_chow(ring, text):
             return ring.element(ring.class_of(w))
         return ring.element(ring.class_by_label(text))
     except InputError as exc:
-        raise InputError(f"{text}: {exc}") from None
+        raise InputError(f"{shown(text, str)}: {exc}") from None
 
 
 def _node(args, ring, what: str) -> int:
@@ -100,7 +108,7 @@ def _node(args, ring, what: str) -> int:
             raise InputError(f"--node is required for {what} of this theta")
         return nodes[0]
     if args.node not in nodes:
-        raise InputError(f"--node {args.node} is not one of {nodes}")
+        raise InputError(f"--node {shown(str(args.node), str)} is not one of {nodes}")
     return args.node
 
 
@@ -159,7 +167,8 @@ def cmd_chow(args) -> int:
     ring = _ring(system, _theta(args, system))
     if args.query == "basis":
         if args.codim is not None and not 0 <= args.codim <= ring.dim:
-            raise InputError(f"--codim {args.codim} is out of range 0..{ring.dim}")
+            raise InputError(f"--codim {shown(str(args.codim), str)} is out of range "
+                             f"0..{ring.dim}")
         codims = [args.codim] if args.codim is not None else range(ring.dim + 1)
         lines = []
         for s in codims:
@@ -302,7 +311,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     common(p, ("dot", "json"))
     p.add_argument("--pieri", action="store_true",
                    help="weighted hyperplane-multiplication diagram")
-    p.add_argument("--node", type=int,
+    p.add_argument("--node", type=_int,
                    help="hyperplane node for --pieri (defaults to the "
                         "complement of theta when unique)")
     p.add_argument("--by-codim", action="store_true",
@@ -314,14 +323,14 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     if chow_queries:
         q = chow_queries.add_parser("basis", help="the Schubert basis, by codimension")
         common(q)
-        q.add_argument("--codim", type=int, help="list this codimension only")
+        q.add_argument("--codim", type=_int, help="list this codimension only")
         q = chow_queries.add_parser("mult", help="the product of two classes")
         common(q)
         q.add_argument("--lhs", required=True, help=a_class)
         q.add_argument("--rhs", required=True, help=a_class)
         q = chow_queries.add_parser("table", help="the hyperplane multiplication table")
         common(q, ("text", "json"))
-        q.add_argument("--node", type=int,
+        q.add_argument("--node", type=_int,
                        help="hyperplane node (defaults to the complement of theta "
                             "when unique)")
         q = chow_queries.add_parser("giambelli-lift", help="the Giambelli polynomial of a class")
@@ -339,7 +348,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         q = corr_queries.add_parser("compose", help="the composite beta o alpha")
         q.add_argument("beta", help="correspondence JSON file, applied second")
         q.add_argument("alpha", help="correspondence JSON file, applied first")
-        q.add_argument("--mod", type=int, choices=(3,), help="reduce the composite mod 3")
+        q.add_argument("--mod", type=_int, choices=(3,), help="reduce the composite mod 3")
         output(q)
 
     p = sub.add_parser("verify", help="run a verification pipeline")

@@ -9,14 +9,16 @@ hyperplane multiplication tables pin exactly these labels is itself one of
 the checks: it solves the labels as a constraint problem against the
 tables and compares the one solution with the fixture.
 
-On top of the labeled rings the pipeline constructs the rational cycle
-r = h1^4 x 1 + eps (1 x g1^4), the fifteen-codimensional cycles
-rho_i = r^2 (h1^1)^i x (g1^1)^(7-i), the eight idempotents obtained from
-the compositions rho_{7-i}^t o rho_i and rho_i o rho_{7-i}^t, and the
-isomorphism cycle J.  Every claimed congruence is checked modulo 3 with
-balanced representatives for both values of eps; idempotency,
-orthogonality and completeness of the displayed cycles are checked over
-the integers exactly.
+On top of the labeled rings the pipeline runs the paper's construction,
+read from one ``Construction`` record: varieties X, Y with hyperplane
+classes h, g, classes a, b of one codimension k, and a prime p.  It builds
+r = a x 1 + eps (1 x b), rho_i = r^(p-1) (h^i x g^(n-i)) for i = 0..n with
+n = dim X - (p-1) k, and rho_(n-i)^t o rho_i, rho_i o rho_(n-i)^t mod p.
+F4's instance (h1^4, g1^4, p = 3, k = 4, n = 7) gives the eight
+idempotents and, by an F4 combination of the rho_i, the isomorphism cycle
+J.  Every claimed congruence is checked modulo 3 with balanced
+representatives for both values of eps; idempotency, orthogonality and
+completeness of the displayed cycles are checked over the integers exactly.
 
 The report is deterministic: serializing it twice gives identical bytes
 (timings are kept out of the canonical serialization for that reason).
@@ -29,7 +31,7 @@ import json
 import os
 import time
 from collections import namedtuple
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 from . import correspondence as corr
 from . import linalg
@@ -75,13 +77,7 @@ def load_table(which: str) -> tuple:
 
 
 def _eps_coeff(text: str, eps: int) -> int:
-    sign = 1
-    body = text
-    if body.startswith("-"):
-        sign, body = -1, body[1:]
-    if body == "e":
-        return sign * eps
-    return sign * int(body)
+    return {"e": eps, "-e": -eps}[text] if text in ("e", "-e") else int(text)
 
 
 # ---------------------------------------------------------------------------
@@ -149,14 +145,19 @@ def get_f4_varieties() -> tuple[ChowRing, ChowRing]:
 
 
 # ---------------------------------------------------------------------------
-# cycles
+# the construction
+
+
+# the record the paper's recipe reads (module docstring)
+Construction = namedtuple("Construction", "x y h g a b p")
 
 
 @lru_cache(maxsize=None)
-def hyperplane_power(k: int, n: int) -> ChowElement:
-    """H^n on the variety ``VARIETIES[k]``, H its hyperplane class."""
-    ring = get_f4_varieties()[k]
-    return ring.power(ring.hyperplane_class(VARIETIES[k].node), n)
+def construction() -> Construction:
+    """The paper's instance on X1 x X4, mod 3: r = h1^4 x 1 + eps (1 x g1^4)."""
+    (x, vx), (y, vy) = zip(get_f4_varieties(), VARIETIES)
+    return Construction(x, y, x.hyperplane_class(vx.node), y.hyperplane_class(vy.node),
+                        x.class_by_label(vx.squared), y.class_by_label(vy.squared), 3)
 
 
 def _check_eps(eps: int) -> int:
@@ -165,30 +166,30 @@ def _check_eps(eps: int) -> int:
     return eps
 
 
-def build_r(eps: int) -> Correspondence:
-    """r = h1^4 x 1 + eps (1 x g1^4) on X1 x X4."""
+@lru_cache(maxsize=None)
+def r_power(c: Construction, eps: int) -> Correspondence:
+    """r^(p-1), r = a x 1 + eps (1 x b)."""
     _check_eps(eps)
-    x1, x4 = get_f4_varieties()
-    return Correspondence.from_pairs(x1, x4, [
-        (x1.class_by_label("h1^4"), x4.unit_class, 1),
-        (x1.unit_class, x4.class_by_label("g1^4"), eps),
-    ])
+    r = Correspondence.from_pairs(c.x, c.y, [(c.a, c.y.unit_class, 1),
+                                             (c.x.unit_class, c.b, eps)])
+    return reduce(corr.intersect, [r] * (c.p - 1))
 
 
 @lru_cache(maxsize=None)
-def r_squared(eps: int) -> Correspondence:
-    r = build_r(eps)
-    return corr.intersect(r, r)
+def rhos(c: Construction, eps: int) -> tuple[Correspondence, ...]:
+    """rho_0..rho_n, rho_i = r^(p-1) (h^i x g^(n-i)), each of codimension dim X."""
+    n = c.x.dim - (c.p - 1) * c.a.codim
+    return tuple(corr.intersect(r_power(c, eps), Correspondence.from_product(
+        c.x.power(c.h, i), c.y.power(c.g, n - i))) for i in range(n + 1))
 
 
 @lru_cache(maxsize=None)
-def build_rho(i: int, eps: int) -> Correspondence:
-    """rho_i = r^2 . ((h1^1)^i x (g1^1)^(7-i)), total codimension 15."""
-    if not 0 <= i <= 7:
-        raise ValueError("rho index must lie in 0..7")
-    _check_eps(eps)
-    powers = Correspondence.from_product(hyperplane_power(0, i), hyperplane_power(1, 7 - i))
-    return corr.intersect(r_squared(eps), powers)
+def compositions(c: Construction, eps: int) -> tuple[tuple[Correspondence, ...], ...]:
+    """rho_(n-i)^t o rho_i on X and rho_i o rho_(n-i)^t on Y, mod p, for i = 0..n."""
+    rho = rhos(c, eps)
+    mates = [corr.transpose(m) for m in reversed(rho)]
+    return (tuple(corr.mod_reduce(corr.compose(t, r), c.p) for r, t in zip(rho, mates)),
+            tuple(corr.mod_reduce(corr.compose(r, t), c.p) for r, t in zip(rho, mates)))
 
 
 @lru_cache(maxsize=None)
@@ -199,24 +200,20 @@ def fixture_idempotents() -> tuple[tuple[Correspondence, ...], tuple[Corresponde
                  for v, ring in zip(VARIETIES, get_f4_varieties()))
 
 
-def fixture_congruence(kind: str, eps: int) -> Correspondence | tuple:
-    """r^2 / rho fixtures with the symbolic eps substituted."""
+@lru_cache(maxsize=None)
+def fixture_congruences(eps: int) -> tuple[Correspondence, tuple[Correspondence, ...]]:
+    """The displayed r^2 and rho_0..rho_7, with the symbolic eps substituted."""
     _check_eps(eps)
     x1, x4 = get_f4_varieties()
     data = json.loads(_data_text("rho_congruences.json"))
-
-    def build(items):
-        return Correspondence.from_pairs(x1, x4, [
-            (x1.class_by_label(e["f"]), x4.class_by_label(e["g"]),
-             _eps_coeff(e["coeff"], eps)) for e in items])
-
-    if kind == "r2":
-        return build(data["r2"])
-    return tuple(build(items) for items in data["rho"])
+    r2, *rho = (corr.from_jsonable(x1, x4, [e | {"coeff": _eps_coeff(e["coeff"], eps)}
+                                            for e in items])
+                for items in (data["r2"], *data["rho"]))
+    return r2, tuple(rho)
 
 
 class IdempotentMismatch(Exception):
-    """A reduced composition is not congruent mod 3 to its displayed cycle.
+    """A reduced composition is not congruent mod p to its displayed cycle.
 
     A mathematical FAIL, not an internal fault; ``witness`` names the index
     i, the displayed cycle (p' or q') and the reduced composition.
@@ -229,46 +226,41 @@ class IdempotentMismatch(Exception):
 
 @lru_cache(maxsize=None)
 def compute_idempotents(eps: int) -> tuple[tuple[Correspondence, ...], tuple[Correspondence, ...]]:
-    """Balanced mod-3 reductions of rho_{7-i}^t o rho_i and rho_i o rho_{7-i}^t.
+    """The compositions rho_(n-i)^t o rho_i and rho_i o rho_(n-i)^t, mod p,
+    that have a displayed cycle p'_i on X1, q'_i on X4.
 
-    They are asserted congruent to the displayed cycles, else
+    They are asserted congruent mod p to the displayed cycles, else
     :class:`IdempotentMismatch`; the displayed (exact integral) cycles are
     what downstream consumers get via :func:`fixture_idempotents`.
     """
-    _check_eps(eps)
-    fixtures = fixture_idempotents()
-    found: tuple[list, list] = ([], [])
-    for i in range(4):
-        rho, mate_t = build_rho(i, eps), corr.transpose(build_rho(7 - i, eps))
-        # p'_i on X1 from rho_{7-i}^t o rho_i, q'_i on X4 from rho_i o rho_{7-i}^t
-        for k, (beta, alpha, shown) in enumerate(((mate_t, rho, f"rho_{7-i}^t o rho_{i}"),
-                                                  (rho, mate_t, f"rho_{i} o rho_{7-i}^t"))):
-            reduced = corr.mod_reduce(corr.compose(beta, alpha), 3)
+    c = construction()
+    found, fixtures = compositions(c, eps), fixture_idempotents()
+    n = len(found[0]) - 1
+    for i in range(len(fixtures[0])):
+        for k, shown in enumerate((f"rho_{n-i}^t o rho_{i}", f"rho_{i} o rho_{n-i}^t")):
             cycle = f"{VARIETIES[k].family}'"
-            if not corr.congruent(reduced, fixtures[k][i], 3):
+            if not corr.congruent(found[k][i], fixtures[k][i], c.p):
                 raise IdempotentMismatch(f"composition {shown} is not congruent to the "
-                                         f"displayed cycle {cycle}_{i}", i, cycle, reduced)
-            found[k].append(reduced)
-    return tuple(found[0]), tuple(found[1])
+                                         f"displayed cycle {cycle}_{i}", i, cycle, found[k][i])
+    return tuple(family[:len(f)] for family, f in zip(found, fixtures))
 
 
 @lru_cache(maxsize=None)
 def build_J(eps: int) -> Correspondence:
-    """The isomorphism cycle on X1 x X4, reduced modulo 3.
+    """The isomorphism cycle on X1 x X4, reduced modulo p = 3.
 
     The defining combination rho_0 + rho_1 + eps rho_2 + eps rho_3 covers
     the first-factor codimensions 0..11; its transpose lives on X4 x X1,
     and the role of that half on X1 x X4 is played by the index-mirrored
     combination rho_7 + rho_6 + eps rho_5 + eps rho_4 (the mirror i -> 7-i
     is exactly transposition composed with the swap of the two factors).
-    The sum reduces to a signed diagonal with 24 terms.
+    The sum reduces to a signed diagonal with 24 terms.  The rho_i are the
+    construction's, but the combination is F4's: no other instance reads it.
     """
-    _check_eps(eps)
-    front = (build_rho(0, eps) + build_rho(1, eps)
-             + eps * build_rho(2, eps) + eps * build_rho(3, eps))
-    mirror = (build_rho(7, eps) + build_rho(6, eps)
-              + eps * build_rho(5, eps) + eps * build_rho(4, eps))
-    return corr.mod_reduce(front + mirror, 3)
+    rho = rhos(construction(), eps)
+    front = rho[0] + rho[1] + eps * rho[2] + eps * rho[3]
+    mirror = rho[-1] + rho[-2] + eps * rho[-3] + eps * rho[-4]
+    return corr.mod_reduce(front + mirror, construction().p)
 
 
 # ---------------------------------------------------------------------------
@@ -451,18 +443,18 @@ def check_preimages():
 
 
 def check_r2_congruence(eps: int):
-    got = corr.mod_reduce(r_squared(eps), 3)
-    want = fixture_congruence("r2", eps)
-    ok = got == want
+    c = construction()
+    got = corr.mod_reduce(r_power(c, eps), c.p)
+    ok = got == fixture_congruences(eps)[0]
     return (ok, f"r^2 mod 3 matches the displayed cycle (eps={eps:+d})",
             None if ok else {"got": corr.to_jsonable(got)})
 
 
 def check_rho_congruences(eps: int):
-    fixtures = fixture_congruence("rho", eps)
+    c, fixtures = construction(), fixture_congruences(eps)[1]
     failures = []
-    for i in range(8):
-        got = corr.mod_reduce(build_rho(i, eps), 3)
+    for i, rho in enumerate(rhos(c, eps)):
+        got = corr.mod_reduce(rho, c.p)
         if got != fixtures[i]:
             failures.append({"rho": i, "got": corr.to_jsonable(got)})
     return (not failures, f"all eight rho_i mod 3 match the displayed cycles "
@@ -546,14 +538,15 @@ def _support_ranks(p: Correspondence) -> dict[int, int]:
 
 
 def check_twist_support():
+    c = construction()
     failures = []
     for v, family in zip(VARIETIES, fixture_idempotents()):
         for i, cycle in enumerate(family):
-            want = {i: 1, i + 4: 1, i + 8: 1}
+            want = {i + j * c.a.codim: 1 for j in range(c.p)}
             got = _support_ranks(cycle)
             if got != want:
                 failures.append({"idempotent": f"{v.family}'_{i}", "ranks": got})
-            want_t = {15 - i - 8: 1, 15 - i - 4: 1, 15 - i: 1}
+            want_t = {cycle.source.dim - s: 1 for s in want}
             got_t = _support_ranks(corr.transpose(cycle))
             if got_t != want_t:
                 failures.append({"idempotent": f"{v.family}'_{i}^t", "ranks": got_t})
@@ -632,7 +625,7 @@ def check_isomorphism_inverse(eps: int):
     failures = []
     for side, product, ring in (("J^t o J", corr.compose(Jt, J), x1),
                                 ("J o J^t", corr.compose(J, Jt), x4)):
-        residue = corr.mod_reduce(product - corr.diagonal(ring), 3)
+        residue = corr.mod_reduce(product - corr.diagonal(ring), construction().p)
         if not residue.is_zero():
             failures.append({"side": side, "residue": corr.to_jsonable(residue)})
     return (not failures, f"J^t o J and J o J^t are congruent mod 3 to the "

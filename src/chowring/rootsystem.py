@@ -50,6 +50,12 @@ class InfiniteRootSystemError(InputError):
     """The Cartan matrix is not of finite type."""
 
 
+def shown(text: str, form=repr) -> str:
+    """How an error message shows outside text: ``form(text)``, or past 40
+    characters ``form`` of the first 40 followed by the length."""
+    return form(text) if len(text) <= 40 else f"{form(text[:40])}... ({len(text)} characters)"
+
+
 def parse_int(text: str) -> int:
     """``int(text)``, or an InputError; past the digit limit, with the first digits only."""
     try:
@@ -59,7 +65,7 @@ def parse_int(text: str) -> int:
         if digits.isdecimal():
             raise InputError(f"{text[:12]}... has {len(digits)} digits, more than the "
                              "interpreter's integer-conversion limit") from None
-        raise InputError(f"{text!r} is not an integer") from None
+        raise InputError(f"{shown(text)} is not an integer") from None
 
 
 class CartanMatrix:
@@ -110,7 +116,7 @@ class CartanMatrix:
         try:
             return cls(BUILTIN_CARTAN[name])
         except KeyError:
-            raise InputError(f"unknown root system type {name!r}; "
+            raise InputError(f"unknown root system type {shown(name)}; "
                              f"known types: {sorted(BUILTIN_CARTAN)}") from None
 
     @classmethod

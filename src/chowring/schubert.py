@@ -86,7 +86,7 @@ from weakref import WeakKeyDictionary
 from . import weyl as _weyl
 from .poly import (RationalPolynomial, _calculus, _Combination, _raw_add_into, _raw_delta,
                    _raw_scale)
-from .rootsystem import InputError, RootSystem
+from .rootsystem import InputError, RootSystem, shown
 from .weyl import WeylElement, WeylGroup, get_weyl_group
 
 
@@ -653,7 +653,7 @@ class ChowRing:
 
     def class_by_label(self, label: str) -> SchubertClass:
         if self.labels is None or label not in self.labels:
-            raise InputError(f"unknown class label {label!r}")
+            raise InputError(f"unknown class label {shown(label)}")
         return self.labels[label]
 
     # -- duality ---------------------------------------------------------------

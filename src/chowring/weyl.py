@@ -28,7 +28,7 @@ from collections import Counter
 from functools import lru_cache
 from math import prod
 
-from .rootsystem import InputError, Root, RootSystem, Weight
+from .rootsystem import InputError, Root, RootSystem, Weight, shown
 
 # The largest Weyl group :class:`WeylGroup` enumerates and the largest coset
 # orbit :func:`coset_orbit` walks: W(E6), 51840 elements, still runs;
@@ -128,9 +128,10 @@ def parse_element(system: RootSystem, text: str) -> WeylElement:
         return identity(system)
     word = []
     for tok in text.split():
-        node = int(tok[1:]) if tok[:1] == "s" and tok[1:].isdecimal() else 0
+        digits = tok[1:].lstrip("0")   # int() reads few digits: no rank has 9
+        node = int(digits) if tok[:1] == "s" and digits.isdecimal() and len(digits) < 9 else 0
         if not 1 <= node <= system.rank:
-            raise InputError(f"bad reflection token {tok!r}; expected s1.."
+            raise InputError(f"bad reflection token {shown(tok)}; expected s1.."
                              f"s{system.rank}")
         word.append(node)
     return word_to_element(system, word)
@@ -140,7 +141,7 @@ def normalize_theta(system: RootSystem, theta) -> tuple[int, ...]:
     theta = tuple(sorted(set(int(t) for t in theta)))
     for t in theta:
         if not 1 <= t <= system.rank:
-            raise InputError(f"theta node {t} out of range 1..{system.rank}")
+            raise InputError(f"theta node {shown(str(t), str)} out of range 1..{system.rank}")
     return theta
 
 

@@ -76,12 +76,14 @@ def test_criterion_04_preimage_polynomials(f4, x1, x4):
 
 
 def test_criterion_05_congruences():
+    c = pipe.construction()
     for eps in (1, -1):
-        assert (corr.mod_reduce(pipe.r_squared(eps), 3)
-                == pipe.fixture_congruence("r2", eps))
-        fixtures = pipe.fixture_congruence("rho", eps)
+        r2, fixtures = pipe.fixture_congruences(eps)
+        assert corr.mod_reduce(pipe.r_power(c, eps), 3) == r2
+        rhos = pipe.rhos(c, eps)
+        assert len(rhos) == len(fixtures) == 8
         for i in range(8):
-            assert corr.mod_reduce(pipe.build_rho(i, eps), 3) == fixtures[i]
+            assert corr.mod_reduce(rhos[i], 3) == fixtures[i]
     _report(5, "r^2 and all eight rho_i match the displayed congruences "
                "mod 3 (balanced representatives), both eps values")
 

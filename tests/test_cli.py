@@ -326,9 +326,14 @@ def test_corr_diagonal_and_roundtrip(tmp_path, capsys):
 
 
 def test_verify_f4_single_eps(capsys):
-    code, out, _ = run_cli("verify", "f4", "--eps", "1", capsys=capsys)
-    assert code == 0
-    assert "PASS overall" in out
+    """Each eps alone, text and JSON, byte for byte."""
+    golden = Path(__file__).parent / "golden"
+    for eps, name in (("1", "plus1"), ("-1", "minus1")):
+        for fmt, ext in (("text", "txt"), ("json", "json")):
+            code, out, _ = run_cli("verify", "f4", "--eps", eps, "--format", fmt,
+                                   capsys=capsys)
+            assert code == 0
+            assert out.encode() == (golden / f"verify_f4_eps_{name}.{ext}").read_bytes()
 
 
 def test_verify_f4_report_matches_golden_copy(capsys):

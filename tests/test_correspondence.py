@@ -109,14 +109,19 @@ def test_compose_associative_random(x1, x4):
         assert left == right
 
 
+def _r(eps):
+    """r = h1^4 x 1 + eps (1 x g1^4): r^(p-1) of the F4 record taken at p = 2."""
+    return f4pipeline.r_power(f4pipeline.construction()._replace(p=2), eps)
+
+
 def test_intersect_unit(x1, x4):
-    r = f4pipeline.build_r(1)
+    r = _r(1)
     unit = Correspondence(x1, x4, {(x1.unit_class, x4.unit_class): 1})
     assert corr.intersect(unit, r) == r
 
 
 def test_r_squared_exact_and_mod3(x1, x4):
-    r2 = f4pipeline.r_squared(1)
+    r2 = f4pipeline.r_power(f4pipeline.construction(), 1)
     want = {}
     want[(_label(x1, "h1^8"), x4.unit_class)] = 8
     want[(_label(x1, "h2^8"), x4.unit_class)] = 6
@@ -125,19 +130,19 @@ def test_r_squared_exact_and_mod3(x1, x4):
     want[(x1.unit_class, _label(x4, "g2^8"))] = 3
     assert r2 == Correspondence(x1, x4, want)
     reduced = corr.mod_reduce(r2, 3)
-    assert reduced == f4pipeline.fixture_congruence("r2", 1)
+    assert reduced == f4pipeline.fixture_congruences(1)[0]
 
 
 def test_r_homogeneous_total_codim(x1, x4):
-    r = f4pipeline.build_r(-1)
+    r = _r(-1)
     assert {f.codim + g.codim for f, g in r.terms} == {4}
-    rho = f4pipeline.build_rho(3, -1)
+    rho = f4pipeline.rhos(f4pipeline.construction(), -1)[3]
     assert {f.codim + g.codim for f, g in rho.terms} == {15}
     assert rho.is_morphism_degree
 
 
 def test_transpose_of_r_shape(x4):
-    rt = corr.transpose(f4pipeline.build_r(1))
+    rt = corr.transpose(_r(1))
     assert rt.source is x4
     codims = {(f.codim, g.codim) for f, g in rt.terms}
     assert codims == {(0, 4), (4, 0)}
@@ -277,7 +282,7 @@ def test_realize_is_projector_with_complementary_rank(x1, p0):
 
 
 def test_serialization_roundtrip(x1, x4):
-    rho = f4pipeline.build_rho(2, 1)
+    rho = f4pipeline.rhos(f4pipeline.construction(), 1)[2]
     data = corr.to_jsonable(rho)
     back = corr.from_jsonable(x1, x4, data)
     assert back == rho
@@ -296,7 +301,7 @@ def test_compose_distributes_over_addition(x1):
 
 
 def test_mod_reduce_is_hom_for_intersect(x1, x4):
-    r_plus = f4pipeline.build_r(1)
+    r_plus = _r(1)
     r_scaled = 4 * r_plus
     direct = corr.mod_reduce(corr.intersect(r_scaled, r_scaled), 3)
     reduced = corr.mod_reduce(
@@ -332,7 +337,7 @@ def _assert_canonical(alpha):
 def test_every_operation_keys_terms_by_the_canonical_objects(x1, x4, p0):
     """One key object per class pair and ring pair: no operation leaves a
     term keyed by a tuple of its own."""
-    r, J = f4pipeline.build_r(1), f4pipeline.build_J(1)
+    r, J = _r(1), f4pipeline.build_J(1)
     Jt = corr.transpose(J)
     delta1, delta4 = corr.diagonal(x1), corr.diagonal(x4)
     h8, g4 = _label(x1, "h1^8"), _label(x4, "g1^4")
@@ -344,7 +349,7 @@ def test_every_operation_keys_terms_by_the_canonical_objects(x1, x4, p0):
         Correspondence.from_product(x1.element(h8) + x1.unit, x4.element(g4)),
         corr.intersect(r, r), corr.intersect(p0, delta1),
         corr.mod_reduce(4 * r, 3), r + r, delta1 - p0, -p0, 3 * p0,
-        f4pipeline.build_rho(2, -1)]
+        f4pipeline.rhos(f4pipeline.construction(), -1)[2]]
     for alpha in results:
         assert alpha.terms
         _assert_canonical(alpha)

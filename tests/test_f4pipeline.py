@@ -258,26 +258,29 @@ def test_structure_failure_witness_lists_got_and_want(x1, monkeypatch):
 
 
 def test_build_r(x1, x4):
-    r = pipe.build_r(1)
+    """r itself is r^(p-1) of the F4 record taken at p = 2."""
+    c = pipe.construction()._replace(p=2)
+    r = pipe.r_power(c, 1)
     assert r.terms == {(x1.class_by_label("h1^4"), x4.unit_class): 1,
                        (x1.unit_class, x4.class_by_label("g1^4")): 1}
-    r_minus = pipe.build_r(-1)
+    r_minus = pipe.r_power(c, -1)
     assert r_minus.terms[(x1.unit_class, x4.class_by_label("g1^4"))] == -1
     with pytest.raises(ValueError):
-        pipe.build_r(2)
+        pipe.r_power(c, 2)
 
 
 @pytest.mark.parametrize("eps", [1, -1])
 def test_rho_congruences_match_fixtures(eps):
-    fixtures = pipe.fixture_congruence("rho", eps)
-    for i in range(8):
-        assert corr.mod_reduce(pipe.build_rho(i, eps), 3) == fixtures[i]
+    fixtures = pipe.fixture_congruences(eps)[1]
+    for i, rho in enumerate(pipe.rhos(pipe.construction(), eps)):
+        assert corr.mod_reduce(rho, 3) == fixtures[i]
 
 
 @pytest.mark.parametrize("eps", [1, -1])
 def test_rho_morphism_degree(eps):
-    for i in range(8):
-        rho = pipe.build_rho(i, eps)
+    rhos = pipe.rhos(pipe.construction(), eps)
+    assert len(rhos) == 8
+    for rho in rhos:
         assert {f.codim + g.codim for f, g in rho.terms} == {15}
 
 
@@ -395,10 +398,10 @@ def _check_congruences(eps):
 
 def test_engine_fault_in_idempotent_congruences_is_error(fresh_pipeline):
     """A SubringError is an engine fault: ERROR, never FAIL."""
-    def broken(i, eps):
+    def broken(c, eps):
         raise SubringError("product left the subring at s1")
 
-    fresh_pipeline.setattr(pipe, "build_rho", broken)
+    fresh_pipeline.setattr(pipe, "rhos", broken)
     result = _check_congruences(1)
     assert result.status == "ERROR"
     assert result.detail == "SubringError: product left the subring at s1"

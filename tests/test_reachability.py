@@ -2,8 +2,8 @@
 
 The traffic is every golden CLI run (``golden_runs``), ``verify f4`` as JSON
 and as text, and the commands that no golden pins: ``roots``, ``corr``,
-``weyl order`` and ``longest``, a ``--cartan-file`` system and a malformed
-command line.  It runs in a fresh interpreter, so that no cache an earlier
+``weyl order`` and ``longest``, a ``--cartan-file`` system, a malformed
+command line and a refused class word.  It runs in a fresh interpreter, so that no cache an earlier
 test filled hides a path, under ``sys.setprofile``.  Every function
 defined in src/chowring must be reached, or be on ``ALLOWED`` with a
 reason; an allowlisted function that the traffic reaches, or that no
@@ -46,6 +46,7 @@ EXTRA_RUNS = [
     (["corr", "transpose", "{tmp}/delta.json"], 0),
     (["corr", "compose", "{tmp}/delta.json", "{tmp}/delta.json", "--mod", "3"], 0),
     (["weyl", "bogus", "--type", "F4"], 2),
+    (["chow", "mult", "--type", "B3", "--lhs", "[s1 s9]", "--rhs", "[s1]"], 2),
 ]
 
 # Functions the traffic does not reach, each with the reason it stays.

@@ -12,11 +12,13 @@ second generator points each query's ``-o`` (``verify``'s ``--report``)
 into a directory that does not exist: the error line names that path
 first.  A third generator writes malformed input the commands parse:
 Cartan files, theta and node values, class strings and correspondence
-files, among them integers past the interpreter's conversion limit; each
-line must fail the same way, name the file, token or value, and stay
-short.  Last, a plain ``ValueError`` raised inside the library where input
-is parsed, or a ``KeyError`` raised while a correspondence file is read,
-is a fault, not a refusal: exit code 3 and a traceback.
+files, among them integers past the interpreter's conversion limit and
+theta, node, codim, type, label, word and Cartan-file tokens thousands of
+characters long; each line must fail the same way, name the file, token
+or value, and stay short.  Last, a plain ``ValueError`` raised inside the
+library where input is parsed, or a ``KeyError`` raised while a
+correspondence file is read, is a fault, not a refusal: exit code 3 and a
+traceback.
 
 The file uses the standard library and the tests' ``dynkin`` module only, so
 ``python tests/test_usage_errors.py`` runs the same checks on an
@@ -251,6 +253,42 @@ CORR_KINDS = ("not-json", "not-object", "missing-key", "nesting", "label-type", 
 LIMIT = "digits, more than the interpreter's integer-conversion limit"
 # (--type, --theta) of the rings the class, theta and node lines query
 RINGS = [("F4", "2,3,4"), ("F4", "1,2,3"), ("B3", "1"), ("G2", "2"), ("A2", "1")]
+# the tokens that come thousands of characters long
+LONG_KINDS = ("theta", "node", "codim", "type", "label", "word", "cartan")
+
+
+def long_token_line(kind, rng, tmp):
+    """(argv, strings its error line must contain) for one token of
+    ``kind`` thousands of characters long: digits on either side of the
+    interpreter's conversion limit, or letters; a bracketed word holds a
+    node past the limit.  The line shows the first characters and the length."""
+    digits = "9" * rng.randint(1000, 6000)
+    letters = rng.choice("hgxQ") * rng.randint(1000, 6000)
+    name, theta = rng.choice(RINGS)
+    system = ["--type", name, "--theta=" + theta]
+    if kind == "theta":
+        raw = "1," + rng.choice([digits, letters])
+        return ["weyl", "cosets", "--type", name, "--theta=" + raw], ("theta", " characters)")
+    if kind == "node":
+        query = rng.choice([["chow", "table"], ["hasse", "--pieri"]])
+        return query + system + ["--node=" + digits], ("--node", f"({len(digits)} characters)")
+    if kind == "codim":
+        return ["chow", "basis", *system, "--codim=" + digits], ("--codim",
+                                                                   f"({len(digits)} characters)")
+    if kind == "type":
+        return ["roots", "--type=" + letters], ("unknown root system type",
+                                                 f"({len(letters)} characters)")
+    if kind == "label":
+        return (["chow", "mult", *system, "--lhs", letters, "--rhs", letters],
+                ("unknown class label", f"({len(letters)} characters)"))
+    if kind == "word":
+        word = "s" + "9" * rng.randint(4301, 6000)   # a node past the conversion limit
+        return (["chow", "mult", *system, "--lhs", f"[s1 {word}]", "--rhs", "[s1]"],
+                ("bad reflection token", f"({len(word)} characters)"))
+    path = os.path.join(tmp, f"cartan-long-{len(letters)}")
+    with open(path, "w") as fh:
+        fh.write(f"2 {letters}\n-1 2\n")
+    return ["roots", "--cartan-file", path], (path, "line 1: ", f"({len(letters)} characters)")
 
 
 def malformed_input_lines(seed, tmp):
@@ -306,6 +344,9 @@ def malformed_input_lines(seed, tmp):
             query = rng.choice([["--lhs", text, "--rhs", text], ["--class", text]])
             words = ["chow", "mult" if len(query) == 4 else "giambelli-lift"]
             yield words + system + query, (f"error: {text}: ",)
+
+    for kind in LONG_KINDS:
+        yield long_token_line(kind, rng, tmp)
 
 
 def boom(*args, **kwargs):
@@ -381,7 +422,8 @@ def test_generated_malformed_input_exit_2():
                 result = run(argv)
                 if not refused_once(*result, *named):
                     bad.append((argv, *result))
-        assert count == len(SEEDS) * (len(CARTAN_KINDS) + len(CORR_KINDS) + 2 * 8)
+        assert count == len(SEEDS) * (len(CARTAN_KINDS) + len(CORR_KINDS) + 2 * 8
+                                      + len(LONG_KINDS))
     assert bad == []
 
 
