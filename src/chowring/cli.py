@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from contextlib import nullcontext
 
@@ -30,11 +31,27 @@ from .schubert import format_table_text, get_chow_ring, hyperplane_table
 from .weyl import get_weyl_group
 
 
+# in argparse's messages, a value it quotes with repr, or an unquoted run of
+# outside text, past 40 characters
+_LONG_TEXT = re.compile(r"'([^'\n]{41,})'|\"([^\"\n]{41,})\"|([^\s'\"]{41,})")
+
+
 class _Parser(argparse.ArgumentParser):
     """Reports a bad command line as a usage error: one ``error:`` line on
-    stderr and exit code 2, as for the errors the commands find."""
+    stderr and exit code 2, as for the errors the commands find.  Outside
+    text in the line is shown through ``shown``: an unrecognized argument
+    that holds whitespace by its repr, and long runs shortened."""
+
+    def parse_args(self, args=None, namespace=None):
+        namespace, extra = self.parse_known_args(args, namespace)
+        if extra:
+            self.error("unrecognized arguments: "
+                       + " ".join(a if a.split() == [a] else repr(a) for a in extra))
+        return namespace
 
     def error(self, message):
+        message = _LONG_TEXT.sub(lambda m: shown(m[3], str) if m[3] else shown(m[1] or m[2]),
+                                 message)
         raise InputError(f"{self.prog}: {message}")
 
 
@@ -197,7 +214,7 @@ def _f4_variety(tag):
     """The labeled F4 ring tagged ``tag``, the only rings a correspondence names."""
     ring = _pipeline_ring(lambda v: v.tag == tag)
     if ring is None:
-        raise InputError(f"unknown variety {tag!r}; use x1 or x4")
+        raise InputError(f"unknown variety {shown(tag)}; use x1 or x4")
     return ring
 
 

@@ -33,7 +33,7 @@ misses the table or its row and raises ``ValueError``.
 from __future__ import annotations
 
 from .poly import _Combination
-from .rootsystem import InputError
+from .rootsystem import InputError, shown
 from .schubert import ChowElement, ChowRing, SchubertClass
 
 Modulus = int  # 0 means integral coefficients
@@ -284,8 +284,8 @@ def from_jsonable(source: ChowRing, target: ChowRing, data) -> Correspondence:
     for item in data:
         f, g, coeff = read_keys(item, "f", "g", "coeff")
         if not (isinstance(f, str) and isinstance(g, str)):
-            raise InputError(f"{shape}; labels {f!r} and {g!r}")
+            raise InputError(f"{shape}; labels {shown(f)} and {shown(g)}")
         if type(coeff) is not int:
-            raise InputError(f"coefficient {coeff!r} is not an integer")
+            raise InputError(f"coefficient {shown(coeff)} is not an integer")
         pairs.append((source.class_by_label(f), target.class_by_label(g), coeff))
     return Correspondence.from_pairs(source, target, pairs)

@@ -6,7 +6,8 @@ fundamental-weight basis, and the invariant bilinear form is carried by a
 rational symmetrizer.  The form decides finite type, as it must be
 positive definite, and, scaled to integers, is used once per root, to
 build the integer coordinates of its coroot in the simple coroots; every
-coroot pairing is then an integer dot product.  The
+coroot pairing is then an integer dot product, and each coroot's height
+is tabled beside it.  The
 closure construction needs nothing beyond the Cartan matrix, so any
 finite-type matrix is accepted, not only the named ones used by the F4
 pipeline.
@@ -50,9 +51,13 @@ class InfiniteRootSystemError(InputError):
     """The Cartan matrix is not of finite type."""
 
 
-def shown(text: str, form=repr) -> str:
+def shown(text, form=repr) -> str:
     """How an error message shows outside text: ``form(text)``, or past 40
-    characters ``form`` of the first 40 followed by the length."""
+    characters ``form`` of the first 40 followed by the length.  A value
+    that is no string, as a JSON file may hold where text belongs, is shown
+    as the text of its repr."""
+    if not isinstance(text, str):
+        text, form = repr(text), str
     return form(text) if len(text) <= 40 else f"{form(text[:40])}... ({len(text)} characters)"
 
 
@@ -196,7 +201,13 @@ class RootSystem:
         self.alpha_weights: tuple[Weight, ...] = tuple(zip(*cartan.entries))
         self.alpha_support: tuple[tuple[tuple[int, int], ...], ...] = tuple(
             tuple((k, x) for k, x in enumerate(col) if x) for col in self.alpha_weights)
+        # roots are sign-coherent, so a root is positive exactly when it
+        # compares above the zero tuple
+        self.zero: Root = (0,) * self.rank
         self._coroots = self._coroot_table(pairings)
+        # root -> <rho, beta^vee>, the height of its coroot, for every root
+        self.coroot_heights: dict[Root, int] = {
+            beta: sum(coroot) for beta, coroot in self._coroots.items()}
 
     # -- construction helpers -------------------------------------------
 
@@ -231,9 +242,6 @@ class RootSystem:
     def simple_root(self, i: int) -> Root:
         self._check_node(i)
         return tuple(1 if k == i - 1 else 0 for k in range(self.rank))
-
-    def is_positive(self, root: Root) -> bool:
-        return all(x >= 0 for x in root) and any(x != 0 for x in root)
 
     @staticmethod
     def height(root: Root) -> int:

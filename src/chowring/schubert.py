@@ -266,13 +266,13 @@ class _GiambelliEngine:
         # i is a left descent of y exactly when s_i w = (s_i y) w_J: one step
         # down the orbit (<w rho, alpha_i^vee> < 0) to an element whose right
         # descents still contain J, i.e. that sends each alpha_j, j in J, to a
-        # root of negative height
-        weight = orbit.weights[idx]
+        # negative root
+        weight, zero = orbit.weights[idx], system.zero
         steps = []
         for i in range(1, system.rank + 1):
             if weight[i - 1] < 0:
                 p = point_of[system.reflect_weight(i, weight)]
-                if all(sum(elements[p].images[j - 1]) < 0 for j in J):
+                if all(elements[p].images[j - 1] < zero for j in J):
                     steps.append((i, p))
         i, parent = next(((i, p) for i, p in steps if p in memo), steps[0])
         if parent not in memo:

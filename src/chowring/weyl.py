@@ -12,7 +12,11 @@ the orbit of rho_P without enumerating W; it fixes the coset
 representatives, their order, reduced words, the Hasse edges and the
 Poincare-duality involution for every module that reads W^theta, and
 its :class:`RootIndex` tables apply elements to roots by index.  The
-order of W and of its parabolic subgroups follows from the root heights.
+group layer asks the root system nothing one root at a time: a root's
+sign is one comparison with ``system.zero``, w^{-1} rho is read from
+``system.coroot_heights``, and a left step maps an element's images
+through the index tables.  The order of W and of its parabolic subgroups
+follows from the root heights.
 W itself is the orbit of theta = (), the orbit of rho: it is the one
 enumeration of W, and the :class:`WeylGroup` wrapper reads it as the
 canonical element list.
@@ -72,16 +76,15 @@ def identity(system: RootSystem) -> WeylElement:
 
 def right_descents(w: WeylElement) -> tuple[int, ...]:
     """Nodes i with l(w s_i) = l(w) - 1, i.e. w(alpha_i) < 0."""
-    return tuple(i for i in range(1, w.system.rank + 1)
-                 if not w.system.is_positive(w.images[i - 1]))
+    zero = w.system.zero
+    return tuple(i for i, r in enumerate(w.images, 1) if r < zero)
 
 
 def inverse_rho(w: WeylElement) -> Weight:
     """w^{-1} rho in the fundamental weights.  Its i-th coordinate
     <w^{-1} rho, alpha_i^vee> = <rho, w(alpha_i)^vee> is the height of the
     coroot of w(alpha_i), negative exactly when i is a right descent of w."""
-    coroot = w.system.coroot
-    return tuple(sum(coroot(r)) for r in w.images)
+    return tuple(map(w.system.coroot_heights.__getitem__, w.images))
 
 
 def reduced_word(w: WeylElement) -> tuple[int, ...]:
@@ -223,7 +226,9 @@ def _step_left(w: WeylElement, a: int, table: RootIndex, delta: int = 1) -> Weyl
     """s_a w for l(s_a w) = l(w) + delta, s_a on w's images read off the
     root index."""
     roots, index, step = table.roots, table.index, table.steps[a - 1]
-    return WeylElement(w.system, tuple(roots[step[index[r]]] for r in w.images),
+    # a list display: for rank-sized tuples it is faster than a generator,
+    # and than three chained maps
+    return WeylElement(w.system, tuple([roots[step[index[r]]] for r in w.images]),
                        w.length + delta)
 
 
@@ -282,10 +287,10 @@ class CosetOrbit:
                     frontier.append(mu)
         if len(found) != _orbit_size(system, theta):
             raise AssertionError("the orbit of rho_P does not have |W| / |W_theta| points")
+        zero = system.zero
         for v, w, _, _ in found.values():
             for i in theta:
-                if not system.is_positive(v.images[i - 1]) or \
-                        system.is_positive(w.images[i - 1]):
+                if v.images[i - 1] < zero or w.images[i - 1] > zero:
                     raise AssertionError("the orbit walk left the coset representatives")
         self.weights = tuple(sorted(found, key=lambda lam: (found[lam][0].length,
                                                            found[lam][0].images)))

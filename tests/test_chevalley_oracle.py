@@ -52,7 +52,7 @@ def weyl_chevalley(ring, node, cls):
     system = ring.system
     acc = {}
     for beta, coeff in _coefficients(system, node):
-        if system.is_positive(weyl_oracle.act_root(cls.rep, beta)):
+        if weyl_oracle.is_positive(weyl_oracle.act_root(cls.rep, beta)):
             continue
         w = weyl_oracle.multiply(cls.rep, weyl_oracle.reflection(system, beta))
         if w.length != cls.rep.length - 1:

@@ -7,7 +7,7 @@ import pytest
 from chowring.rootsystem import (BUILTIN_CARTAN, CartanMatrix,
                                  InfiniteRootSystemError, build_root_system,
                                  root_system)
-from chowring.weyl import coset_orbit, order_from_heights
+from chowring.weyl import coset_orbit, order_from_heights, root_index
 import dynkin
 import weyl_oracle
 
@@ -133,9 +133,9 @@ def test_reflection_convention_lock(f4):
 def test_reflect_root_permutes_positive_roots(f4):
     for i in range(1, 5):
         images = {f4.reflect_root(i, beta) for beta in f4.positive_roots}
-        flipped = {tuple(-x for x in r) for r in images if not f4.is_positive(r)}
+        flipped = {tuple(-x for x in r) for r in images if not weyl_oracle.is_positive(r)}
         assert flipped == {f4.simple_root(i)}
-        assert sum(1 for r in images if f4.is_positive(r)) == 23
+        assert sum(1 for r in images if weyl_oracle.is_positive(r)) == 23
 
 
 def test_node_index_out_of_range(f4):
@@ -189,6 +189,24 @@ def test_integer_coroots_match_the_fraction_form(name):
         for alpha in roots:
             assert system.coroot_pairing(beta, system.root_to_weight(alpha)) == \
                 2 * weyl_oracle.bilinear(system, alpha, beta) / norm
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_CARTAN) + ["E6", "E7", "E8"])
+def test_coroot_heights_and_root_signs_match_the_oracle(name):
+    """The coroot-height table holds sum(beta^vee) for every root, positive
+    or negative, and no other key.  A root compares above ``zero`` exactly
+    when it is positive, and below it exactly when it is negative; the
+    root index agrees.  Root tables only: no orbit is walked."""
+    system = dynkin.system(name)
+    table = root_index(system)
+    assert sorted(system.coroot_heights) == sorted(table.roots)
+    assert len(table.roots) == 2 * len(system.positive_roots)
+    for r in table.roots:
+        assert system.coroot_heights[r] == sum(system.coroot(r))
+        positive = weyl_oracle.is_positive(r)
+        assert positive != weyl_oracle.is_positive(tuple(-x for x in r))
+        assert (r > system.zero) == positive == (table.index[r] < table.positive)
+        assert (r < system.zero) == (not positive)
 
 
 def test_coroot_and_root_coroot_pairing_reject_non_roots(f4):

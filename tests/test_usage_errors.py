@@ -13,9 +13,11 @@ into a directory that does not exist: the error line names that path
 first.  A third generator writes malformed input the commands parse:
 Cartan files, theta and node values, class strings and correspondence
 files, among them integers past the interpreter's conversion limit and
-theta, node, codim, type, label, word and Cartan-file tokens thousands of
-characters long; each line must fail the same way, name the file, token
-or value, and stay short.  Last, a plain ``ValueError`` raised inside the
+theta, node, codim, type, label, word and Cartan-file tokens, ``--mod``,
+``--format`` and ``--variety`` values, an unrecognized argument, and a
+correspondence file's variety or coefficient thousands of characters long;
+each line must fail the same way, name the file, token or value, and stay
+short.  Last, a plain ``ValueError`` raised inside the
 library where input is parsed, or a ``KeyError`` raised while a
 correspondence file is read, is a fault, not a refusal: exit code 3 and a
 traceback.
@@ -254,7 +256,8 @@ LIMIT = "digits, more than the interpreter's integer-conversion limit"
 # (--type, --theta) of the rings the class, theta and node lines query
 RINGS = [("F4", "2,3,4"), ("F4", "1,2,3"), ("B3", "1"), ("G2", "2"), ("A2", "1")]
 # the tokens that come thousands of characters long
-LONG_KINDS = ("theta", "node", "codim", "type", "label", "word", "cartan")
+LONG_KINDS = ("theta", "node", "codim", "type", "label", "word", "cartan", "mod", "format",
+              "argument", "variety", "source", "coefficient")
 
 
 def long_token_line(kind, rng, tmp):
@@ -285,6 +288,33 @@ def long_token_line(kind, rng, tmp):
         word = "s" + "9" * rng.randint(4301, 6000)   # a node past the conversion limit
         return (["chow", "mult", *system, "--lhs", f"[s1 {word}]", "--rhs", "[s1]"],
                 ("bad reflection token", f"({len(word)} characters)"))
+    if kind == "mod":   # past the conversion limit or refused as a choice
+        return (["corr", "compose", "beta.json", "alpha.json", "--mod", digits],
+                ("--mod", f"({len(digits)} characters)"))
+    if kind == "format":   # argparse quotes a value with an apostrophe in double quotes
+        value = rng.choice([letters, f"{letters}'s {letters}"])
+        query = rng.choice([["roots", "--type", name], ["hasse", *system],
+                            ["chow", "table", *system], ["verify", "f4"]])
+        return query + ["--format", value], ("--format", f"({len(value)} characters)")
+    if kind == "argument":   # tokens with and without whitespace in them
+        extra = [letters, f"{letters} {letters}", f"{letters}\n{letters}"]
+        rng.shuffle(extra)
+        return (["roots", "--type", name, *extra],
+                ("unrecognized arguments", f"({len(letters)} characters)"))
+    if kind == "variety":
+        return (["corr", "diagonal", "--variety", letters],
+                ("unknown variety", f"({len(letters)} characters)"))
+    if kind in ("source", "coefficient"):
+        payload = json.loads(CORR)
+        if kind == "source":
+            payload[rng.choice(["source", "target"])] = letters
+        else:
+            payload["terms"][0]["coeff"] = letters
+        path = os.path.join(tmp, f"corr-long-{kind}-{len(letters)}")
+        with open(path, "w") as fh:
+            json.dump(payload, fh)
+        what = "unknown variety" if kind == "source" else "coefficient"
+        return ["corr", "transpose", path], (path, what, f"({len(letters)} characters)")
     path = os.path.join(tmp, f"cartan-long-{len(letters)}")
     with open(path, "w") as fh:
         fh.write(f"2 {letters}\n-1 2\n")

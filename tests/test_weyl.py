@@ -245,7 +245,7 @@ def test_coset_orbit_matches_enumeration(name):
             itertools.combinations(nodes, r) for r in range(system.rank + 1)):
         orbit = weyl.coset_orbit(system, theta)
         minimal = [w for w in elements
-                   if all(system.is_positive(w.images[t - 1]) for t in theta)]
+                   if all(weyl_oracle.is_positive(w.images[t - 1]) for t in theta)]
         assert list(orbit.minimal) == minimal
         assert [v.length for v in orbit.minimal] == [v.length for v in minimal]
         w_theta = weyl.longest_element(system, theta)
@@ -365,6 +365,40 @@ def test_orbit_above_the_bound_is_refused(f4, monkeypatch):
         weyl.coset_orbit(f4, ())
     assert walked == []
     assert len(weyl.coset_orbit(f4, (2, 3, 4)).minimal) == 24
+
+
+def test_orbit_walk_refuses_a_wrong_orbit_size(monkeypatch):
+    """A walk that does not reach |W| / |W_theta| points fails the size
+    assertion, with its message; the walk is a fresh one on a system of its
+    own, so no cache answers for it."""
+    system = build_root_system(CartanMatrix.from_name("B3"))
+    size = weyl._orbit_size(system, (2,))
+    assert len(weyl.CosetOrbit(system, (2,)).weights) == size
+    monkeypatch.setattr(weyl, "_orbit_size", lambda system, theta: size + 1)
+    with pytest.raises(AssertionError) as excinfo:
+        weyl.CosetOrbit(system, (2,))
+    assert str(excinfo.value) == "the orbit of rho_P does not have |W| / |W_theta| points"
+
+
+@pytest.mark.parametrize("source,target", [
+    ((1, 0), (-1, 0)),    # s2 v(alpha_1) < 0: v is not minimal in its coset
+    ((-1, 0), (1, 0)),    # s2 v w_theta(alpha_1) > 0: not maximal
+])
+def test_orbit_walk_refuses_a_wrong_representative(source, target):
+    """On A2 with theta = (1,), the first move is s2, from e and from
+    w_theta = s1.  A step table of s2 tampered to send ``source`` to
+    ``target`` builds a representative that leaves its coset's end while
+    the weights, and so the orbit size, stay right: the sign check fails,
+    with its message.  The system is fresh, so the tampered table is its
+    own."""
+    system = build_root_system(CartanMatrix.from_name("A2"))
+    table = weyl.root_index(system)
+    steps = [list(row) for row in table.steps]
+    steps[1][table.index[source]] = table.index[target]
+    table.steps = tuple(map(tuple, steps))
+    with pytest.raises(AssertionError) as excinfo:
+        weyl.CosetOrbit(system, (1,))
+    assert str(excinfo.value) == "the orbit walk left the coset representatives"
 
 
 @pytest.mark.parametrize("argv", [

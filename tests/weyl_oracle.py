@@ -39,6 +39,12 @@ def norm2(system, root):
     return bilinear(system, root, root)
 
 
+def is_positive(root):
+    """A root in simple-root coordinates is positive: no coordinate is
+    negative and one is not zero."""
+    return all(x >= 0 for x in root) and any(x != 0 for x in root)
+
+
 def act_root(w, root):
     """Apply w to a root given in simple-root coordinates (linear)."""
     n = w.system.rank
@@ -63,7 +69,7 @@ def _inversions(system, images):
     images sends to negative roots, counted once per element."""
     probe = WeylElement(system, images, -1)
     return sum(1 for beta in system.positive_roots
-               if not system.is_positive(act_root(probe, beta)))
+               if not is_positive(act_root(probe, beta)))
 
 
 def multiply(u, v):
@@ -100,7 +106,7 @@ def mult_simple_right(w, i):
     images = tuple(
         tuple(a - c * b for a, b in zip(img, base)) if c else img
         for img, c in zip(w.images, col))
-    delta = 1 if system.is_positive(base) else -1
+    delta = 1 if is_positive(base) else -1
     return WeylElement(system, images, w.length + delta)
 
 
