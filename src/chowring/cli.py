@@ -40,7 +40,12 @@ class _Parser(argparse.ArgumentParser):
     """Reports a bad command line as a usage error: one ``error:`` line on
     stderr and exit code 2, as for the errors the commands find.  Outside
     text in the line is shown through ``shown``: an unrecognized argument
-    that holds whitespace by its repr, and long runs shortened."""
+    that holds whitespace by its repr, and long runs shortened.  Options
+    are matched only as spelled in full: an abbreviated one is an
+    unrecognized argument."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def parse_args(self, args=None, namespace=None):
         namespace, extra = self.parse_known_args(args, namespace)
@@ -101,7 +106,7 @@ def _pipeline_ring(matches):
 
 
 def _ring(system: RootSystem, theta: tuple[int, ...]):
-    ring = _pipeline_ring(lambda v: system is root_system("F4") and v.theta == theta)
+    ring = _pipeline_ring(lambda v: v.theta == theta and system is root_system("F4"))
     return ring if ring is not None else get_chow_ring(system, theta)
 
 

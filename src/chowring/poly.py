@@ -159,8 +159,8 @@ class _Calculus:
             self.lin.append(form)
         # each positive root as a raw linear form, in system.positive_roots order
         self.root_forms: tuple[RawPoly, ...] = tuple(
-            {self.units[k]: c for k, c in enumerate(system.root_to_weight(beta)) if c}
-            for beta in system.positive_roots)
+            {self.units[k]: c for k, c in enumerate(weight) if c}
+            for weight in system.root_weights[:len(system.positive_roots)])
         self._diff_pows: list[list[RawPoly]] = [[{}] for _ in range(n)]
 
     def pack(self, exponents) -> int:

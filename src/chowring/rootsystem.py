@@ -7,7 +7,9 @@ rational symmetrizer.  The form decides finite type, as it must be
 positive definite, and, scaled to integers, is used once per root, to
 build the integer coordinates of its coroot in the simple coroots; every
 coroot pairing is then an integer dot product, and each coroot's height
-is tabled beside it.  The
+is tabled beside it.  A :class:`RootSystem` builds all of its tables
+once: the reflection closure carries each root's weight, and the roots,
+their weights and the simple reflections are kept by root index.  The
 closure construction needs nothing beyond the Cartan matrix, so any
 finite-type matrix is accepted, not only the named ones used by the F4
 pipeline.
@@ -180,21 +182,34 @@ def _symmetrizer(cartan: CartanMatrix) -> tuple[Fraction, ...]:
 
 
 class RootSystem:
-    """Positive roots, pairings and reflections of a finite-type Cartan matrix.
+    """The roots, coroots and reflections of a finite-type Cartan matrix,
+    built once, by reflection closure (Bourbaki, Lie Groups and Lie
+    Algebras, Ch. VI).
 
     Node indices in the public API are 1-based, matching the usual Dynkin
     diagram numbering (F4 nodes 1,2 long and 3,4 short, double edge between
     2 and 3).  Positive roots are ordered by height, then lexicographically.
+
+    Every root also has an index: ``roots`` holds the positive roots in
+    that order, then their negatives in the same order, so index r is
+    positive exactly when r < len(positive_roots).  ``root_index`` maps each
+    root back to its index, ``root_weights[r]`` is roots[r] in the
+    fundamental weights, and ``root_steps[a - 1][r]`` is the index of
+    s_a roots[r].  The tables are immutable by contract.
     """
 
-    def __init__(self, cartan: CartanMatrix, positive_roots: tuple[Root, ...],
-                 pairings: dict[Root, list[int]]):
-        """``pairings`` maps each positive root beta to its pairings
-        <alpha_i^vee, beta>, i = 1..rank, as :func:`build_root_system`'s
-        closure carries them."""
+    def __init__(self, cartan: CartanMatrix):
+        """The matrix must be of finite type, its symmetrization D C
+        positive definite (D from :func:`_symmetrizer`), or
+        :class:`InfiniteRootSystemError` is raised before any closure runs."""
+        sym = _symmetrizer(cartan)
+        if not _positive_definite([[d_i * x for x in row]
+                                   for d_i, row in zip(sym, cartan.entries)]):
+            raise InfiniteRootSystemError(
+                "infinite root system: the symmetrized Cartan matrix is not "
+                "positive definite")
         self.cartan = cartan
-        self.rank = cartan.rank
-        self.positive_roots = positive_roots
+        self.rank = n = cartan.rank
         # per node i (0-based), alpha_(i+1) in the fundamental weights
         # (column i of the Cartan matrix) and its nonzero entries as
         # (coordinate, entry) pairs: the coordinates s_(i+1) moves
@@ -203,38 +218,82 @@ class RootSystem:
             tuple((k, x) for k, x in enumerate(col) if x) for col in self.alpha_weights)
         # roots are sign-coherent, so a root is positive exactly when it
         # compares above the zero tuple
-        self.zero: Root = (0,) * self.rank
-        self._coroots = self._coroot_table(pairings)
+        self.zero: Root = (0,) * n
+        weights = self._closure()
+        self.positive_roots: tuple[Root, ...] = tuple(
+            sorted(weights, key=lambda r: (sum(r), r)))
+        self.roots: tuple[Root, ...] = self.positive_roots + tuple(
+            tuple(-x for x in beta) for beta in self.positive_roots)
+        self.root_index: dict[Root, int] = {r: k for k, r in enumerate(self.roots)}
+        positive_weights = tuple(weights[beta] for beta in self.positive_roots)
+        self.root_weights: tuple[Weight, ...] = positive_weights + tuple(
+            tuple(-x for x in lam) for lam in positive_weights)
+        # s_a r = r - <alpha_a^vee, r> alpha_a, the pairing read off r's weight
+        self.root_steps: tuple[tuple[int, ...], ...] = tuple(
+            tuple(self.root_index[r[:a] + (r[a] - lam[a],) + r[a + 1:]]
+                  for r, lam in zip(self.roots, self.root_weights))
+            for a in range(n))
+        self._coroots = self._coroot_table(sym)
         # root -> <rho, beta^vee>, the height of its coroot, for every root
         self.coroot_heights: dict[Root, int] = {
             beta: sum(coroot) for beta, coroot in self._coroots.items()}
 
     # -- construction helpers -------------------------------------------
 
-    def _coroot_table(self, pairings: dict[Root, list[int]]) -> dict[Root, Root]:
+    def _closure(self) -> dict[Root, Weight]:
+        """positive root -> its weight, the pairings <alpha_i^vee, root>.
+
+        The closure starts from the simple roots and applies simple
+        reflections until no new positive root appears.  s_i moves
+        coordinate i of the root and only the weight coordinates where
+        alpha_i is nonzero, so a reflection costs the coordinates it moves.
+        """
+        n = self.rank
+        known: dict[Root, Weight] = {self.simple_root(i): self.alpha_weights[i - 1]
+                                     for i in range(1, n + 1)}
+        frontier: list[Root] = list(known)
+        while frontier:
+            new_frontier: list[Root] = []
+            for root in frontier:
+                weight = known[root]
+                for i, pairing in enumerate(weight):
+                    if pairing == 0:
+                        continue
+                    image = list(root)
+                    image[i] -= pairing
+                    if image[i] < 0:
+                        continue
+                    image = tuple(image)
+                    if image not in known:
+                        moved = list(weight)
+                        for k, x in self.alpha_support[i]:
+                            moved[k] -= pairing * x
+                        known[image] = tuple(moved)
+                        new_frontier.append(image)
+            frontier = new_frontier
+        return known
+
+    def _coroot_table(self, sym: tuple[Fraction, ...]) -> dict[Root, Root]:
         """root -> beta^vee in the simple coroots, for every root, positive
         or negative.  alpha_k = d_k alpha_k^vee, so the k-th coordinate of
         beta^vee = 2 beta / (beta, beta) is 2 d_k beta_k / (beta, beta).
         The form is scaled to integers, d_k = e_k / m, and each coordinate
         is asserted to be an integer.  (beta, beta) is the sum of
-        d_i beta_i <alpha_i^vee, beta> over the nodes, read off the
-        closure's pairings."""
-        sym = _symmetrizer(self.cartan)
+        d_i beta_i <alpha_i^vee, beta> over the nodes, read off the root's
+        weight."""
         m = lcm(*(d.denominator for d in sym))
         e = [int(d * m) for d in sym]
-        n = self.rank
         table: dict[Root, Root] = {}
-        for beta in self.positive_roots:
+        for beta, weight in zip(self.roots, self.root_weights):
             # m (beta, beta)
-            norm = sum(b * e_i * x for b, e_i, x in zip(beta, e, pairings[beta]) if b)
+            norm = sum(b * e_i * x for b, e_i, x in zip(beta, e, weight) if b)
             coroot = []
-            for k in range(n):
-                q, r = divmod(2 * e[k] * beta[k], norm)
+            for e_k, b in zip(e, beta):
+                q, r = divmod(2 * e_k * b, norm)
                 if r:
                     raise ArithmeticError(f"non-integral coroot of {beta}")
                 coroot.append(q)
             table[beta] = tuple(coroot)
-            table[tuple(-x for x in beta)] = tuple(-x for x in coroot)
         return table
 
     # -- roots ------------------------------------------------------------
@@ -246,14 +305,6 @@ class RootSystem:
     @staticmethod
     def height(root: Root) -> int:
         return sum(root)
-
-    def reflect_root(self, i: int, root: Root) -> Root:
-        """Simple reflection s_i on a root in simple-root coordinates."""
-        self._check_node(i)
-        c = self.cartan.entries[i - 1]
-        pairing = sum(c[j] * root[j] for j in range(self.rank))
-        return tuple(root[j] - (pairing if j == i - 1 else 0)
-                     for j in range(self.rank))
 
     # -- coroots -------------------------------------------------------------
 
@@ -276,11 +327,6 @@ class RootSystem:
         """alpha_j expanded in the fundamental-weight basis (column j)."""
         self._check_node(j)
         return self.alpha_weights[j - 1]
-
-    def root_to_weight(self, root: Root) -> Weight:
-        c = self.cartan.entries
-        return tuple(sum(c[i][j] * root[j] for j in range(self.rank))
-                     for i in range(self.rank))
 
     def reflect_weight(self, i: int, omega: Weight) -> Weight:
         """s_i on a weight: subtract the i-th coordinate times alpha_i,
@@ -320,55 +366,9 @@ def _positive_definite(rows) -> bool:
 
 
 def build_root_system(cartan: CartanMatrix) -> RootSystem:
-    """Generate all positive roots by reflection closure.
-
-    The matrix must be of finite type, its symmetrization D C positive
-    definite (D from :func:`_symmetrizer`), or
-    :class:`InfiniteRootSystemError` is raised before any closure runs.
-    The closure starts from the simple roots and applies simple
-    reflections until no new positive root appears.  Each root carries its
-    pairings with the simple coroots, updated through the column of the
-    reflecting node, so a reflection costs the coordinates it moves.
-    """
-    d = _symmetrizer(cartan)
-    if not _positive_definite([[d_i * x for x in row]
-                               for d_i, row in zip(d, cartan.entries)]):
-        raise InfiniteRootSystemError(
-            "infinite root system: the symmetrized Cartan matrix is not "
-            "positive definite")
-    n = cartan.rank
-    # per node i, the nonzero coordinates (k, C[k][i]) of alpha_i in the
-    # fundamental weights
-    support = [tuple((k, row[i]) for k, row in enumerate(cartan.entries) if row[i])
-               for i in range(n)]
-    # positive root -> its weight coordinates, the pairings <alpha_i^vee, root>;
-    # s_i moves coordinate i of the root and only the weight coordinates
-    # where alpha_i is nonzero
-    known: dict[Root, list[int]] = {
-        tuple(1 if k == i else 0 for k in range(n)): [row[i] for row in cartan.entries]
-        for i in range(n)}
-    frontier: list[Root] = list(known)
-    while frontier:
-        new_frontier: list[Root] = []
-        for root in frontier:
-            weight = known[root]
-            for i, pairing in enumerate(weight):
-                if pairing == 0:
-                    continue
-                image = list(root)
-                image[i] -= pairing
-                if image[i] < 0:
-                    continue
-                image = tuple(image)
-                if image not in known:
-                    moved = weight.copy()
-                    for k, x in support[i]:
-                        moved[k] -= pairing * x
-                    known[image] = moved
-                    new_frontier.append(image)
-        frontier = new_frontier
-    ordered = tuple(sorted(known, key=lambda r: (sum(r), r)))
-    return RootSystem(cartan, ordered, known)
+    """The root system of a finite-type Cartan matrix, tables and all (see
+    :class:`RootSystem`)."""
+    return RootSystem(cartan)
 
 
 @lru_cache(maxsize=None)

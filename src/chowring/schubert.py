@@ -210,8 +210,8 @@ class _GiambelliEngine:
         self.group = group
         self.system = group.system
         # s_i on root indices; index r is positive exactly when r < positive
-        table = _weyl.root_index(group.system)
-        self._moves, self._positive = table.steps, table.positive
+        self._moves = group.system.root_steps
+        self._positive = len(group.system.positive_roots)
         # idx -> (S, Q), delta_{w_idx}(d) = Q times the positive roots of S
         self._factored: dict[int, tuple[dict[int, int], dict]] = {}
         # J -> the base at w_J: the positive roots outside Phi_J, and |W_J|
@@ -411,9 +411,9 @@ class _LocalizationEngine:
     Every root is evaluated exactly at two integer points alpha_i -> p_i,
     so a restriction is one integer per evaluation point, held in two fixed
     lanes: the table maps each point x to a dict v -> (int, int).
-    Roots are handled by their index in the system's
-    :class:`~chowring.weyl.RootIndex`, each evaluated once: the r_j of x
-    follow from its parent's by one table step.
+    Roots are handled by their index in the system's root table,
+    ``RootSystem.roots``, each evaluated once: the r_j of x follow from its
+    parent's by one table step.
     Both points are positive, so no root vanishes on them and each
     restriction is positive on the Bruhat interval below x.
 
@@ -462,10 +462,9 @@ class _LocalizationEngine:
         # every restriction below is a pair, one lane per point
         self.points = (tuple(range(1, n + 1)),
                        tuple(k * k + 1 for k in range(1, n + 1)))
-        table = orbit.roots
         # every root, by its index in the root table, at each evaluation point
         self.values = tuple(tuple(sum(c * x for c, x in zip(r, p)) for p in self.points)
-                            for r in table.roots)
+                            for r in system.roots)
         # The roots r_j of each point, by index, from its parent's: parents
         # are one step shorter, so they come first in orbit order.
         factors: list[tuple[int, ...]] = []
@@ -474,8 +473,8 @@ class _LocalizationEngine:
                 factors.append(())
                 continue
             a = word[0]
-            factors.append((table.index[system.simple_root(a)],) + tuple(
-                map(table.steps[a - 1].__getitem__, factors[parent])))
+            factors.append((system.root_index[system.simple_root(a)],) + tuple(
+                map(system.root_steps[a - 1].__getitem__, factors[parent])))
         self.restrictions = [self._restrictions(word, roots)
                              for word, roots in zip(orbit.words, factors)]
         # the first point of each length 0 .. dim + 1, in orbit order
@@ -724,7 +723,7 @@ class ChowRing:
                 if system.coroot(beta)[node - 1])
         v = cls.sigma
         lam, image = orbit.weights[v], orbit.root_images[v]
-        positive, weights = orbit.roots.positive, orbit.roots.weights
+        positive, weights = len(self.system.positive_roots), self.system.root_weights
         point_of, words = orbit.point_of, orbit.words
         target_length = len(words[v]) + 1
         row = {}

@@ -10,12 +10,12 @@ parsing, longest elements and the moves of an orbit walk.  The parabolic
 quotient W^theta is one :class:`CosetOrbit` per (system, theta), found as
 the orbit of rho_P without enumerating W; it fixes the coset
 representatives, their order, reduced words, the Hasse edges and the
-Poincare-duality involution for every module that reads W^theta, and
-its :class:`RootIndex` tables apply elements to roots by index.  The
+Poincare-duality involution for every module that reads W^theta.  The
 group layer asks the root system nothing one root at a time: a root's
 sign is one comparison with ``system.zero``, w^{-1} rho is read from
 ``system.coroot_heights``, and a left step maps an element's images
-through the index tables.  The order of W and of its parabolic subgroups
+through the system's root tables (``roots``, ``root_index`` and
+``root_steps``).  The order of W and of its parabolic subgroups
 follows from the root heights.
 W itself is the orbit of theta = (), the orbit of rho: it is the one
 enumeration of W, and the :class:`WeylGroup` wrapper reads it as the
@@ -113,9 +113,9 @@ def reduced_word(w: WeylElement) -> tuple[int, ...]:
 
 def word_to_element(system: RootSystem, word) -> WeylElement:
     """s_a1 ... s_ak, built from the right by left steps on root indices."""
-    table, w, lam = root_index(system), identity(system), (1,) * system.rank
+    w, lam = identity(system), (1,) * system.rank
     for a in reversed(word):
-        w = _step_left(w, a, table, 1 if lam[a - 1] > 0 else -1)
+        w = _step_left(w, a, 1 if lam[a - 1] > 0 else -1)
         lam = system.reflect_weight(a, lam)
     return w
 
@@ -190,45 +190,14 @@ def _opposition(system: RootSystem) -> tuple[int, ...]:
                  for img in longest_element(system).images)
 
 
-class RootIndex:
-    """The roots of one system by index: the positive roots in the system's
-    order, then their negatives in the same order, so index r is positive
-    exactly when r < ``positive``.  Per index, ``roots[r]`` is the root
-    (one shared tuple) and ``weights[r]`` its expansion in the fundamental
-    weights; ``steps[a - 1][r]`` is the index of s_a roots[r].  The tables
-    are immutable by contract; an index compares by identity.
-    """
-
-    __slots__ = ("roots", "index", "positive", "weights", "steps")
-
-    def __init__(self, roots: tuple[Root, ...], index: dict[Root, int], positive: int,
-                 weights: tuple[Weight, ...], steps: tuple[tuple[int, ...], ...]):
-        self.roots = roots
-        self.index = index
-        self.positive = positive
-        self.weights = weights
-        self.steps = steps
-
-
-@lru_cache(maxsize=None)
-def root_index(system: RootSystem) -> RootIndex:
-    """The shared :class:`RootIndex` of a system."""
-    positive = system.positive_roots
-    roots = positive + tuple(tuple(-x for x in beta) for beta in positive)
-    index = {r: k for k, r in enumerate(roots)}
-    steps = tuple(tuple(index[system.reflect_root(a, r)] for r in roots)
-                  for a in range(1, system.rank + 1))
-    return RootIndex(roots, index, len(positive),
-                     tuple(system.root_to_weight(r) for r in roots), steps)
-
-
-def _step_left(w: WeylElement, a: int, table: RootIndex, delta: int = 1) -> WeylElement:
+def _step_left(w: WeylElement, a: int, delta: int = 1) -> WeylElement:
     """s_a w for l(s_a w) = l(w) + delta, s_a on w's images read off the
-    root index."""
-    roots, index, step = table.roots, table.index, table.steps[a - 1]
+    system's root tables."""
+    system = w.system
+    roots, index, step = system.roots, system.root_index, system.root_steps[a - 1]
     # a list display: for rank-sized tuples it is faster than a generator,
     # and than three chained maps
-    return WeylElement(w.system, tuple([roots[step[index[r]]] for r in w.images]),
+    return WeylElement(system, tuple([roots[step[index[r]]] for r in w.images]),
                        w.length + delta)
 
 
@@ -249,8 +218,8 @@ class CosetOrbit:
     that puts one letter in front of the word of ``parents[k]`` (-1 for
     rho_P); ``up[k]``, a -> the point of s_a v for every upward move;
     ``opposite[k]``, the point of w0 v, whose weight is w0 v rho_P.
-    ``roots`` is the system's :class:`RootIndex`, and ``root_images[k]``,
-    built on first read, holds the index of v(beta) for every positive
+    ``system`` is the root system, and ``root_images[k]``, built on first
+    read, holds the index of v(beta) in ``system.roots`` for every positive
     root beta.
     ``names[k]``, also built on first read, is ``serialize(minimal[k])``,
     the canonical word of v as text: every export of the orbit's points
@@ -269,7 +238,7 @@ class CosetOrbit:
         # weight -> (v, v w_theta, word of v, weight of the parent), and
         # weight -> {a: weight of s_a v} over the upward moves, breadth first
         e = identity(system)
-        self.roots = table = root_index(system)
+        self.system = system
         found = {rho_p: (e, longest_element(system, theta) if theta else e, (), None)}
         moves: dict[tuple[int, ...], dict[int, tuple[int, ...]]] = {}
         frontier = [rho_p]
@@ -281,8 +250,8 @@ class CosetOrbit:
                     continue
                 mu = up[a] = system.reflect_weight(a, lam)
                 if mu not in found:
-                    sv = _step_left(v, a, table)
-                    found[mu] = (sv, _step_left(w, a, table) if theta else sv,
+                    sv = _step_left(v, a)
+                    found[mu] = (sv, _step_left(w, a) if theta else sv,
                                  (a,) + word, lam)
                     frontier.append(mu)
         if len(found) != _orbit_size(system, theta):
@@ -311,14 +280,15 @@ class CosetOrbit:
 
     @property
     def root_images(self) -> tuple[tuple[int, ...], ...]:
-        """Per point k, the index in ``roots`` of v(beta), v = ``minimal[k]``,
-        for each positive root beta in the system's order; built on the
-        first read.  v = s_a u with u the parent's representative and a the
-        first letter of ``words[k]``, so the entry is s_a applied by index
-        to the parent's entry, one table step per root."""
+        """Per point k, the index in ``system.roots`` of v(beta),
+        v = ``minimal[k]``, for each positive root beta in the system's
+        order; built on the first read.  v = s_a u with u the parent's
+        representative and a the first letter of ``words[k]``, so the entry
+        is s_a applied by index to the parent's entry, one table step per
+        root."""
         if self._root_images is None:
-            steps = self.roots.steps
-            images = [tuple(range(self.roots.positive))]   # point 0 is e
+            steps = self.system.root_steps
+            images = [tuple(range(len(self.system.positive_roots)))]   # point 0 is e
             for word, parent in zip(self.words[1:], self.parents[1:]):
                 images.append(tuple(map(steps[word[0] - 1].__getitem__, images[parent])))
             self._root_images = tuple(images)

@@ -20,7 +20,8 @@ MOVED_FUNCTIONS = {
     "weyl_act", "divided_difference", "divided_difference_word",
     "positive_root_product", "_raw_reflect", "_raw_root_product",
     "embed_diagram", "simple_reflection", "LabeledBasis",
-    "rank", "to_json", "load_root_system", "UsageError", "mult_simple_right"}
+    "rank", "to_json", "load_root_system", "UsageError", "mult_simple_right",
+    "RootIndex", "root_index"}
 # Module state that is gone: the reduced-word memo (words are read off
 # w^{-1} rho).
 MOVED_MODULE_STATE = ((weyl, "_WORDS"),)
@@ -32,6 +33,8 @@ MOVED_METHODS = (
     (weyl.WeylGroup, "index_of"),
     (RootSystem, "root_coroot_pairing"),
     (RootSystem, "_check_reflection_convention"),
+    (RootSystem, "root_to_weight"),
+    (RootSystem, "reflect_root"),
     (schubert.ChowRing, "chevalley_mult"),
     (schubert.ChowRing, "giambelli_multiply"),
     (schubert.ChowRing, "_extend"),

@@ -19,7 +19,7 @@ from chowring import f4pipeline as pipe
 from chowring import poly
 from chowring.rootsystem import root_system
 from chowring.schubert import _GiambelliEngine, get_chow_ring
-from chowring.weyl import get_weyl_group, longest_element, right_descents, root_index
+from chowring.weyl import get_weyl_group, longest_element, right_descents
 from weyl_oracle import left_min_descent, listed_group, multiply
 
 
@@ -172,7 +172,7 @@ def test_c_raw_on_factored_roots(name):
     alpha_1^2 beside the constant delta_1(alpha_2)."""
     system = root_system(name)
     engine = _GiambelliEngine(get_weyl_group(system))
-    index = root_index(system).index
+    index = system.root_index
     a1, a2 = index[system.simple_root(1)], index[system.simple_root(2)]
     alpha = poly._calculus(system).root_forms[a1]
     assert engine.c_raw({0: 1}, 1, {a1: 1}) == oracle_c_raw(system, alpha, 1)

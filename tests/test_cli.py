@@ -265,6 +265,19 @@ def test_hasse_pieri_reads_the_cartan_file_once(tmp_path, monkeypatch, capsys):
     assert len(json.loads(out)["vertices"]) == 4
 
 
+def test_chow_off_the_pipeline_thetas_reads_no_f4_system(monkeypatch, capsys):
+    """A ring whose theta is no F4 variety's is matched against the
+    pipeline's records without asking for the F4 root system."""
+    from chowring import cli
+
+    named = []
+    real = cli.root_system
+    monkeypatch.setattr(cli, "root_system", lambda name: named.append(name) or real(name))
+    code, _, _ = run_cli("chow", "basis", "--type", "A2", "--theta", "1", capsys=capsys)
+    assert code == 0
+    assert named == ["A2"]
+
+
 def test_chow_basis(capsys):
     code, out, _ = run_cli("chow", "basis", "--type", "F4",
                            "--theta", "2,3,4", "--codim", "4", capsys=capsys)

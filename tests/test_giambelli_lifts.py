@@ -21,7 +21,8 @@ from chowring.rootsystem import BUILTIN_CARTAN, root_system
 from chowring.schubert import _GiambelliEngine, get_chow_ring
 from chowring.weyl import get_weyl_group, longest_element
 import poly_oracle
-from weyl_oracle import inverse, left_min_descent, list_group, listed_group
+from weyl_oracle import (inverse, left_min_descent, list_group, listed_group,
+                         root_to_weight)
 
 
 def oracle_delta_d(system, idx, memo):
@@ -88,7 +89,7 @@ def _root_form(system, beta):
     n = system.rank
     return RationalPolynomial(system, {
         tuple(int(t == k) for t in range(n)): c
-        for k, c in enumerate(system.root_to_weight(beta))})
+        for k, c in enumerate(root_to_weight(system, beta))})
 
 
 def _roots_outside(system, J):

@@ -4,10 +4,11 @@ from math import lcm
 
 import pytest
 
+from chowring import rootsystem
 from chowring.rootsystem import (BUILTIN_CARTAN, CartanMatrix,
                                  InfiniteRootSystemError, build_root_system,
                                  root_system)
-from chowring.weyl import coset_orbit, order_from_heights, root_index
+from chowring.weyl import coset_orbit, order_from_heights
 import dynkin
 import weyl_oracle
 
@@ -131,8 +132,10 @@ def test_reflection_convention_lock(f4):
 
 
 def test_reflect_root_permutes_positive_roots(f4):
-    for i in range(1, 5):
-        images = {f4.reflect_root(i, beta) for beta in f4.positive_roots}
+    """s_i, read off the step table, sends alpha_i to -alpha_i and permutes
+    the other positive roots."""
+    for i, step in enumerate(f4.root_steps, 1):
+        images = {f4.roots[step[b]] for b in range(len(f4.positive_roots))}
         flipped = {tuple(-x for x in r) for r in images if not weyl_oracle.is_positive(r)}
         assert flipped == {f4.simple_root(i)}
         assert sum(1 for r in images if weyl_oracle.is_positive(r)) == 23
@@ -187,7 +190,7 @@ def test_integer_coroots_match_the_fraction_form(name):
             omega = _omega(system, j)
             assert system.coroot_pairing(beta, omega) == want[j - 1]
         for alpha in roots:
-            assert system.coroot_pairing(beta, system.root_to_weight(alpha)) == \
+            assert system.coroot_pairing(beta, weyl_oracle.root_to_weight(system, alpha)) == \
                 2 * weyl_oracle.bilinear(system, alpha, beta) / norm
 
 
@@ -196,24 +199,44 @@ def test_coroot_heights_and_root_signs_match_the_oracle(name):
     """The coroot-height table holds sum(beta^vee) for every root, positive
     or negative, and no other key.  A root compares above ``zero`` exactly
     when it is positive, and below it exactly when it is negative; the
-    root index agrees.  Root tables only: no orbit is walked."""
+    root index agrees.  Each root's weight is its Cartan-row expansion, and
+    each step table entry the index of the oracle's reflection of the root.
+    Root tables only: no orbit is walked."""
     system = dynkin.system(name)
-    table = root_index(system)
-    assert sorted(system.coroot_heights) == sorted(table.roots)
-    assert len(table.roots) == 2 * len(system.positive_roots)
-    for r in table.roots:
-        assert system.coroot_heights[r] == sum(system.coroot(r))
-        positive = weyl_oracle.is_positive(r)
-        assert positive != weyl_oracle.is_positive(tuple(-x for x in r))
-        assert (r > system.zero) == positive == (table.index[r] < table.positive)
-        assert (r < system.zero) == (not positive)
+    roots, index = system.roots, system.root_index
+    positive_count = len(system.positive_roots)
+    assert sorted(system.coroot_heights) == sorted(roots)
+    assert len(roots) == 2 * positive_count == len(index) == len(system.root_weights)
+    reflections = [weyl_oracle.reflection(system, system.simple_root(a))
+                   for a in range(1, system.rank + 1)]
+    for r, root in enumerate(roots):
+        assert index[root] == r
+        assert system.coroot_heights[root] == sum(system.coroot(root))
+        positive = weyl_oracle.is_positive(root)
+        assert positive != weyl_oracle.is_positive(tuple(-x for x in root))
+        assert (root > system.zero) == positive == (r < positive_count)
+        assert (root < system.zero) == (not positive)
+        assert system.root_weights[r] == weyl_oracle.root_to_weight(system, root)
+        for s_a, step in zip(reflections, system.root_steps):
+            assert roots[step[r]] == weyl_oracle.act_root(s_a, root)
+
+
+def test_building_a_system_symmetrizes_once(monkeypatch):
+    """The finiteness check and the coroot table share one symmetrizer."""
+    calls = []
+    real = rootsystem._symmetrizer
+    monkeypatch.setattr(rootsystem, "_symmetrizer",
+                        lambda cartan: calls.append(cartan) or real(cartan))
+    cartan = CartanMatrix.from_name("F4")
+    build_root_system(cartan)
+    assert calls == [cartan]
 
 
 def test_coroot_and_root_coroot_pairing_reject_non_roots(f4):
     with pytest.raises(ValueError):
         f4.coroot((1, 0, 0, 1))
     with pytest.raises(ValueError):
-        f4.coroot_pairing((2, 0, 0, 0), f4.root_to_weight(f4.simple_root(1)))
+        f4.coroot_pairing((2, 0, 0, 0), weyl_oracle.root_to_weight(f4, f4.simple_root(1)))
 
 
 def _closure_by_full_pairings(cartan):

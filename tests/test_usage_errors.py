@@ -297,10 +297,14 @@ def long_token_line(kind, rng, tmp):
                             ["chow", "table", *system], ["verify", "f4"]])
         return query + ["--format", value], ("--format", f"({len(value)} characters)")
     if kind == "argument":   # tokens with and without whitespace in them
-        extra = [letters, f"{letters} {letters}", f"{letters}\n{letters}"]
+        # "--t" abbreviates no option; prefix matching would find it ambiguous
+        # in hasse and read it as --type in roots
+        spaced = f"--t={letters} {letters}"
+        extra = [letters, f"{letters} {letters}", f"{letters}\n{letters}", "--t=a\nb", spaced]
         rng.shuffle(extra)
-        return (["roots", "--type", name, *extra],
-                ("unrecognized arguments", f"({len(letters)} characters)"))
+        query = rng.choice([["roots", "--type", name], ["hasse", *system]])
+        return (query + extra, ("unrecognized arguments", f"({len(letters)} characters)",
+                                repr("--t=a\nb"), f"({len(spaced)} characters)"))
     if kind == "variety":
         return (["corr", "diagonal", "--variety", letters],
                 ("unknown variety", f"({len(letters)} characters)"))

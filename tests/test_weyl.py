@@ -392,10 +392,9 @@ def test_orbit_walk_refuses_a_wrong_representative(source, target):
     with its message.  The system is fresh, so the tampered table is its
     own."""
     system = build_root_system(CartanMatrix.from_name("A2"))
-    table = weyl.root_index(system)
-    steps = [list(row) for row in table.steps]
-    steps[1][table.index[source]] = table.index[target]
-    table.steps = tuple(map(tuple, steps))
+    steps = [list(row) for row in system.root_steps]
+    steps[1][system.root_index[source]] = system.root_index[target]
+    system.root_steps = tuple(map(tuple, steps))
     with pytest.raises(AssertionError) as excinfo:
         weyl.CosetOrbit(system, (1,))
     assert str(excinfo.value) == "the orbit walk left the coset representatives"
@@ -434,7 +433,7 @@ def test_root_images_match_act_root(name):
     """On every point of every quotient, the orbit's root-image table read
     for the minimal representative v at beta, against ``act_root``."""
     system = root_system(name)
-    roots = weyl.root_index(system).roots
+    roots = system.roots
     n = system.rank
     for size in range(n + 1):
         for theta in itertools.combinations(range(1, n + 1), size):

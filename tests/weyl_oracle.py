@@ -8,7 +8,8 @@ length is recounted from the inversions, once per element.  W itself is
 listed by a breadth-first search over w -> w s_j (``mult_simple_right``)
 from the identity.  The
 invariant form is kept here in Fractions, apart from the system's integer
-coroot table.
+coroot table, and a root's weight and its simple reflections are summed
+over whole rows of the Cartan matrix, apart from the system's root tables.
 """
 
 from fractions import Fraction
@@ -16,7 +17,7 @@ from functools import lru_cache
 
 from chowring.rootsystem import _symmetrizer
 from chowring.weyl import (WeylElement, identity, reduced_word, right_descents,
-                           root_index, word_to_element)
+                           word_to_element)
 
 
 @lru_cache(maxsize=None)
@@ -37,6 +38,22 @@ def bilinear(system, a, b):
 
 def norm2(system, root):
     return bilinear(system, root, root)
+
+
+def root_to_weight(system, root):
+    """A root in the fundamental weights, <alpha_i^vee, root> = sum over j
+    of C[i][j] root_j, the whole row of the Cartan matrix C."""
+    c = system.cartan.entries
+    return tuple(sum(c[i][j] * root[j] for j in range(system.rank))
+                 for i in range(system.rank))
+
+
+def reflect_root(system, i, root):
+    """Simple reflection s_i on a root in simple-root coordinates, its
+    pairing summed over the whole row i of the Cartan matrix."""
+    c = system.cartan.entries[i - 1]
+    pairing = sum(c[j] * root[j] for j in range(system.rank))
+    return tuple(root[j] - (pairing if j == i - 1 else 0) for j in range(system.rank))
 
 
 def is_positive(root):
@@ -85,7 +102,7 @@ def reflection(system, beta):
     s_beta(alpha_j) = alpha_j - <alpha_j, beta^vee> beta; the pairing
     2 (alpha_j, beta) / (beta, beta) comes from the Fraction form, apart
     from the system's integer coroot table."""
-    if tuple(beta) not in root_index(system).index:
+    if tuple(beta) not in system.root_index:
         raise ValueError(f"{beta} is not a root")
     images = []
     for j in range(1, system.rank + 1):
@@ -113,7 +130,7 @@ def mult_simple_right(w, i):
 def mult_simple_left(w, i):
     """s_i * w."""
     system = w.system
-    return element(system, tuple(system.reflect_root(i, img) for img in w.images))
+    return element(system, tuple(reflect_root(system, i, img) for img in w.images))
 
 
 def inverse(w):
